@@ -37,6 +37,8 @@ __all__ = [
     "make_grid",
     "constant_field",
     "laplacian_matrix",
+    "laplacian_eigenvalues",
+    "dct1",
     "apply_laplacian",
     "eval_mode",
     "ac_rhs",
@@ -242,6 +244,42 @@ def laplacian_matrix(grid: GridSpec) -> sp.csr_matrix:
         return lap1
     eye = sp.identity(n, format="csr")
     return (sp.kron(lap1, eye) + sp.kron(eye, lap1)).tocsr()
+
+
+@lru_cache(maxsize=None)
+def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
+    """Eigenvalues of laplacian_matrix(grid), indexed like dct1's output.
+
+    Shape (n,) in 1D and (n, n) in 2D.  The eigenvector of index k along an
+    axis is cos(pi j k / (n - 1)) at node j, with eigenvalue
+    -(4 / h^2) sin^2(pi k / (2 (n - 1))); in 2D the eigenvalues add.
+    Cached per grid and read-only.
+    """
+    n, h = grid.n, grid.h
+    lam = -(4.0 / (h * h)) * np.sin(0.5 * np.pi * np.arange(n) / (n - 1)) ** 2
+    if grid.dim == 2:
+        lam = np.add.outer(lam, lam)
+    lam.setflags(write=False)
+    return lam
+
+
+def dct1(arr: np.ndarray) -> np.ndarray:
+    """Unnormalized type-I DCT of an (n,) or (n, n) array along every axis.
+
+    y_k = x_0 + (-1)^k x_{n-1} + 2 sum_{0<j<n-1} x_j cos(pi j k / (n - 1)),
+    which is the real FFT of the mirror extension (x_0 .. x_{n-1} .. x_1).
+    Applying it twice multiplies by (2 (n - 1))^ndim, so
+
+        laplacian_matrix(g) @ x == dct1(laplacian_eigenvalues(g) * dct1(x)) / (2 (n - 1))^dim
+
+    Built on numpy.fft, which numpy and scipy.sparse already import.
+    """
+    out = np.asarray(arr, dtype=float)
+    for axis in range(out.ndim):
+        inner = (slice(None),) * axis + (slice(-2, 0, -1),)
+        mirror = np.concatenate((out, out[inner]), axis=axis)
+        out = np.fft.rfft(mirror, axis=axis).real
+    return out
 
 
 def _second_difference(arr: np.ndarray, axis: int, h2: float) -> np.ndarray:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import AnalysisError, ConfigurationError
 from .fields import ACParams, ModeIndex, ScalarField, field_mean, laplacian_matrix
@@ -33,6 +32,7 @@ from .solvers import (
     HomotopyConfig,
     NewtonConfig,
     NewtonReport,
+    ShiftedLaplacian,
     delta_schedule,
     homotopy_path,
     march_deltas,
@@ -378,9 +378,11 @@ def _be_preimage_field(phi_next: ScalarField, p: ACParams) -> tuple[ScalarField,
 
 
 def _backward_problem(kind: SchemeKind, grid, c: float, shape: np.ndarray, p: ACParams):
-    """problem(delta) for homotopy_path: unknown u with target c + delta*shape."""
+    """problem(delta) for homotopy_path: unknown u with target c + delta*shape.
+
+    The Jacobians are ShiftedLaplacians.
+    """
     lap = laplacian_matrix(grid)
-    eye = sp.identity(grid.num_nodes, format="csr")
     idt, ie2 = 1.0 / p.dt, 1.0 / p.eps2
 
     def problem(delta: float):
@@ -392,7 +394,7 @@ def _backward_problem(kind: SchemeKind, grid, c: float, shape: np.ndarray, p: AC
                 return idt * (v - u) - 0.5 * (lap_v + lap @ u) + 0.5 * ie2 * (nl_v + u ** 3 - u)
 
             def jacobian(u):
-                return -idt * eye - 0.5 * lap + sp.diags(0.5 * ie2 * (3.0 * u * u - 1.0))
+                return ShiftedLaplacian(grid, -idt, 0.5, 0.5 * ie2 * (3.0 * u * u - 1.0))
         else:  # modcn
             def residual(u):
                 return (
@@ -404,10 +406,28 @@ def _backward_problem(kind: SchemeKind, grid, c: float, shape: np.ndarray, p: AC
 
             def jacobian(u):
                 react = 0.25 * ie2 * (3.0 * u * u + 2.0 * u * v + v * v)
-                return -idt * eye - 0.5 * lap + sp.diags(react) - ie2 * eye
+                return ShiftedLaplacian(grid, -idt - ie2, 0.5, react)
         return residual, jacobian
 
     return problem
+
+
+def _backward_stage_system(target: np.ndarray, gamma: float, grid, p: ACParams):
+    """(residual, jacobian) of target = u + gamma F(u) in the unknown u.
+
+    One backward DIRK stage, F(u) = Lap(u) - (u^3 - u) / eps^2.  The
+    Jacobian is a ShiftedLaplacian.
+    """
+    lap = laplacian_matrix(grid)
+    ie2 = 1.0 / p.eps2
+
+    def residual(u):
+        return target - u - gamma * (lap @ u - ie2 * (u ** 3 - u))
+
+    def jacobian(u):
+        return ShiftedLaplacian(grid, -1.0, gamma, gamma * ie2 * (3.0 * u * u - 1.0))
+
+    return residual, jacobian
 
 
 def _dirk_preimage_field(kind, phi_next, seed, p, hcfg, ncfg):
@@ -415,7 +435,6 @@ def _dirk_preimage_field(kind, phi_next, seed, p, hcfg, ncfg):
     tab, alpha, beta = _dirk_backward_data(kind, p)
     grid = phi_next.grid
     lap = laplacian_matrix(grid)
-    eye = sp.identity(grid.num_nodes, format="csr")
     ie2 = 1.0 / p.eps2
     c = field_mean(phi_next)
     if hcfg.delta_end != 0.0:
@@ -440,26 +459,15 @@ def _dirk_preimage_field(kind, phi_next, seed, p, hcfg, ncfg):
         )
 
         # target relation: v = u + dt * beta * F(u) with F(u) = lap u - nl(u)/eps^2
-        def residual2(u):
-            return v - u - p.dt * beta * (lap @ u - ie2 * nl(u))
-
-        def jacobian2(u):
-            return -eye - p.dt * beta * (lap - sp.diags(ie2 * (3.0 * u * u - 1.0)))
-
-        x2, rep2 = newton_solve(residual2, jacobian2, x2_prev, ncfg)
+        x2, rep2 = newton_solve(*_backward_stage_system(v, p.dt * beta, grid, p), x2_prev, ncfg)
         if not rep2.converged:
             return state, rep2
         x1_prev = state[1] if state is not None else np.full(grid.num_nodes, c1)
 
         target1 = x2 - p.dt * tab.a[1][1] * (lap @ x2 - ie2 * nl(x2))
-
-        def residual1(u):
-            return target1 - u - p.dt * alpha * (lap @ u - ie2 * nl(u))
-
-        def jacobian1(u):
-            return -eye - p.dt * alpha * (lap - sp.diags(ie2 * (3.0 * u * u - 1.0)))
-
-        x1, rep1 = newton_solve(residual1, jacobian1, x1_prev, ncfg)
+        x1, rep1 = newton_solve(
+            *_backward_stage_system(target1, p.dt * alpha, grid, p), x1_prev, ncfg
+        )
         return (x2, x1), rep1
 
     state, report = march_deltas(solve_at, delta_schedule(hcfg), hcfg.adaptive)

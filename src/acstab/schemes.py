@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigurationError
 from .fields import (
@@ -33,7 +32,13 @@ from .fields import (
     field_l2,
     laplacian_matrix,
 )
-from .solvers import NewtonConfig, NewtonReport, newton_solve, real_cubic_roots
+from .solvers import (
+    NewtonConfig,
+    NewtonReport,
+    ShiftedLaplacian,
+    newton_solve,
+    real_cubic_roots,
+)
 
 __all__ = [
     "SchemeKind",
@@ -108,28 +113,24 @@ class StepReport:
         return all(r.converged for r in self.stage_reports)
 
 
-def _identity(m: int) -> sp.csr_matrix:
-    return sp.identity(m, format="csr")
-
-
 def step_system(kind: SchemeKind, phi_n: ScalarField, p: ACParams):
     """(residual, jacobian) of the one-step equation in the unknown next state.
 
     Defined for the single-solve schemes (be, cn, modcn); DIRK steps are a
-    chain of stage systems, see dirk_stage_system.
+    chain of stage systems, see dirk_stage_system.  The Jacobian is a
+    ShiftedLaplacian.
     """
     grid = phi_n.grid
     lap = laplacian_matrix(grid)
     v0 = phi_n.values
     idt, ie2 = 1.0 / p.dt, 1.0 / p.eps2
-    eye = _identity(grid.num_nodes)
 
     if kind.tag == "be":
         def residual(v):
             return idt * (v - v0) - lap @ v + ie2 * (v ** 3 - v)
 
         def jacobian(v):
-            return idt * eye - lap + sp.diags(ie2 * (3.0 * v * v - 1.0))
+            return ShiftedLaplacian(grid, idt, 1.0, ie2 * (3.0 * v * v - 1.0))
 
     elif kind.tag == "cn":
         known = -0.5 * (lap @ v0) + 0.5 * ie2 * (v0 ** 3 - v0)
@@ -138,7 +139,7 @@ def step_system(kind: SchemeKind, phi_n: ScalarField, p: ACParams):
             return idt * (v - v0) - 0.5 * (lap @ v) + 0.5 * ie2 * (v ** 3 - v) + known
 
         def jacobian(v):
-            return idt * eye - 0.5 * lap + sp.diags(0.5 * ie2 * (3.0 * v * v - 1.0))
+            return ShiftedLaplacian(grid, idt, 0.5, 0.5 * ie2 * (3.0 * v * v - 1.0))
 
     elif kind.tag == "modcn":
         lap_v0 = lap @ v0
@@ -153,7 +154,7 @@ def step_system(kind: SchemeKind, phi_n: ScalarField, p: ACParams):
 
         def jacobian(v):
             react = 0.25 * ie2 * (3.0 * v * v + 2.0 * v * v0 + v0 * v0)
-            return idt * eye - 0.5 * lap + sp.diags(react)
+            return ShiftedLaplacian(grid, idt, 0.5, react)
 
     else:
         raise ConfigurationError("dirk steps solve stage systems; see dirk_stage_system")
@@ -161,16 +162,18 @@ def step_system(kind: SchemeKind, phi_n: ScalarField, p: ACParams):
 
 
 def dirk_stage_system(known: np.ndarray, gamma: float, grid, p: ACParams):
-    """(residual, jacobian) of one implicit stage v - gamma F(v) = known."""
+    """(residual, jacobian) of one implicit stage v - gamma F(v) = known.
+
+    The Jacobian is a ShiftedLaplacian.
+    """
     lap = laplacian_matrix(grid)
     ie2 = 1.0 / p.eps2
-    eye = _identity(grid.num_nodes)
 
     def residual(v):
         return v - known - gamma * (lap @ v - ie2 * (v ** 3 - v))
 
     def jacobian(v):
-        return eye - gamma * (lap - sp.diags(ie2 * (3.0 * v * v - 1.0)))
+        return ShiftedLaplacian(grid, 1.0, gamma, gamma * ie2 * (3.0 * v * v - 1.0))
 
     return residual, jacobian
 

@@ -1,16 +1,30 @@
 """Newton's method, parameter continuation, and real roots of cubics.
 
 The Newton driver works on scalars, flat numpy arrays, and ScalarField
-values alike.  Linear subproblems use a banded solve when the Jacobian is
-tridiagonal (1D steppers) and a sparse LU factorization otherwise, with one
-round of iterative refinement so the linear residual stays below 1e-12
-relative to the right-hand side.
+values alike.  Every Newton Jacobian of the steppers and of their backward
+problems has the form a I - b L + diag(d), with L the Neumann Laplacian, and
+is returned as a ShiftedLaplacian, whose solve picks its method from the
+operator itself:
+
+* 1D: a direct banded (tridiagonal) solve;
+* 2D with b >= 0 and a + min(d) > 0 (the operator is then symmetric positive
+  definite in the trapezoid inner product, the step's uniqueness condition):
+  conjugate gradients in that inner product, preconditioned by an exact
+  DCT-I solve of the mean-diagonal operator (a + mean(d)) I - b L;
+* otherwise, or when CG misses its tolerance within a fixed iteration cap:
+  a sparse LU factorization.
+
+Plain sparse or dense Jacobians from other callers are LU-factorized.  Every
+direct solve takes one round of iterative refinement when its true residual
+exceeds 1e-12 relative to the right-hand side; CG stops only on a true
+residual within that bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,11 +33,19 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError
-from .fields import ScalarField
+from .fields import (
+    GridSpec,
+    ScalarField,
+    dct1,
+    laplacian_eigenvalues,
+    laplacian_matrix,
+    trapezoid_weights,
+)
 
 __all__ = [
     "NewtonConfig",
     "NewtonReport",
+    "ShiftedLaplacian",
     "HomotopyConfig",
     "CubicRoots",
     "newton_solve",
@@ -35,6 +57,8 @@ __all__ = [
 
 _BACKTRACK_LIMIT = 40
 _HALVING_LIMIT = 20
+_LINEAR_RTOL = 1e-12
+_CG_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -77,40 +101,130 @@ def _linf(v: np.ndarray) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-def _solve_linear(jac, rhs: np.ndarray) -> np.ndarray:
-    """Solve jac @ x = rhs with refinement to relative residual <= 1e-12."""
-    if sp.issparse(jac):
-        coo = jac.tocoo()
-        bandwidth = int(np.max(np.abs(coo.row - coo.col))) if coo.nnz else 0
-        if bandwidth <= 1:
-            n = jac.shape[0]
-            ab = np.zeros((3, n))
-            dia = jac.todia()
-            for off, data in zip(dia.offsets, dia.data):
-                if off == 0:
-                    ab[1] = data
-                elif off == 1:
-                    ab[0] = data
-                elif off == -1:
-                    ab[2] = data
-            solve = lambda b: scipy.linalg.solve_banded((1, 1), ab, b)
-        else:
-            lu = spla.splu(jac.tocsc())
-            solve = lu.solve
-        apply = lambda x: jac @ x
-    else:
-        dense = np.atleast_2d(np.asarray(jac, dtype=float))
-        lu_piv = scipy.linalg.lu_factor(dense)
-        solve = lambda b: scipy.linalg.lu_solve(lu_piv, b)
-        apply = lambda x: dense @ x
+def _refined_solve(solve, apply, rhs: np.ndarray) -> np.ndarray:
+    """solve(rhs), plus one refinement step if the true residual is too large."""
     x = solve(rhs)
     if not np.all(np.isfinite(x)):
         raise np.linalg.LinAlgError("singular or ill-conditioned Jacobian")
-    scale = max(_linf(rhs), 1e-300)
     resid = rhs - apply(x)
-    if _linf(resid) > 1e-12 * scale:
+    if _linf(resid) > _LINEAR_RTOL * max(_linf(rhs), 1e-300):
         x = x + solve(resid)
     return x
+
+
+@lru_cache(maxsize=None)
+def _laplacian_band(grid: GridSpec) -> np.ndarray:
+    """The 1D laplacian_matrix(grid) in solve_banded's (1, 1) layout; read-only."""
+    lap = laplacian_matrix(grid)
+    band = np.zeros((3, grid.n))
+    band[0, 1:] = lap.diagonal(1)
+    band[1] = lap.diagonal()
+    band[2, :-1] = lap.diagonal(-1)
+    band.setflags(write=False)
+    return band
+
+
+@dataclass(frozen=True, eq=False)
+class ShiftedLaplacian:
+    """The linear operator a I - b L + diag(d) on a grid, L = laplacian_matrix(grid).
+
+    a and b are scalars and d holds one value per node.  Supports `op @ x`,
+    tosparse(), todense() and solve(rhs); see the module docstring for how
+    solve chooses its method.
+    """
+
+    grid: GridSpec
+    a: float
+    b: float
+    d: np.ndarray
+
+    @property
+    def certified(self) -> bool:
+        """b >= 0 and a + min(d) > 0: symmetric positive definite in the
+        trapezoid inner product, so the Newton system has a unique solution."""
+        return self.b >= 0.0 and self.a + float(np.min(self.d)) > 0.0
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.a * x - self.b * (laplacian_matrix(self.grid) @ x) + self.d * x
+
+    def tosparse(self) -> sp.csr_matrix:
+        return (sp.diags(self.a + self.d) - self.b * laplacian_matrix(self.grid)).tocsr()
+
+    def todense(self) -> np.ndarray:
+        return self.tosparse().toarray()
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with self @ x = rhs (see the module docstring for the method)."""
+        if self.grid.dim == 1:
+            ab = self._band()
+            return _refined_solve(
+                lambda r: scipy.linalg.solve_banded((1, 1), ab, r), self.__matmul__, rhs
+            )
+        if self.certified:
+            x = self._pcg(rhs)
+            if x is not None:
+                return x
+        return _refined_solve(spla.splu(self.tosparse().tocsc()).solve, self.__matmul__, rhs)
+
+    def _band(self) -> np.ndarray:
+        """The tridiagonal 1D operator in solve_banded's (1, 1) layout."""
+        ab = -self.b * _laplacian_band(self.grid)
+        ab[1] = (self.a + ab[1]) + self.d
+        return ab
+
+    def _pcg(self, rhs: np.ndarray) -> np.ndarray | None:
+        """Preconditioned CG in the trapezoid inner product; None on a miss.
+
+        The preconditioner solves (a + mean(d)) I - b L exactly in the DCT-I
+        eigenbasis of L.  Returns only an x whose true residual is within
+        _LINEAR_RTOL of rhs; a recursive residual that meets the bound while
+        the true one does not restarts the iteration from the true residual.
+        """
+        g = self.grid
+        tol = _LINEAR_RTOL * _linf(rhs)
+        if tol == 0.0:
+            return np.zeros_like(rhs)
+        w = trapezoid_weights(g)
+        shape = (g.n,) * g.dim
+        shift = self.a + float(np.mean(self.d))
+        denom = (shift - self.b * laplacian_eigenvalues(g)) * float(2 * (g.n - 1)) ** g.dim
+
+        def precondition(r):
+            return dct1(dct1(r.reshape(shape)) / denom).ravel()
+
+        x = np.zeros_like(rhs)
+        r = rhs.copy()
+        p = np.zeros_like(rhs)
+        rz = 1.0
+        for _ in range(_CG_MAX_ITER):
+            z = precondition(r)
+            rz_new = float(w @ (r * z))
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+            ap = self @ p
+            pap = float(w @ (p * ap))
+            if not (rz > 0.0 and pap > 0.0):  # positivity lost to roundoff or underflow
+                return None
+            alpha = rz / pap
+            x = x + alpha * p
+            r = r - alpha * ap
+            if _linf(r) <= tol:
+                r = rhs - self @ x
+                if _linf(r) <= tol:
+                    return x
+                p = np.zeros_like(rhs)  # restart from the true residual
+        return None
+
+
+def _solve_linear(jac, rhs: np.ndarray) -> np.ndarray:
+    """Solve jac @ x = rhs to a relative residual of 1e-12 (see the module docstring)."""
+    if isinstance(jac, ShiftedLaplacian):
+        return jac.solve(rhs)
+    if sp.issparse(jac):
+        return _refined_solve(spla.splu(jac.tocsc()).solve, lambda x: jac @ x, rhs)
+    dense = np.atleast_2d(np.asarray(jac, dtype=float))
+    lu_piv = scipy.linalg.lu_factor(dense)
+    return _refined_solve(lambda b: scipy.linalg.lu_solve(lu_piv, b), lambda x: dense @ x, rhs)
 
 
 def _newton_core(residual, jacobian, x0: np.ndarray, cfg: NewtonConfig):
@@ -154,8 +268,11 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
     ----------
     residual, jacobian:
         Functions of the unknown.  For array/field unknowns the Jacobian
-        must return a square matrix (sparse or dense); for scalar unknowns
-        it returns the derivative.
+        returns a ShiftedLaplacian, whose solve picks a banded solve (1D),
+        preconditioned CG (2D, certified positive definite) or sparse LU
+        from the operator itself; or a plain square matrix, which is
+        LU-factorized (sparse or dense).  For scalar unknowns it returns
+        the derivative.
     guess:
         float, flat ndarray, or ScalarField; the solution has the same type.
     cfg:

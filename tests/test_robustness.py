@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from acstab import reference
+import acstab.solvers as solvers
 from acstab.errors import AnalysisError, ConfigurationError
 from acstab.fields import ACParams, ModeIndex, ScalarField, eval_mode, field_mean, make_grid
 from acstab.robustness import (
+    _backward_problem,
+    _backward_stage_system,
+    _dirk_backward_data,
     classify_constant_initial,
     dirk_perturbation_gains,
     interval_sequence,
@@ -15,7 +19,7 @@ from acstab.robustness import (
     preimage_field,
 )
 from acstab.schemes import BE, CN, DIRK2, MODCN, scalar_map, step
-from acstab.solvers import HomotopyConfig, NewtonConfig
+from acstab.solvers import HomotopyConfig, NewtonConfig, fd_jacobian
 
 SQ3 = math.sqrt(3.0)
 
@@ -335,7 +339,7 @@ def test_gain_linear_system_residual():
 
 
 def _mode_preimage(kind, c, root, gain, k, p, grid, delta_end):
-    mode = eval_mode(ModeIndex((float(k),)), grid)
+    mode = eval_mode(ModeIndex(tuple(float(v) for v in np.atleast_1d(k))), grid)
     target = ScalarField(grid, c + delta_end * mode.values)
     seed = ScalarField(grid, root + 1e-3 * gain * mode.values)
     hcfg = HomotopyConfig(delta_end=delta_end, delta_start=1e-3, steps=32)
@@ -411,3 +415,91 @@ def test_preimage_field_reports_stall():
     assert np.all(np.isfinite(phi_n.values))
 
 
+
+
+def _count_splu(monkeypatch):
+    calls = []
+    splu = solvers.spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solvers.spla, "splu", counting)
+    return calls
+
+
+def test_preimage_field_2d_certified_runs_cg(monkeypatch):
+    # CN root 0 at c = 0.5: a + min(d) is about +350 along the path, so the
+    # backward Jacobians are certified positive definite and CG solves them
+    grid = make_grid(2, 17)
+    p = ACParams(0.1, 0.01)
+    c = 0.5
+    root = preimage_constants(CN, c, p).roots[0]
+    gain = perturbation_gain(CN, c, root, ModeIndex((1.0, 1.0)), p).gain[0]
+    splu_calls = _count_splu(monkeypatch)
+    target, phi_n, rep = _mode_preimage(CN, c, root, gain, (1, 1), p, grid, 0.2)
+    assert rep.converged
+    assert not splu_calls
+    problem = _backward_problem(CN, grid, c, (target.values - c) / 0.2, p)
+    op = problem(0.2)[1](phi_n.values)
+    assert op.certified and op.a + op.d.min() > 300.0
+    fwd, _ = step(CN, phi_n, p)
+    assert np.max(np.abs(fwd.values - target.values)) <= 1e-8
+
+
+def test_preimage_field_2d_uncertified_runs_lu(monkeypatch):
+    # the DIRK2 middle chain r = 0.2046 -> 0.2665 -> 0.4142 at c = 0.5: both
+    # backward stages have a + min(d) near -1.1, so sparse LU solves them
+    grid = make_grid(2, 17)
+    p = ACParams(0.1, 0.01)
+    c = 0.5
+    ps = preimage_constants(DIRK2, c, p)
+    r, c1, c2 = ps.chains[2]
+    assert r == pytest.approx(0.2046, abs=1e-4)
+    g = dirk_perturbation_gains(c2, c1, ModeIndex((1.0, 1.0)), p)
+    splu_calls = _count_splu(monkeypatch)
+    target, phi_n, rep = _mode_preimage(DIRK2, c, r, g.gain[2], (1, 1), p, grid, 0.2)
+    assert rep.converged
+    assert splu_calls
+    _, alpha, beta = _dirk_backward_data(DIRK2, p)
+    for cval, coef in ((c2, beta), (c1, alpha)):
+        u = np.full(grid.num_nodes, cval)
+        op = _backward_stage_system(u, p.dt * coef, grid, p)[1](u)
+        assert not op.certified and op.a + op.d.min() == pytest.approx(-1.1, abs=0.15)
+    fwd, _ = step(DIRK2, phi_n, p)
+    assert np.max(np.abs(fwd.values - target.values)) <= 1e-8
+
+
+def _fd_rel_error(residual, jacobian, u):
+    dense = np.asarray(jacobian(u).todense())
+    return np.linalg.norm(dense - fd_jacobian(residual, u)) / np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("kind", (CN, MODCN), ids=lambda k: k.label)
+@pytest.mark.parametrize("dim,n", ((1, 9), (2, 4)))
+def test_backward_problem_jacobian_matches_fd(kind, dim, n):
+    rng = np.random.default_rng(41)
+    grid = make_grid(dim, n)
+    p = ACParams(0.3, 0.05)
+    for _ in range(10):
+        c = rng.uniform(-2, 2)
+        shape = rng.uniform(-1, 1, grid.num_nodes)
+        residual, jacobian = _backward_problem(kind, grid, c, shape, p)(rng.uniform(0, 1))
+        u = rng.uniform(-2, 2, grid.num_nodes)
+        assert _fd_rel_error(residual, jacobian, u) <= 1e-5
+
+
+@pytest.mark.parametrize("dim,n", ((1, 9), (2, 4)))
+def test_dirk_backward_stage_jacobians_match_fd(dim, n):
+    rng = np.random.default_rng(43)
+    grid = make_grid(dim, n)
+    p = ACParams(0.3, 0.05)
+    _, alpha, beta = _dirk_backward_data(DIRK2, p)
+    for _ in range(10):
+        # the outer stage (beta) and the inner stage (alpha) of the chain
+        for coef in (beta, alpha):
+            target = rng.uniform(-2, 2, grid.num_nodes)
+            residual, jacobian = _backward_stage_system(target, p.dt * coef, grid, p)
+            u = rng.uniform(-2, 2, grid.num_nodes)
+            assert _fd_rel_error(residual, jacobian, u) <= 1e-5
