@@ -38,7 +38,6 @@ from .solvers import (
     NewtonConfig,
     NewtonReport,
     delta_schedule,
-    fd_jacobian,
     homotopy_path,
     newton_solve,
     real_cubic_roots,
@@ -52,10 +51,7 @@ from .schemes import (
     StepReport,
     StepSummary,
     Trajectory,
-    be_step,
-    cn_step,
     dirk_step,
-    modcn_step,
     parse_scheme,
     scalar_map,
     simulate,
@@ -108,7 +104,6 @@ __all__ = [
     "NewtonConfig",
     "NewtonReport",
     "delta_schedule",
-    "fd_jacobian",
     "homotopy_path",
     "newton_solve",
     "real_cubic_roots",
@@ -120,10 +115,7 @@ __all__ = [
     "StepReport",
     "StepSummary",
     "Trajectory",
-    "be_step",
-    "cn_step",
     "dirk_step",
-    "modcn_step",
     "parse_scheme",
     "scalar_map",
     "simulate",

@@ -17,10 +17,8 @@ Field specs use the grammar "const:<v>" or "const+mode:<v>,<delta>,<k[,l]>"
 (value v plus delta times the cos/sin eigenmode with index k, and l in 2D).
 
 Exit codes: 0 success, 2 configuration error, 3 solver/analysis failure,
-4 check mismatch.  ACSTAB_THREADS caps the worker threads used for
-independent (ratio, scheme) computations; output order never depends on it.
-A JSON file passed via --config supplies defaults for any flag (same names,
-lower_snake_case); explicit flags win.
+4 check mismatch.  A JSON file passed via --config supplies defaults for
+any flag (same names, lower_snake_case); explicit flags win.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -86,24 +83,6 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def _workers(n_tasks: int) -> int:
-    env = os.environ.get("ACSTAB_THREADS", "")
-    try:
-        cap = int(env) if env else (os.cpu_count() or 1)
-    except ValueError:
-        raise ConfigurationError(f"ACSTAB_THREADS must be an integer, got {env!r}")
-    return max(1, min(cap, n_tasks))
-
-
-def _pool_map(fn, items: list):
-    """Map preserving order; fans out across threads when allowed."""
-    w = _workers(len(items))
-    if w == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, items))
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -218,10 +197,7 @@ def _newton_cfg(args) -> NewtonConfig:
 
 
 def _table_rows(kind: SchemeKind, count: int):
-    def one(ratio):
-        return [ratio, *interval_sequence(kind, ratio, count).entries]
-
-    return _pool_map(one, list(reference.RATIOS))
+    return [[ratio, *interval_sequence(kind, ratio, count).entries] for ratio in reference.RATIOS]
 
 
 def _check_cells(rows, table, label: str) -> int:
@@ -239,19 +215,17 @@ def _check_cells(rows, table, label: str) -> int:
 
 def _interval_rows(kind: SchemeKind, count: int):
     """fig-data rows: (ratio, interval index, lower, upper, limit sign)."""
-    def one(ratio):
+    rows = []
+    for ratio in reference.RATIOS:
         ent = interval_sequence(kind, ratio, count).entries
         bounds = [-x for x in reversed(ent)] + [0.0] + list(ent)
-        rows = []
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             # positive-side interval j (0-based from 0) settles at (-1)^j;
             # mirrored intervals settle at the opposite sign
             j = i - len(ent)
             limit = (-1) ** j if j >= 0 else -((-1) ** (-j - 1))
             rows.append([ratio, i, lo, hi, limit])
-        return rows
-
-    return [row for rows in _pool_map(one, list(reference.RATIOS)) for row in rows]
+    return rows
 
 
 def cmd_reproduce(args) -> int:
@@ -414,12 +388,11 @@ def _analyze_classify(args, out: str) -> int:
     max_steps = args.steps if args.steps is not None else 400
     grid_r = np.linspace(args.rmin, args.rmax, samples)
 
-    def one(r):
+    rows = []
+    for r in grid_r:
         res = classify_constant_initial(kind, float(r), p, max_steps=max_steps)
-        return [res.initial, res.limit,
-                res.settle_step if res.settle_step is not None else -1, res.flips]
-
-    rows = _pool_map(one, list(grid_r))
+        rows.append([res.initial, res.limit,
+                     res.settle_step if res.settle_step is not None else -1, res.flips])
     _write_csv(out, ["r", "limit", "settle_step", "flips"], rows)
     return 0
 

@@ -332,11 +332,18 @@ def eval_mode(k: ModeIndex, grid: GridSpec) -> ScalarField:
     return ScalarField(grid, np.multiply.outer(factors[0], factors[1]).ravel())
 
 
+def ac_force(lap_v, v, p: ACParams):
+    """F(v) = Lap(v) - (v^3 - v) / eps^2 given lap_v = Lap(v) (0.0 on constants).
+
+    v is a node array or a scalar; the result has its type.
+    """
+    return lap_v - (1.0 / p.eps2) * (v ** 3 - v)
+
+
 def ac_rhs(u: ScalarField, p: ACParams) -> ScalarField:
     """Allen-Cahn right-hand side F(u) = Lap(u) - (u^3 - u) / eps^2."""
     v = u.values
-    out = laplacian_matrix(u.grid) @ v - (v ** 3 - v) / p.eps2
-    return ScalarField(u.grid, out)
+    return ScalarField(u.grid, ac_force(laplacian_matrix(u.grid) @ v, v, p))
 
 
 @lru_cache(maxsize=None)

@@ -25,14 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError, ConfigurationError
-from .fields import ACParams, ModeIndex, ScalarField, field_mean, laplacian_matrix
-from .schemes import SchemeKind, scalar_map
+from .fields import ACParams, ModeIndex, ScalarField, ac_force, field_mean, laplacian_matrix
+from .schemes import MERGE_TOL, SchemeKind, constant_cubic, implicit_system, scalar_map
 from .solvers import (
     CubicRoots,
     HomotopyConfig,
     NewtonConfig,
     NewtonReport,
-    ShiftedLaplacian,
     delta_schedule,
     homotopy_path,
     march_deltas,
@@ -52,8 +51,6 @@ __all__ = [
     "dirk_perturbation_gains",
     "preimage_field",
 ]
-
-_MERGE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -88,39 +85,42 @@ def _dirk_backward_data(kind: SchemeKind, p: ACParams):
 
 
 def _dirk_chain_preimages(kind: SchemeKind, c: float, p: ACParams):
-    """Solve the stage chain backward: c -> phi_2 -> phi_1 -> r."""
+    """Solve the stage chain backward: c -> phi_2 -> phi_1 -> r.
+
+    Each backward stage solves target = u + gamma F(u) for u, the constant
+    form of _backward_stage_system.
+    """
     tab, alpha, beta = _dirk_backward_data(kind, p)
-    ie2 = 1.0 / p.eps2
-
-    def nl(x: float) -> float:
-        return x ** 3 - x
-
     cubics: list[CubicRoots] = []
     chains: list[tuple[float, float, float]] = []
-
-    # final combination: c = phi_2 - dt * beta * nl(phi_2) / eps^2
-    g_beta = p.dt * beta * ie2
-    # c = x - g_beta * nl(x)  <=>  x^3 - x (1 + 1/g_beta) + c / g_beta = 0
-    final = real_cubic_roots(1.0, 0.0, -(1.0 + 1.0 / g_beta), c / g_beta)
+    # final combination: c = phi_2 + dt * beta * F(phi_2)
+    final = real_cubic_roots(*constant_cubic(p, -1.0, c, p.dt * beta))
     cubics.append(final)
-    g_alpha = p.dt * alpha * ie2
-    g_11 = p.dt * tab.a[0][0] * ie2
-    g_22 = p.dt * tab.a[1][1] * ie2
     for phi2 in final.real_roots:
-        # stage 2 relation: phi_2 + g_22 nl(phi_2) = phi_1 - g_alpha nl(phi_1)
-        target = phi2 + g_22 * nl(phi2)
-        stage1 = real_cubic_roots(1.0, 0.0, -(1.0 + 1.0 / g_alpha), target / g_alpha)
+        # stage 2 relation: phi_2 - dt a22 F(phi_2) = phi_1 + dt alpha F(phi_1)
+        target = phi2 - p.dt * tab.a[1][1] * ac_force(0.0, phi2, p)
+        stage1 = real_cubic_roots(*constant_cubic(p, -1.0, target, p.dt * alpha))
         cubics.append(stage1)
         for phi1 in stage1.real_roots:
-            r = phi1 + g_11 * nl(phi1)
+            r = phi1 - p.dt * tab.a[0][0] * ac_force(0.0, phi1, p)
             chains.append((r, phi1, phi2))
     chains.sort(key=lambda ch: ch[0])
     merged: list[tuple[float, float, float]] = []
     for ch in chains:
-        if merged and abs(ch[0] - merged[-1][0]) <= _MERGE_TOL:
+        if merged and abs(ch[0] - merged[-1][0]) <= MERGE_TOL:
             continue
         merged.append(ch)
     return merged, cubics
+
+
+def _backward_terms(kind: SchemeKind, v, lap_v, p: ACParams):
+    """implicit_system's (a, s, b, k, partner) in the previous state u of one
+    cn/modcn step that ends at v; lap_v is Lap(v), 0.0 on constants."""
+    idt, ie2 = 1.0 / p.dt, 1.0 / p.eps2
+    if kind.tag == "cn":
+        return -idt, v, 0.5, -0.5 * lap_v + 0.5 * ie2 * (v ** 3 - v), None
+    # modcn: the explicit -u/eps^2 joins the shift
+    return -idt - ie2, 0.0, 0.5, idt * v - 0.5 * lap_v, v
 
 
 def preimage_constants(kind: SchemeKind, c: float, p: ACParams) -> PreimageSet:
@@ -133,13 +133,8 @@ def preimage_constants(kind: SchemeKind, c: float, p: ACParams) -> PreimageSet:
     if kind.tag == "be":
         r = c + p.dt * (c ** 3 - c) / p.eps2
         return PreimageSet(kind, c, (r,), ())
-    if kind.tag == "cn":
-        w = 2.0 * p.eps2 / p.dt
-        cub = real_cubic_roots(1.0, 0.0, -(1.0 + w), c ** 3 - c + w * c)
-        return PreimageSet(kind, c, cub.real_roots, (cub,))
-    if kind.tag == "modcn":
-        w = 4.0 * p.eps2 / p.dt
-        cub = real_cubic_roots(1.0, c, c * c - 4.0 - w, c ** 3 + w * c)
+    if kind.tag in ("cn", "modcn"):
+        cub = real_cubic_roots(*constant_cubic(p, *_backward_terms(kind, c, 0.0, p)))
         return PreimageSet(kind, c, cub.real_roots, (cub,))
     chains, cubics = _dirk_chain_preimages(kind, c, p)
     return PreimageSet(
@@ -198,18 +193,12 @@ def interval_sequence(kind: SchemeKind, ratio: float, count: int) -> IntervalSeq
     if kind.tag == "be":
         raise ConfigurationError("backward Euler has a unique preimage everywhere; no sequence")
 
-    if kind.tag == "cn":
+    if kind.tag in ("cn", "modcn"):
         p = ACParams(eps=1.0, dt=2.0 * ratio)
-        entries = [math.sqrt(1.0 + 1.0 / ratio)]
-        for _ in range(count - 1):
-            entries.append(abs(_unique_root(
-                preimage_constants(kind, entries[-1], p), "interval sequence"
-            )))
-        return IntervalSequence(kind, ratio, tuple(entries))
-
-    if kind.tag == "modcn":
-        p = ACParams(eps=1.0, dt=2.0 * ratio)
-        entries = [2.0 * math.sqrt(1.0 + 1.0 / (2.0 * ratio))]
+        if kind.tag == "cn":
+            entries = [math.sqrt(1.0 + 1.0 / ratio)]
+        else:
+            entries = [2.0 * math.sqrt(1.0 + 1.0 / (2.0 * ratio))]
         for _ in range(count - 1):
             entries.append(abs(_unique_root(
                 preimage_constants(kind, entries[-1], p), "interval sequence"
@@ -221,7 +210,8 @@ def interval_sequence(kind: SchemeKind, ratio: float, count: int) -> IntervalSeq
     _dirk_backward_data(kind, p)
     r1 = 2.0 * math.sqrt(1.0 + 1.0 / ratio)
     # s_1 = r_1 - 2 y with y the unique real root of the inner-stage cubic
-    inner = real_cubic_roots(1.0, 0.0, -(1.0 + 1.0 / ratio), r1 / ratio)
+    # r_1 = y + ratio F(y) at eps = 1: a backward stage with gamma = ratio
+    inner = real_cubic_roots(*constant_cubic(p, -1.0, r1, ratio))
     if inner.discriminant_sign >= 0:
         raise AnalysisError(
             f"inner-stage cubic has multiple real roots at ratio {ratio:.6g}; "
@@ -368,9 +358,8 @@ def dirk_perturbation_gains(
 
 def _be_preimage_field(phi_next: ScalarField, p: ACParams) -> tuple[ScalarField, NewtonReport]:
     grid = phi_next.grid
-    lap = laplacian_matrix(grid)
     v = phi_next.values
-    rhs = lap @ v - (v ** 3 - v) / p.eps2
+    rhs = ac_force(laplacian_matrix(grid) @ v, v, p)
     u = v - p.dt * rhs
     resid = (v - u) / p.dt - rhs
     rnorm = float(np.max(np.abs(resid)))
@@ -383,31 +372,10 @@ def _backward_problem(kind: SchemeKind, grid, c: float, shape: np.ndarray, p: AC
     The Jacobians are ShiftedLaplacians.
     """
     lap = laplacian_matrix(grid)
-    idt, ie2 = 1.0 / p.dt, 1.0 / p.eps2
 
     def problem(delta: float):
         v = c + delta * shape
-        lap_v = lap @ v
-        nl_v = v ** 3 - v
-        if kind.tag == "cn":
-            def residual(u):
-                return idt * (v - u) - 0.5 * (lap_v + lap @ u) + 0.5 * ie2 * (nl_v + u ** 3 - u)
-
-            def jacobian(u):
-                return ShiftedLaplacian(grid, -idt, 0.5, 0.5 * ie2 * (3.0 * u * u - 1.0))
-        else:  # modcn
-            def residual(u):
-                return (
-                    idt * (v - u)
-                    - 0.5 * (lap_v + lap @ u)
-                    + 0.25 * ie2 * (v + u) * (v * v + u * u)
-                    - ie2 * u
-                )
-
-            def jacobian(u):
-                react = 0.25 * ie2 * (3.0 * u * u + 2.0 * u * v + v * v)
-                return ShiftedLaplacian(grid, -idt - ie2, 0.5, react)
-        return residual, jacobian
+        return implicit_system(grid, p, *_backward_terms(kind, v, lap @ v, p))
 
     return problem
 
@@ -418,16 +386,7 @@ def _backward_stage_system(target: np.ndarray, gamma: float, grid, p: ACParams):
     One backward DIRK stage, F(u) = Lap(u) - (u^3 - u) / eps^2.  The
     Jacobian is a ShiftedLaplacian.
     """
-    lap = laplacian_matrix(grid)
-    ie2 = 1.0 / p.eps2
-
-    def residual(u):
-        return target - u - gamma * (lap @ u - ie2 * (u ** 3 - u))
-
-    def jacobian(u):
-        return ShiftedLaplacian(grid, -1.0, gamma, gamma * ie2 * (3.0 * u * u - 1.0))
-
-    return residual, jacobian
+    return implicit_system(grid, p, -1.0, target, gamma)
 
 
 def _dirk_preimage_field(kind, phi_next, seed, p, hcfg, ncfg):
@@ -435,7 +394,6 @@ def _dirk_preimage_field(kind, phi_next, seed, p, hcfg, ncfg):
     tab, alpha, beta = _dirk_backward_data(kind, p)
     grid = phi_next.grid
     lap = laplacian_matrix(grid)
-    ie2 = 1.0 / p.eps2
     c = field_mean(phi_next)
     if hcfg.delta_end != 0.0:
         shape = (phi_next.values - c) / hcfg.delta_end
@@ -449,9 +407,6 @@ def _dirk_preimage_field(kind, phi_next, seed, p, hcfg, ncfg):
     chain = min(ps.chains, key=lambda ch: abs(ch[0] - r_seed))
     _, c1, c2 = chain
 
-    def nl(u):
-        return u ** 3 - u
-
     def solve_at(delta, state):
         v = c + delta * shape
         x2_prev, _ = state if state is not None else (
@@ -464,7 +419,7 @@ def _dirk_preimage_field(kind, phi_next, seed, p, hcfg, ncfg):
             return state, rep2
         x1_prev = state[1] if state is not None else np.full(grid.num_nodes, c1)
 
-        target1 = x2 - p.dt * tab.a[1][1] * (lap @ x2 - ie2 * nl(x2))
+        target1 = x2 - p.dt * tab.a[1][1] * ac_force(lap @ x2, x2, p)
         x1, rep1 = newton_solve(
             *_backward_stage_system(target1, p.dt * alpha, grid, p), x1_prev, ncfg
         )
@@ -474,7 +429,7 @@ def _dirk_preimage_field(kind, phi_next, seed, p, hcfg, ncfg):
     if state is None:
         raise AnalysisError("backward stage chain failed at the first continuation point")
     x2, x1 = state
-    x0 = x1 - p.dt * tab.a[0][0] * (lap @ x1 - ie2 * nl(x1))
+    x0 = x1 - p.dt * tab.a[0][0] * ac_force(lap @ x1, x1, p)
     return ScalarField(grid, x0), report
 
 

@@ -10,10 +10,19 @@ All schemes advance phi_t = F(phi) with F(phi) = Lap(phi) - (phi^3 - phi) / eps^
 * ``dirk``   diagonally implicit Runge-Kutta from a supplied tableau
   (the bundled two-stage tableau is second order and L-stable).
 
-Each step solves its nonlinear system with Newton's method started at the
-previous solution (or previous stage).  Constant fields stay constant, so
-every scheme restricts to a scalar map on constants; ``scalar_map`` solves
-that restriction exactly via the closed-form cubic solver.
+Every implicit solve in the package -- each scheme's step, each DIRK stage,
+and the backward problems of ``robustness`` -- is one equation in the
+unknown v:
+
+    a (v - s) - b Lap(v) + (b / eps^2) n(v) + k = 0,
+
+with n(v) = v^3 - v, or (v + w)(v^2 + w^2) / 2 for MODCN's partner state w.
+``implicit_system`` builds its residual and ShiftedLaplacian Jacobian; each
+caller only chooses (a, s, b, k, w).  Newton's method solves it from the
+previous solution (or previous stage).  Constant fields stay constant, and
+on constants the equation is the cubic ``constant_cubic`` (with scalar
+residual ``constant_residual``), so ``scalar_map`` solves every scheme's
+restriction to constants exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from .fields import (
     ButcherTableau,
     DIRK2_TABLEAU,
     ScalarField,
+    ac_force,
     center_value,
     field_l2,
     laplacian_matrix,
@@ -50,18 +60,18 @@ __all__ = [
     "StepReport",
     "StepSummary",
     "Trajectory",
+    "implicit_system",
+    "constant_residual",
+    "constant_cubic",
     "step_system",
     "dirk_stage_system",
-    "be_step",
-    "cn_step",
-    "modcn_step",
     "dirk_step",
     "step",
     "simulate",
     "scalar_map",
 ]
 
-_MERGE_TOL = 1e-8  # absolute dedupe tolerance for coincident scalar images
+MERGE_TOL = 1e-8  # absolute dedupe tolerance for coincident scalar images and preimages
 
 
 @dataclass(frozen=True)
@@ -113,6 +123,71 @@ class StepReport:
         return all(r.converged for r in self.stage_reports)
 
 
+def implicit_system(grid, p: ACParams, a, s, b, k=0.0, partner=None):
+    """(residual, jacobian) of a (v - s) - b Lap(v) + (b / eps^2) n(v) + k = 0 in v.
+
+    n(v) = v^3 - v, or (v + w)(v^2 + w^2) / 2 with w = partner (MODCN's
+    averaged nonlinearity).  s, k and partner are scalars or node arrays.
+    The Jacobian is the ShiftedLaplacian a I - b L + diag((b / eps^2) n'(v)).
+    """
+    lap = laplacian_matrix(grid)
+    g = b * (1.0 / p.eps2)
+
+    def residual(v):
+        return a * (v - s) - b * (lap @ v) + g * _nonlinearity(v, partner) + k
+
+    def jacobian(v):
+        return ShiftedLaplacian(grid, a, b, g * _nonlinearity_slope(v, partner))
+
+    return residual, jacobian
+
+
+def _nonlinearity(v, w):
+    return v ** 3 - v if w is None else 0.5 * (v + w) * (v * v + w * w)
+
+
+def _nonlinearity_slope(v, w):
+    return 3.0 * v * v - 1.0 if w is None else 0.5 * (3.0 * v * v + 2.0 * v * w + w * w)
+
+
+def constant_residual(p: ACParams, a, s, b, k=0.0, partner=None):
+    """(f, f') of implicit_system's equation on constants, where Lap vanishes."""
+    g = b * (1.0 / p.eps2)
+
+    def f(x):
+        return a * (x - s) + g * _nonlinearity(x, partner) + k
+
+    def fp(x):
+        return a + g * _nonlinearity_slope(x, partner)
+
+    return f, fp
+
+
+def constant_cubic(p: ACParams, a, s, b, k=0.0, partner=None) -> tuple[float, float, float, float]:
+    """Monic cubic whose real roots are the constant solutions of implicit_system."""
+    g = b * (1.0 / p.eps2)
+    if partner is None:
+        return 1.0, 0.0, a / g - 1.0, (k - a * s) / g
+    w = partner
+    return 1.0, w, w * w + 2.0 * a / g, w ** 3 + 2.0 * (k - a * s) / g
+
+
+def _step_terms(kind: SchemeKind, v0, lap_v0, p: ACParams):
+    """implicit_system's (a, s, b, k, partner) for one be/cn/modcn step from v0.
+
+    lap_v0 is Lap(v0): 0.0 on constants.
+    """
+    idt, ie2 = 1.0 / p.dt, 1.0 / p.eps2
+    if kind.tag == "be":
+        return idt, v0, 1.0, 0.0, None
+    if kind.tag == "cn":
+        return idt, v0, 0.5, -0.5 * lap_v0 + 0.5 * ie2 * (v0 ** 3 - v0), None
+    if kind.tag == "modcn":
+        # the expansive -v0/eps^2 stays explicit
+        return idt, v0, 0.5, -0.5 * lap_v0 - ie2 * v0, v0
+    raise ConfigurationError("dirk steps solve stage systems; see dirk_stage_system")
+
+
 def step_system(kind: SchemeKind, phi_n: ScalarField, p: ACParams):
     """(residual, jacobian) of the one-step equation in the unknown next state.
 
@@ -120,45 +195,9 @@ def step_system(kind: SchemeKind, phi_n: ScalarField, p: ACParams):
     chain of stage systems, see dirk_stage_system.  The Jacobian is a
     ShiftedLaplacian.
     """
-    grid = phi_n.grid
-    lap = laplacian_matrix(grid)
     v0 = phi_n.values
-    idt, ie2 = 1.0 / p.dt, 1.0 / p.eps2
-
-    if kind.tag == "be":
-        def residual(v):
-            return idt * (v - v0) - lap @ v + ie2 * (v ** 3 - v)
-
-        def jacobian(v):
-            return ShiftedLaplacian(grid, idt, 1.0, ie2 * (3.0 * v * v - 1.0))
-
-    elif kind.tag == "cn":
-        known = -0.5 * (lap @ v0) + 0.5 * ie2 * (v0 ** 3 - v0)
-
-        def residual(v):
-            return idt * (v - v0) - 0.5 * (lap @ v) + 0.5 * ie2 * (v ** 3 - v) + known
-
-        def jacobian(v):
-            return ShiftedLaplacian(grid, idt, 0.5, 0.5 * ie2 * (3.0 * v * v - 1.0))
-
-    elif kind.tag == "modcn":
-        lap_v0 = lap @ v0
-
-        def residual(v):
-            return (
-                idt * (v - v0)
-                - 0.5 * (lap @ v + lap_v0)
-                + 0.25 * ie2 * (v + v0) * (v * v + v0 * v0)
-                - ie2 * v0
-            )
-
-        def jacobian(v):
-            react = 0.25 * ie2 * (3.0 * v * v + 2.0 * v * v0 + v0 * v0)
-            return ShiftedLaplacian(grid, idt, 0.5, react)
-
-    else:
-        raise ConfigurationError("dirk steps solve stage systems; see dirk_stage_system")
-    return residual, jacobian
+    terms = _step_terms(kind, v0, laplacian_matrix(phi_n.grid) @ v0, p)
+    return implicit_system(phi_n.grid, p, *terms)
 
 
 def dirk_stage_system(known: np.ndarray, gamma: float, grid, p: ACParams):
@@ -166,42 +205,7 @@ def dirk_stage_system(known: np.ndarray, gamma: float, grid, p: ACParams):
 
     The Jacobian is a ShiftedLaplacian.
     """
-    lap = laplacian_matrix(grid)
-    ie2 = 1.0 / p.eps2
-
-    def residual(v):
-        return v - known - gamma * (lap @ v - ie2 * (v ** 3 - v))
-
-    def jacobian(v):
-        return ShiftedLaplacian(grid, 1.0, gamma, gamma * ie2 * (3.0 * v * v - 1.0))
-
-    return residual, jacobian
-
-
-def be_step(phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | None = None):
-    """One backward Euler step; returns (phi_next, StepReport)."""
-    residual, jacobian = step_system(BE, phi_n, p)
-    x, rep = newton_solve(residual, jacobian, phi_n.values, cfg)
-    return ScalarField(phi_n.grid, x), StepReport((rep,))
-
-
-def cn_step(phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | None = None):
-    """One Crank-Nicolson step; returns (phi_next, StepReport)."""
-    residual, jacobian = step_system(CN, phi_n, p)
-    x, rep = newton_solve(residual, jacobian, phi_n.values, cfg)
-    return ScalarField(phi_n.grid, x), StepReport((rep,))
-
-
-def modcn_step(phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | None = None):
-    """One modified Crank-Nicolson step; returns (phi_next, StepReport).
-
-    The nonlinear average (v + v0)(v^2 + v0^2) / (4 eps^2) together with the
-    explicit -v0/eps^2 term makes the scalar slope of the residual strictly
-    positive, so the step is uniquely solvable for any dt.
-    """
-    residual, jacobian = step_system(MODCN, phi_n, p)
-    x, rep = newton_solve(residual, jacobian, phi_n.values, cfg)
-    return ScalarField(phi_n.grid, x), StepReport((rep,))
+    return implicit_system(grid, p, 1.0, known, gamma)
 
 
 def dirk_step(
@@ -219,11 +223,6 @@ def dirk_step(
     grid = phi_n.grid
     lap = laplacian_matrix(grid)
     v0 = phi_n.values
-    ie2 = 1.0 / p.eps2
-
-    def rhs(v):
-        return lap @ v - ie2 * (v ** 3 - v)
-
     stage_f: list[np.ndarray] = []
     reports: list[NewtonReport] = []
     prev = v0
@@ -241,7 +240,7 @@ def dirk_step(
             reports.append(rep)
             if not rep.converged:
                 return ScalarField(grid, stage), StepReport(tuple(reports))
-        stage_f.append(rhs(stage))
+        stage_f.append(ac_force(lap @ stage, stage, p))
         prev = stage
     out = v0.copy()
     for bi, fi in zip(tableau.b, stage_f):
@@ -251,13 +250,10 @@ def dirk_step(
 
 def step(kind: SchemeKind, phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | None = None):
     """Advance one time step with the given scheme; returns (field, StepReport)."""
-    if kind.tag == "be":
-        return be_step(phi_n, p, cfg)
-    if kind.tag == "cn":
-        return cn_step(phi_n, p, cfg)
-    if kind.tag == "modcn":
-        return modcn_step(phi_n, p, cfg)
-    return dirk_step(phi_n, kind.tableau, p, cfg)
+    if kind.tag == "dirk":
+        return dirk_step(phi_n, kind.tableau, p, cfg)
+    x, rep = newton_solve(*step_system(kind, phi_n, p), phi_n.values, cfg)
+    return ScalarField(phi_n.grid, x), StepReport((rep,))
 
 
 @dataclass(frozen=True)
@@ -361,35 +357,6 @@ def simulate(
 # Scalar restriction: constant fields map to constant fields.
 
 
-def _forward_cubic(kind: SchemeKind, r: float, p: ACParams) -> tuple[float, float, float, float]:
-    """Monic cubic in c whose real roots are the constant images of r."""
-    if kind.tag == "be":
-        w = p.eps2 / p.dt
-        return 1.0, 0.0, w - 1.0, -r * w
-    if kind.tag == "cn":
-        w = 2.0 * p.eps2 / p.dt
-        return 1.0, 0.0, w - 1.0, r ** 3 - r - w * r
-    if kind.tag == "modcn":
-        w = 4.0 * p.eps2 / p.dt
-        return 1.0, r, r * r + w, r ** 3 - 4.0 * r - w * r
-    raise ConfigurationError("dirk images are enumerated stagewise")
-
-
-def _scalar_residual(kind: SchemeKind, r: float, p: ACParams):
-    """Scalar residual/derivative pair for Newton branch selection."""
-    idt, ie2 = 1.0 / p.dt, 1.0 / p.eps2
-    if kind.tag == "be":
-        f = lambda c: idt * (c - r) + ie2 * (c ** 3 - c)
-        fp = lambda c: idt + ie2 * (3.0 * c * c - 1.0)
-    elif kind.tag == "cn":
-        f = lambda c: idt * (c - r) + 0.5 * ie2 * (c ** 3 - c + r ** 3 - r)
-        fp = lambda c: idt + 0.5 * ie2 * (3.0 * c * c - 1.0)
-    else:  # modcn
-        f = lambda c: idt * (c - r) + 0.25 * ie2 * (c + r) * (c * c + r * r) - ie2 * r
-        fp = lambda c: idt + 0.25 * ie2 * (3.0 * c * c + 2.0 * c * r + r * r)
-    return f, fp
-
-
 def _scalar_newton(f, fp, guess: float) -> float:
     x, rep = newton_solve(f, fp, guess, NewtonConfig())
     if not rep.converged:
@@ -397,15 +364,14 @@ def _scalar_newton(f, fp, guess: float) -> float:
     return x
 
 
-def _stage_cubic(s_known: float, gamma_over_eps2: float):
-    """Cubic for x + g (x^3 - x) = s with g = dt * a_ii / eps^2 (monic)."""
-    return 1.0, 0.0, 1.0 / gamma_over_eps2 - 1.0, -s_known / gamma_over_eps2
+def _nearest(values, x: float) -> int:
+    return min(range(len(values)), key=lambda i: abs(values[i] - x))
 
 
 def _dedupe(values: list[float], flags: list[bool]) -> list[tuple[float, bool]]:
     out: list[tuple[float, bool]] = []
     for v, fl in sorted(zip(values, flags)):
-        if out and abs(v - out[-1][0]) <= _MERGE_TOL:
+        if out and abs(v - out[-1][0]) <= MERGE_TOL:
             out[-1] = (out[-1][0], out[-1][1] or fl)
         else:
             out.append((v, fl))
@@ -420,57 +386,40 @@ def scalar_map(kind: SchemeKind, r: float, p: ACParams) -> list[tuple[float, boo
     field-level stepper actually produces from the constant field r.
     """
     if kind.tag != "dirk":
-        f, fp = _scalar_residual(kind, r, p)
-        chosen = _scalar_newton(f, fp, r)
-        roots = real_cubic_roots(*_forward_cubic(kind, r, p)).real_roots
-        nearest = min(range(len(roots)), key=lambda i: abs(roots[i] - chosen))
+        terms = _step_terms(kind, r, 0.0, p)
+        chosen = _scalar_newton(*constant_residual(p, *terms), r)
+        roots = real_cubic_roots(*constant_cubic(p, *terms)).real_roots
+        nearest = _nearest(roots, chosen)
         return [(c, i == nearest) for i, c in enumerate(roots)]
 
+    # Walk every chain of stage roots.  The one chain the field stepper
+    # follows carries its Newton iterate (started from the previous stage,
+    # as dirk_step does) to pick its root at the next stage; the others
+    # carry None.
     tab = kind.tableau
-    ie2 = 1.0 / p.eps2
-
-    def stage_images(i: int, stage_vals: tuple[float, ...]) -> list[float]:
+    chains: list[tuple[tuple[float, ...], float | None]] = [((), r)]
+    for i in range(tab.stages):
         aii = tab.a[i][i]
-        s = r + sum(
-            p.dt * tab.a[i][j] * (-ie2 * (x ** 3 - x)) for j, x in enumerate(stage_vals)
-        )
-        if aii == 0.0:
-            return [s]
-        g = p.dt * aii * ie2
-        return list(real_cubic_roots(*_stage_cubic(s, g)).real_roots)
+        grown = []
+        for vals, start in chains:
+            s = r + sum(p.dt * tab.a[i][j] * ac_force(0.0, x, p) for j, x in enumerate(vals))
+            if aii == 0.0:
+                grown.append((vals + (s,), None if start is None else s))
+                continue
+            terms = (1.0, s, p.dt * aii)
+            roots = real_cubic_roots(*constant_cubic(p, *terms)).real_roots
+            if start is None:
+                grown += [(vals + (x,), None) for x in roots]
+                continue
+            x_newton = _scalar_newton(*constant_residual(p, *terms), start)
+            pick = _nearest(roots, x_newton)
+            grown += [(vals + (x,), x_newton if j == pick else None) for j, x in enumerate(roots)]
+        chains = grown
 
-    def combine(stage_vals: tuple[float, ...]) -> float:
+    def combine(vals: tuple[float, ...]) -> float:
         out = r
-        for bi, x in zip(tab.b, stage_vals):
-            out += p.dt * bi * (-ie2 * (x ** 3 - x))
+        for bi, x in zip(tab.b, vals):
+            out += p.dt * bi * ac_force(0.0, x, p)
         return out
 
-    # enumerate all stage-root combinations
-    partial: list[tuple[float, ...]] = [()]
-    for i in range(tab.stages):
-        partial = [vals + (x,) for vals in partial for x in stage_images(i, vals)]
-    images = [combine(vals) for vals in partial]
-
-    # the dynamical branch: Newton from the previous stage value at each stage
-    chosen_stages: list[float] = []
-    prev = r
-    for i in range(tab.stages):
-        aii = tab.a[i][i]
-        s = r + sum(
-            p.dt * tab.a[i][j] * (-ie2 * (x ** 3 - x))
-            for j, x in enumerate(chosen_stages)
-        )
-        if aii == 0.0:
-            val = s
-        else:
-            g = p.dt * aii * ie2
-            f = lambda x, s=s, g=g: x + g * (x ** 3 - x) - s
-            fp = lambda x, g=g: 1.0 + g * (3.0 * x * x - 1.0)
-            val = _scalar_newton(f, fp, prev)
-        chosen_stages.append(val)
-        prev = val
-    chosen = combine(tuple(chosen_stages))
-
-    flags = [False] * len(images)
-    flags[min(range(len(images)), key=lambda i: abs(images[i] - chosen))] = True
-    return _dedupe(images, flags)
+    return _dedupe([combine(vals) for vals, _ in chains], [x is not None for _, x in chains])

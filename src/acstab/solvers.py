@@ -1,10 +1,11 @@
 """Newton's method, parameter continuation, and real roots of cubics.
 
 The Newton driver works on scalars, flat numpy arrays, and ScalarField
-values alike.  Every Newton Jacobian of the steppers and of their backward
-problems has the form a I - b L + diag(d), with L the Neumann Laplacian, and
-is returned as a ShiftedLaplacian, whose solve picks its method from the
-operator itself:
+values alike.  Every step equation of the steppers and of their backward
+problems is a (v - s) - b L v + (b / eps^2) n(v) + k = 0 with L the Neumann
+Laplacian (schemes.implicit_system), so every Newton Jacobian has the form
+a I - b L + diag(d) and is returned as a ShiftedLaplacian, whose solve picks
+its method from the operator itself:
 
 * 1D: a direct banded (tridiagonal) solve;
 * 2D with b >= 0 and a + min(d) > 0 (the operator is then symmetric positive
@@ -49,7 +50,6 @@ __all__ = [
     "HomotopyConfig",
     "CubicRoots",
     "newton_solve",
-    "fd_jacobian",
     "homotopy_path",
     "delta_schedule",
     "real_cubic_roots",

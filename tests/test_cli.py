@@ -52,20 +52,14 @@ def test_reproduce_check_mismatch_exits_4(tmp_path, monkeypatch, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
-def test_reproduce_deterministic_across_threads(tmp_path, monkeypatch):
+def test_reproduce_deterministic(tmp_path):
     blobs = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("ACSTAB_THREADS", threads)
-        out = tmp_path / f"t3_{threads}.csv"
+    for run in (1, 2):
+        out = tmp_path / f"t3_{run}.csv"
         assert _run("reproduce", "table3", "--out", str(out)) == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
     assert b"\r" not in blobs[0]
-
-
-def test_threads_env_must_be_integer(tmp_path, monkeypatch):
-    monkeypatch.setenv("ACSTAB_THREADS", "bogus")
-    assert _run("reproduce", "table1", "--out", str(tmp_path / "t1.csv")) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +173,7 @@ def test_analyze_intervals(tmp_path):
         assert got == pytest.approx(want, abs=1e-3)
 
 
-def test_analyze_classify(tmp_path, monkeypatch):
+def test_analyze_classify(tmp_path):
     args = ("analyze", "classify", "--scheme", "cn", "--ratio", "0.5",
             "--rmin", "0", "--rmax", "4", "--samples", "9")
     out = tmp_path / "cl.csv"
@@ -198,11 +192,6 @@ def test_analyze_classify(tmp_path, monkeypatch):
         ("3.5", "1", "6", "4"),
         ("4", "-1", "8", "5"),
     ]
-    # worker pool size must not change the output
-    monkeypatch.setenv("ACSTAB_THREADS", "2")
-    out2 = tmp_path / "cl2.csv"
-    assert _run(*args, "--out", str(out2)) == 0
-    assert out.read_bytes() == out2.read_bytes()
 
 
 def test_analyze_perturb_trapezoid(tmp_path):
