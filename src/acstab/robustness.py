@@ -12,7 +12,10 @@ inner stage.
 
 For non-constant data near a constant c, the extra preimage branches
 persist: the first-order response of the branch through r to a target
-perturbation delta * mode is delta * B * mode with an explicit gain B.
+perturbation delta * mode is delta * B * mode.  The gain B is a ratio of
+kernel slopes (``schemes.mode_slope`` on the mode): minus the step
+equation's Jacobian in the next state at c over its Jacobian in the
+previous state at r, chained through the stages for DIRK.
 ``preimage_field`` turns that linearization into an exact discrete preimage
 by continuation in delta.
 """
@@ -26,7 +29,8 @@ import numpy as np
 
 from .errors import AnalysisError, ConfigurationError
 from .fields import ACParams, ModeIndex, ScalarField, ac_force, field_mean, laplacian_matrix
-from .schemes import MERGE_TOL, SchemeKind, constant_cubic, implicit_system, scalar_map
+from .schemes import DIRK2, MERGE_TOL, SchemeKind, _step_terms, constant_cubic, implicit_system
+from .schemes import mode_slope, scalar_map
 from .solvers import (
     CubicRoots,
     HomotopyConfig,
@@ -297,63 +301,62 @@ class PerturbationGain:
     pole: bool = False
 
 
-def _ratio_or_pole(num: float, den: float, den_terms: tuple[float, ...]) -> tuple[float, bool]:
-    scale = sum(abs(t) for t in den_terms) or 1.0
-    if abs(den) <= 1e-13 * scale:
-        return math.nan, True
-    return num / den, False
+def _chained_gains(kind, c, r, k: ModeIndex, p: ACParams, links) -> PerturbationGain:
+    """Running products of -slope(fwd at x_new) / slope(bwd at x_old) over links.
+
+    A link (fwd, x_new, bwd, x_old) is one equation between a later state
+    x_new and an earlier x_old, as implicit_system's terms in each; slopes
+    are mode_slope's on mode k.  A vanishing bwd slope is a pole: from it on
+    every gain is nan.
+    """
+    m = k.laplace_eigenvalue
+    gains: list[float] = []
+    for fwd, x_new, bwd, x_old in links:
+        den = mode_slope(p, *bwd)(x_old, m)
+        if abs(den) <= 1e-13 * max(abs(bwd[0]), abs(den - bwd[0])):
+            gains += [math.nan] * (len(links) - len(gains))
+            return PerturbationGain(kind, c, r, k, tuple(gains), True)
+        gains.append((gains[-1] if gains else 1.0) * -mode_slope(p, *fwd)(x_new, m) / den)
+    return PerturbationGain(kind, c, r, k, tuple(gains))
 
 
 def perturbation_gain(
     kind: SchemeKind, c: float, r: float, k: ModeIndex, p: ACParams
 ) -> PerturbationGain:
     """Gain B of the preimage branch through r for target c + delta*mode(k)."""
-    m = k.laplace_eigenvalue
-    ie2 = 1.0 / p.eps2
-    if kind.tag == "cn":
-        num_terms = (3.0 * c * c * ie2, -ie2, 2.0 / p.dt, m)
-        den_terms = (3.0 * r * r * ie2, -ie2, -2.0 / p.dt, m)
-    elif kind.tag == "modcn":
-        num_terms = ((3.0 * c * c + r * r + 2.0 * c * r) * 0.5 * ie2, 2.0 / p.dt, m)
-        den_terms = ((3.0 * r * r + c * c + 2.0 * c * r - 4.0) * 0.5 * ie2, -2.0 / p.dt, m)
-    else:
+    if kind.tag not in ("cn", "modcn"):
         raise ConfigurationError(
             "single gain defined for the trapezoid schemes; use dirk_perturbation_gains"
         )
-    num = math.fsum(num_terms)
-    den = math.fsum(den_terms)
-    val, pole = _ratio_or_pole(-num, den, den_terms)
-    return PerturbationGain(kind, c, r, k, (val,), pole)
+    link = (_step_terms(kind, r, 0.0, p), c, _backward_terms(kind, c, 0.0, p), r)
+    return _chained_gains(kind, c, r, k, p, (link,))
 
 
 def dirk_perturbation_gains(
     c2: float, c1: float, k: ModeIndex, p: ACParams, kind: SchemeKind | None = None
 ) -> PerturbationGain:
-    """Stage gains (B2, B1, B0) for the bundled two-stage DIRK scheme.
+    """Stage gains (B2, B1, B0) of a two-stage DIRK scheme (default DIRK2).
 
     c2 and c1 are the constant stage states of the branch (outer combination
-    stage and inner stage), e.g. taken from a preimage chain.
+    stage and inner stage), e.g. taken from a preimage chain.  The links are
+    the backward stage chain of _dirk_chain_preimages: c = phi_2 + dt beta
+    F(phi_2), phi_2 - dt a22 F(phi_2) = phi_1 + dt alpha F(phi_1) and
+    phi_1 - dt a11 F(phi_1) = r, each side a stage (+-1, ., dt * coefficient).
     """
-    from .schemes import DIRK2  # default tableau
-
     kind = kind or DIRK2
     tab, alpha, beta = _dirk_backward_data(kind, p)
-    m = k.laplace_eigenvalue
-    q = p.dt / 4.0
 
-    def d(cval: float) -> float:
-        return q * m + (q / p.eps2) * (3.0 * cval * cval - 1.0)
+    def stage(sign, coef):
+        return (sign, 0.0, p.dt * coef)
 
-    d2, d1 = d(c2), d(c1)
-    pole = False
-    if abs(1.0 - d2) <= 1e-13 * max(1.0, abs(d2)):
-        return PerturbationGain(kind, c2, c1, k, (math.nan,) * 3, True)
-    b2 = 1.0 / (1.0 - d2)
-    if abs(1.0 - d1) <= 1e-13 * max(1.0, abs(d1)):
-        return PerturbationGain(kind, c2, c1, k, (b2, math.nan, math.nan), True)
-    b1 = b2 * (1.0 + d2) / (1.0 - d1)
-    b0 = b1 * (1.0 + d1)
-    return PerturbationGain(kind, c2, c1, k, (b2, b1, b0), pole)
+    # a zero coefficient makes that side the identity (slope +-1): c and r
+    # need not be known
+    links = (
+        (stage(1.0, 0.0), c2, stage(-1.0, beta), c2),
+        (stage(1.0, tab.a[1][1]), c2, stage(-1.0, alpha), c1),
+        (stage(1.0, tab.a[0][0]), c1, stage(-1.0, 0.0), c1),
+    )
+    return _chained_gains(kind, c2, c1, k, p, links)
 
 
 def _be_preimage_field(phi_next: ScalarField, p: ACParams) -> tuple[ScalarField, NewtonReport]:
@@ -389,16 +392,10 @@ def _backward_stage_system(target: np.ndarray, gamma: float, grid, p: ACParams):
     return implicit_system(grid, p, -1.0, target, gamma)
 
 
-def _dirk_preimage_field(kind, phi_next, seed, p, hcfg, ncfg):
+def _dirk_preimage_field(kind, grid, c, shape, seed, p, hcfg, ncfg):
     """Backward stage chain under continuation in delta (2-stage tableaux)."""
     tab, alpha, beta = _dirk_backward_data(kind, p)
-    grid = phi_next.grid
     lap = laplacian_matrix(grid)
-    c = field_mean(phi_next)
-    if hcfg.delta_end != 0.0:
-        shape = (phi_next.values - c) / hcfg.delta_end
-    else:
-        shape = np.zeros(grid.num_nodes)
 
     ps = preimage_constants(kind, c, p)
     if not ps.chains:
@@ -456,16 +453,14 @@ def preimage_field(
     ncfg = ncfg or NewtonConfig()
     if kind.tag == "be":
         return _be_preimage_field(phi_next, p)
-    if kind.tag == "dirk":
-        return _dirk_preimage_field(kind, phi_next, seed, p, hcfg, ncfg)
-    if kind.tag not in ("cn", "modcn"):
-        raise ConfigurationError(f"no backward solver for scheme {kind.tag!r}")
     grid = phi_next.grid
     c = field_mean(phi_next)
     if hcfg.delta_end != 0.0:
         shape = (phi_next.values - c) / hcfg.delta_end
     else:
         shape = np.zeros(grid.num_nodes)
+    if kind.tag == "dirk":
+        return _dirk_preimage_field(kind, grid, c, shape, seed, p, hcfg, ncfg)
     problem = _backward_problem(kind, grid, c, shape, p)
     x, report = homotopy_path(problem, seed.values, hcfg, ncfg)
     return ScalarField(grid, np.asarray(x)), report

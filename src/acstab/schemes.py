@@ -22,7 +22,9 @@ caller only chooses (a, s, b, k, w).  Newton's method solves it from the
 previous solution (or previous stage).  Constant fields stay constant, and
 on constants the equation is the cubic ``constant_cubic`` (with scalar
 residual ``constant_residual``), so ``scalar_map`` solves every scheme's
-restriction to constants exactly.
+restriction to constants exactly.  ``mode_slope`` is the equation's
+Jacobian on one Laplacian eigenmode at a constant; every linearization in
+``robustness`` and ``stability`` is built from it.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ __all__ = [
     "Trajectory",
     "implicit_system",
     "constant_residual",
+    "mode_slope",
     "constant_cubic",
     "step_system",
     "dirk_stage_system",
@@ -161,6 +164,13 @@ def constant_residual(p: ACParams, a, s, b, k=0.0, partner=None):
         return a + g * _nonlinearity_slope(x, partner)
 
     return f, fp
+
+
+def mode_slope(p: ACParams, a, s, b, k=0.0, partner=None):
+    """slope(x, m): Jacobian of implicit_system's equation at the constant x on
+    the mode -Lap u = m u, i.e. f'(x) + b m with f' from constant_residual."""
+    fp = constant_residual(p, a, s, b, k, partner)[1]
+    return lambda x, m=0.0: fp(x) + b * m
 
 
 def constant_cubic(p: ACParams, a, s, b, k=0.0, partner=None) -> tuple[float, float, float, float]:
@@ -357,13 +367,6 @@ def simulate(
 # Scalar restriction: constant fields map to constant fields.
 
 
-def _scalar_newton(f, fp, guess: float) -> float:
-    x, rep = newton_solve(f, fp, guess, NewtonConfig())
-    if not rep.converged:
-        x, rep = newton_solve(f, fp, guess, NewtonConfig(damping=0.5, max_iter=200))
-    return x
-
-
 def _nearest(values, x: float) -> int:
     return min(range(len(values)), key=lambda i: abs(values[i] - x))
 
@@ -387,7 +390,7 @@ def scalar_map(kind: SchemeKind, r: float, p: ACParams) -> list[tuple[float, boo
     """
     if kind.tag != "dirk":
         terms = _step_terms(kind, r, 0.0, p)
-        chosen = _scalar_newton(*constant_residual(p, *terms), r)
+        chosen = newton_solve(*constant_residual(p, *terms), r)[0]
         roots = real_cubic_roots(*constant_cubic(p, *terms)).real_roots
         nearest = _nearest(roots, chosen)
         return [(c, i == nearest) for i, c in enumerate(roots)]
@@ -411,7 +414,7 @@ def scalar_map(kind: SchemeKind, r: float, p: ACParams) -> list[tuple[float, boo
             if start is None:
                 grown += [(vals + (x,), None) for x in roots]
                 continue
-            x_newton = _scalar_newton(*constant_residual(p, *terms), start)
+            x_newton = newton_solve(*constant_residual(p, *terms), start)[0]
             pick = _nearest(roots, x_newton)
             grown += [(vals + (x,), x_newton if j == pick else None) for j, x in enumerate(roots)]
         chains = grown

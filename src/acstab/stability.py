@@ -6,11 +6,13 @@ question of local solvability into a sign condition on a scalar coefficient
 
     eps^2 = (1 - 3 c^2) / (D + sum_i (k_i pi)^2),
 
-where D is 1/dt for backward Euler, 2/dt for Crank-Nicolson, and
-1/(dt * a_ii) for a DIRK stage; no such crossing exists when 1 - 3c^2 <= 0,
-and the modified Crank-Nicolson scheme never bifurcates at all.  Sufficient
-uniqueness thresholds on the time step follow by taking the worst mode
-(k = 0) and worst state (c = 0).
+where D = a / b of the step's terms (a, b) in ``schemes.implicit_system``:
+1/dt for backward Euler, 2/dt for Crank-Nicolson, and 1/(dt * a_ii) for a
+DIRK stage, taken as a backward Euler step of length dt * a_ii.  The
+coefficient is the kernel's slope ``schemes.mode_slope`` of those terms.  No
+crossing exists when 1 - 3c^2 <= 0, and the modified Crank-Nicolson scheme
+never bifurcates at all.  Sufficient uniqueness thresholds on the time step
+follow by taking the worst mode (k = 0) and worst state (c = 0).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .fields import ACParams, ModeIndex
-from .schemes import SchemeKind
+from .schemes import BE, SchemeKind, _step_terms, mode_slope
 
 __all__ = [
     "StabilityThreshold",
@@ -55,6 +57,16 @@ def stability_threshold(kind: SchemeKind, eps: float) -> StabilityThreshold:
     return StabilityThreshold(kind, e2 / kind.tableau.max_diag, "EPS2_OVER_MAX_AII")
 
 
+def _step_terms_at(kind: SchemeKind, p: ACParams, v0, stage_a: float | None):
+    """implicit_system's terms of one step from v0; a DIRK stage is a
+    backward Euler step of length dt * stage_a."""
+    if kind.tag != "dirk":
+        return _step_terms(kind, v0, 0.0, p)
+    if stage_a is None or stage_a <= 0.0:
+        raise ConfigurationError("dirk needs a stage diagonal entry > 0")
+    return _step_terms(BE, v0, 0.0, ACParams(p.eps, p.dt * stage_a))
+
+
 def uniqueness_coefficient(
     kind: SchemeKind,
     c: float,
@@ -69,17 +81,9 @@ def uniqueness_coefficient(
     stage under consideration; for the modified Crank-Nicolson scheme the
     slope also involves the previous state r.
     """
-    if kind.tag == "be":
-        return 1.0 / p.dt + (3.0 * c * c - 1.0) / p.eps2
-    if kind.tag == "cn":
-        return 1.0 / p.dt + (3.0 * c * c - 1.0) / (2.0 * p.eps2)
-    if kind.tag == "modcn":
-        if r is None:
-            raise ConfigurationError("modcn slope needs the previous state r")
-        return 1.0 / p.dt + (2.0 * c * c + (c + r) ** 2) / (4.0 * p.eps2)
-    if stage_a is None or stage_a <= 0.0:
-        raise ConfigurationError("dirk slope needs a stage diagonal entry > 0")
-    return 1.0 / (p.dt * stage_a) + (3.0 * c * c - 1.0) / p.eps2
+    if kind.tag == "modcn" and r is None:
+        raise ConfigurationError("modcn slope needs the previous state r")
+    return mode_slope(p, *_step_terms_at(kind, p, c if r is None else r, stage_a))(c)
 
 
 def bifurcation_epsilon_sq(
@@ -94,22 +98,16 @@ def bifurcation_epsilon_sq(
     Returns None when no bifurcation exists: always for the modified
     Crank-Nicolson scheme, and whenever 1 - 3 c^2 <= 0.
     """
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be > 0, got {dt}")
+    p = ACParams(1.0, dt)  # a and b of the step's terms do not depend on eps
     if kind.tag == "modcn":
         return None
-    num = 1.0 - 3.0 * c * c
+    # the slope a + b m + (b / eps^2) n'(c) vanishes at eps^2 = -n'(c) / (D + m)
+    # with D = a / b; n'(c) is the slope of n alone (a = 0, b = 1, eps = 1)
+    num = -mode_slope(p, 0.0, c, 1.0)(c)
     if num <= 0.0:
         return None
-    if kind.tag == "be":
-        d = 1.0 / dt
-    elif kind.tag == "cn":
-        d = 2.0 / dt
-    else:
-        if stage_a is None or stage_a <= 0.0:
-            raise ConfigurationError("dirk bifurcation needs a stage diagonal entry > 0")
-        d = 1.0 / (dt * stage_a)
-    return num / (d + k.laplace_eigenvalue)
+    a, _, b, _, _ = _step_terms_at(kind, p, c, stage_a)
+    return num / (a / b + k.laplace_eigenvalue)
 
 
 @dataclass(frozen=True)

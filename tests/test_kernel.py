@@ -1,15 +1,16 @@
 """Properties of the one implicit-stage kernel and its restriction to constants.
 
 implicit_system is a (v - s) - b Lap(v) + (b / eps^2) n(v) + k = 0 with
-n(v) = v^3 - v, or (v + w)(v^2 + w^2) / 2 with a partner state w.
+n(v) = v^3 - v, or (v + w)(v^2 + w^2) / 2 with a partner state w.  Its
+linearization at a constant on one Laplacian eigenmode is mode_slope.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acstab.fields import ACParams, make_grid
-from acstab.schemes import constant_cubic, constant_residual, implicit_system
+from acstab.fields import ACParams, laplacian_eigenvalues, make_grid
+from acstab.schemes import constant_cubic, constant_residual, implicit_system, mode_slope
 from acstab.solvers import fd_jacobian, real_cubic_roots
 
 
@@ -76,3 +77,18 @@ def test_constant_cubic_roots_zero_constant_residual(kernel):
         nl_scale = ax ** 3 + ax if partner is None else 0.5 * (ax + w) * (ax * ax + w * w)
         scale = abs(a) * (ax + abs(s)) + g * nl_scale + abs(k)
         assert abs(f(x)) <= 1e-10 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernels(), _floats(-4.0, 4.0), st.data())
+def test_mode_slope_is_jacobian_on_a_laplacian_eigenvector(kernel, x, data):
+    grid, p, a, s, b, k, partner = kernel
+    idx = tuple(data.draw(st.integers(0, grid.n - 1)) for _ in range(grid.dim))
+    axis = np.cos(np.pi * np.outer(np.arange(grid.n), idx) / (grid.n - 1))
+    v = axis[:, 0] if grid.dim == 1 else np.outer(axis[:, 0], axis[:, 1]).ravel()
+    m = -laplacian_eigenvalues(grid)[idx]  # -Lap v = m v
+    jac = implicit_system(grid, p, a, s, b, k, partner)[1](np.full(grid.num_nodes, x))
+    slope = mode_slope(p, a, s, b, k, partner)(x, m)
+    nl_slope = 3.0 * (abs(x) + abs(partner or 0.0)) ** 2 + 1.0
+    scale = abs(a) + abs(b) * (4.0 * grid.dim / grid.h ** 2 + nl_slope / p.eps2)
+    assert np.max(np.abs(jac @ v - slope * v)) <= 1e-12 * scale

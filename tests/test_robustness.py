@@ -6,7 +6,16 @@ import pytest
 from acstab import reference
 import acstab.solvers as solvers
 from acstab.errors import AnalysisError, ConfigurationError
-from acstab.fields import ACParams, ModeIndex, ScalarField, eval_mode, field_mean, make_grid
+from acstab.fields import (
+    ACParams,
+    ButcherTableau,
+    ModeIndex,
+    ScalarField,
+    eval_mode,
+    field_mean,
+    make_grid,
+    trapezoid_weights,
+)
 from acstab.robustness import (
     _backward_problem,
     _backward_stage_system,
@@ -18,7 +27,7 @@ from acstab.robustness import (
     preimage_constants,
     preimage_field,
 )
-from acstab.schemes import BE, CN, DIRK2, MODCN, scalar_map, step
+from acstab.schemes import BE, CN, DIRK2, MODCN, SchemeKind, scalar_map, step
 from acstab.solvers import HomotopyConfig, NewtonConfig, fd_jacobian
 
 SQ3 = math.sqrt(3.0)
@@ -239,6 +248,17 @@ def test_classify_validation():
         classify_constant_initial(CN, 1.0, ACParams(1.0, 1.0), max_steps=0)
 
 
+@pytest.mark.parametrize("r", (-300.0, -150.0, 150.0, 300.0))
+def test_classify_where_scalar_newton_misses_tolerance(r):
+    # CN at eps = 1, dt = 4: at these amplitudes the scalar Newton iterate
+    # misses its absolute tolerance; its nearest exact root still picks the
+    # branch, which flips sign every step without settling
+    res = classify_constant_initial(CN, r, ACParams(1.0, 4.0), max_steps=20)
+    sign = 1 if r > 0 else -1
+    assert res.pattern == tuple(sign * (-1) ** i for i in range(21))
+    assert res.limit == 0 and res.settle_step is None
+
+
 # ---------------------------------------------------------------------------
 # perturbation gains
 
@@ -297,6 +317,35 @@ def test_dirk_gain_identity_stages():
     g = dirk_perturbation_gains(flat, flat, ModeIndex((0.0,)), ACParams(0.5, 0.3))
     for b in g.gain:
         assert b == pytest.approx(1.0, rel=1e-12)
+
+
+# a backward-triangular tableau other than DIRK2's (a11 != a22, alpha != beta)
+_DIRK_ODD = SchemeKind("dirk", ButcherTableau(((0.3, 0.0), (0.5, 0.2)), (0.5, 0.5), (0.3, 0.7)))
+
+
+@pytest.mark.parametrize(
+    "kind", (CN, MODCN, DIRK2, _DIRK_ODD), ids=("cn", "modcn", "dirk2", "dirk-odd")
+)
+def test_gain_matches_measured_response(kind):
+    # a one-point continuation at delta = 1e-5 measures each branch's
+    # first-order response to the target c + delta * mode
+    grid = make_grid(1, 257)
+    p, c, k, delta = ACParams(0.3, 0.05), 0.4, ModeIndex((1.0,)), 1e-5
+    mode = eval_mode(k, grid).values
+    w = trapezoid_weights(grid)
+    target = ScalarField(grid, c + delta * mode)
+    hcfg = HomotopyConfig(delta_end=delta, delta_start=delta, steps=1)
+    ps = preimage_constants(kind, c, p)
+    for i, r in enumerate(ps.roots):
+        if kind.tag == "dirk":
+            g = dirk_perturbation_gains(ps.chains[i][2], ps.chains[i][1], k, p, kind=kind)
+        else:
+            g = perturbation_gain(kind, c, r, k, p)
+        seed = ScalarField(grid, r + delta * g.gain[-1] * mode)
+        phi_n, rep = preimage_field(kind, target, seed, p, hcfg)
+        assert rep.converged
+        response = np.sum(w * (phi_n.values - r) * mode) / np.sum(w * mode * mode) / delta
+        assert g.gain[-1] == pytest.approx(response, rel=1e-4)
 
 
 def test_gain_linear_system_residual():
