@@ -267,18 +267,27 @@ def classify_constant_initial(
     max_steps: int = 400,
     settle_tol: float = 1e-3,
 ) -> ClassificationResult:
-    """Iterate the selected scalar branch from r and report the settling sign."""
+    """Iterate the selected scalar branch from r and report the settling sign.
+
+    An unsettled exact fixed point (the selected image equals the value it
+    came from) repeats at every later step, so its pattern is completed
+    without further maps.
+    """
     if max_steps < 1:
         raise ConfigurationError("max_steps must be >= 1")
     pattern = [_sign(r)]
     cur = r
     for k in range(1, max_steps + 1):
+        prev = cur
         images = scalar_map(kind, cur, p)
         cur = next(c for c, selected in images if selected)
         pattern.append(_sign(cur))
         for sgn in (1, -1):
             if abs(cur - sgn) <= settle_tol:
                 return ClassificationResult(r, tuple(pattern), k, sgn)
+        if cur == prev:
+            pattern += [pattern[-1]] * (max_steps - k)
+            break
     return ClassificationResult(r, tuple(pattern), None, 0)
 
 

@@ -1,9 +1,14 @@
 """Newton's method, parameter continuation, and real roots of cubics.
 
 The Newton driver works on scalars, flat numpy arrays, and ScalarField
-values alike.  Every step equation of the steppers and of their backward
-problems is a (v - s) - b L v + (b / eps^2) n(v) + k = 0 with L the Neumann
-Laplacian (schemes.implicit_system), so every Newton Jacobian has the form
+values alike, in one loop over the unknown's own algebra: a scalar unknown
+stays a float, its norm is abs and its Newton step divides the residual by
+the derivative; array and field unknowns use the inf-norm and a linear
+solve with the Jacobian.
+
+Every step equation of the steppers and of their backward problems is
+a (v - s) - b L v + (b / eps^2) n(v) + k = 0 with L the Neumann Laplacian
+(schemes.implicit_system), so every Newton Jacobian of a field has the form
 a I - b L + diag(d) and is returned as a ShiftedLaplacian, whose solve picks
 its method from the operator itself:
 
@@ -227,10 +232,32 @@ def _solve_linear(jac, rhs: np.ndarray) -> np.ndarray:
     return _refined_solve(lambda b: scipy.linalg.lu_solve(lu_piv, b), lambda x: dense @ x, rhs)
 
 
-def _newton_core(residual, jacobian, x0: np.ndarray, cfg: NewtonConfig):
-    x = np.array(x0, dtype=float)
-    r = np.asarray(residual(x), dtype=float)
-    rnorm = _linf(r)
+def _solve_scalar(deriv, rhs: float) -> float:
+    """rhs / deriv for a scalar unknown; deriv is a float or a one-element array."""
+    if not isinstance(deriv, float):
+        deriv = np.asarray(deriv, dtype=float).reshape(())
+    d = float(deriv)
+    step = rhs / d if d != 0.0 and math.isfinite(d) else math.nan
+    if not math.isfinite(step):
+        raise np.linalg.LinAlgError("zero or non-finite derivative, or overflowing step")
+    return step
+
+
+def _as_array(r) -> np.ndarray:
+    return np.asarray(r, dtype=float)
+
+
+# How the Newton loop treats each kind of unknown:
+# (coerce a residual value, its inf-norm, solve jacobian @ step = rhs).
+_SCALAR = (float, abs, _solve_scalar)
+_ARRAY = (_as_array, _linf, _solve_linear)
+
+
+def _newton_core(residual, jacobian, x0, cfg: NewtonConfig, algebra):
+    value, norm, solve = algebra
+    x = x0
+    r = value(residual(x))
+    rnorm = norm(r)
     history = [rnorm]
     if not math.isfinite(rnorm):
         return x0, NewtonReport(0, rnorm, False, tuple(history), "residual not finite at guess")
@@ -238,21 +265,21 @@ def _newton_core(residual, jacobian, x0: np.ndarray, cfg: NewtonConfig):
         return x, NewtonReport(0, rnorm, True, tuple(history))
     for it in range(1, cfg.max_iter + 1):
         try:
-            step = _solve_linear(jacobian(x), -r)
+            step = solve(jacobian(x), -r)
         except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
             return x, NewtonReport(it - 1, rnorm, False, tuple(history), f"linear solve failed: {exc}")
         x_new = x + step
-        r_new = np.asarray(residual(x_new), dtype=float)
-        rn_new = _linf(r_new)
+        r_new = value(residual(x_new))
+        rn_new = norm(r_new)
         if cfg.damping < 1.0:
             lam, tries = 1.0, 0
             while (not math.isfinite(rn_new) or rn_new >= rnorm) and tries < _BACKTRACK_LIMIT:
                 lam *= cfg.damping
                 x_new = x + lam * step
-                r_new = np.asarray(residual(x_new), dtype=float)
-                rn_new = _linf(r_new)
+                r_new = value(residual(x_new))
+                rn_new = norm(r_new)
                 tries += 1
-        if not (math.isfinite(rn_new) and np.all(np.isfinite(x_new))):
+        if not (math.isfinite(rn_new) and math.isfinite(norm(x_new))):
             return x, NewtonReport(it - 1, rnorm, False, tuple(history), "iterate diverged")
         x, r, rnorm = x_new, r_new, rn_new
         history.append(rnorm)
@@ -272,7 +299,9 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
         preconditioned CG (2D, certified positive definite) or sparse LU
         from the operator itself; or a plain square matrix, which is
         LU-factorized (sparse or dense).  For scalar unknowns it returns
-        the derivative.
+        the derivative (a float or a one-element array), and each step
+        divides the residual by it; a zero or non-finite derivative ends
+        the solve as a failed linear solve.
     guess:
         float, flat ndarray, or ScalarField; the solution has the same type.
     cfg:
@@ -284,6 +313,8 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
     returned iterate is the last finite one.
     """
     cfg = cfg or NewtonConfig()
+    if np.isscalar(guess):
+        return _newton_core(residual, jacobian, float(guess), cfg, _SCALAR)
     if isinstance(guess, ScalarField):
         grid = guess.grid
 
@@ -291,19 +322,11 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
             out = residual(ScalarField(grid, v))
             return out.values if isinstance(out, ScalarField) else out
 
-        x, rep = _newton_core(res, lambda v: jacobian(ScalarField(grid, v)), guess.values, cfg)
+        x, rep = _newton_core(
+            res, lambda v: jacobian(ScalarField(grid, v)), np.array(guess.values, dtype=float), cfg, _ARRAY
+        )
         return ScalarField(grid, x), rep
-    if np.isscalar(guess):
-        def res(v):
-            return np.atleast_1d(float(residual(float(v[0]))))
-
-        def jac(v):
-            return np.asarray(jacobian(float(v[0])), dtype=float).reshape(1, 1)
-
-        x, rep = _newton_core(res, jac, np.array([float(guess)]), cfg)
-        return float(x[0]), rep
-    x, rep = _newton_core(residual, jacobian, np.asarray(guess, dtype=float), cfg)
-    return x, rep
+    return _newton_core(residual, jacobian, np.array(guess, dtype=float), cfg, _ARRAY)
 
 
 def fd_jacobian(residual, u, h_fd: float | None = None) -> np.ndarray:

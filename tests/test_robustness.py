@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from acstab import reference
+import acstab.robustness as robustness
 import acstab.solvers as solvers
 from acstab.errors import AnalysisError, ConfigurationError
 from acstab.fields import (
@@ -257,6 +259,36 @@ def test_classify_where_scalar_newton_misses_tolerance(r):
     sign = 1 if r > 0 else -1
     assert res.pattern == tuple(sign * (-1) ** i for i in range(21))
     assert res.limit == 0 and res.settle_step is None
+
+
+@pytest.mark.parametrize("kind", (BE, CN, MODCN, DIRK2), ids=lambda k: k.tag)
+def test_classify_stops_mapping_at_an_exact_fixed_point(kind, monkeypatch):
+    # 0 maps to itself, so every step after the first repeats it
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return scalar_map(*args)
+
+    monkeypatch.setattr(robustness, "scalar_map", counting)
+    res = classify_constant_initial(kind, 0.0, ACParams(1.0, 0.5))
+    assert res.pattern == (0,) * 401
+    assert res.settle_step is None and res.limit == 0
+    assert len(calls) == 1
+
+
+def test_scalar_path_never_reaches_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar Newton called a dense LU routine")
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+    monkeypatch.setattr(scipy.linalg, "lu_solve", refuse)
+    p = ACParams(1.0, 2.0)
+    for kind in (BE, CN, MODCN, DIRK2):
+        for r in (-150.0, 0.3, 5.074):
+            assert sum(selected for _, selected in scalar_map(kind, r, p)) == 1
+    res = classify_constant_initial(CN, 5.074, ACParams(1.0, 1.0))
+    assert res.limit == -1 and res.settle_step == 11
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acstab.errors import ConfigurationError
-from acstab.fields import ACParams, ScalarField, constant_field, make_grid
-from acstab.schemes import BE, step_system
+from acstab.fields import ACParams, DIRK2_TABLEAU, ScalarField, constant_field, make_grid
+from acstab.schemes import (
+    BE,
+    CN,
+    MODCN,
+    _nearest,
+    _step_terms,
+    constant_cubic,
+    constant_residual,
+    step_system,
+)
 from acstab.solvers import (
     CubicRoots,
     HomotopyConfig,
@@ -83,6 +94,14 @@ def test_newton_divergence_reported():
     )
     assert not rep.converged
     assert rep.message != ""
+
+
+@pytest.mark.parametrize("deriv", (lambda u: 2.0 * u, lambda u: math.nan), ids=("zero", "nan"))
+def test_newton_scalar_bad_derivative_reported(deriv):
+    x, rep = newton_solve(lambda u: u * u + 1.0, deriv, 0.0)
+    assert x == 0.0
+    assert not rep.converged
+    assert rep.message.startswith("linear solve failed")
 
 
 def test_newton_damping_converges():
@@ -265,3 +284,31 @@ def test_cubic_roots_residual_bound():
         for r in out.real_roots:
             val = coeffs[0] * r**3 + coeffs[1] * r**2 + coeffs[2] * r + coeffs[3]
             assert abs(val) <= 1e-9 * scale * max(1.0, abs(r)) ** 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(("be", "cn", "modcn", "dirk2-stage")),
+    st.floats(0.05, 2.0),
+    st.floats(1e-3, 10.0),
+    st.one_of(st.floats(-300.0, 300.0), st.floats(-3.0, 3.0)),
+)
+def test_scalar_newton_picks_the_root_of_the_one_element_array_solve(tag, eps, dt, r):
+    # The scalar solve divides by the derivative; the same solve on a
+    # one-element array takes the dense-LU path.  Their iterates need not
+    # agree bit for bit (a 1x1 LAPACK solve may round differently from a
+    # division), and where the residual sits at the absolute tolerance their
+    # converged flags may differ, so only the nearest exact root is compared.
+    p = ACParams(eps, dt)
+    if tag == "dirk2-stage":
+        terms = (1.0, r, dt * DIRK2_TABLEAU.a[0][0])
+    else:
+        terms = _step_terms({"be": BE, "cn": CN, "modcn": MODCN}[tag], r, 0.0, p)
+    f, fp = constant_residual(p, *terms)
+    x_scalar, _ = newton_solve(f, fp, r)
+    x_array, _ = newton_solve(
+        lambda v: np.array([f(float(v[0]))]), lambda v: np.array([[fp(float(v[0]))]]), np.array([r])
+    )
+    roots = real_cubic_roots(*constant_cubic(p, *terms)).real_roots
+    assert isinstance(x_scalar, float)
+    assert _nearest(roots, x_scalar) == _nearest(roots, float(x_array[0]))
