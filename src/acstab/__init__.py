@@ -21,7 +21,6 @@ from .fields import (
     GridSpec,
     ModeIndex,
     ScalarField,
-    ac_rhs,
     apply_laplacian,
     center_value,
     constant_field,
@@ -89,7 +88,6 @@ __all__ = [
     "GridSpec",
     "ModeIndex",
     "ScalarField",
-    "ac_rhs",
     "apply_laplacian",
     "center_value",
     "constant_field",

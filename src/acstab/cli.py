@@ -51,7 +51,9 @@ from .robustness import (
     preimage_field,
 )
 from .schemes import (
+    CN,
     DIRK2,
+    MODCN,
     SchemeKind,
     parse_scheme,
     scalar_map,
@@ -196,28 +198,15 @@ def _newton_cfg(args) -> NewtonConfig:
 # reproduce
 
 
-def _table_rows(kind: SchemeKind, count: int):
-    return [[ratio, *interval_sequence(kind, ratio, count).entries] for ratio in reference.RATIOS]
+def _table_rows(kind: SchemeKind):
+    return [[ratio, *interval_sequence(kind, ratio, 4).entries] for ratio in reference.RATIOS]
 
 
-def _check_cells(rows, table, label: str) -> int:
-    """Compare computed cells to reference ones; returns number of mismatches."""
-    bad = 0
-    for row in rows:
-        ratio, values = row[0], row[1:]
-        for got, want in zip(values, table[ratio]):
-            ok = abs(got - want) <= reference.CHECK_TOL * max(1.0, abs(want))
-            if not ok:
-                bad += 1
-                print(f"{label} ratio={ratio:g}: computed {got:.6f} != printed {want}", file=sys.stderr)
-    return bad
-
-
-def _interval_rows(kind: SchemeKind, count: int):
+def _interval_rows(kind: SchemeKind):
     """fig-data rows: (ratio, interval index, lower, upper, limit sign)."""
     rows = []
     for ratio in reference.RATIOS:
-        ent = interval_sequence(kind, ratio, count).entries
+        ent = interval_sequence(kind, ratio, 4).entries
         bounds = [-x for x in reversed(ent)] + [0.0] + list(ent)
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             # positive-side interval j (0-based from 0) settles at (-1)^j;
@@ -228,69 +217,80 @@ def _interval_rows(kind: SchemeKind, count: int):
     return rows
 
 
-def cmd_reproduce(args) -> int:
-    from .schemes import CN, MODCN
+def _threshold_rows(eps: float):
+    """(scheme, formula, dt_max) of every scheme's uniqueness threshold at eps."""
+    rows = []
+    for name in ("be", "cn", "modcn", "dirk2"):
+        th = stability_threshold(parse_scheme(name), eps)
+        rows.append([name, th.formula, th.dt_max])
+    return rows
 
-    target = args.id
-    out = args.out or f"{target.replace('-', '_')}.csv"
-    check_fail = 0
-    if target == "table1":
-        rows = _table_rows(CN, 4)
-        _write_csv(out, ["ratio", "r1", "r2", "r3", "r4"], rows)
-        if args.check:
-            check_fail = _check_cells(rows, reference.TABLE1, "table1")
-    elif target == "table2":
-        rows = _table_rows(MODCN, 4)
-        _write_csv(out, ["ratio", "r1", "r2", "r3", "r4"], rows)
-        if args.check:
-            check_fail = _check_cells(rows, reference.TABLE2, "table2")
-    elif target == "table3":
-        rows = _table_rows(DIRK2, 4)
-        _write_csv(out, ["ratio", "r1", "s1", "r2", "s2", "r3", "s3", "r4", "s4"], rows)
-        if args.check:
-            check_fail = _check_cells(rows, reference.TABLE3, "table3")
-    elif target == "table4":
-        rows = []
-        for name in ("be", "cn", "modcn", "dirk2"):
-            th = stability_threshold(parse_scheme(name), 1.0)
-            rows.append([name, th.formula, th.dt_max])
-        _write_csv(out, ["scheme", "formula", "dt_max_over_eps2"], rows)
-        if args.check:
-            for row in rows:
-                tag, factor = reference.TABLE4[row[0]]
-                if row[1] != tag or row[2] != factor:
-                    check_fail += 1
-                    print(f"table4 {row[0]}: computed ({row[1]}, {row[2]}) != ({tag}, {factor})",
-                          file=sys.stderr)
-    elif target in ("fig1-data", "fig5-data"):
-        kind = CN if target == "fig1-data" else DIRK2
-        table = reference.TABLE1 if target == "fig1-data" else reference.TABLE3
-        rows = _interval_rows(kind, 4)
-        _write_csv(out, ["ratio", "interval", "lower", "upper", "limit"], rows)
-        if args.check:
-            per_ratio = len(rows) // len(reference.RATIOS)
-            for base in range(0, len(rows), per_ratio):
-                chunk = rows[base:base + per_ratio]
-                ratio = chunk[0][0]
-                uppers = [row[3] for row in chunk[per_ratio // 2:]]
-                for got, want in zip(uppers, table[ratio]):
-                    if abs(got - want) > reference.CHECK_TOL * max(1.0, abs(want)):
-                        check_fail += 1
-                        print(f"{target} ratio={ratio:g}: endpoint {got:.6f} != {want}",
-                              file=sys.stderr)
-                limits = [row[4] for row in chunk]
-                if any(a == b for a, b in zip(limits, limits[1:])):
-                    check_fail += 1
-                    print(f"{target} ratio={ratio:g}: settling signs fail to alternate",
-                          file=sys.stderr)
-    else:
+
+def _table_cells(rows, table):
+    """Interval-table cells: each row's values against its ratio's printed row."""
+    for row in rows:
+        for i, (got, want) in enumerate(zip(row[1:], table[row[0]]), start=1):
+            yield f"ratio={row[0]:g} column {i}", got, want
+
+
+def _interval_cells(rows, table):
+    """fig-data cells per ratio: the positive upper endpoints as a row of the
+    printed table, and limit signs that alternate from interval to interval."""
+    per_ratio = len(rows) // len(reference.RATIOS)
+    for base in range(0, len(rows), per_ratio):
+        chunk = rows[base:base + per_ratio]
+        yield from _table_cells([[chunk[0][0], *(row[3] for row in chunk[per_ratio // 2:])]], table)
+        limits = [row[4] for row in chunk]
+        alternate = all(a != b for a, b in zip(limits, limits[1:]))
+        yield f"ratio={chunk[0][0]:g} limit signs alternate", alternate, True
+
+
+def _threshold_cells(rows, table):
+    """table4 cells: each scheme's (formula, dt_max / eps^2) pair."""
+    for name, formula, factor in rows:
+        yield name, (formula, factor), table[name]
+
+
+_TABLE_HEADER = ["ratio", "r1", "r2", "r3", "r4"]
+_INTERVAL_HEADER = ["ratio", "interval", "lower", "upper", "limit"]
+
+# reproduce target -> (CSV header, row builder, its argument, reference cells, reference)
+_TARGETS = {
+    "table1": (_TABLE_HEADER, _table_rows, CN, _table_cells, reference.TABLE1),
+    "table2": (_TABLE_HEADER, _table_rows, MODCN, _table_cells, reference.TABLE2),
+    "table3": (["ratio", "r1", "s1", "r2", "s2", "r3", "s3", "r4", "s4"],
+               _table_rows, DIRK2, _table_cells, reference.TABLE3),
+    "table4": (["scheme", "formula", "dt_max_over_eps2"],
+               _threshold_rows, 1.0, _threshold_cells, reference.TABLE4),
+    "fig1-data": (_INTERVAL_HEADER, _interval_rows, CN, _interval_cells, reference.TABLE1),
+    "fig5-data": (_INTERVAL_HEADER, _interval_rows, DIRK2, _interval_cells, reference.TABLE3),
+}
+
+
+def _agrees(got, want) -> bool:
+    """Printed numbers agree to reference.CHECK_TOL; any other cell must be equal."""
+    if isinstance(want, float):
+        return abs(got - want) <= reference.CHECK_TOL * max(1.0, abs(want))
+    return got == want
+
+
+def cmd_reproduce(args) -> int:
+    if args.id not in _TARGETS:
         raise ConfigurationError(f"unknown reproduce target {args.id!r}")
+    header, build, arg, cells, table = _TARGETS[args.id]
+    out = args.out or f"{args.id.replace('-', '_')}.csv"
+    rows = build(arg)
+    _write_csv(out, header, rows)
     print(f"wrote {out}")
-    if args.check:
-        if check_fail:
-            print(f"check: {check_fail} mismatch(es)", file=sys.stderr)
-            return 4
-        print("check: all values match")
+    if not args.check:
+        return 0
+    bad = [cell for cell in cells(rows, table) if not _agrees(cell[1], cell[2])]
+    for where, got, want in bad:
+        print(f"{args.id} {where}: computed {got} != reference {want}", file=sys.stderr)
+    if bad:
+        print(f"check: {len(bad)} mismatch(es)", file=sys.stderr)
+        return 4
+    print("check: all values match")
     return 0
 
 
@@ -328,11 +328,7 @@ def cmd_simulate(args) -> int:
 
 def _analyze_thresholds(args, out: str) -> int:
     _require(args, "eps")
-    rows = []
-    for name in ("be", "cn", "modcn", "dirk2"):
-        th = stability_threshold(parse_scheme(name), args.eps)
-        rows.append([name, th.formula, th.dt_max])
-    _write_csv(out, ["scheme", "formula", "dt_max"], rows)
+    _write_csv(out, ["scheme", "formula", "dt_max"], _threshold_rows(args.eps))
     return 0
 
 
@@ -397,6 +393,17 @@ def _analyze_classify(args, out: str) -> int:
     return 0
 
 
+def _branch_gains(kind: SchemeKind, c: float, r: float, mode: ModeIndex, p: ACParams, chains):
+    """(root, gains) of the constant preimage branch of c through r on mode.
+
+    For dirk the branch is the stage chain of `chains` whose root is nearest r.
+    """
+    if kind.tag != "dirk":
+        return r, perturbation_gain(kind, c, r, mode, p)
+    chain = min(chains, key=lambda ch: abs(ch[0] - r))
+    return chain[0], dirk_perturbation_gains(chain[2], chain[1], mode, p, kind=kind)
+
+
 def _analyze_perturb(args, out: str) -> int:
     _require(args, "scheme", "c", "k")
     kind = parse_scheme(args.scheme)
@@ -405,21 +412,17 @@ def _analyze_perturb(args, out: str) -> int:
     mode = _parse_mode(args.k, args.l, dim)
     header = ["scheme", "c", "r", "k", "l", "gain0", "gain1", "gain2", "pole"]
     lcol = args.l if args.l is not None else ""
-    if kind.tag == "dirk":
-        _require(args, "r")
-        ps = preimage_constants(kind, args.c, p)
-        if not ps.chains:
-            raise AnalysisError(f"no preimage chain at c = {args.c:g}")
-        chain = min(ps.chains, key=lambda ch: abs(ch[0] - args.r))
-        g = dirk_perturbation_gains(chain[2], chain[1], mode, p, kind=kind)
-        row = [kind.label, args.c, chain[0], args.k, lcol, *g.gain, int(g.pole)]
-    elif kind.tag in ("cn", "modcn"):
-        _require(args, "r")
-        g = perturbation_gain(kind, args.c, args.r, mode, p)
-        row = [kind.label, args.c, args.r, args.k, lcol, g.gain[0], "", "", int(g.pole)]
-    else:
+    if kind.tag == "be":
         raise ConfigurationError("perturbation gains are defined for cn, modcn, dirk2")
-    _write_csv(out, header, [row])
+    _require(args, "r")
+    chains = ()
+    if kind.tag == "dirk":
+        chains = preimage_constants(kind, args.c, p).chains
+        if not chains:
+            raise AnalysisError(f"no preimage chain at c = {args.c:g}")
+    r, g = _branch_gains(kind, args.c, args.r, mode, p, chains)
+    gains = [*g.gain, "", ""][:3]
+    _write_csv(out, header, [[kind.label, args.c, r, args.k, lcol, *gains, int(g.pole)]])
     return 0
 
 
@@ -486,16 +489,11 @@ def _preimage_field(args, kind, p, meta, grid, out: str) -> int:
             idx = 0
         if not (0 <= idx < len(roots)):
             raise ConfigurationError(f"--root must be in [0, {len(roots) - 1}]")
-        if kind.tag == "dirk":
-            chain = ps.chains[idx]
-            g = dirk_perturbation_gains(chain[2], chain[1], mode, p, kind=kind)
-            gain = g.gain[2]
-        else:
-            g = perturbation_gain(kind, c, roots[idx], mode, p)
-            gain = g.gain[0]
+        seed_root = roots[idx]
+        _, g = _branch_gains(kind, c, seed_root, mode, p, ps.chains)
         if g.pole:
             raise AnalysisError("perturbation gain has a pole; no regular branch to follow")
-        seed_root = roots[idx]
+        gain = g.gain[-1]
         seed = ScalarField(grid, seed_root + delta0 * gain * eval_mode(mode, grid).values)
 
     phi_n, rep = preimage_field(kind, target, seed, p, hcfg, ncfg)

@@ -41,7 +41,6 @@ __all__ = [
     "dct1",
     "apply_laplacian",
     "eval_mode",
-    "ac_rhs",
     "trapezoid_weights",
     "field_mean",
     "field_l2",
@@ -105,12 +104,6 @@ class ScalarField:
         if not np.all(np.isfinite(v)):
             raise ConfigurationError("field values must all be finite")
         object.__setattr__(self, "values", v)
-
-    def reshaped(self) -> np.ndarray:
-        """Values as an (n,) or (n, n) array depending on dimension."""
-        if self.grid.dim == 1:
-            return self.values
-        return self.values.reshape(self.grid.n, self.grid.n)
 
 
 def constant_field(grid: GridSpec, value: float) -> ScalarField:
@@ -338,12 +331,6 @@ def ac_force(lap_v, v, p: ACParams):
     v is a node array or a scalar; the result has its type.
     """
     return lap_v - (1.0 / p.eps2) * (v ** 3 - v)
-
-
-def ac_rhs(u: ScalarField, p: ACParams) -> ScalarField:
-    """Allen-Cahn right-hand side F(u) = Lap(u) - (u^3 - u) / eps^2."""
-    v = u.values
-    return ScalarField(u.grid, ac_force(laplacian_matrix(u.grid) @ v, v, p))
 
 
 @lru_cache(maxsize=None)

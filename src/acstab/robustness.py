@@ -73,7 +73,7 @@ class PreimageSet:
     chains: tuple[tuple[float, ...], ...] = ()
 
 
-def _dirk_backward_data(kind: SchemeKind, p: ACParams):
+def _dirk_backward_data(kind: SchemeKind):
     """Validate that the tableau supports backward stage elimination."""
     tab = kind.tableau
     if tab.stages != 2:
@@ -91,10 +91,10 @@ def _dirk_backward_data(kind: SchemeKind, p: ACParams):
 def _dirk_chain_preimages(kind: SchemeKind, c: float, p: ACParams):
     """Solve the stage chain backward: c -> phi_2 -> phi_1 -> r.
 
-    Each backward stage solves target = u + gamma F(u) for u, the constant
-    form of _backward_stage_system.
+    Each backward stage solves target = u + gamma F(u) for u: implicit_system
+    with terms (-1, target, gamma), here on constants.
     """
-    tab, alpha, beta = _dirk_backward_data(kind, p)
+    tab, alpha, beta = _dirk_backward_data(kind)
     cubics: list[CubicRoots] = []
     chains: list[tuple[float, float, float]] = []
     # final combination: c = phi_2 + dt * beta * F(phi_2)
@@ -211,7 +211,7 @@ def interval_sequence(kind: SchemeKind, ratio: float, count: int) -> IntervalSeq
 
     # two-stage DIRK: ratio = dt / (4 eps^2)
     p = ACParams(eps=1.0, dt=4.0 * ratio)
-    _dirk_backward_data(kind, p)
+    _dirk_backward_data(kind)
     r1 = 2.0 * math.sqrt(1.0 + 1.0 / ratio)
     # s_1 = r_1 - 2 y with y the unique real root of the inner-stage cubic
     # r_1 = y + ratio F(y) at eps = 1: a backward stage with gamma = ratio
@@ -353,7 +353,7 @@ def dirk_perturbation_gains(
     phi_1 - dt a11 F(phi_1) = r, each side a stage (+-1, ., dt * coefficient).
     """
     kind = kind or DIRK2
-    tab, alpha, beta = _dirk_backward_data(kind, p)
+    tab, alpha, beta = _dirk_backward_data(kind)
 
     def stage(sign, coef):
         return (sign, 0.0, p.dt * coef)
@@ -392,18 +392,9 @@ def _backward_problem(kind: SchemeKind, grid, c: float, shape: np.ndarray, p: AC
     return problem
 
 
-def _backward_stage_system(target: np.ndarray, gamma: float, grid, p: ACParams):
-    """(residual, jacobian) of target = u + gamma F(u) in the unknown u.
-
-    One backward DIRK stage, F(u) = Lap(u) - (u^3 - u) / eps^2.  The
-    Jacobian is a ShiftedLaplacian.
-    """
-    return implicit_system(grid, p, -1.0, target, gamma)
-
-
 def _dirk_preimage_field(kind, grid, c, shape, seed, p, hcfg, ncfg):
     """Backward stage chain under continuation in delta (2-stage tableaux)."""
-    tab, alpha, beta = _dirk_backward_data(kind, p)
+    tab, alpha, beta = _dirk_backward_data(kind)
     lap = laplacian_matrix(grid)
 
     ps = preimage_constants(kind, c, p)
@@ -420,14 +411,14 @@ def _dirk_preimage_field(kind, grid, c, shape, seed, p, hcfg, ncfg):
         )
 
         # target relation: v = u + dt * beta * F(u) with F(u) = lap u - nl(u)/eps^2
-        x2, rep2 = newton_solve(*_backward_stage_system(v, p.dt * beta, grid, p), x2_prev, ncfg)
+        x2, rep2 = newton_solve(*implicit_system(grid, p, -1.0, v, p.dt * beta), x2_prev, ncfg)
         if not rep2.converged:
             return state, rep2
         x1_prev = state[1] if state is not None else np.full(grid.num_nodes, c1)
 
         target1 = x2 - p.dt * tab.a[1][1] * ac_force(lap @ x2, x2, p)
         x1, rep1 = newton_solve(
-            *_backward_stage_system(target1, p.dt * alpha, grid, p), x1_prev, ncfg
+            *implicit_system(grid, p, -1.0, target1, p.dt * alpha), x1_prev, ncfg
         )
         return (x2, x1), rep1
 

@@ -29,7 +29,7 @@ Jacobian on one Laplacian eigenmode at a constant; every linearization in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -298,7 +298,6 @@ class Trajectory:
     settle_step: int | None
     limit: int
     failure: str | None = None
-    snapshots: tuple[ScalarField, ...] = field(default=())
 
     def center_signs(self) -> tuple[int, ...]:
         return tuple(s.center_sign for s in self.summaries)
@@ -321,7 +320,6 @@ def simulate(
     p: ACParams,
     settle_tol: float = 1e-3,
     cfg: NewtonConfig | None = None,
-    keep_fields: bool = False,
 ) -> Trajectory:
     """Run `steps` time steps and record per-step summaries.
 
@@ -332,7 +330,6 @@ def simulate(
         raise ConfigurationError("steps must be >= 0")
     u = phi0
     summaries = [_summarize(0, 0.0, u)]
-    snaps = [u] if keep_fields else []
     settled, settle_step, limit = False, None, 0
 
     def check_settled(idx: int, w: ScalarField) -> None:
@@ -353,14 +350,11 @@ def simulate(
             return Trajectory(
                 tuple(summaries), settled, settle_step, limit,
                 failure=f"step {i} did not converge ({msgs})",
-                snapshots=tuple(snaps),
             )
         u = u_new
         summaries.append(_summarize(i, i * p.dt, u))
-        if keep_fields:
-            snaps.append(u)
         check_settled(i, u)
-    return Trajectory(tuple(summaries), settled, settle_step, limit, snapshots=tuple(snaps))
+    return Trajectory(tuple(summaries), settled, settle_step, limit)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Newton's method, parameter continuation, and real roots of cubics.
 
-The Newton driver works on scalars, flat numpy arrays, and ScalarField
-values alike, in one loop over the unknown's own algebra: a scalar unknown
-stays a float, its norm is abs and its Newton step divides the residual by
-the derivative; array and field unknowns use the inf-norm and a linear
-solve with the Jacobian.
+The Newton driver takes one of two kinds of unknown, in one loop over the
+unknown's own algebra: a float, whose derivative is a float (its norm is abs
+and its Newton step divides the residual by the derivative), or a flat numpy
+array, whose Jacobian is a ShiftedLaplacian (its norm is the inf-norm and its
+Newton step is that operator's solve).
 
 Every step equation of the steppers and of their backward problems is
 a (v - s) - b L v + (b / eps^2) n(v) + k = 0 with L the Neumann Laplacian
@@ -20,10 +20,9 @@ its method from the operator itself:
 * otherwise, or when CG misses its tolerance within a fixed iteration cap:
   a sparse LU factorization.
 
-Plain sparse or dense Jacobians from other callers are LU-factorized.  Every
-direct solve takes one round of iterative refinement when its true residual
-exceeds 1e-12 relative to the right-hand side; CG stops only on a true
-residual within that bound.
+Every direct solve takes one round of iterative refinement when its true
+residual exceeds 1e-12 relative to the right-hand side; CG stops only on a
+true residual within that bound.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigurationError
 from .fields import (
     GridSpec,
-    ScalarField,
     dct1,
     laplacian_eigenvalues,
     laplacian_matrix,
@@ -60,7 +58,6 @@ __all__ = [
     "real_cubic_roots",
 ]
 
-_BACKTRACK_LIMIT = 40
 _HALVING_LIMIT = 20
 _LINEAR_RTOL = 1e-12
 _CG_MAX_ITER = 60
@@ -68,19 +65,17 @@ _CG_MAX_ITER = 60
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Newton iteration controls.
+    """Newton iteration controls: the residual tolerance and the iteration cap.
 
-    damping is an optional backtracking factor in (0, 1]; 1 means every
-    full step is accepted as-is.
+    They apply alike to both kinds of unknown newton_solve takes: a float,
+    whose derivative is a float, and a flat array, whose Jacobian is a
+    ShiftedLaplacian.  The residual is measured by abs or the inf-norm.
     """
 
     tol: float = 1e-10
     max_iter: int = 50
-    damping: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.damping <= 1.0):
-            raise ConfigurationError("damping must lie in (0, 1]")
         if self.tol <= 0 or self.max_iter < 1:
             raise ConfigurationError("tol must be > 0 and max_iter >= 1")
 
@@ -221,23 +216,9 @@ class ShiftedLaplacian:
         return None
 
 
-def _solve_linear(jac, rhs: np.ndarray) -> np.ndarray:
-    """Solve jac @ x = rhs to a relative residual of 1e-12 (see the module docstring)."""
-    if isinstance(jac, ShiftedLaplacian):
-        return jac.solve(rhs)
-    if sp.issparse(jac):
-        return _refined_solve(spla.splu(jac.tocsc()).solve, lambda x: jac @ x, rhs)
-    dense = np.atleast_2d(np.asarray(jac, dtype=float))
-    lu_piv = scipy.linalg.lu_factor(dense)
-    return _refined_solve(lambda b: scipy.linalg.lu_solve(lu_piv, b), lambda x: dense @ x, rhs)
-
-
-def _solve_scalar(deriv, rhs: float) -> float:
-    """rhs / deriv for a scalar unknown; deriv is a float or a one-element array."""
-    if not isinstance(deriv, float):
-        deriv = np.asarray(deriv, dtype=float).reshape(())
-    d = float(deriv)
-    step = rhs / d if d != 0.0 and math.isfinite(d) else math.nan
+def _solve_scalar(deriv: float, rhs: float) -> float:
+    """rhs / deriv for a float unknown with a float derivative."""
+    step = rhs / deriv if deriv != 0.0 and math.isfinite(deriv) else math.nan
     if not math.isfinite(step):
         raise np.linalg.LinAlgError("zero or non-finite derivative, or overflowing step")
     return step
@@ -250,7 +231,7 @@ def _as_array(r) -> np.ndarray:
 # How the Newton loop treats each kind of unknown:
 # (coerce a residual value, its inf-norm, solve jacobian @ step = rhs).
 _SCALAR = (float, abs, _solve_scalar)
-_ARRAY = (_as_array, _linf, _solve_linear)
+_ARRAY = (_as_array, _linf, ShiftedLaplacian.solve)
 
 
 def _newton_core(residual, jacobian, x0, cfg: NewtonConfig, algebra):
@@ -271,14 +252,6 @@ def _newton_core(residual, jacobian, x0, cfg: NewtonConfig, algebra):
         x_new = x + step
         r_new = value(residual(x_new))
         rn_new = norm(r_new)
-        if cfg.damping < 1.0:
-            lam, tries = 1.0, 0
-            while (not math.isfinite(rn_new) or rn_new >= rnorm) and tries < _BACKTRACK_LIMIT:
-                lam *= cfg.damping
-                x_new = x + lam * step
-                r_new = value(residual(x_new))
-                rn_new = norm(r_new)
-                tries += 1
         if not (math.isfinite(rn_new) and math.isfinite(norm(x_new))):
             return x, NewtonReport(it - 1, rnorm, False, tuple(history), "iterate diverged")
         x, r, rnorm = x_new, r_new, rn_new
@@ -294,18 +267,17 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
     Parameters
     ----------
     residual, jacobian:
-        Functions of the unknown.  For array/field unknowns the Jacobian
-        returns a ShiftedLaplacian, whose solve picks a banded solve (1D),
-        preconditioned CG (2D, certified positive definite) or sparse LU
-        from the operator itself; or a plain square matrix, which is
-        LU-factorized (sparse or dense).  For scalar unknowns it returns
-        the derivative (a float or a one-element array), and each step
-        divides the residual by it; a zero or non-finite derivative ends
-        the solve as a failed linear solve.
+        Functions of the unknown, for one of two kinds of unknown.  A float
+        unknown has a float derivative, and each step divides the residual
+        by it; a zero or non-finite derivative ends the solve as a failed
+        linear solve.  A flat-array unknown has a ShiftedLaplacian Jacobian,
+        whose solve picks a banded solve (1D), preconditioned CG (2D,
+        certified positive definite) or sparse LU from the operator itself;
+        any other Jacobian raises.
     guess:
-        float, flat ndarray, or ScalarField; the solution has the same type.
+        float or flat ndarray; the solution has the same kind.
     cfg:
-        NewtonConfig; defaults to tol=1e-10, max_iter=50, undamped.
+        NewtonConfig; defaults to tol=1e-10, max_iter=50.
 
     Returns
     -------
@@ -315,32 +287,13 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
     cfg = cfg or NewtonConfig()
     if np.isscalar(guess):
         return _newton_core(residual, jacobian, float(guess), cfg, _SCALAR)
-    if isinstance(guess, ScalarField):
-        grid = guess.grid
-
-        def res(v):
-            out = residual(ScalarField(grid, v))
-            return out.values if isinstance(out, ScalarField) else out
-
-        x, rep = _newton_core(
-            res, lambda v: jacobian(ScalarField(grid, v)), np.array(guess.values, dtype=float), cfg, _ARRAY
-        )
-        return ScalarField(grid, x), rep
     return _newton_core(residual, jacobian, np.array(guess, dtype=float), cfg, _ARRAY)
 
 
 def fd_jacobian(residual, u, h_fd: float | None = None) -> np.ndarray:
-    """Dense central-difference Jacobian of residual at u (testing utility)."""
-    if isinstance(u, ScalarField):
-        grid = u.grid
-        base = u.values
-
-        def f(v):
-            out = residual(ScalarField(grid, v))
-            return out.values if isinstance(out, ScalarField) else np.asarray(out, float)
-    else:
-        base = np.asarray(u, dtype=float)
-        f = lambda v: np.asarray(residual(v), dtype=float)
+    """Dense central-difference Jacobian of residual at the flat array u (testing utility)."""
+    base = np.asarray(u, dtype=float)
+    f = lambda v: np.asarray(residual(v), dtype=float)
     m = base.size
     h = h_fd if h_fd is not None else 1e-6 * (1.0 + _linf(base))
     # snap to a power of two so u +- h and the difference quotient carry no

@@ -46,10 +46,36 @@ def test_reproduce_table1_values(tmp_path):
             assert abs(g - w) <= 1e-3 * max(1.0, abs(w))
 
 
-def test_reproduce_check_mismatch_exits_4(tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(reference.TABLE1, 0.5, (9.9, 9.9, 9.9, 9.9))
-    assert _run("reproduce", "table1", "--check", "--out", str(tmp_path / "t.csv")) == 4
+@pytest.mark.parametrize(
+    "target, table, key, corrupt",
+    [
+        ("table1", "TABLE1", 0.5, (9.9,) * 4),
+        ("table2", "TABLE2", 0.5, (9.9,) * 4),
+        ("table3", "TABLE3", 0.5, (9.9,) * 8),
+        ("table4", "TABLE4", "cn", ("TWO_EPS2", 2.5)),
+        ("fig1-data", "TABLE1", 0.1, (9.9,) * 4),
+        ("fig5-data", "TABLE3", 0.1, (9.9,) * 8),
+    ],
+    ids=REPRODUCE_IDS,
+)
+def test_reproduce_check_mismatch_exits_4(target, table, key, corrupt, tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(getattr(reference, table), key, corrupt)
+    assert _run("reproduce", target, "--check", "--out", str(tmp_path / "t.csv")) == 4
     assert "mismatch" in capsys.readouterr().err
+
+
+def test_reproduce_check_flags_limits_that_fail_to_alternate(tmp_path, monkeypatch, capsys):
+    header, build, kind, cells, table = cli._TARGETS["fig1-data"]
+
+    def rows(kind):
+        out = build(kind)
+        out[1][4] = out[0][4]
+        return out
+
+    monkeypatch.setitem(cli._TARGETS, "fig1-data", (header, rows, kind, cells, table))
+    assert _run("reproduce", "fig1-data", "--check", "--out", str(tmp_path / "f.csv")) == 4
+    err = capsys.readouterr().err
+    assert "limit signs alternate" in err and "1 mismatch" in err
 
 
 def test_reproduce_deterministic(tmp_path):

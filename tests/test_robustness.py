@@ -20,7 +20,6 @@ from acstab.fields import (
 )
 from acstab.robustness import (
     _backward_problem,
-    _backward_stage_system,
     _dirk_backward_data,
     classify_constant_initial,
     dirk_perturbation_gains,
@@ -29,7 +28,7 @@ from acstab.robustness import (
     preimage_constants,
     preimage_field,
 )
-from acstab.schemes import BE, CN, DIRK2, MODCN, SchemeKind, scalar_map, step
+from acstab.schemes import BE, CN, DIRK2, MODCN, SchemeKind, implicit_system, scalar_map, step
 from acstab.solvers import HomotopyConfig, NewtonConfig, fd_jacobian
 
 SQ3 = math.sqrt(3.0)
@@ -543,10 +542,10 @@ def test_preimage_field_2d_uncertified_runs_lu(monkeypatch):
     target, phi_n, rep = _mode_preimage(DIRK2, c, r, g.gain[2], (1, 1), p, grid, 0.2)
     assert rep.converged
     assert splu_calls
-    _, alpha, beta = _dirk_backward_data(DIRK2, p)
+    _, alpha, beta = _dirk_backward_data(DIRK2)
     for cval, coef in ((c2, beta), (c1, alpha)):
         u = np.full(grid.num_nodes, cval)
-        op = _backward_stage_system(u, p.dt * coef, grid, p)[1](u)
+        op = implicit_system(grid, p, -1.0, u, p.dt * coef)[1](u)
         assert not op.certified and op.a + op.d.min() == pytest.approx(-1.1, abs=0.15)
     fwd, _ = step(DIRK2, phi_n, p)
     assert np.max(np.abs(fwd.values - target.values)) <= 1e-8
@@ -576,11 +575,11 @@ def test_dirk_backward_stage_jacobians_match_fd(dim, n):
     rng = np.random.default_rng(43)
     grid = make_grid(dim, n)
     p = ACParams(0.3, 0.05)
-    _, alpha, beta = _dirk_backward_data(DIRK2, p)
+    _, alpha, beta = _dirk_backward_data(DIRK2)
     for _ in range(10):
         # the outer stage (beta) and the inner stage (alpha) of the chain
         for coef in (beta, alpha):
             target = rng.uniform(-2, 2, grid.num_nodes)
-            residual, jacobian = _backward_stage_system(target, p.dt * coef, grid, p)
+            residual, jacobian = implicit_system(grid, p, -1.0, target, p.dt * coef)
             u = rng.uniform(-2, 2, grid.num_nodes)
             assert _fd_rel_error(residual, jacobian, u) <= 1e-5

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,12 +18,15 @@ from acstab.schemes import (
     _step_terms,
     constant_cubic,
     constant_residual,
+    implicit_system,
+    step,
     step_system,
 )
 from acstab.solvers import (
     CubicRoots,
     HomotopyConfig,
     NewtonConfig,
+    ShiftedLaplacian,
     delta_schedule,
     fd_jacobian,
     homotopy_path,
@@ -35,8 +41,6 @@ def test_newton_config_validation():
         NewtonConfig(tol=0.0)
     with pytest.raises(ConfigurationError):
         NewtonConfig(max_iter=0)
-    with pytest.raises(ConfigurationError):
-        NewtonConfig(damping=1.5)
 
 
 def test_fd_jacobian_identity_exact():
@@ -67,20 +71,20 @@ def test_fd_jacobian_matches_analytic_be_residual():
 
 
 def test_newton_scalar_and_report_invariants():
-    x, rep = newton_solve(lambda u: u**2 - 4.0, lambda u: np.atleast_2d(2 * u), 3.0)
+    x, rep = newton_solve(lambda u: u**2 - 4.0, lambda u: 2 * u, 3.0)
     assert rep.converged
     assert rep.residual <= 1e-10
-    assert float(np.ravel(x)[0]) == pytest.approx(2.0, abs=1e-10)
+    assert x == pytest.approx(2.0, abs=1e-10)
     assert rep.history[0] >= rep.history[-1]
 
 
 def test_newton_zero_iterations_when_guess_solves():
-    x, rep = newton_solve(lambda u: u - 1.0, lambda u: np.eye(1), 1.0)
+    x, rep = newton_solve(lambda u: u - 1.0, lambda u: 1.0, 1.0)
     assert rep.converged and rep.iterations == 0
 
 
 def test_newton_superlinear_tail():
-    _, rep = newton_solve(lambda u: u**3 - 2.0, lambda u: np.atleast_2d(3 * u**2), 2.0)
+    _, rep = newton_solve(lambda u: u**3 - 2.0, lambda u: 3 * u**2, 2.0)
     assert rep.converged
     hist = [r for r in rep.history if r > 0]
     for a, b in zip(hist, hist[1:]):
@@ -90,7 +94,7 @@ def test_newton_superlinear_tail():
 
 def test_newton_divergence_reported():
     _, rep = newton_solve(
-        lambda u: u**2 + 1.0, lambda u: np.atleast_2d(2 * u), 0.7, NewtonConfig(max_iter=12)
+        lambda u: u**2 + 1.0, lambda u: 2 * u, 0.7, NewtonConfig(max_iter=12)
     )
     assert not rep.converged
     assert rep.message != ""
@@ -104,47 +108,47 @@ def test_newton_scalar_bad_derivative_reported(deriv):
     assert rep.message.startswith("linear solve failed")
 
 
-def test_newton_damping_converges():
-    cfg = NewtonConfig(damping=0.5, max_iter=200)
-    x, rep = newton_solve(
-        lambda u: np.arctan(u), lambda u: np.atleast_2d(1.0 / (1.0 + u**2)), 20.0, cfg
-    )
-    assert rep.converged
-    assert abs(float(np.ravel(x)[0])) <= 1e-9
-
-
-def test_newton_banded_path_matches_dense_solution():
-    # tridiagonal Jacobian goes through the banded solver; compare with a
-    # dense hand-rolled Newton on the same problem
-    import scipy.sparse as sp
-
+def test_newton_banded_path_matches_dense_solution(monkeypatch):
+    # a 1D ShiftedLaplacian Jacobian goes through the banded solver; compare
+    # with a dense hand-rolled Newton on the same problem
     n = 24
     main = 2.0 + np.arange(n) * 0.1
+    grid = make_grid(1, n)
+    banded = []
+    solve_banded = scipy.linalg.solve_banded
+
+    def counted(*args):
+        banded.append(args)
+        return solve_banded(*args)
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", counted)
 
     def residual(u):
         return main * u + 0.1 * u**3 - 1.0
 
-    def jac_sparse(u):
-        d = main + 0.3 * u**2
-        return sp.diags([np.full(n - 1, 0.0), d, np.full(n - 1, 0.0)], [-1, 0, 1], format="csr")
+    def jacobian(u):
+        return ShiftedLaplacian(grid, 0.0, 0.0, main + 0.3 * u**2)
 
-    x, rep = newton_solve(residual, jac_sparse, np.zeros(n))
+    x, rep = newton_solve(residual, jacobian, np.zeros(n))
     assert rep.converged
+    assert len(banded) >= rep.iterations > 0
     y = np.zeros(n)
     for _ in range(50):
         y = y - np.linalg.solve(np.diag(main + 0.3 * y**2), residual(y))
-    assert np.max(np.abs(np.ravel(x) - y)) <= 1e-10
+    assert np.max(np.abs(x - y)) <= 1e-10
 
 
-def test_newton_accepts_field_input():
-    g = make_grid(1, 9)
-    guess = constant_field(g, 0.4)
-    x, rep = newton_solve(
-        lambda u: u.values**2 - 0.25, lambda u: np.diag(2 * u.values), guess
-    )
-    assert isinstance(x, ScalarField)
-    assert rep.converged
-    assert np.max(np.abs(x.values - 0.5)) <= 1e-10
+@pytest.mark.parametrize("matrix", (np.eye, sp.identity), ids=("dense", "sparse"))
+def test_newton_array_jacobian_must_be_a_shifted_laplacian(matrix, monkeypatch):
+    # a plain matrix Jacobian is a caller's error: it raises, and is neither
+    # LU-factorized nor reported as a failed linear solve
+    def no_lu(*args, **kwargs):
+        raise AssertionError("a plain Jacobian was LU-factorized")
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", no_lu)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_lu)
+    with pytest.raises(AttributeError):
+        newton_solve(lambda u: u - 1.0, lambda u: matrix(3), np.zeros(3))
 
 
 def test_cubic_examples():
@@ -234,30 +238,30 @@ def _cbrt_problem(delta):
         return u**3 - delta
 
     def jacobian(u):
-        return np.atleast_2d(3 * u**2)
+        return 3 * u**2
 
     return residual, jacobian
 
 
 def test_homotopy_constant_path_equals_direct_newton():
     cfg = HomotopyConfig(delta_end=2.0, delta_start=2.0, steps=1)
-    x, rep = homotopy_path(_cbrt_problem, np.array([1.0]), cfg)
-    y, _ = newton_solve(*_cbrt_problem(2.0), np.array([1.0]))
+    x, rep = homotopy_path(_cbrt_problem, 1.0, cfg)
+    y, _ = newton_solve(*_cbrt_problem(2.0), 1.0)
     assert rep.converged
-    assert np.array_equal(np.ravel(x), np.ravel(y))  # bitwise identical
+    assert x == y  # bitwise identical
 
 
 def test_homotopy_adaptive_rescues_large_jump():
     ncfg = NewtonConfig(max_iter=8)
     hard = HomotopyConfig(delta_end=8.0, delta_start=0.125, steps=1, adaptive=False)
-    x, rep = homotopy_path(_cbrt_problem, np.array([0.5]), hard, ncfg)
+    x, rep = homotopy_path(_cbrt_problem, 0.5, hard, ncfg)
     assert not rep.converged
     assert rep.delta == 0.125  # last good delta is the start of the path
 
     rescued = HomotopyConfig(delta_end=8.0, delta_start=0.125, steps=1, adaptive=True)
-    x, rep = homotopy_path(_cbrt_problem, np.array([0.5]), rescued, ncfg)
+    x, rep = homotopy_path(_cbrt_problem, 0.5, rescued, ncfg)
     assert rep.converged
-    assert float(np.ravel(x)[0]) == pytest.approx(2.0, abs=1e-9)
+    assert x == pytest.approx(2.0, abs=1e-9)
 
 
 def test_march_deltas_reports_progress():
@@ -293,22 +297,21 @@ def test_cubic_roots_residual_bound():
     st.floats(1e-3, 10.0),
     st.one_of(st.floats(-300.0, 300.0), st.floats(-3.0, 3.0)),
 )
-def test_scalar_newton_picks_the_root_of_the_one_element_array_solve(tag, eps, dt, r):
-    # The scalar solve divides by the derivative; the same solve on a
-    # one-element array takes the dense-LU path.  Their iterates need not
-    # agree bit for bit (a 1x1 LAPACK solve may round differently from a
-    # division), and where the residual sits at the absolute tolerance their
-    # converged flags may differ, so only the nearest exact root is compared.
+def test_scalar_newton_picks_the_root_of_the_constant_field_solve(tag, eps, dt, r):
+    # The scalar solve divides by the derivative; the same equation on a
+    # 3-node constant field takes the banded ShiftedLaplacian solve.  Their
+    # iterates need not agree bit for bit, and either solve may stop short of
+    # the absolute tolerance, so only the nearest exact root is compared.
     p = ACParams(eps, dt)
+    grid = make_grid(1, 3)
     if tag == "dirk2-stage":
         terms = (1.0, r, dt * DIRK2_TABLEAU.a[0][0])
+        x_field, _ = newton_solve(*implicit_system(grid, p, *terms), np.full(3, r))
     else:
-        terms = _step_terms({"be": BE, "cn": CN, "modcn": MODCN}[tag], r, 0.0, p)
-    f, fp = constant_residual(p, *terms)
-    x_scalar, _ = newton_solve(f, fp, r)
-    x_array, _ = newton_solve(
-        lambda v: np.array([f(float(v[0]))]), lambda v: np.array([[fp(float(v[0]))]]), np.array([r])
-    )
+        kind = {"be": BE, "cn": CN, "modcn": MODCN}[tag]
+        terms = _step_terms(kind, r, 0.0, p)
+        x_field = step(kind, constant_field(grid, r), p)[0].values
+    x_scalar, _ = newton_solve(*constant_residual(p, *terms), r)
     roots = real_cubic_roots(*constant_cubic(p, *terms)).real_roots
     assert isinstance(x_scalar, float)
-    assert _nearest(roots, x_scalar) == _nearest(roots, float(x_array[0]))
+    assert {_nearest(roots, x) for x in x_field} == {_nearest(roots, x_scalar)}
