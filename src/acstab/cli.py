@@ -340,10 +340,7 @@ def _analyze_bifurcations(args, out: str) -> int:
     dim = args.dim or 1
     eps_min = args.eps_min if args.eps_min is not None else 1e-3
     max_k = args.max_k if args.max_k is not None else 8
-    stage_a = kind.tableau.max_diag if kind.tag == "dirk" else None
-    points = enumerate_bifurcations(
-        kind, args.c, dt, eps_min, max_k=max_k, dim=dim, stage_a=stage_a
-    )
+    points = enumerate_bifurcations(kind, args.c, dt, eps_min, max_k=max_k, dim=dim)
     header = ["k1", "k2", "eps_sq", "eigenfunction", "note"]
     if not points:
         _write_csv(out, header, [["", "", "", "no bifurcation: 1 - 3c^2 <= 0 or below eps-min", ""]])
@@ -415,11 +412,7 @@ def _analyze_perturb(args, out: str) -> int:
     if kind.tag == "be":
         raise ConfigurationError("perturbation gains are defined for cn, modcn, dirk2")
     _require(args, "r")
-    chains = ()
-    if kind.tag == "dirk":
-        chains = preimage_constants(kind, args.c, p).chains
-        if not chains:
-            raise AnalysisError(f"no preimage chain at c = {args.c:g}")
+    chains = preimage_constants(kind, args.c, p).chains if kind.tag == "dirk" else ()
     r, g = _branch_gains(kind, args.c, args.r, mode, p, chains)
     gains = [*g.gain, "", ""][:3]
     _write_csv(out, header, [[kind.label, args.c, r, args.k, lcol, *gains, int(g.pole)]])

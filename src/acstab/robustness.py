@@ -10,14 +10,23 @@ initial state settles at +1 or -1 in an alternating pattern; the two-stage
 DIRK scheme interleaves a second family s_1 < s_2 < ... produced by its
 inner stage.
 
+Every backward computation walks one description of the step read
+backward, ``_backward_links``: a chain of links from the result back to
+the start, each one equation between a later state x and an earlier state
+u, given as ``schemes.implicit_system`` terms in either side.  CN and MODCN
+are one implicit link, backward Euler one explicit link, and the two-stage
+DIRK scheme three links c -> phi_2 -> phi_1 -> r (the last explicit).  On
+constants the walk gives ``preimage_constants`` (one cubic per implicit
+link), on fields ``preimage_field`` (one Newton solve per implicit link and
+continuation point), and on one Laplacian mode the gains below.
+
 For non-constant data near a constant c, the extra preimage branches
 persist: the first-order response of the branch through r to a target
 perturbation delta * mode is delta * B * mode.  The gain B is a ratio of
-kernel slopes (``schemes.mode_slope`` on the mode): minus the step
-equation's Jacobian in the next state at c over its Jacobian in the
-previous state at r, chained through the stages for DIRK.
-``preimage_field`` turns that linearization into an exact discrete preimage
-by continuation in delta.
+kernel slopes (``schemes.mode_slope`` on the mode): minus each link's
+Jacobian in its later state over its Jacobian in its earlier state,
+multiplied down the links.  ``preimage_field`` turns that linearization
+into an exact discrete preimage by continuation in delta.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from .solvers import (
     NewtonConfig,
     NewtonReport,
     delta_schedule,
-    homotopy_path,
+    homotopy_path,  # unused here, kept for perfbench/layertrace.py, which patches it
     march_deltas,
     newton_solve,
     real_cubic_roots,
@@ -61,60 +70,19 @@ __all__ = [
 class PreimageSet:
     """Constant states r that one step maps to the constant c.
 
-    cubics holds the closed-form solves behind the roots (one cubic for the
-    single-stage schemes; the stage chain's cubics for DIRK).  For DIRK,
-    chains pairs each root with its full stage history (r, phi_1, phi_2).
+    cubics holds the closed-form solves behind the roots, one per implicit
+    link walked (none for backward Euler; the stage chain's cubics for
+    DIRK).  chains pairs each root with its stage history, earliest first:
+    (r,) for the single-stage schemes and (r, phi_1, phi_2) for DIRK.  For
+    every scheme the chains are sorted by r, and chains whose r lies within
+    MERGE_TOL of the previous kept one (a multiple root) are listed once.
     """
 
     scheme: SchemeKind
     c: float
     roots: tuple[float, ...]
     cubics: tuple[CubicRoots, ...]
-    chains: tuple[tuple[float, ...], ...] = ()
-
-
-def _dirk_backward_data(kind: SchemeKind):
-    """Validate that the tableau supports backward stage elimination."""
-    tab = kind.tableau
-    if tab.stages != 2:
-        raise ConfigurationError("backward stage elimination implemented for 2-stage tableaux")
-    beta = tab.b[1] - tab.a[1][1]
-    alpha = tab.a[1][0] - tab.a[0][0]
-    if tab.b[0] != tab.a[1][0] or beta == 0.0 or alpha == 0.0 or tab.a[0][0] == 0.0:
-        raise ConfigurationError(
-            "tableau is not backward-triangular (needs b1 = a21 and nonzero "
-            "a11, a21 - a11, b2 - a22)"
-        )
-    return tab, alpha, beta
-
-
-def _dirk_chain_preimages(kind: SchemeKind, c: float, p: ACParams):
-    """Solve the stage chain backward: c -> phi_2 -> phi_1 -> r.
-
-    Each backward stage solves target = u + gamma F(u) for u: implicit_system
-    with terms (-1, target, gamma), here on constants.
-    """
-    tab, alpha, beta = _dirk_backward_data(kind)
-    cubics: list[CubicRoots] = []
-    chains: list[tuple[float, float, float]] = []
-    # final combination: c = phi_2 + dt * beta * F(phi_2)
-    final = real_cubic_roots(*constant_cubic(p, -1.0, c, p.dt * beta))
-    cubics.append(final)
-    for phi2 in final.real_roots:
-        # stage 2 relation: phi_2 - dt a22 F(phi_2) = phi_1 + dt alpha F(phi_1)
-        target = phi2 - p.dt * tab.a[1][1] * ac_force(0.0, phi2, p)
-        stage1 = real_cubic_roots(*constant_cubic(p, -1.0, target, p.dt * alpha))
-        cubics.append(stage1)
-        for phi1 in stage1.real_roots:
-            r = phi1 - p.dt * tab.a[0][0] * ac_force(0.0, phi1, p)
-            chains.append((r, phi1, phi2))
-    chains.sort(key=lambda ch: ch[0])
-    merged: list[tuple[float, float, float]] = []
-    for ch in chains:
-        if merged and abs(ch[0] - merged[-1][0]) <= MERGE_TOL:
-            continue
-        merged.append(ch)
-    return merged, cubics
+    chains: tuple[tuple[float, ...], ...]
 
 
 def _backward_terms(kind: SchemeKind, v, lap_v, p: ACParams):
@@ -127,26 +95,75 @@ def _backward_terms(kind: SchemeKind, v, lap_v, p: ACParams):
     return -idt - ie2, 0.0, 0.5, idt * v - 0.5 * lap_v, v
 
 
+def _backward_links(kind: SchemeKind, p: ACParams):
+    """One step read backward: links (fwd, bwd) from the result to the start.
+
+    A link is one equation between a later state x and an earlier state u.
+    bwd(x, lap_x) gives its implicit_system terms in u (lap_x = Lap(x), 0.0
+    on constants), fwd(u) its terms in x on constants; a bwd with b = 0 is
+    explicit, u = s - k / a.  DIRK walks c -> phi_2 -> phi_1 -> r.
+    """
+    dt = p.dt
+    if kind.tag == "be":
+        # x - dt F(x) = u; k in this form gives u = c + dt (c^3 - c) / eps^2 to the bit on constants
+        return ((lambda u: (1.0, u, dt),
+                 lambda x, lap_x: (-1.0, x, 0.0, dt * (x ** 3 - x) / p.eps2 - dt * lap_x)),)
+    if kind.tag != "dirk":
+        return ((lambda u: _step_terms(kind, u, 0.0, p),
+                 lambda x, lap_x: _backward_terms(kind, x, lap_x, p)),)
+    tab = kind.tableau
+    if tab.stages != 2:
+        raise ConfigurationError("backward stage elimination implemented for 2-stage tableaux")
+    (a11, _), (a21, a22) = tab.a
+    alpha, beta = a21 - a11, tab.b[1] - a22
+    if tab.b[0] != a21 or beta == 0.0 or alpha == 0.0:
+        raise ConfigurationError(
+            "tableau is not backward-triangular (needs b1 = a21 and nonzero a21 - a11, b2 - a22)"
+        )
+    return (
+        # c = phi_2 + dt beta F(phi_2)
+        (lambda u: (1.0, u + dt * beta * ac_force(0.0, u, p), 0.0),
+         lambda x, lap_x: (-1.0, x, dt * beta)),
+        # phi_2 - dt a22 F(phi_2) = phi_1 + dt alpha F(phi_1)
+        (lambda u: (1.0, u + dt * alpha * ac_force(0.0, u, p), dt * a22),
+         lambda x, lap_x: (-1.0, x - dt * a22 * ac_force(lap_x, x, p), dt * alpha)),
+        # phi_1 - dt a11 F(phi_1) = r
+        (lambda u: (1.0, u, dt * a11),
+         lambda x, lap_x: (-1.0, x, 0.0, -(dt * a11 * ac_force(lap_x, x, p)))),
+    )
+
+
+def _explicit(a, s, b, k=0.0, partner=None):
+    """u solving a (u - s) + k = 0: a link whose bwd has b = 0."""
+    return s - k / a
+
+
 def preimage_constants(kind: SchemeKind, c: float, p: ACParams) -> PreimageSet:
     """All constant preimages of the constant next state c under one step.
 
-    Backward Euler inverts explicitly (one preimage, always); the trapezoid
-    schemes solve one cubic in r; the two-stage DIRK scheme solves the stage
-    chain backward and deduplicates coincident preimages at 1e-8.
+    Walks the scheme's backward links from c: an explicit link maps each
+    chain to one earlier state, an implicit one to every real root of its
+    cubic.  Backward Euler thus has one preimage, always; the trapezoid
+    schemes solve one cubic and DIRK the stage chain's cubics.
     """
-    if kind.tag == "be":
-        r = c + p.dt * (c ** 3 - c) / p.eps2
-        return PreimageSet(kind, c, (r,), ())
-    if kind.tag in ("cn", "modcn"):
-        cub = real_cubic_roots(*constant_cubic(p, *_backward_terms(kind, c, 0.0, p)))
-        return PreimageSet(kind, c, cub.real_roots, (cub,))
-    chains, cubics = _dirk_chain_preimages(kind, c, p)
-    return PreimageSet(
-        kind, c,
-        tuple(ch[0] for ch in chains),
-        tuple(cubics),
-        tuple(chains),
-    )
+    walks: list[tuple[float, ...]] = [(c,)]
+    cubics: list[CubicRoots] = []
+    for _fwd, bwd in _backward_links(kind, p):
+        grown = []
+        for walk in walks:
+            terms = bwd(walk[-1], 0.0)
+            if terms[2] == 0.0:
+                grown.append(walk + (_explicit(*terms),))
+                continue
+            cub = real_cubic_roots(*constant_cubic(p, *terms))
+            cubics.append(cub)
+            grown += [walk + (u,) for u in cub.real_roots]
+        walks = grown
+    chains: list[tuple[float, ...]] = []
+    for ch in sorted((tuple(reversed(w[1:])) for w in walks), key=lambda ch: ch[0]):
+        if not chains or abs(ch[0] - chains[-1][0]) > MERGE_TOL:
+            chains.append(ch)
+    return PreimageSet(kind, c, tuple(ch[0] for ch in chains), tuple(cubics), tuple(chains))
 
 
 @dataclass(frozen=True)
@@ -211,7 +228,7 @@ def interval_sequence(kind: SchemeKind, ratio: float, count: int) -> IntervalSeq
 
     # two-stage DIRK: ratio = dt / (4 eps^2)
     p = ACParams(eps=1.0, dt=4.0 * ratio)
-    _dirk_backward_data(kind)
+    _backward_links(kind, p)  # rejects tableaux the backward walk cannot read
     r1 = 2.0 * math.sqrt(1.0 + 1.0 / ratio)
     # s_1 = r_1 - 2 y with y the unique real root of the inner-stage cubic
     # r_1 = y + ratio F(y) at eps = 1: a backward stage with gamma = ratio
@@ -310,23 +327,25 @@ class PerturbationGain:
     pole: bool = False
 
 
-def _chained_gains(kind, c, r, k: ModeIndex, p: ACParams, links) -> PerturbationGain:
-    """Running products of -slope(fwd at x_new) / slope(bwd at x_old) over links.
+def _chain_gains(kind, states, k: ModeIndex, p: ACParams) -> PerturbationGain:
+    """Running products of -slope(fwd at x) / slope(bwd at u) down the links.
 
-    A link (fwd, x_new, bwd, x_old) is one equation between a later state
-    x_new and an earlier x_old, as implicit_system's terms in each; slopes
-    are mode_slope's on mode k.  A vanishing bwd slope is a pole: from it on
+    states holds the constants the walk passes, from the result to the start;
+    link i joins x = states[i] to u = states[i + 1], and slopes are
+    mode_slope's on mode k.  A vanishing bwd slope is a pole: from it on
     every gain is nan.
     """
     m = k.laplace_eigenvalue
+    links = _backward_links(kind, p)
     gains: list[float] = []
-    for fwd, x_new, bwd, x_old in links:
-        den = mode_slope(p, *bwd)(x_old, m)
-        if abs(den) <= 1e-13 * max(abs(bwd[0]), abs(den - bwd[0])):
+    for (fwd, bwd), x, u in zip(links, states[:-1], states[1:], strict=True):
+        terms = bwd(x, 0.0)
+        den = mode_slope(p, *terms)(u, m)
+        if abs(den) <= 1e-13 * max(abs(terms[0]), abs(den - terms[0])):
             gains += [math.nan] * (len(links) - len(gains))
-            return PerturbationGain(kind, c, r, k, tuple(gains), True)
-        gains.append((gains[-1] if gains else 1.0) * -mode_slope(p, *fwd)(x_new, m) / den)
-    return PerturbationGain(kind, c, r, k, tuple(gains))
+            return PerturbationGain(kind, states[0], states[-1], k, tuple(gains), True)
+        gains.append((gains[-1] if gains else 1.0) * -mode_slope(p, *fwd(u))(x, m) / den)
+    return PerturbationGain(kind, states[0], states[-1], k, tuple(gains))
 
 
 def perturbation_gain(
@@ -337,8 +356,7 @@ def perturbation_gain(
         raise ConfigurationError(
             "single gain defined for the trapezoid schemes; use dirk_perturbation_gains"
         )
-    link = (_step_terms(kind, r, 0.0, p), c, _backward_terms(kind, c, 0.0, p), r)
-    return _chained_gains(kind, c, r, k, p, (link,))
+    return _chain_gains(kind, (c, r), k, p)
 
 
 def dirk_perturbation_gains(
@@ -347,25 +365,11 @@ def dirk_perturbation_gains(
     """Stage gains (B2, B1, B0) of a two-stage DIRK scheme (default DIRK2).
 
     c2 and c1 are the constant stage states of the branch (outer combination
-    stage and inner stage), e.g. taken from a preimage chain.  The links are
-    the backward stage chain of _dirk_chain_preimages: c = phi_2 + dt beta
-    F(phi_2), phi_2 - dt a22 F(phi_2) = phi_1 + dt alpha F(phi_1) and
-    phi_1 - dt a11 F(phi_1) = r, each side a stage (+-1, ., dt * coefficient).
+    stage and inner stage), e.g. taken from a preimage chain.  The walk's
+    first fwd and last bwd sides are explicit (b = 0, slope +-1), so c and r
+    need not be known: c2 and c1 stand in for them.
     """
-    kind = kind or DIRK2
-    tab, alpha, beta = _dirk_backward_data(kind)
-
-    def stage(sign, coef):
-        return (sign, 0.0, p.dt * coef)
-
-    # a zero coefficient makes that side the identity (slope +-1): c and r
-    # need not be known
-    links = (
-        (stage(1.0, 0.0), c2, stage(-1.0, beta), c2),
-        (stage(1.0, tab.a[1][1]), c2, stage(-1.0, alpha), c1),
-        (stage(1.0, tab.a[0][0]), c1, stage(-1.0, 0.0), c1),
-    )
-    return _chained_gains(kind, c2, c1, k, p, links)
+    return _chain_gains(kind or DIRK2, (c2, c2, c1, c1), k, p)
 
 
 def _be_preimage_field(phi_next: ScalarField, p: ACParams) -> tuple[ScalarField, NewtonReport]:
@@ -376,58 +380,6 @@ def _be_preimage_field(phi_next: ScalarField, p: ACParams) -> tuple[ScalarField,
     resid = (v - u) / p.dt - rhs
     rnorm = float(np.max(np.abs(resid)))
     return ScalarField(grid, u), NewtonReport(0, rnorm, True, (rnorm,))
-
-
-def _backward_problem(kind: SchemeKind, grid, c: float, shape: np.ndarray, p: ACParams):
-    """problem(delta) for homotopy_path: unknown u with target c + delta*shape.
-
-    The Jacobians are ShiftedLaplacians.
-    """
-    lap = laplacian_matrix(grid)
-
-    def problem(delta: float):
-        v = c + delta * shape
-        return implicit_system(grid, p, *_backward_terms(kind, v, lap @ v, p))
-
-    return problem
-
-
-def _dirk_preimage_field(kind, grid, c, shape, seed, p, hcfg, ncfg):
-    """Backward stage chain under continuation in delta (2-stage tableaux)."""
-    tab, alpha, beta = _dirk_backward_data(kind)
-    lap = laplacian_matrix(grid)
-
-    ps = preimage_constants(kind, c, p)
-    if not ps.chains:
-        raise AnalysisError(f"no constant preimage chain at c = {c:.6g}")
-    r_seed = field_mean(seed)
-    chain = min(ps.chains, key=lambda ch: abs(ch[0] - r_seed))
-    _, c1, c2 = chain
-
-    def solve_at(delta, state):
-        v = c + delta * shape
-        x2_prev, _ = state if state is not None else (
-            np.full(grid.num_nodes, c2), np.full(grid.num_nodes, c1)
-        )
-
-        # target relation: v = u + dt * beta * F(u) with F(u) = lap u - nl(u)/eps^2
-        x2, rep2 = newton_solve(*implicit_system(grid, p, -1.0, v, p.dt * beta), x2_prev, ncfg)
-        if not rep2.converged:
-            return state, rep2
-        x1_prev = state[1] if state is not None else np.full(grid.num_nodes, c1)
-
-        target1 = x2 - p.dt * tab.a[1][1] * ac_force(lap @ x2, x2, p)
-        x1, rep1 = newton_solve(
-            *implicit_system(grid, p, -1.0, target1, p.dt * alpha), x1_prev, ncfg
-        )
-        return (x2, x1), rep1
-
-    state, report = march_deltas(solve_at, delta_schedule(hcfg), hcfg.adaptive)
-    if state is None:
-        raise AnalysisError("backward stage chain failed at the first continuation point")
-    x2, x1 = state
-    x0 = x1 - p.dt * tab.a[0][0] * ac_force(lap @ x1, x1, p)
-    return ScalarField(grid, x0), report
 
 
 def preimage_field(
@@ -441,26 +393,47 @@ def preimage_field(
     """A field phi_n that one step of the scheme maps to phi_next.
 
     The target is split as constant mean plus delta * shape with
-    delta = hcfg.delta_end, and the branch selected by the seed (typically
-    r + delta * B * mode, with r a constant preimage and B its gain) is
-    continued from delta_start up to the full perturbation.  Backward Euler
-    needs no continuation: its preimage is explicit.
+    delta = hcfg.delta_end, and the scheme's backward links are walked from
+    it under continuation from delta_start up to the full perturbation.
+    The seed (typically r + delta * B * mode, with r a constant preimage and
+    B its gain) starts the earliest unknown; DIRK's intermediate stages
+    start from the constant preimage chain whose r is nearest the seed's
+    mean.  Backward Euler needs no continuation: its preimage is explicit.
 
     Returns the preimage and the final NewtonReport; a failed continuation
     reports converged=False with report.delta the last good amplitude, and
-    returns the last good iterate.
+    returns the last good iterate (the seed if none).
     """
     ncfg = ncfg or NewtonConfig()
     if kind.tag == "be":
         return _be_preimage_field(phi_next, p)
     grid = phi_next.grid
+    lap = laplacian_matrix(grid)
+    links = _backward_links(kind, p)
     c = field_mean(phi_next)
     if hcfg.delta_end != 0.0:
         shape = (phi_next.values - c) / hcfg.delta_end
     else:
         shape = np.zeros(grid.num_nodes)
-    if kind.tag == "dirk":
-        return _dirk_preimage_field(kind, grid, c, shape, seed, p, hcfg, ncfg)
-    problem = _backward_problem(kind, grid, c, shape, p)
-    x, report = homotopy_path(problem, seed.values, hcfg, ncfg)
-    return ScalarField(grid, np.asarray(x)), report
+    starts = [seed.values]
+    if len(links) > 1:
+        r_seed = field_mean(seed)
+        chain = min(preimage_constants(kind, c, p).chains, key=lambda ch: abs(ch[0] - r_seed))
+        starts = [np.full(grid.num_nodes, x) for x in reversed(chain[1:])] + starts
+
+    def solve_at(delta, state):
+        x = c + delta * shape
+        walked = []
+        for (_fwd, bwd), start in zip(links, state or starts):
+            terms = bwd(x, lap @ x)
+            if terms[2] == 0.0:
+                x = _explicit(*terms)
+            else:
+                x, report = newton_solve(*implicit_system(grid, p, *terms), start, ncfg)
+                if not report.converged:
+                    return state, report
+            walked.append(x)
+        return walked, report
+
+    state, report = march_deltas(solve_at, delta_schedule(hcfg), hcfg.adaptive)
+    return ScalarField(grid, seed.values if state is None else state[-1]), report

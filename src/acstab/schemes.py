@@ -227,8 +227,7 @@ def dirk_step(
     """One DIRK step: solve stages in order, then combine with the b weights.
 
     Stage i solves phi_i - dt a_ii F(phi_i) = phi_n + dt sum_{j<i} a_ij F(phi_j),
-    Newton-started from the previous stage (or phi_n).  A zero diagonal entry
-    makes that stage explicit.
+    Newton-started from the previous stage (or phi_n).
     """
     grid = phi_n.grid
     lap = laplacian_matrix(grid)
@@ -237,19 +236,14 @@ def dirk_step(
     reports: list[NewtonReport] = []
     prev = v0
     for i in range(tableau.stages):
-        aii = tableau.a[i][i]
         known = v0.copy()
         for j in range(i):
             known += p.dt * tableau.a[i][j] * stage_f[j]
-        if aii == 0.0:
-            stage = known
-            reports.append(NewtonReport(0, 0.0, True, (0.0,)))
-        else:
-            residual, jacobian = dirk_stage_system(known, p.dt * aii, grid, p)
-            stage, rep = newton_solve(residual, jacobian, prev, cfg)
-            reports.append(rep)
-            if not rep.converged:
-                return ScalarField(grid, stage), StepReport(tuple(reports))
+        residual, jacobian = dirk_stage_system(known, p.dt * tableau.a[i][i], grid, p)
+        stage, rep = newton_solve(residual, jacobian, prev, cfg)
+        reports.append(rep)
+        if not rep.converged:
+            return ScalarField(grid, stage), StepReport(tuple(reports))
         stage_f.append(ac_force(lap @ stage, stage, p))
         prev = stage
     out = v0.copy()
@@ -396,14 +390,10 @@ def scalar_map(kind: SchemeKind, r: float, p: ACParams) -> list[tuple[float, boo
     tab = kind.tableau
     chains: list[tuple[tuple[float, ...], float | None]] = [((), r)]
     for i in range(tab.stages):
-        aii = tab.a[i][i]
         grown = []
         for vals, start in chains:
             s = r + sum(p.dt * tab.a[i][j] * ac_force(0.0, x, p) for j, x in enumerate(vals))
-            if aii == 0.0:
-                grown.append((vals + (s,), None if start is None else s))
-                continue
-            terms = (1.0, s, p.dt * aii)
+            terms = (1.0, s, p.dt * tab.a[i][i])
             roots = real_cubic_roots(*constant_cubic(p, *terms)).real_roots
             if start is None:
                 grown += [(vals + (x,), None) for x in roots]

@@ -8,11 +8,12 @@ question of local solvability into a sign condition on a scalar coefficient
 
 where D = a / b of the step's terms (a, b) in ``schemes.implicit_system``:
 1/dt for backward Euler, 2/dt for Crank-Nicolson, and 1/(dt * a_ii) for a
-DIRK stage, taken as a backward Euler step of length dt * a_ii.  The
-coefficient is the kernel's slope ``schemes.mode_slope`` of those terms.  No
-crossing exists when 1 - 3c^2 <= 0, and the modified Crank-Nicolson scheme
-never bifurcates at all.  Sufficient uniqueness thresholds on the time step
-follow by taking the worst mode (k = 0) and worst state (c = 0).
+DIRK step, taken as its stiffest stage (a_ii the largest diagonal entry), a
+backward Euler step of length dt * a_ii.  The coefficient is the kernel's
+slope ``schemes.mode_slope`` of those terms.  No crossing exists when
+1 - 3c^2 <= 0, and the modified Crank-Nicolson scheme never bifurcates at
+all.  Sufficient uniqueness thresholds on the time step follow by taking
+the worst mode (k = 0) and worst state (c = 0).
 """
 
 from __future__ import annotations
@@ -57,42 +58,33 @@ def stability_threshold(kind: SchemeKind, eps: float) -> StabilityThreshold:
     return StabilityThreshold(kind, e2 / kind.tableau.max_diag, "EPS2_OVER_MAX_AII")
 
 
-def _step_terms_at(kind: SchemeKind, p: ACParams, v0, stage_a: float | None):
-    """implicit_system's terms of one step from v0; a DIRK stage is a
-    backward Euler step of length dt * stage_a."""
+def _step_terms_at(kind: SchemeKind, p: ACParams, v0):
+    """implicit_system's terms of one step from v0; a DIRK step is taken as
+    its stiffest stage, a backward Euler step of length dt * max a_ii."""
     if kind.tag != "dirk":
         return _step_terms(kind, v0, 0.0, p)
-    if stage_a is None or stage_a <= 0.0:
-        raise ConfigurationError("dirk needs a stage diagonal entry > 0")
-    return _step_terms(BE, v0, 0.0, ACParams(p.eps, p.dt * stage_a))
+    return _step_terms(BE, v0, 0.0, ACParams(p.eps, p.dt * kind.tableau.max_diag))
 
 
 def uniqueness_coefficient(
     kind: SchemeKind,
     c: float,
     p: ACParams,
-    stage_a: float | None = None,
     r: float | None = None,
 ) -> float:
     """Scalar slope of the one-step equation at a constant state c (mode k = 0).
 
     Positive for every admissible c means the step from any state near c is
-    uniquely solvable.  For DIRK, `stage_a` is the diagonal entry of the
-    stage under consideration; for the modified Crank-Nicolson scheme the
-    slope also involves the previous state r.
+    uniquely solvable.  For DIRK the slope is that of the stage with the
+    largest diagonal entry; for the modified Crank-Nicolson scheme it also
+    involves the previous state r.
     """
     if kind.tag == "modcn" and r is None:
         raise ConfigurationError("modcn slope needs the previous state r")
-    return mode_slope(p, *_step_terms_at(kind, p, c if r is None else r, stage_a))(c)
+    return mode_slope(p, *_step_terms_at(kind, p, c if r is None else r))(c)
 
 
-def bifurcation_epsilon_sq(
-    kind: SchemeKind,
-    c: float,
-    dt: float,
-    k: ModeIndex,
-    stage_a: float | None = None,
-) -> float | None:
+def bifurcation_epsilon_sq(kind: SchemeKind, c: float, dt: float, k: ModeIndex) -> float | None:
     """eps^2 at which mode k's linearized coefficient vanishes at state c.
 
     Returns None when no bifurcation exists: always for the modified
@@ -106,7 +98,7 @@ def bifurcation_epsilon_sq(
     num = -mode_slope(p, 0.0, c, 1.0)(c)
     if num <= 0.0:
         return None
-    a, _, b, _, _ = _step_terms_at(kind, p, c, stage_a)
+    a, _, b, _, _ = _step_terms_at(kind, p, c)
     return num / (a / b + k.laplace_eigenvalue)
 
 
@@ -142,7 +134,6 @@ def enumerate_bifurcations(
     eps_min: float,
     max_k: int = 8,
     dim: int = 1,
-    stage_a: float | None = None,
 ) -> list[BifurcationPoint]:
     """All modes with k_i <= max_k whose bifurcation eps exceeds eps_min.
 
@@ -161,7 +152,7 @@ def enumerate_bifurcations(
         modes = [ModeIndex((a, b)) for a in comps for b in comps]
     points: list[BifurcationPoint] = []
     for mode in modes:
-        e2 = bifurcation_epsilon_sq(kind, c, dt, mode, stage_a=stage_a)
+        e2 = bifurcation_epsilon_sq(kind, c, dt, mode)
         if e2 is None or e2 < eps_min * eps_min:
             continue
         note = ""

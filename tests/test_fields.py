@@ -179,6 +179,11 @@ def test_butcher_tableau():
         ButcherTableau(a=((0.0,),), b=(1.0,), c=(0.0,))  # explicit-only
 
 
+def test_butcher_tableau_rejects_explicit_stages():
+    with pytest.raises(ConfigurationError):
+        ButcherTableau(a=((0.0, 0.0), (0.5, 0.5)), b=(0.5, 0.5), c=(0.0, 1.0))
+
+
 def test_field_statistics():
     g = make_grid(1, 33)
     assert field_mean(constant_field(g, 0.75)) == pytest.approx(0.75, abs=1e-14)

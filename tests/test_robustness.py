@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acstab import reference
 import acstab.robustness as robustness
@@ -13,14 +15,15 @@ from acstab.fields import (
     ButcherTableau,
     ModeIndex,
     ScalarField,
+    ac_force,
     eval_mode,
     field_mean,
+    laplacian_matrix,
     make_grid,
     trapezoid_weights,
 )
 from acstab.robustness import (
-    _backward_problem,
-    _dirk_backward_data,
+    _backward_links,
     classify_constant_initial,
     dirk_perturbation_gains,
     interval_sequence,
@@ -28,7 +31,18 @@ from acstab.robustness import (
     preimage_constants,
     preimage_field,
 )
-from acstab.schemes import BE, CN, DIRK2, MODCN, SchemeKind, implicit_system, scalar_map, step
+from acstab.schemes import (
+    BE,
+    CN,
+    DIRK2,
+    MERGE_TOL,
+    MODCN,
+    SchemeKind,
+    constant_residual,
+    implicit_system,
+    scalar_map,
+    step,
+)
 from acstab.solvers import HomotopyConfig, NewtonConfig, fd_jacobian
 
 SQ3 = math.sqrt(3.0)
@@ -36,6 +50,10 @@ SQ3 = math.sqrt(3.0)
 
 def _close(got, want, tol=1e-3):
     return abs(got - want) <= tol * max(1.0, abs(want))
+
+
+# a backward-triangular tableau other than DIRK2's (a11 != a22, alpha != beta)
+_DIRK_ODD = SchemeKind("dirk", ButcherTableau(((0.3, 0.0), (0.5, 0.2)), (0.5, 0.5), (0.3, 0.7)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +153,13 @@ def test_preimage_trapezoid_examples():
     for got, want in zip(ps.roots, (-SQ3, 0.0, SQ3)):
         assert abs(got - want) <= 1e-9
     assert ps.cubics[0].discriminant_sign == 1
+    # the double root 1 is listed once; the cubic keeps its multiplicity
     ps1 = preimage_constants(CN, 1.0, p)
-    for got, want in zip(ps1.roots, (-2.0, 1.0, 1.0)):
+    assert len(ps1.roots) == 2 and ps1.chains == tuple((r,) for r in ps1.roots)
+    for got, want in zip(ps1.roots, (-2.0, 1.0)):
         assert abs(got - want) <= 1e-9
     assert ps1.cubics[0].discriminant_sign == 0
+    assert ps1.cubics[0].real_roots == (ps1.roots[0], ps1.roots[1], ps1.roots[1])
 
 
 def test_preimage_dirk_examples():
@@ -173,6 +194,78 @@ def test_preimage_roots_map_forward():
         for root in preimage_constants(kind, c, p).roots:
             images = [img for img, _sel in scalar_map(kind, float(root), p)]
             assert min(abs(img - c) for img in images) <= 1e-8
+
+
+def _forward_sides(kind, c, chain, p):
+    """The forward step equations a preimage chain must satisfy, as pairs of
+    term lists (lhs, rhs), written from the schemes' definitions."""
+    dt = p.dt
+
+    def f(v):
+        return ac_force(0.0, v, p)
+
+    if kind.tag == "dirk":
+        (a11, _), (a21, a22) = kind.tableau.a
+        b1, b2 = kind.tableau.b
+        r, x1, x2 = chain
+        return (
+            ([x1, -dt * a11 * f(x1)], [r]),
+            ([x2, -dt * a22 * f(x2)], [r, dt * a21 * f(x1)]),
+            ([c], [r, dt * b1 * f(x1), dt * b2 * f(x2)]),
+        )
+    (r,) = chain
+    if kind.tag == "be":
+        return (([c, -dt * f(c)], [r]),)
+    if kind.tag == "cn":
+        return (([c, -0.5 * dt * f(c)], [r, 0.5 * dt * f(r)]),)
+    # modcn: (c - r) / dt = -((c + r)(c^2 + r^2) / 4 - r) / eps^2
+    return (([c, dt * (c + r) * (c * c + r * r) / (4.0 * p.eps2)], [r, dt * r / p.eps2]),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((BE, CN, MODCN, DIRK2, _DIRK_ODD)),
+    st.floats(-3.0, 3.0, allow_nan=False),
+    st.floats(0.05, 1.0),
+    st.floats(1e-3, 2.0),
+)
+def test_preimage_chains_satisfy_the_forward_step(kind, c, eps, dt):
+    p = ACParams(eps, dt)
+    ps = preimage_constants(kind, c, p)
+    assert ps.chains and ps.roots == tuple(ch[0] for ch in ps.chains)
+    assert all(b - a > MERGE_TOL for a, b in zip(ps.roots, ps.roots[1:]))
+    for chain in ps.chains:
+        for lhs, rhs in _forward_sides(kind, c, chain, p):
+            # relative to the terms, or to 1 where they are all tiny: the
+            # cubics' roots are accurate to their own O(1) scale
+            scale = max(1.0, sum(abs(t) for t in lhs + rhs))
+            assert abs(sum(lhs) - sum(rhs)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "kind", (BE, CN, MODCN, DIRK2, _DIRK_ODD), ids=("be", "cn", "modcn", "dirk2", "dirk-odd")
+)
+def test_backward_link_sides_are_one_equation(kind):
+    # fwd(u) at x and bwd(x) at u are the same residual, so slope ratios of
+    # the two sides are gains of one equation
+    rng = np.random.default_rng(59)
+    p = ACParams(0.3, 0.05)
+    for _ in range(20):
+        x, u = rng.uniform(-3, 3, 2)
+        for fwd, bwd in _backward_links(kind, p):
+            in_x = constant_residual(p, *fwd(u))[0](x)
+            in_u = constant_residual(p, *bwd(x, 0.0))[0](u)
+            assert in_x == pytest.approx(in_u, rel=1e-12, abs=1e-12)
+
+
+def test_backward_links_reject_unreadable_tableaux():
+    p = ACParams(0.3, 0.05)
+    three = ButcherTableau(((0.5, 0, 0), (0.25, 0.5, 0), (0.25, 0.25, 0.5)), (0.25, 0.25, 0.5),
+                           (0.5, 0.75, 1.0))
+    b1_not_a21 = ButcherTableau(((0.25, 0.0), (0.5, 0.25)), (0.4, 0.6), (0.25, 0.75))
+    for tab in (three, b1_not_a21):
+        with pytest.raises(ConfigurationError):
+            preimage_constants(SchemeKind("dirk", tab), 0.5, p)
 
 
 def test_preimage_odd_symmetry():
@@ -350,10 +443,6 @@ def test_dirk_gain_identity_stages():
         assert b == pytest.approx(1.0, rel=1e-12)
 
 
-# a backward-triangular tableau other than DIRK2's (a11 != a22, alpha != beta)
-_DIRK_ODD = SchemeKind("dirk", ButcherTableau(((0.3, 0.0), (0.5, 0.2)), (0.5, 0.5), (0.3, 0.7)))
-
-
 @pytest.mark.parametrize(
     "kind", (CN, MODCN, DIRK2, _DIRK_ODD), ids=("cn", "modcn", "dirk2", "dirk-odd")
 )
@@ -495,6 +584,22 @@ def test_preimage_field_reports_stall():
     assert np.all(np.isfinite(phi_n.values))
 
 
+def test_preimage_field_dirk_reports_failure_at_the_first_point():
+    # one Newton iteration cannot reach the tolerance from the constant stage
+    # chain, so the very first continuation point fails
+    grid = make_grid(1, 65)
+    p = ACParams(0.1, 0.01)
+    c = 0.5
+    root = preimage_constants(DIRK2, c, p).roots[0]
+    mode = eval_mode(ModeIndex((1.0,)), grid)
+    target = ScalarField(grid, c + 0.15 * mode.values)
+    seed = ScalarField(grid, root + 1e-3 * mode.values)
+    hcfg = HomotopyConfig(delta_end=0.15)
+    phi_n, rep = preimage_field(DIRK2, target, seed, p, hcfg, NewtonConfig(max_iter=1))
+    assert not rep.converged and rep.delta is None
+    assert np.array_equal(phi_n.values, seed.values)
+
+
 
 
 def _count_splu(monkeypatch):
@@ -521,8 +626,9 @@ def test_preimage_field_2d_certified_runs_cg(monkeypatch):
     target, phi_n, rep = _mode_preimage(CN, c, root, gain, (1, 1), p, grid, 0.2)
     assert rep.converged
     assert not splu_calls
-    problem = _backward_problem(CN, grid, c, (target.values - c) / 0.2, p)
-    op = problem(0.2)[1](phi_n.values)
+    ((_, bwd),) = _backward_links(CN, p)
+    v = target.values
+    op = implicit_system(grid, p, *bwd(v, laplacian_matrix(grid) @ v))[1](phi_n.values)
     assert op.certified and op.a + op.d.min() > 300.0
     fwd, _ = step(CN, phi_n, p)
     assert np.max(np.abs(fwd.values - target.values)) <= 1e-8
@@ -542,10 +648,10 @@ def test_preimage_field_2d_uncertified_runs_lu(monkeypatch):
     target, phi_n, rep = _mode_preimage(DIRK2, c, r, g.gain[2], (1, 1), p, grid, 0.2)
     assert rep.converged
     assert splu_calls
-    _, alpha, beta = _dirk_backward_data(DIRK2)
-    for cval, coef in ((c2, beta), (c1, alpha)):
-        u = np.full(grid.num_nodes, cval)
-        op = implicit_system(grid, p, -1.0, u, p.dt * coef)[1](u)
+    # the outer link c -> c2 and the inner link c2 -> c1, at their unknowns
+    for (_, bwd), x, u in zip(_backward_links(DIRK2, p), (c, c2), (c2, c1)):
+        terms = bwd(np.full(grid.num_nodes, x), 0.0)
+        op = implicit_system(grid, p, *terms)[1](np.full(grid.num_nodes, u))
         assert not op.certified and op.a + op.d.min() == pytest.approx(-1.1, abs=0.15)
     fwd, _ = step(DIRK2, phi_n, p)
     assert np.max(np.abs(fwd.values - target.values)) <= 1e-8
@@ -565,7 +671,9 @@ def test_backward_problem_jacobian_matches_fd(kind, dim, n):
     for _ in range(10):
         c = rng.uniform(-2, 2)
         shape = rng.uniform(-1, 1, grid.num_nodes)
-        residual, jacobian = _backward_problem(kind, grid, c, shape, p)(rng.uniform(0, 1))
+        v = c + rng.uniform(0, 1) * shape
+        ((_, bwd),) = _backward_links(kind, p)
+        residual, jacobian = implicit_system(grid, p, *bwd(v, laplacian_matrix(grid) @ v))
         u = rng.uniform(-2, 2, grid.num_nodes)
         assert _fd_rel_error(residual, jacobian, u) <= 1e-5
 
@@ -575,11 +683,12 @@ def test_dirk_backward_stage_jacobians_match_fd(dim, n):
     rng = np.random.default_rng(43)
     grid = make_grid(dim, n)
     p = ACParams(0.3, 0.05)
-    _, alpha, beta = _dirk_backward_data(DIRK2)
+    lap = laplacian_matrix(grid)
+    outer, inner, _ = _backward_links(DIRK2, p)
     for _ in range(10):
         # the outer stage (beta) and the inner stage (alpha) of the chain
-        for coef in (beta, alpha):
-            target = rng.uniform(-2, 2, grid.num_nodes)
-            residual, jacobian = implicit_system(grid, p, -1.0, target, p.dt * coef)
+        for _fwd, bwd in (outer, inner):
+            x = rng.uniform(-2, 2, grid.num_nodes)
+            residual, jacobian = implicit_system(grid, p, *bwd(x, lap @ x))
             u = rng.uniform(-2, 2, grid.num_nodes)
             assert _fd_rel_error(residual, jacobian, u) <= 1e-5

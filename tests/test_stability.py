@@ -5,8 +5,15 @@ import pytest
 import scipy.sparse as sp
 
 from acstab.errors import ConfigurationError
-from acstab.fields import ACParams, ModeIndex, eval_mode, laplacian_matrix, make_grid
-from acstab.schemes import BE, CN, DIRK2, MODCN
+from acstab.fields import (
+    ACParams,
+    ButcherTableau,
+    ModeIndex,
+    eval_mode,
+    laplacian_matrix,
+    make_grid,
+)
+from acstab.schemes import BE, CN, DIRK2, MODCN, SchemeKind
 from acstab.stability import (
     bifurcation_epsilon_sq,
     enumerate_bifurcations,
@@ -35,19 +42,18 @@ def test_threshold_validation():
 
 
 def test_uniqueness_zero_exactly_at_threshold():
-    for kind, stage_a in ((BE, None), (CN, None), (DIRK2, 0.25)):
+    for kind in (BE, CN, DIRK2):
         eps = 0.1
         dt_max = stability_threshold(kind, eps).dt_max
-        val = uniqueness_coefficient(kind, 0.0, ACParams(eps, dt_max), stage_a=stage_a)
-        assert val == 0.0
+        assert uniqueness_coefficient(kind, 0.0, ACParams(eps, dt_max)) == 0.0
 
 
 def test_uniqueness_sign_tracks_dt():
     eps = 0.2
-    for kind, stage_a in ((BE, None), (CN, None), (DIRK2, 0.25)):
+    for kind in (BE, CN, DIRK2):
         dt_max = stability_threshold(kind, eps).dt_max
-        assert uniqueness_coefficient(kind, 0.0, ACParams(eps, 0.5 * dt_max), stage_a=stage_a) > 0
-        assert uniqueness_coefficient(kind, 0.0, ACParams(eps, 2.0 * dt_max), stage_a=stage_a) < 0
+        assert uniqueness_coefficient(kind, 0.0, ACParams(eps, 0.5 * dt_max)) > 0
+        assert uniqueness_coefficient(kind, 0.0, ACParams(eps, 2.0 * dt_max)) < 0
 
 
 def test_modcn_uniqueness_always_positive():
@@ -65,19 +71,17 @@ def test_modcn_uniqueness_always_positive():
 def test_uniqueness_requires_extras():
     p = ACParams(0.1, 0.01)
     with pytest.raises(ConfigurationError):
-        uniqueness_coefficient(DIRK2, 0.0, p)  # stage_a missing
-    with pytest.raises(ConfigurationError):
         uniqueness_coefficient(MODCN, 0.0, p)  # r missing
 
 
 def test_dirk_stage_a_one_reduces_to_be():
+    # the one-stage tableau a = ((1,),) is backward Euler
+    one_stage = SchemeKind("dirk", ButcherTableau(((1.0,),), (1.0,), (1.0,)))
     rng = np.random.default_rng(23)
     for _ in range(50):
         c = rng.uniform(-2, 2)
         p = ACParams(rng.uniform(0.05, 0.5), rng.uniform(1e-3, 1.0))
-        assert uniqueness_coefficient(DIRK2, c, p, stage_a=1.0) == uniqueness_coefficient(
-            BE, c, p
-        )
+        assert uniqueness_coefficient(one_stage, c, p) == uniqueness_coefficient(BE, c, p)
 
 
 def test_bifurcation_values():
@@ -94,8 +98,8 @@ def test_bifurcation_values():
     assert bifurcation_epsilon_sq(MODCN, 0.0, 1.0, k1) is None
     # 2D zero mode, CN: (1-0)/(2/0.5 + 0) = 0.25
     assert bifurcation_epsilon_sq(CN, 0.0, 0.5, ModeIndex((0.0, 0.0))) == 0.25
-    # DIRK stage uses 1/(dt*a)
-    got = bifurcation_epsilon_sq(DIRK2, 0.0, 0.5, k1, stage_a=0.25)
+    # DIRK uses 1/(dt*a) with a = max a_ii = 0.25
+    got = bifurcation_epsilon_sq(DIRK2, 0.0, 0.5, k1)
     assert got == pytest.approx(1.0 / (8.0 + math.pi**2), rel=1e-14)
 
 
