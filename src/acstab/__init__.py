@@ -50,7 +50,6 @@ from .schemes import (
     StepReport,
     StepSummary,
     Trajectory,
-    dirk_step,
     parse_scheme,
     scalar_map,
     simulate,
@@ -113,7 +112,6 @@ __all__ = [
     "StepReport",
     "StepSummary",
     "Trajectory",
-    "dirk_step",
     "parse_scheme",
     "scalar_map",
     "simulate",

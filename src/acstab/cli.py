@@ -516,7 +516,7 @@ def _preimage_field(args, kind, p, meta, grid, out: str) -> int:
     ]])
     print(f"wrote {out} and {field_out}")
     if not rep.converged:
-        print(f"continuation stalled at delta = {rep.delta}", file=sys.stderr)
+        print(f"continuation stalled at delta = {rep.delta}: {rep.message}", file=sys.stderr)
         return 3
     return 0
 

@@ -2,13 +2,14 @@
 
 Restricted to constant states, one implicit step is a polynomial relation
 between the previous value r and the next value c, so the preimages of c
-are roots of a cubic (or, for the two-stage DIRK scheme, of a short chain
+are roots of a cubic (or, for a two-stage DIRK scheme, of a short chain
 of cubics solved backward through the stages).  The magnitudes r_1 < r_2 <
 ... at which the preimage count of the steady states changes split the real
 line into intervals on which the computed trajectory from a constant
-initial state settles at +1 or -1 in an alternating pattern; the two-stage
-DIRK scheme interleaves a second family s_1 < s_2 < ... produced by its
-inner stage.
+initial state settles at +1 or -1 in an alternating pattern.  Each family
+starts at a positive constant preimage of 0 and continues through unique
+preimages; a two-stage DIRK scheme has two such preimages of 0, so a second
+family s_1 < s_2 < ... interleaves the first.
 
 Every backward computation walks one description of the step read
 backward, ``_backward_links``: a chain of links from the result back to
@@ -32,14 +33,14 @@ into an exact discrete preimage by continuation in delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import AnalysisError, ConfigurationError
 from .fields import ACParams, ModeIndex, ScalarField, ac_force, field_mean, laplacian_matrix
-from .schemes import DIRK2, MERGE_TOL, SchemeKind, _step_terms, constant_cubic, implicit_system
-from .schemes import mode_slope, scalar_map
+from .schemes import DIRK2, MERGE_TOL, SchemeKind, _flips, _sign, _step_terms, constant_cubic
+from .schemes import implicit_system, mode_slope, scalar_map
 from .solvers import (
     CubicRoots,
     HomotopyConfig,
@@ -170,10 +171,12 @@ def preimage_constants(kind: SchemeKind, c: float, p: ACParams) -> PreimageSet:
 class IntervalSequence:
     """Threshold magnitudes splitting constant initial states by their limit.
 
-    entries is ascending: (r_1, ..., r_count) for single-family schemes and
-    (r_1, s_1, ..., r_count, s_count) interleaved for the two-stage DIRK
-    scheme.  ratio is dt over the scheme's uniqueness threshold factor times
-    eps^2, so the sequence depends on eps and dt only through it.
+    entries is ascending: (r_1, ..., r_count) for the trapezoid schemes and
+    (r_1, s_1, ..., r_count, s_count) interleaved for a two-stage DIRK
+    scheme.  ratio is dt over the scheme's uniqueness threshold,
+    dt / (2 eps^2) for the trapezoid schemes and dt max a_ii / eps^2 for
+    DIRK (dt / (4 eps^2) for DIRK2), so the sequence depends on eps and dt
+    only through it.
     """
 
     scheme: SchemeKind
@@ -191,21 +194,16 @@ class IntervalSequence:
         return ()
 
 
-def _unique_root(ps: PreimageSet, what: str) -> float:
-    if len(ps.roots) != 1:
-        raise AnalysisError(
-            f"{what}: expected a single real preimage of {ps.c:.6g}, got {len(ps.roots)}"
-        )
-    return ps.roots[0]
-
-
 def interval_sequence(kind: SchemeKind, ratio: float, count: int) -> IntervalSequence:
     """First `count` threshold magnitudes per family at the given ratio.
 
-    ratio = dt / (2 eps^2) for the trapezoid schemes and dt / (4 eps^2) for
-    the two-stage DIRK scheme.  r_1 comes from a closed form; each later
-    entry is the magnitude of the unique real preimage of its predecessor
-    (uniqueness is checked and an AnalysisError raised if it ever fails).
+    The step is taken at eps = 1 with dt = 2 ratio for the trapezoid schemes
+    and dt = ratio / max a_ii for DIRK.  Each family starts at a positive
+    constant preimage of 0 (CN and MODCN have one, a two-stage DIRK scheme
+    two), and each later entry is the magnitude of the unique real preimage
+    of its predecessor.  An AnalysisError is raised where the families are
+    not defined: another number of positive preimages of 0, a preimage that
+    is not unique, or families that fail to interleave.
     """
     if not (math.isfinite(ratio) and ratio > 0):
         raise ConfigurationError(f"ratio must be finite and > 0, got {ratio}")
@@ -214,38 +212,24 @@ def interval_sequence(kind: SchemeKind, ratio: float, count: int) -> IntervalSeq
     if kind.tag == "be":
         raise ConfigurationError("backward Euler has a unique preimage everywhere; no sequence")
 
-    if kind.tag in ("cn", "modcn"):
-        p = ACParams(eps=1.0, dt=2.0 * ratio)
-        if kind.tag == "cn":
-            entries = [math.sqrt(1.0 + 1.0 / ratio)]
-        else:
-            entries = [2.0 * math.sqrt(1.0 + 1.0 / (2.0 * ratio))]
-        for _ in range(count - 1):
-            entries.append(abs(_unique_root(
-                preimage_constants(kind, entries[-1], p), "interval sequence"
-            )))
-        return IntervalSequence(kind, ratio, tuple(entries))
-
-    # two-stage DIRK: ratio = dt / (4 eps^2)
-    p = ACParams(eps=1.0, dt=4.0 * ratio)
-    _backward_links(kind, p)  # rejects tableaux the backward walk cannot read
-    r1 = 2.0 * math.sqrt(1.0 + 1.0 / ratio)
-    # s_1 = r_1 - 2 y with y the unique real root of the inner-stage cubic
-    # r_1 = y + ratio F(y) at eps = 1: a backward stage with gamma = ratio
-    inner = real_cubic_roots(*constant_cubic(p, -1.0, r1, ratio))
-    if inner.discriminant_sign >= 0:
+    if kind.tag == "dirk":
+        p, families = ACParams(eps=1.0, dt=ratio / kind.tableau.max_diag), 2
+    else:
+        p, families = ACParams(eps=1.0, dt=2.0 * ratio), 1
+    rows = [[x] for x in preimage_constants(kind, 0.0, p).roots if x > MERGE_TOL]
+    if len(rows) != families:
         raise AnalysisError(
-            f"inner-stage cubic has multiple real roots at ratio {ratio:.6g}; "
-            "the interleaved family is not defined there"
+            f"{kind.label} has {len(rows)} positive constant preimages of 0 at ratio "
+            f"{ratio:.6g}, not {families}; the threshold families are not defined there"
         )
-    s1 = r1 - 2.0 * inner.real_roots[0]
-    rs, ss = [r1], [s1]
     for _ in range(count - 1):
-        rs.append(abs(_unique_root(preimage_constants(kind, rs[-1], p), "interval sequence")))
-        ss.append(abs(_unique_root(preimage_constants(kind, ss[-1], p), "interval sequence")))
-    entries: list[float] = []
-    for r, s in zip(rs, ss):
-        entries.extend((r, s))
+        for row in rows:
+            ps = preimage_constants(kind, row[-1], p)
+            if len(ps.roots) != 1:
+                raise AnalysisError(f"interval sequence: expected a single real preimage of "
+                                    f"{ps.c:.6g}, got {len(ps.roots)}")
+            row.append(abs(ps.roots[0]))
+    entries = [x for group in zip(*rows) for x in group]
     if any(b <= a for a, b in zip(entries, entries[1:])):
         raise AnalysisError(f"threshold families failed to interleave at ratio {ratio:.6g}")
     return IntervalSequence(kind, ratio, tuple(entries))
@@ -267,14 +251,7 @@ class ClassificationResult:
 
     @property
     def flips(self) -> int:
-        signs = [s for s in self.pattern if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _sign(x: float) -> int:
-    if abs(x) <= 1e-9:
-        return 0
-    return 1 if x > 0 else -1
+        return _flips(self.pattern)
 
 
 def classify_constant_initial(
@@ -401,8 +378,9 @@ def preimage_field(
     mean.  Backward Euler needs no continuation: its preimage is explicit.
 
     Returns the preimage and the final NewtonReport; a failed continuation
-    reports converged=False with report.delta the last good amplitude, and
-    returns the last good iterate (the seed if none).
+    reports converged=False with report.delta the last good amplitude and a
+    message naming the backward link that failed, and returns the last good
+    iterate (the seed if none).
     """
     ncfg = ncfg or NewtonConfig()
     if kind.tag == "be":
@@ -424,14 +402,16 @@ def preimage_field(
     def solve_at(delta, state):
         x = c + delta * shape
         walked = []
-        for (_fwd, bwd), start in zip(links, state or starts):
+        for i, ((_fwd, bwd), start) in enumerate(zip(links, state or starts), start=1):
             terms = bwd(x, lap @ x)
             if terms[2] == 0.0:
                 x = _explicit(*terms)
             else:
                 x, report = newton_solve(*implicit_system(grid, p, *terms), start, ncfg)
                 if not report.converged:
-                    return state, report
+                    return state, replace(report, message=(
+                        f"backward link {i} of {len(links)} did not converge "
+                        f"({report.message}, residual {report.residual:.3g})"))
             walked.append(x)
         return walked, report
 

@@ -18,13 +18,19 @@ unknown v:
 
 with n(v) = v^3 - v, or (v + w)(v^2 + w^2) / 2 for MODCN's partner state w.
 ``implicit_system`` builds its residual and ShiftedLaplacian Jacobian; each
-caller only chooses (a, s, b, k, w).  Newton's method solves it from the
-previous solution (or previous stage).  Constant fields stay constant, and
-on constants the equation is the cubic ``constant_cubic`` (with scalar
-residual ``constant_residual``), so ``scalar_map`` solves every scheme's
-restriction to constants exactly.  ``mode_slope`` is the equation's
-Jacobian on one Laplacian eigenmode at a constant; every linearization in
-``robustness`` and ``stability`` is built from it.
+caller only chooses (a, s, b, k, w).  On constants the equation is the cubic
+``constant_cubic`` (with scalar residual ``constant_residual``).
+``mode_slope`` is the equation's Jacobian on one Laplacian eigenmode at a
+constant; every linearization in ``robustness`` and ``stability`` is built
+from it.
+
+Each scheme's step is read forward once, ``_forward_stages``: its stages'
+terms, each from phi_n and the forces F of earlier stages, and the weights
+b combining all forces into phi_{n+1} (be/cn/modcn: one stage, phi_{n+1}).
+``step`` walks it on fields, one Newton solve per stage started from the
+previous stage.  Constant fields stay constant, so ``scalar_map`` walks it
+on constants, following every chain of cubic roots and marking the one the
+field stepper takes.
 """
 
 from __future__ import annotations
@@ -68,7 +74,6 @@ __all__ = [
     "constant_cubic",
     "step_system",
     "dirk_stage_system",
-    "dirk_step",
     "step",
     "simulate",
     "scalar_map",
@@ -218,46 +223,54 @@ def dirk_stage_system(known: np.ndarray, gamma: float, grid, p: ACParams):
     return implicit_system(grid, p, 1.0, known, gamma)
 
 
-def dirk_step(
-    phi_n: ScalarField,
-    tableau: ButcherTableau,
-    p: ACParams,
-    cfg: NewtonConfig | None = None,
-):
-    """One DIRK step: solve stages in order, then combine with the b weights.
+def _forward_stages(kind: SchemeKind, p: ACParams):
+    """One step read forward: (stages, b).
 
-    Stage i solves phi_i - dt a_ii F(phi_i) = phi_n + dt sum_{j<i} a_ij F(phi_j),
-    Newton-started from the previous stage (or phi_n).
+    stage(v0, fs, lap) gives implicit_system's terms in the next stage from
+    phi_n = v0 and the forces fs = (F(phi_1), ...) of the stages solved
+    before it; lap(x) is Lap(x): a matrix product on fields, 0.0 on
+    constants.  DIRK stage i solves
+    phi_i - dt a_ii F(phi_i) = phi_n + dt sum_{j<i} a_ij F(phi_j), and b
+    combines the stages into phi_{n+1} = phi_n + dt sum_i b_i F(phi_i).
+    be/cn/modcn are one stage whose value is phi_{n+1}; their b is None.
+    """
+    if kind.tag != "dirk":
+        return (lambda v0, fs, lap: _step_terms(kind, v0, lap(v0), p),), None
+    tab, dt = kind.tableau, p.dt
+    stages = tuple(
+        lambda v0, fs, lap, i=i: (1.0, _weighted(v0, tab.a[i][:i], fs, dt), dt * tab.a[i][i])
+        for i in range(tab.stages)
+    )
+    return stages, tab.b
+
+
+def _weighted(v0, weights, fs, dt: float):
+    """v0 + dt sum_j weights_j fs_j, added in order."""
+    return sum((dt * w * f for w, f in zip(weights, fs)), v0)
+
+
+def step(kind: SchemeKind, phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | None = None):
+    """Advance one time step with the given scheme; returns (field, StepReport).
+
+    One Newton solve per stage, each started from the previous stage (the
+    first from phi_n); a failed stage ends the step with its iterate.
     """
     grid = phi_n.grid
     lap = laplacian_matrix(grid)
     v0 = phi_n.values
-    stage_f: list[np.ndarray] = []
-    reports: list[NewtonReport] = []
-    prev = v0
-    for i in range(tableau.stages):
-        known = v0.copy()
-        for j in range(i):
-            known += p.dt * tableau.a[i][j] * stage_f[j]
-        residual, jacobian = dirk_stage_system(known, p.dt * tableau.a[i][i], grid, p)
-        stage, rep = newton_solve(residual, jacobian, prev, cfg)
+    stages, b = _forward_stages(kind, p)
+    x, fs, reports = v0, [], []
+    for terms in stages:
+        residual, jacobian = implicit_system(grid, p, *terms(v0, fs, lap.__matmul__))
+        x, rep = newton_solve(residual, jacobian, x, cfg)
         reports.append(rep)
         if not rep.converged:
-            return ScalarField(grid, stage), StepReport(tuple(reports))
-        stage_f.append(ac_force(lap @ stage, stage, p))
-        prev = stage
-    out = v0.copy()
-    for bi, fi in zip(tableau.b, stage_f):
-        out += p.dt * bi * fi
-    return ScalarField(grid, out), StepReport(tuple(reports))
-
-
-def step(kind: SchemeKind, phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | None = None):
-    """Advance one time step with the given scheme; returns (field, StepReport)."""
-    if kind.tag == "dirk":
-        return dirk_step(phi_n, kind.tableau, p, cfg)
-    x, rep = newton_solve(*step_system(kind, phi_n, p), phi_n.values, cfg)
-    return ScalarField(phi_n.grid, x), StepReport((rep,))
+            return ScalarField(grid, x), StepReport(tuple(reports))
+        if b is not None:
+            fs.append(ac_force(lap @ x, x, p))
+    if b is not None:
+        x = _weighted(v0, b, fs, p.dt)
+    return ScalarField(grid, x), StepReport(tuple(reports))
 
 
 @dataclass(frozen=True)
@@ -271,9 +284,20 @@ class StepSummary:
 
     @property
     def center_sign(self) -> int:
-        if abs(self.center) <= 1e-9:
-            return 0
-        return 1 if self.center > 0 else -1
+        return _sign(self.center)
+
+
+def _sign(x: float) -> int:
+    """Sign of x, 0 within 1e-9 of zero."""
+    if abs(x) <= 1e-9:
+        return 0
+    return 1 if x > 0 else -1
+
+
+def _flips(signs) -> int:
+    """Number of sign changes along signs, zeros skipped."""
+    nonzero = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,8 +322,7 @@ class Trajectory:
 
     def sign_flips(self) -> int:
         """Number of sign changes of the center value along the trajectory."""
-        signs = [s for s in self.center_signs() if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        return _flips(self.center_signs())
 
 
 def _summarize(idx: int, t: float, u: ScalarField) -> StepSummary:
@@ -340,10 +363,12 @@ def simulate(
     for i in range(1, steps + 1):
         u_new, rep = step(kind, u, p, cfg)
         if not rep.success:
-            msgs = "; ".join(r.message for r in rep.stage_reports if not r.converged)
+            bad = rep.stage_reports[-1]
             return Trajectory(
                 tuple(summaries), settled, settle_step, limit,
-                failure=f"step {i} did not converge ({msgs})",
+                failure=f"step {i} did not converge at stage {len(rep.stage_reports)} of "
+                f"{kind.tableau.stages if kind.tableau else 1} "
+                f"({bad.message}, residual {bad.residual:.3g})",
             )
         u = u_new
         summaries.append(_summarize(i, i * p.dt, u))
@@ -355,13 +380,21 @@ def simulate(
 # Scalar restriction: constant fields map to constant fields.
 
 
+def _no_lap(x) -> float:
+    return 0.0
+
+
 def _nearest(values, x: float) -> int:
-    return min(range(len(values)), key=lambda i: abs(values[i] - x))
+    dist = [abs(v - x) for v in values]
+    return dist.index(min(dist))
 
 
-def _dedupe(values: list[float], flags: list[bool]) -> list[tuple[float, bool]]:
+def _dedupe(pairs: list[tuple[float, bool]]) -> list[tuple[float, bool]]:
+    """(value, flag) pairs sorted, values within MERGE_TOL merged with their flags or-ed."""
+    if len(pairs) < 2:
+        return pairs
     out: list[tuple[float, bool]] = []
-    for v, fl in sorted(zip(values, flags)):
+    for v, fl in sorted(pairs):
         if out and abs(v - out[-1][0]) <= MERGE_TOL:
             out[-1] = (out[-1][0], out[-1][1] or fl)
         else:
@@ -372,41 +405,28 @@ def _dedupe(values: list[float], flags: list[bool]) -> list[tuple[float, bool]]:
 def scalar_map(kind: SchemeKind, r: float, p: ACParams) -> list[tuple[float, bool]]:
     """All constant images c of a constant state r under one step.
 
-    Returns (c, selected) pairs in ascending order.  `selected` marks the
-    branch a Newton iteration started at r converges to, i.e. the value the
-    field-level stepper actually produces from the constant field r.
+    Walks the forward stages on constants: every chain of stage roots, each
+    stage a cubic.  Returns (c, selected) pairs in ascending order, images
+    within MERGE_TOL of each other listed once.  `selected` marks the image
+    of the one chain the field stepper follows: its Newton iterate, started
+    from the previous stage as in step, picks the nearest root at each stage.
     """
-    if kind.tag != "dirk":
-        terms = _step_terms(kind, r, 0.0, p)
-        chosen = newton_solve(*constant_residual(p, *terms), r)[0]
-        roots = real_cubic_roots(*constant_cubic(p, *terms)).real_roots
-        nearest = _nearest(roots, chosen)
-        return [(c, i == nearest) for i, c in enumerate(roots)]
-
-    # Walk every chain of stage roots.  The one chain the field stepper
-    # follows carries its Newton iterate (started from the previous stage,
-    # as dirk_step does) to pick its root at the next stage; the others
-    # carry None.
-    tab = kind.tableau
-    chains: list[tuple[tuple[float, ...], float | None]] = [((), r)]
-    for i in range(tab.stages):
+    stages, b = _forward_stages(kind, p)
+    # (stage forces, last stage value, the Newton iterate on the stepper's
+    # chain or None elsewhere)
+    chains: list[tuple[tuple[float, ...], float, float | None]] = [((), r, r)]
+    for stage in stages:
         grown = []
-        for vals, start in chains:
-            s = r + sum(p.dt * tab.a[i][j] * ac_force(0.0, x, p) for j, x in enumerate(vals))
-            terms = (1.0, s, p.dt * tab.a[i][i])
+        for fs, _, start in chains:
+            terms = stage(r, fs, _no_lap)
             roots = real_cubic_roots(*constant_cubic(p, *terms)).real_roots
-            if start is None:
-                grown += [(vals + (x,), None) for x in roots]
-                continue
-            x_newton = newton_solve(*constant_residual(p, *terms), start)[0]
-            pick = _nearest(roots, x_newton)
-            grown += [(vals + (x,), x_newton if j == pick else None) for j, x in enumerate(roots)]
+            pick = -1
+            if start is not None:
+                start = newton_solve(*constant_residual(p, *terms), start)[0]
+                pick = _nearest(roots, start)
+            for j, x in enumerate(roots):
+                grown.append((fs + (ac_force(0.0, x, p),) if b else fs, x,
+                              start if j == pick else None))
         chains = grown
-
-    def combine(vals: tuple[float, ...]) -> float:
-        out = r
-        for bi, x in zip(tab.b, vals):
-            out += p.dt * bi * ac_force(0.0, x, p)
-        return out
-
-    return _dedupe([combine(vals) for vals, _ in chains], [x is not None for _, x in chains])
+    return _dedupe([(_weighted(r, b, fs, p.dt) if b else x, start is not None)
+                    for fs, x, start in chains])

@@ -121,6 +121,15 @@ def test_simulate_failure_writes_partial_and_exits_3(tmp_path, capsys):
     assert rows[-1][:3] == ["settle", "-1", "0"]
 
 
+def test_simulate_failure_names_stage_and_residual(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    code = _run("simulate", "const:31", "--scheme", "cn", "--eps", "0.1", "--dt", "0.01",
+                "--n", "65", "--out", str(out))
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "step 4 did not converge at stage 1 of 1 (max iterations reached, residual ")
+
+
 def test_simulate_requires_scheme(tmp_path):
     assert _run("simulate", "const:1", "--dt", "0.01", "--eps", "0.1",
                 "--out", str(tmp_path / "t.csv")) == 2
@@ -323,6 +332,18 @@ def test_preimage_field_stall_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "stalled" in capsys.readouterr().err
+
+
+def test_preimage_field_stall_names_the_backward_link(tmp_path, capsys):
+    code = _run(
+        "preimage", "const+mode:0.5,0.15,1", "--scheme", "dirk2", "--root", "0",
+        "--eps", "0.1", "--dt", "0.01", "--n", "65", "--newton-max-iter", "1",
+        "--out", str(tmp_path / "p.csv"),
+    )
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "continuation stalled at delta = None: backward link 1 of 3 did not converge "
+        "(max iterations reached, residual ")
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,39 @@ def test_closed_forms_random():
         assert abs(resid) <= 1e-12 * max(1.0, abs(r1 + s1))
 
 
+@pytest.mark.parametrize(
+    "kind", (CN, MODCN, DIRK2, _DIRK_ODD), ids=("cn", "modcn", "dirk2", "dirk-odd")
+)
+@pytest.mark.parametrize("ratio", (0.01, 0.1, 0.25, 0.5))
+def test_interval_entries_map_to_zero_then_onto_their_predecessors(kind, ratio):
+    # each family's first entry is a constant the step maps to 0; each later
+    # entry one it maps to +- the entry before (eps = 1, dt from the ratio)
+    seq = interval_sequence(kind, ratio, 4)
+    dt = ratio / kind.tableau.max_diag if kind.tag == "dirk" else 2.0 * ratio
+    p = ACParams(1.0, dt)
+    families = (seq.r_values(), seq.s_values()) if kind.tag == "dirk" else (seq.entries,)
+    for family in families:
+        assert len(family) == 4
+        for x, target in zip(family, (0.0, *family[:-1])):
+            images = [c for c, _selected in scalar_map(kind, x, p)]
+            assert min(abs(abs(c) - target) for c in images) <= 1e-12 * max(1.0, abs(x))
+
+
+def test_interval_sequence_of_another_dirk_tableau():
+    # this tableau's own positive preimages of 0, not DIRK2's r_1 = 6.633 at
+    # ratio 0.1; ratio = dt max a_ii / eps^2, so 0.1 is dt = 1/3 and 0.12 is dt = 0.4
+    r1, s1 = interval_sequence(_DIRK_ODD, 0.1, 1).entries
+    assert r1 == pytest.approx(10.0, rel=1e-12) and s1 == pytest.approx(22.1914, rel=1e-5)
+    r1, s1 = interval_sequence(_DIRK_ODD, 0.12, 1).entries
+    assert r1 == pytest.approx(9.18559, rel=1e-5) and s1 == pytest.approx(20.3817, rel=1e-5)
+
+
+def test_interval_sequence_undefined_family_raises():
+    # at DIRK2 ratio 5 the step has more than two positive constant preimages of 0
+    with pytest.raises(AnalysisError, match="not defined"):
+        interval_sequence(DIRK2, 5.0, 1)
+
+
 def test_interval_sequence_validation():
     with pytest.raises(ConfigurationError):
         interval_sequence(BE, 0.5, 2)
@@ -598,6 +631,8 @@ def test_preimage_field_dirk_reports_failure_at_the_first_point():
     phi_n, rep = preimage_field(DIRK2, target, seed, p, hcfg, NewtonConfig(max_iter=1))
     assert not rep.converged and rep.delta is None
     assert np.array_equal(phi_n.values, seed.values)
+    assert rep.message.startswith(
+        "backward link 1 of 3 did not converge (max iterations reached, residual ")
 
 
 

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acstab.errors import ConfigurationError
 from acstab.fields import (
     ACParams,
+    ButcherTableau,
     ModeIndex,
     ScalarField,
     ac_force,
@@ -19,17 +22,23 @@ from acstab.schemes import (
     CN,
     DIRK2,
     MODCN,
+    SchemeKind,
+    _step_terms,
+    constant_cubic,
     dirk_stage_system,
-    dirk_step,
     parse_scheme,
     scalar_map,
     simulate,
     step,
     step_system,
 )
-from acstab.solvers import NewtonConfig, fd_jacobian
+from acstab.solvers import NewtonConfig, fd_jacobian, real_cubic_roots
 
 ALL = (BE, CN, MODCN, DIRK2)
+# a backward-triangular tableau other than DIRK2's (a11 != a22, alpha != beta)
+_DIRK_ODD = SchemeKind("dirk", ButcherTableau(((0.3, 0.0), (0.5, 0.2)), (0.5, 0.5), (0.3, 0.7)))
+# the same stages with unequal weights b, so the order of b against the stages shows
+_DIRK_SKEW = SchemeKind("dirk", ButcherTableau(((0.3, 0.0), (0.5, 0.2)), (0.3, 0.7), (0.3, 0.7)))
 
 
 def test_parse_scheme():
@@ -111,7 +120,7 @@ def test_dirk_stage_identity():
     g = make_grid(1, 33)
     p = ACParams(0.4, 0.02)
     phi = ScalarField(g, rng.uniform(-1.2, 1.2, g.num_nodes))
-    out, rep = dirk_step(phi, DIRK2.tableau, p)
+    out, rep = step(DIRK2, phi, p)
     assert rep.success
 
     def F(v):
@@ -171,7 +180,7 @@ def test_odd_symmetry_of_steps(kind):
     assert np.max(np.abs(plus.values + minus.values)) <= 1e-10
 
 
-@pytest.mark.parametrize("kind", ALL, ids=lambda k: k.label)
+@pytest.mark.parametrize("kind", ALL + (_DIRK_ODD,), ids=("be", "cn", "modcn", "dirk2", "odd_dirk"))
 def test_scalar_map_matches_field_step(kind):
     rng = np.random.default_rng(43)
     g = make_grid(1, 9)
@@ -185,6 +194,92 @@ def test_scalar_map_matches_field_step(kind):
         selected = next(c for c, sel in scalar_map(kind, r, p) if sel)
         assert abs(out.values[0] - selected) <= 1e-9
         assert np.max(out.values) - np.min(out.values) <= 1e-9
+
+
+def test_scalar_map_lists_a_multiple_image_once():
+    # at eps = 1, dt = 4 this r maps onto a double root of CN's cubic
+    p = ACParams(1.0, 4.0)
+    r = 1.2678079692621487
+    roots = real_cubic_roots(*constant_cubic(p, *_step_terms(CN, r, 0.0, p))).real_roots
+    assert len(roots) == 3 and roots[2] - roots[1] <= 1e-8
+    images = scalar_map(CN, r, p)
+    assert [c for c, _ in images] == pytest.approx([roots[0], roots[1]], abs=1e-8)
+    assert [sel for _, sel in images] == [False, True]
+
+
+def _newton(residual, jacobian, x):
+    """Dense Newton with acstab's stopping rule: inf-norm residual <= 1e-10, 50 steps."""
+    r = residual(x)
+    for _ in range(50):
+        if np.max(np.abs(r)) <= 1e-10:
+            break
+        x = x + np.linalg.solve(jacobian(x), -r)
+        r = residual(x)
+    return x
+
+
+def _step_by_definition(kind, v0, g, p):
+    """One step from each scheme's definition, stage by stage, each stage
+    started from the one before; be/cn/modcn equations divided by dt."""
+    lap = laplacian_matrix(g).toarray()
+    eye = np.eye(v0.size)
+    ie2, dt = 1.0 / p.eps2, p.dt
+
+    def F(v):
+        return lap @ v - ie2 * (v ** 3 - v)
+
+    def dF(v):
+        return lap - np.diag(ie2 * (3.0 * v * v - 1.0))
+
+    if kind is BE:
+        return _newton(lambda v: (v - v0) / dt - F(v), lambda v: eye / dt - dF(v), v0)
+    if kind is CN:
+        return _newton(lambda v: (v - v0) / dt - 0.5 * (F(v) + F(v0)),
+                       lambda v: eye / dt - 0.5 * dF(v), v0)
+    if kind is MODCN:
+        # (phi1 - phi0)/dt = Lap(phi1 + phi0)/2 - ((phi1 + phi0)(phi1^2 + phi0^2)/4 - phi0)/eps^2
+        def N(v):
+            return ie2 * ((v + v0) * (v * v + v0 * v0) / 4.0 - v0)
+
+        def dN(v):
+            return np.diag(ie2 * (3.0 * v * v + 2.0 * v * v0 + v0 * v0) / 4.0)
+
+        return _newton(lambda v: (v - v0) / dt - 0.5 * lap @ (v + v0) + N(v),
+                       lambda v: eye / dt - 0.5 * lap + dN(v), v0)
+    tab = kind.tableau
+    forces, prev = [], v0
+    for i in range(tab.stages):
+        known = v0 + dt * sum(tab.a[i][j] * forces[j] for j in range(i))
+        gamma = dt * tab.a[i][i]
+        prev = _newton(lambda v: v - gamma * F(v) - known, lambda v: eye - gamma * dF(v), prev)
+        forces.append(F(prev))
+    return v0 + dt * sum(b * f for b, f in zip(tab.b, forces))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(ALL + (_DIRK_ODD, _DIRK_SKEW)),
+    st.sampled_from((1, 2)),
+    st.integers(3, 9),
+    st.floats(0.2, 1.0),
+    st.floats(0.05, 0.9),
+    st.data(),
+)
+def test_step_matches_the_scheme_definitions(kind, dim, n, eps, frac, data):
+    # dt is frac of the scheme's uniqueness threshold, so each stage has one solution
+    factor = {"be": 1.0, "cn": 2.0, "modcn": 2.0}.get(kind.tag)
+    factor = factor or 1.0 / kind.tableau.max_diag
+    p = ACParams(eps, frac * factor * eps * eps)
+    g = make_grid(dim, n)
+    v0 = np.array(data.draw(st.lists(
+        st.floats(-1.5, 1.5), min_size=g.num_nodes, max_size=g.num_nodes)))
+    out, rep = step(kind, ScalarField(g, v0), p)
+    assert rep.success
+    want = _step_by_definition(kind, v0, g, p)
+    lap_v0 = laplacian_matrix(g) @ v0
+    scale = max(1.0, np.max(np.abs(v0)), p.dt * np.max(np.abs(lap_v0)),
+                p.dt * np.max(np.abs(v0)) ** 3 / p.eps2)
+    assert np.max(np.abs(out.values - want)) <= 1e-12 * scale
 
 
 def _self_convergence_order(kind, dts, ref_dt):
@@ -240,3 +335,11 @@ def test_simulate_respects_newton_config():
     cfg = NewtonConfig(max_iter=1)
     traj = simulate(CN, constant_field(g, 1.9931), 4, ACParams(0.1, 0.01), cfg=cfg)
     assert traj.failure is not None
+
+
+def test_simulate_failure_names_the_stage_and_residual():
+    g = make_grid(1, 9)
+    cfg = NewtonConfig(max_iter=1)
+    traj = simulate(DIRK2, constant_field(g, 1.9931), 4, ACParams(0.1, 0.01), cfg=cfg)
+    assert traj.failure.startswith(
+        "step 1 did not converge at stage 1 of 2 (max iterations reached, residual ")
