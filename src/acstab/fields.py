@@ -326,12 +326,18 @@ def eval_mode(k: ModeIndex, grid: GridSpec) -> ScalarField:
     return ScalarField(grid, np.multiply.outer(factors[0], factors[1]).ravel())
 
 
+def _cubic(v):
+    """n(v) = v^3 - v on a node array or a float, by products only: array
+    v ** 3 calls pow per node, and products round alike on arrays and floats."""
+    return v * v * v - v
+
+
 def ac_force(lap_v, v, p: ACParams):
     """F(v) = Lap(v) - (v^3 - v) / eps^2 given lap_v = Lap(v) (0.0 on constants).
 
     v is a node array or a scalar; the result has its type.
     """
-    return lap_v - (1.0 / p.eps2) * (v ** 3 - v)
+    return lap_v - (1.0 / p.eps2) * _cubic(v)
 
 
 @lru_cache(maxsize=None)

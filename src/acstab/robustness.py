@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AnalysisError, ConfigurationError
-from .fields import ACParams, ModeIndex, ScalarField, ac_force, field_mean, laplacian_matrix
+from .fields import ACParams, ModeIndex, ScalarField, _cubic, ac_force, field_mean, laplacian_matrix
 from .schemes import DIRK2, MERGE_TOL, SchemeKind, _flips, _sign, _step_terms, constant_cubic
 from .schemes import implicit_system, mode_slope, scalar_map
 from .solvers import (
@@ -91,7 +91,7 @@ def _backward_terms(kind: SchemeKind, v, lap_v, p: ACParams):
     cn/modcn step that ends at v; lap_v is Lap(v), 0.0 on constants."""
     idt, ie2 = 1.0 / p.dt, 1.0 / p.eps2
     if kind.tag == "cn":
-        return -idt, v, 0.5, -0.5 * lap_v + 0.5 * ie2 * (v ** 3 - v), None
+        return -idt, v, 0.5, -0.5 * lap_v + 0.5 * ie2 * _cubic(v), None
     # modcn: the explicit -u/eps^2 joins the shift
     return -idt - ie2, 0.0, 0.5, idt * v - 0.5 * lap_v, v
 
@@ -108,7 +108,7 @@ def _backward_links(kind: SchemeKind, p: ACParams):
     if kind.tag == "be":
         # x - dt F(x) = u; k in this form gives u = c + dt (c^3 - c) / eps^2 to the bit on constants
         return ((lambda u: (1.0, u, dt),
-                 lambda x, lap_x: (-1.0, x, 0.0, dt * (x ** 3 - x) / p.eps2 - dt * lap_x)),)
+                 lambda x, lap_x: (-1.0, x, 0.0, dt * _cubic(x) / p.eps2 - dt * lap_x)),)
     if kind.tag != "dirk":
         return ((lambda u: _step_terms(kind, u, 0.0, p),
                  lambda x, lap_x: _backward_terms(kind, x, lap_x, p)),)

@@ -45,6 +45,7 @@ from .fields import (
     ButcherTableau,
     DIRK2_TABLEAU,
     ScalarField,
+    _cubic,
     ac_force,
     center_value,
     field_l2,
@@ -151,7 +152,7 @@ def implicit_system(grid, p: ACParams, a, s, b, k=0.0, partner=None):
 
 
 def _nonlinearity(v, w):
-    return v ** 3 - v if w is None else 0.5 * (v + w) * (v * v + w * w)
+    return _cubic(v) if w is None else 0.5 * (v + w) * (v * v + w * w)
 
 
 def _nonlinearity_slope(v, w):
@@ -196,7 +197,7 @@ def _step_terms(kind: SchemeKind, v0, lap_v0, p: ACParams):
     if kind.tag == "be":
         return idt, v0, 1.0, 0.0, None
     if kind.tag == "cn":
-        return idt, v0, 0.5, -0.5 * lap_v0 + 0.5 * ie2 * (v0 ** 3 - v0), None
+        return idt, v0, 0.5, -0.5 * lap_v0 + 0.5 * ie2 * _cubic(v0), None
     if kind.tag == "modcn":
         # the expansive -v0/eps^2 stays explicit
         return idt, v0, 0.5, -0.5 * lap_v0 - ie2 * v0, v0
@@ -330,6 +331,18 @@ def _summarize(idx: int, t: float, u: ScalarField) -> StepSummary:
     return StepSummary(idx, t, float(v.min()), float(v.max()), center_value(u), field_l2(u))
 
 
+def _settled_sign(s: StepSummary, settle_tol: float) -> int:
+    """+1 or -1 when max |v - c| <= settle_tol for that constant c, else 0.
+
+    Rounding of v - c is monotone in v, so max |v - c| is reached at vmin or
+    vmax, and the summary decides settling exactly.
+    """
+    for c in (1, -1):
+        if abs(s.vmin - c) <= settle_tol and abs(s.vmax - c) <= settle_tol:
+            return c
+    return 0
+
+
 def simulate(
     kind: SchemeKind,
     phi0: ScalarField,
@@ -347,33 +360,24 @@ def simulate(
         raise ConfigurationError("steps must be >= 0")
     u = phi0
     summaries = [_summarize(0, 0.0, u)]
-    settled, settle_step, limit = False, None, 0
-
-    def check_settled(idx: int, w: ScalarField) -> None:
-        nonlocal settled, settle_step, limit
-        if settled:
-            return
-        v = w.values
-        for sgn in (1, -1):
-            if float(np.max(np.abs(v - sgn))) <= settle_tol:
-                settled, settle_step, limit = True, idx, sgn
-                return
-
-    check_settled(0, u)
+    limit = _settled_sign(summaries[0], settle_tol)
+    settle_step = 0 if limit else None
     for i in range(1, steps + 1):
         u_new, rep = step(kind, u, p, cfg)
         if not rep.success:
             bad = rep.stage_reports[-1]
             return Trajectory(
-                tuple(summaries), settled, settle_step, limit,
+                tuple(summaries), bool(limit), settle_step, limit,
                 failure=f"step {i} did not converge at stage {len(rep.stage_reports)} of "
                 f"{kind.tableau.stages if kind.tableau else 1} "
                 f"({bad.message}, residual {bad.residual:.3g})",
             )
         u = u_new
         summaries.append(_summarize(i, i * p.dt, u))
-        check_settled(i, u)
-    return Trajectory(tuple(summaries), settled, settle_step, limit)
+        if not limit:
+            limit = _settled_sign(summaries[-1], settle_tol)
+            settle_step = i if limit else None
+    return Trajectory(tuple(summaries), bool(limit), settle_step, limit)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ a (v - s) - b L v + (b / eps^2) n(v) + k = 0 with L the Neumann Laplacian
 a I - b L + diag(d) and is returned as a ShiftedLaplacian, whose solve picks
 its method from the operator itself:
 
-* 1D: a direct banded (tridiagonal) solve;
+* 1D: a direct tridiagonal solve, LAPACK ``gtsv`` called directly (the
+  routine scipy.linalg.solve_banded((1, 1), ...) wraps, without its
+  per-call argument checks);
 * 2D with b >= 0 and a + min(d) > 0 (the operator is then symmetric positive
   definite in the trapezoid inner product, the step's uniqueness condition):
   conjugate gradients in that inner product, preconditioned by an exact
@@ -98,7 +100,7 @@ class NewtonReport:
 
 
 def _linf(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 def _refined_solve(solve, apply, rhs: np.ndarray) -> np.ndarray:
@@ -109,6 +111,25 @@ def _refined_solve(solve, apply, rhs: np.ndarray) -> np.ndarray:
     resid = rhs - apply(x)
     if _linf(resid) > _LINEAR_RTOL * max(_linf(rhs), 1e-300):
         x = x + solve(resid)
+    return x
+
+
+_GTSV = scipy.linalg.get_lapack_funcs("gtsv", dtype=np.float64)
+
+
+def _tridiagonal_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with A x = rhs, A tridiagonal in solve_banded's (1, 1) layout ab.
+
+    The same LAPACK gtsv call, bits and errors as
+    scipy.linalg.solve_banded((1, 1), ab, rhs); ab and rhs are left intact.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = _GTSV(ab[2, :-1], ab[1], ab[0, 1:], rhs)[3:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
     return x
 
 
@@ -157,9 +178,7 @@ class ShiftedLaplacian:
         """x with self @ x = rhs (see the module docstring for the method)."""
         if self.grid.dim == 1:
             ab = self._band()
-            return _refined_solve(
-                lambda r: scipy.linalg.solve_banded((1, 1), ab, r), self.__matmul__, rhs
-            )
+            return _refined_solve(lambda r: _tridiagonal_solve(ab, r), self.__matmul__, rhs)
         if self.certified:
             x = self._pcg(rhs)
             if x is not None:
@@ -271,7 +290,7 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
         unknown has a float derivative, and each step divides the residual
         by it; a zero or non-finite derivative ends the solve as a failed
         linear solve.  A flat-array unknown has a ShiftedLaplacian Jacobian,
-        whose solve picks a banded solve (1D), preconditioned CG (2D,
+        whose solve picks a tridiagonal solve (1D), preconditioned CG (2D,
         certified positive definite) or sparse LU from the operator itself;
         any other Jacobian raises.
     guess:

@@ -112,7 +112,7 @@ def test_simulate_trajectory(tmp_path):
 def test_simulate_failure_writes_partial_and_exits_3(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code = _run(
-        "simulate", "const:30", "--scheme", "cn", "--eps", "0.01",
+        "simulate", "const:32", "--scheme", "cn", "--eps", "0.01",
         "--dt", "10", "--n", "33", "--steps", "5", "--out", str(out),
     )
     assert code == 3
@@ -123,11 +123,11 @@ def test_simulate_failure_writes_partial_and_exits_3(tmp_path, capsys):
 
 def test_simulate_failure_names_stage_and_residual(tmp_path, capsys):
     out = tmp_path / "traj.csv"
-    code = _run("simulate", "const:31", "--scheme", "cn", "--eps", "0.1", "--dt", "0.01",
-                "--n", "65", "--out", str(out))
+    code = _run("simulate", "const:32", "--scheme", "cn", "--eps", "0.01", "--dt", "10",
+                "--n", "33", "--out", str(out))
     assert code == 3
     assert capsys.readouterr().err.startswith(
-        "step 4 did not converge at stage 1 of 1 (max iterations reached, residual ")
+        "step 2 did not converge at stage 1 of 1 (max iterations reached, residual ")
 
 
 def test_simulate_requires_scheme(tmp_path):

@@ -6,11 +6,21 @@ linearization at a constant on one Laplacian eigenmode is mode_slope.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acstab.fields import ACParams, laplacian_eigenvalues, make_grid
-from acstab.schemes import constant_cubic, constant_residual, implicit_system, mode_slope
+from acstab.fields import ACParams, laplacian_eigenvalues, laplacian_matrix, make_grid
+from acstab.schemes import (
+    BE,
+    CN,
+    MODCN,
+    _step_terms,
+    constant_cubic,
+    constant_residual,
+    implicit_system,
+    mode_slope,
+)
 from acstab.solvers import fd_jacobian, real_cubic_roots
 
 
@@ -61,6 +71,23 @@ def test_field_residual_on_constants_is_constant_residual(kernel, x):
     f, _ = constant_residual(p, a, s, b, k, partner)
     scale = abs(a) * (abs(x) + abs(s)) + abs(b) / p.eps2 * (abs(x) + abs(partner or 0.0)) ** 3 + abs(k)
     assert np.max(np.abs(residual(np.full(grid.num_nodes, x)) - f(x))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", (3, 9, 257))
+@pytest.mark.parametrize("kind", (BE, CN, MODCN), ids=lambda k: k.tag)
+def test_field_step_residual_on_constants_is_constant_residual_exactly(kind, n):
+    # The 1D Laplacian of a constant is exactly 0, and one cube n(v) serves
+    # node arrays and floats, so the two residuals agree to the bit
+    grid = make_grid(1, n)
+    lap = laplacian_matrix(grid)
+    rng = np.random.default_rng(n)
+    for _ in range(300):
+        p = ACParams(rng.uniform(0.01, 2.0), 10.0 ** rng.uniform(-3.0, 1.0))
+        r, x = rng.uniform(-40.0, 40.0, 2)
+        v0 = np.full(n, r)
+        residual, _ = implicit_system(grid, p, *_step_terms(kind, v0, lap @ v0, p))
+        f, _ = constant_residual(p, *_step_terms(kind, r, 0.0, p))
+        assert np.array_equal(residual(np.full(n, x)), np.full(n, f(x)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,8 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+import scipy.linalg
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import acstab
@@ -92,6 +93,69 @@ def test_preconditioner_is_exact_for_constant_diagonal(monkeypatch, n):
     x = op._pcg(rhs)
     assert x is not None
     assert _linf(rhs - op @ x) <= 1e-12 * _linf(rhs)
+
+
+@st.composite
+def tridiagonal_systems(draw):
+    """(ab, rhs): a tridiagonal system in solve_banded's (1, 1) layout.
+
+    Off-diagonals up to `off` times the diagonal's magnitude; above 1 the
+    LU's partial pivoting swaps rows.
+    """
+    n = draw(st.integers(2, 40))
+    off = draw(st.sampled_from((0.1, 1.0, 10.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ab = rng.uniform(-1.0, 1.0, (3, n))
+    ab[0] *= off
+    ab[2] *= off
+    ab[0, 0] = ab[2, -1] = 0.0
+    return ab, rng.standard_normal(n)
+
+
+# |dl| > |d| in the first column, so gtsv swaps the first two rows
+_PIVOTING = (np.array([[0.0, 1.0, 1.0], [1e-3, 1.0, 1.0], [5.0, 1.0, 0.0]]), np.ones(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tridiagonal_systems())
+@example(_PIVOTING)
+def test_tridiagonal_solve_is_solve_banded(system):
+    ab, rhs = system
+    ab0, rhs0 = ab.copy(), rhs.copy()
+    try:
+        want = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            solvers._tridiagonal_solve(ab, rhs)
+        return
+    got = solvers._tridiagonal_solve(ab, rhs)
+    assert got.tobytes() == want.tobytes()
+    # ab and rhs survive: the refinement step solves with ab again
+    assert ab.tobytes() == ab0.tobytes() and rhs.tobytes() == rhs0.tobytes()
+
+
+_NONFINITE = "array must not contain infs or NaNs"
+
+
+@pytest.mark.parametrize(
+    "d, error, message",
+    ((0.0, np.linalg.LinAlgError, "singular matrix"),
+     (np.nan, ValueError, _NONFINITE),
+     (np.inf, ValueError, _NONFINITE)),
+    ids=("singular", "nan", "inf"),
+)
+def test_tridiagonal_solve_errors(d, error, message):
+    g = make_grid(1, 5)
+    op = ShiftedLaplacian(g, 0.0, 0.0, np.full(g.n, d))
+    rhs = np.ones(g.n)
+    with pytest.raises(error, match=message):
+        scipy.linalg.solve_banded((1, 1), op._band(), rhs)
+    with pytest.raises(error, match=message):
+        solvers._tridiagonal_solve(op._band(), rhs)
+    # either error ends a Newton solve as a failed linear solve
+    x, rep = solvers.newton_solve(lambda v: v + 1.0, lambda v: op, np.zeros(g.n))
+    assert not rep.converged and rep.iterations == 0
+    assert rep.message == f"linear solve failed: {message}"
 
 
 def test_cli_import_leaves_scipy_fft_unloaded():

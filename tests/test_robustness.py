@@ -176,7 +176,7 @@ def test_preimage_backward_euler_explicit():
         c = rng.uniform(-3, 3)
         p = ACParams(rng.uniform(0.05, 1.0), rng.uniform(1e-3, 1.0))
         ps = preimage_constants(BE, c, p)
-        assert ps.roots == (c + p.dt * (c**3 - c) / p.eps2,)
+        assert ps.roots == (c + p.dt * (c * c * c - c) / p.eps2,)
 
 
 def test_preimage_trapezoid_examples():

@@ -23,6 +23,8 @@ from acstab.schemes import (
     DIRK2,
     MODCN,
     SchemeKind,
+    StepSummary,
+    _settled_sign,
     _step_terms,
     constant_cubic,
     dirk_stage_system,
@@ -322,9 +324,28 @@ def test_trajectory_bookkeeping():
     assert traj.failure is None
 
 
+@st.composite
+def _near_plus_minus_one(draw):
+    """(v, settle_tol): node values with entries at and next to 1 +- tol and -1 +- tol."""
+    tol = draw(st.one_of(st.just(1e-3), st.floats(1e-12, 0.5)))
+    edges = [c + e for c in (1.0, -1.0) for e in (-tol, tol)]
+    edges += [np.nextafter(x, d) for x in edges for d in (-np.inf, np.inf)]
+    entry = st.one_of(st.sampled_from(edges), st.floats(-2.0, 2.0), st.sampled_from((1.0, -1.0)))
+    return np.array(draw(st.lists(entry, min_size=1, max_size=12))), tol
+
+
+@settings(max_examples=500, deadline=None)
+@given(_near_plus_minus_one())
+def test_settle_decision_reads_the_summary_extremes(drawn):
+    v, tol = drawn
+    summary = StepSummary(0, 0.0, float(v.min()), float(v.max()), 0.0, 0.0)
+    want = next((c for c in (1, -1) if np.max(np.abs(v - c)) <= tol), 0)
+    assert _settled_sign(summary, tol) == want
+
+
 def test_simulate_reports_newton_failure():
     g = make_grid(1, 9)
-    traj = simulate(CN, constant_field(g, 30.0), 6, ACParams(0.01, 10.0))
+    traj = simulate(CN, constant_field(g, 32.0), 6, ACParams(0.01, 10.0))
     assert traj.failure is not None
     assert len(traj.summaries) < 7
     assert not traj.settled and traj.limit == 0

@@ -8,6 +8,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acstab import solvers
 from acstab.errors import ConfigurationError
 from acstab.fields import ACParams, DIRK2_TABLEAU, ScalarField, constant_field, make_grid
 from acstab.schemes import (
@@ -109,19 +110,19 @@ def test_newton_scalar_bad_derivative_reported(deriv):
 
 
 def test_newton_banded_path_matches_dense_solution(monkeypatch):
-    # a 1D ShiftedLaplacian Jacobian goes through the banded solver; compare
-    # with a dense hand-rolled Newton on the same problem
+    # a 1D ShiftedLaplacian Jacobian goes through the tridiagonal solver;
+    # compare with a dense hand-rolled Newton on the same problem
     n = 24
     main = 2.0 + np.arange(n) * 0.1
     grid = make_grid(1, n)
     banded = []
-    solve_banded = scipy.linalg.solve_banded
+    tridiagonal_solve = solvers._tridiagonal_solve
 
     def counted(*args):
         banded.append(args)
-        return solve_banded(*args)
+        return tridiagonal_solve(*args)
 
-    monkeypatch.setattr(scipy.linalg, "solve_banded", counted)
+    monkeypatch.setattr(solvers, "_tridiagonal_solve", counted)
 
     def residual(u):
         return main * u + 0.1 * u**3 - 1.0
