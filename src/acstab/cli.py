@@ -67,24 +67,20 @@ _RATIO_FACTOR = {"be": 1.0, "cn": 2.0, "modcn": 2.0, "dirk": 4.0}
 
 
 def _fmt(v) -> str:
+    if type(v) is int:
+        return str(v)
     if isinstance(v, str):
         return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    x = float(v)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return "%.9g" % x
+    return "%.9g" % (float(v) + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([*map(_fmt, row)] for row in rows)
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -373,20 +369,18 @@ def _analyze_intervals(args, out: str) -> int:
 
 def _analyze_classify(args, out: str) -> int:
     _require(args, "scheme", "rmin", "rmax")
+    if not (math.isfinite(args.rmin) and math.isfinite(args.rmax)):
+        raise ConfigurationError("--rmin and --rmax must be finite")
     kind = parse_scheme(args.scheme)
     p = _resolve_params(args)
     samples = args.samples if args.samples is not None else 64
     if samples < 2:
         raise ConfigurationError("--samples must be >= 2")
     max_steps = args.steps if args.steps is not None else 400
-    grid_r = np.linspace(args.rmin, args.rmax, samples)
-
-    rows = []
-    for r in grid_r:
-        res = classify_constant_initial(kind, float(r), p, max_steps=max_steps)
-        rows.append([res.initial, res.limit,
-                     res.settle_step if res.settle_step is not None else -1, res.flips])
-    _write_csv(out, ["r", "limit", "settle_step", "flips"], rows)
+    res = classify_constant_initial(kind, np.linspace(args.rmin, args.rmax, samples), p,
+                                    max_steps=max_steps)
+    columns = (res.initial, res.limit, res.settle_step, res.flips)
+    _write_csv(out, ["r", "limit", "settle_step", "flips"], zip(*(c.tolist() for c in columns)))
     return 0
 
 

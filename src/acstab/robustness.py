@@ -39,8 +39,9 @@ import numpy as np
 
 from .errors import AnalysisError, ConfigurationError
 from .fields import ACParams, ModeIndex, ScalarField, _cubic, ac_force, field_mean, laplacian_matrix
-from .schemes import DIRK2, MERGE_TOL, SchemeKind, _flips, _sign, _step_terms, constant_cubic
-from .schemes import implicit_system, mode_slope, scalar_map
+from .schemes import DIRK2, MERGE_TOL, SchemeKind, _selected_images, _sign, _step_terms
+from .schemes import constant_cubic, implicit_system, mode_slope
+from .schemes import scalar_map  # unused here, kept for perfbench/layertrace.py, which patches it
 from .solvers import (
     CubicRoots,
     HomotopyConfig,
@@ -237,52 +238,89 @@ def interval_sequence(kind: SchemeKind, ratio: float, count: int) -> IntervalSeq
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    """Limit of the computed trajectory from a constant initial state.
+    """Limits of the computed trajectories from constant initial states.
 
-    pattern records sign(c_k) after every step (0 for exactly-zero states);
-    limit is +1/-1 once |c_k| is within settle_tol of a steady state, or 0
-    if max_steps ran out first.
+    For one float initial state: pattern records sign(c_k) from c_0 =
+    initial up to the settle step, or for all max_steps steps when the state
+    never settles (0 for states within 1e-9 of 0); settle_step is the first
+    step with |c_k - limit| <= settle_tol for a limit of +1 or -1 (None and
+    limit 0 if max_steps ran out first); flips counts the sign changes along
+    pattern, zeros skipped.
+
+    For a 1-D array of initial states every field is an array with one entry
+    per state: pattern has shape (states, max_steps + 1) with 0 after a
+    state's settle step, and settle_step is -1 where a state never settled.
     """
 
-    initial: float
-    pattern: tuple[int, ...]
-    settle_step: int | None
-    limit: int
-
-    @property
-    def flips(self) -> int:
-        return _flips(self.pattern)
+    initial: float | np.ndarray
+    pattern: tuple[int, ...] | np.ndarray
+    settle_step: int | None | np.ndarray
+    limit: int | np.ndarray
+    flips: int | np.ndarray
 
 
 def classify_constant_initial(
     kind: SchemeKind,
-    r: float,
+    r,
     p: ACParams,
     max_steps: int = 400,
     settle_tol: float = 1e-3,
 ) -> ClassificationResult:
     """Iterate the selected scalar branch from r and report the settling sign.
 
-    An unsettled exact fixed point (the selected image equals the value it
-    came from) repeats at every later step, so its pattern is completed
-    without further maps.
+    r is a float or a 1-D array of initial constants; an array is iterated
+    as a whole, one selected-chain step (schemes._selected_images) per time
+    step for the states still moving, and a float is its size-1 case.  Each
+    state's images are bit for bit the ones scalar_map marks selected.  A
+    state stops once it settles; an unsettled exact fixed point (the image
+    equals the value it came from) repeats at every later step, so its
+    pattern is completed without further maps.  Raises AnalysisError naming
+    the initial state and the step when an image is not finite: its cubic
+    coefficients are not finite, or its closed-form roots overflow.
     """
     if max_steps < 1:
         raise ConfigurationError("max_steps must be >= 1")
-    pattern = [_sign(r)]
-    cur = r
+    r0 = np.array(r, dtype=float, ndmin=1)
+    if r0.ndim != 1:
+        raise ConfigurationError("initial states must be a float or a 1-D array")
+    n = r0.size
+    pattern = np.zeros((n, max_steps + 1), dtype=np.int8, order="F")  # step k writes column k
+    pattern[:, 0] = _sign(r0)
+    settle_step, limit, flips = np.full(n, -1), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    # per state still moving: its index, value, last nonzero sign and flips so far
+    live, cur, last, fl = np.arange(n), r0, pattern[:, 0].astype(int), np.zeros(n, dtype=int)
     for k in range(1, max_steps + 1):
-        prev = cur
-        images = scalar_map(kind, cur, p)
-        cur = next(c for c, selected in images if selected)
-        pattern.append(_sign(cur))
-        for sgn in (1, -1):
-            if abs(cur - sgn) <= settle_tol:
-                return ClassificationResult(r, tuple(pattern), k, sgn)
-        if cur == prev:
-            pattern += [pattern[-1]] * (max_steps - k)
+        if not live.size:
             break
-    return ClassificationResult(r, tuple(pattern), None, 0)
+        prev, cur = cur, _selected_images(kind, cur, p)
+        finite = np.isfinite(cur)
+        if np.count_nonzero(finite) < finite.size:
+            raise AnalysisError(f"r = {r0[live[~finite][0]]:.9g} has no finite image at step {k}: "
+                                "its cubic coefficients are not finite or its roots overflow")
+        sign = _sign(cur)
+        pattern[live, k] = sign
+        fl += sign * last < 0
+        last = np.where(sign, sign, last)
+        # | |c| - 1 | is |c - 1| for c >= 0 and |c + 1| for c < 0, rounding included
+        settled = np.abs(np.abs(cur) - 1) <= settle_tol
+        done = settled | (cur == prev)
+        if not np.count_nonzero(done):
+            continue
+        flips[live[done]] = fl[done]
+        up = abs(cur[settled] - 1) <= settle_tol  # +1 is tested first
+        settle_step[live[settled]] = k
+        limit[live[settled]] = np.where(up, 1, -1)
+        fixed = done & ~settled  # an exact fixed point repeats its sign
+        pattern[live[fixed], k + 1:] = sign[fixed, None]
+        keep = ~done
+        live, cur, last, fl = live[keep], cur[keep], last[keep], fl[keep]
+    flips[live] = fl
+    if np.ndim(r) == 0:
+        steps = settle_step[0] if settle_step[0] >= 0 else max_steps
+        return ClassificationResult(float(r), tuple(pattern[0, :steps + 1].tolist()),
+                                    None if settle_step[0] < 0 else int(settle_step[0]),
+                                    int(limit[0]), int(flips[0]))
+    return ClassificationResult(r0, pattern, settle_step, limit, flips)
 
 
 @dataclass(frozen=True)

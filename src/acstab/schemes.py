@@ -30,7 +30,8 @@ b combining all forces into phi_{n+1} (be/cn/modcn: one stage, phi_{n+1}).
 ``step`` walks it on fields, one Newton solve per stage started from the
 previous stage.  Constant fields stay constant, so ``scalar_map`` walks it
 on constants, following every chain of cubic roots and marking the one the
-field stepper takes.
+field stepper takes; ``_selected_images`` walks it on a whole array of
+constants, following that chain only.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ from .solvers import (
     NewtonConfig,
     NewtonReport,
     ShiftedLaplacian,
+    _cubes,
+    _cubic_roots,
+    _newton_each,
     newton_solve,
     real_cubic_roots,
 )
@@ -185,7 +189,7 @@ def constant_cubic(p: ACParams, a, s, b, k=0.0, partner=None) -> tuple[float, fl
     if partner is None:
         return 1.0, 0.0, a / g - 1.0, (k - a * s) / g
     w = partner
-    return 1.0, w, w * w + 2.0 * a / g, w ** 3 + 2.0 * (k - a * s) / g
+    return 1.0, w, w * w + 2.0 * a / g, _cubes(w) + 2.0 * (k - a * s) / g
 
 
 def _step_terms(kind: SchemeKind, v0, lap_v0, p: ACParams):
@@ -288,11 +292,9 @@ class StepSummary:
         return _sign(self.center)
 
 
-def _sign(x: float) -> int:
-    """Sign of x, 0 within 1e-9 of zero."""
-    if abs(x) <= 1e-9:
-        return 0
-    return 1 if x > 0 else -1
+def _sign(x):
+    """Sign of x, 0 within 1e-9 of zero; per entry of an array."""
+    return (x > 1e-9) * 1 - (x < -1e-9) * 1
 
 
 def _flips(signs) -> int:
@@ -388,9 +390,11 @@ def _no_lap(x) -> float:
     return 0.0
 
 
-def _nearest(values, x: float) -> int:
-    dist = [abs(v - x) for v in values]
-    return dist.index(min(dist))
+def _nearest(roots, x):
+    """Index of the entry of roots nearest x, the first on ties; NaN entries
+    never.  Per row for a 2-D roots and a 1-D x."""
+    dist = np.abs(np.asarray(roots) - np.asarray(x)[..., None])
+    return np.argmin(np.where(np.isnan(dist), np.inf, dist), axis=-1)
 
 
 def _dedupe(pairs: list[tuple[float, bool]]) -> list[tuple[float, bool]]:
@@ -434,3 +438,41 @@ def scalar_map(kind: SchemeKind, r: float, p: ACParams) -> list[tuple[float, boo
         chains = grown
     return _dedupe([(_weighted(r, b, fs, p.dt) if b else x, start is not None)
                     for fs, x, start in chains])
+
+
+def _selected_images(kind: SchemeKind, r: np.ndarray, p: ACParams) -> np.ndarray:
+    """The image scalar_map marks selected, for each constant state in the 1-D array r.
+
+    Walks the forward stages on arrays, following only the selected chain.
+    A stage with one real root leaves no choice.  In a one-stage scheme the
+    roots are the images, and where there are several, Newton from r picks
+    the nearest, as in scalar_map.  The states where scalar_map could report
+    another value go through scalar_map itself: a one-stage scheme whose
+    images lie within MERGE_TOL of each other, which scalar_map merges, and
+    DIRK where a stage has several roots, whose other chains it enumerates.
+    A state whose cubic coefficients are not finite, or whose discriminant
+    overflows, gets a NaN image.
+    """
+    stages, b = _forward_stages(kind, p)
+    fs, rest = [], set()  # rest: the states left to scalar_map
+    with np.errstate(all="ignore"):
+        for stage in stages:
+            terms = stage(r, fs, _no_lap)
+            roots = _cubic_roots(*constant_cubic(p, *terms))[0]
+            x = roots[:, 0]
+            several = np.flatnonzero(roots[:, 1] == roots[:, 1])  # a second root, not NaN
+            if several.size and b is not None:
+                rest.update(several.tolist())
+            elif several.size:
+                close = (np.diff(roots[several]) <= MERGE_TOL).any(axis=1)
+                rest.update(several[close].tolist())
+                pick = several[~close]
+                sub = [t[pick] if isinstance(t, np.ndarray) else t for t in terms]
+                start = _newton_each(*constant_residual(p, *sub), r[pick])[0]
+                x[pick] = roots[pick, _nearest(roots[pick], start)]
+            if b is not None:
+                fs.append(ac_force(0.0, x, p))
+        image = x if b is None else _weighted(r, b, fs, p.dt)
+    for i in rest:
+        image[i] = next(c for c, selected in scalar_map(kind, float(r[i]), p) if selected)
+    return image

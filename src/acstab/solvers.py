@@ -1,10 +1,13 @@
 """Newton's method, parameter continuation, and real roots of cubics.
 
-The Newton driver takes one of two kinds of unknown, in one loop over the
-unknown's own algebra: a float, whose derivative is a float (its norm is abs
-and its Newton step divides the residual by the derivative), or a flat numpy
-array, whose Jacobian is a ShiftedLaplacian (its norm is the inf-norm and its
-Newton step is that operator's solve).
+newton_solve takes one of two kinds of unknown.  A flat numpy array
+has a ShiftedLaplacian Jacobian: its Newton step is that operator's solve and
+one inf-norm decides convergence.  A float is the size-1 case of Newton on
+independent scalar equations, one per array entry (_newton_each): each step
+divides the residual by the derivative, and each entry stops on its own.
+classify runs that loop on whole arrays of constants, with the real roots of
+their cubics from the closed form _cubic_roots, which real_cubic_roots runs
+on floats.
 
 Every step equation of the steppers and of their backward problems is
 a (v - s) - b L v + (b / eps^2) n(v) + k = 0 with L the Neumann Laplacian
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,7 +43,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError
+from .errors import AnalysisError, ConfigurationError
 from .fields import (
     GridSpec,
     dct1,
@@ -235,29 +239,12 @@ class ShiftedLaplacian:
         return None
 
 
-def _solve_scalar(deriv: float, rhs: float) -> float:
-    """rhs / deriv for a float unknown with a float derivative."""
-    step = rhs / deriv if deriv != 0.0 and math.isfinite(deriv) else math.nan
-    if not math.isfinite(step):
-        raise np.linalg.LinAlgError("zero or non-finite derivative, or overflowing step")
-    return step
-
-
-def _as_array(r) -> np.ndarray:
-    return np.asarray(r, dtype=float)
-
-
-# How the Newton loop treats each kind of unknown:
-# (coerce a residual value, its inf-norm, solve jacobian @ step = rhs).
-_SCALAR = (float, abs, _solve_scalar)
-_ARRAY = (_as_array, _linf, ShiftedLaplacian.solve)
-
-
-def _newton_core(residual, jacobian, x0, cfg: NewtonConfig, algebra):
-    value, norm, solve = algebra
+def _newton_core(residual, jacobian, x0: np.ndarray, cfg: NewtonConfig):
+    """Newton on a flat array unknown with a ShiftedLaplacian Jacobian; one
+    inf-norm decides convergence for the whole array."""
     x = x0
-    r = value(residual(x))
-    rnorm = norm(r)
+    r = np.asarray(residual(x), dtype=float)
+    rnorm = _linf(r)
     history = [rnorm]
     if not math.isfinite(rnorm):
         return x0, NewtonReport(0, rnorm, False, tuple(history), "residual not finite at guess")
@@ -265,19 +252,74 @@ def _newton_core(residual, jacobian, x0, cfg: NewtonConfig, algebra):
         return x, NewtonReport(0, rnorm, True, tuple(history))
     for it in range(1, cfg.max_iter + 1):
         try:
-            step = solve(jacobian(x), -r)
+            step = jacobian(x).solve(-r)
         except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
             return x, NewtonReport(it - 1, rnorm, False, tuple(history), f"linear solve failed: {exc}")
         x_new = x + step
-        r_new = value(residual(x_new))
-        rn_new = norm(r_new)
-        if not (math.isfinite(rn_new) and math.isfinite(norm(x_new))):
+        r_new = np.asarray(residual(x_new), dtype=float)
+        rn_new = _linf(r_new)
+        if not (math.isfinite(rn_new) and math.isfinite(_linf(x_new))):
             return x, NewtonReport(it - 1, rnorm, False, tuple(history), "iterate diverged")
         x, r, rnorm = x_new, r_new, rn_new
         history.append(rnorm)
         if rnorm <= cfg.tol:
             return x, NewtonReport(it, rnorm, True, tuple(history))
     return x, NewtonReport(cfg.max_iter, rnorm, False, tuple(history), "max iterations reached")
+
+
+# How each entry of _newton_each ended, and the report message of each.
+_CONVERGED, _BAD_GUESS, _BAD_DERIVATIVE, _DIVERGED, _MAX_ITER = range(5)
+_OUTCOME = (
+    "",
+    "residual not finite at guess",
+    "linear solve failed: zero or non-finite derivative, or overflowing step",
+    "iterate diverged",
+    "max iterations reached",
+)
+
+
+def _newton_each(residual, derivative, guess: np.ndarray, cfg: NewtonConfig | None = None):
+    """Newton's method on independent scalar equations, one per entry of guess.
+
+    residual(x) and derivative(x) are evaluated elementwise on the 1-D array
+    x.  Each entry stops on its own: at |residual| <= cfg.tol, at the
+    iteration cap, or on a failed step (zero or non-finite derivative,
+    overflowing step, non-finite new iterate or residual), keeping its last
+    finite iterate.  An entry that stopped is carried along unchanged.
+
+    Returns (x, iterations, residual, outcome, history): per entry the last
+    iterate, the steps taken, |residual| at x and how it ended (an index
+    into _OUTCOME), plus the |residual| arrays after each sweep, starting
+    at the guess.
+    """
+    cfg = cfg or NewtonConfig()
+    with np.errstate(all="ignore"):
+        x = np.array(guess, dtype=float)
+        r = np.broadcast_to(np.asarray(residual(x), dtype=float), x.shape)
+        rn = np.abs(r)
+        history = [rn]
+        outcome = np.where(np.isfinite(rn), _MAX_ITER, _BAD_GUESS)  # _CONVERGED set at the end
+        iterations = np.zeros(x.shape, dtype=int)
+        run = np.isfinite(rn) & (rn > cfg.tol)
+        for _ in range(cfg.max_iter):
+            if not np.count_nonzero(run):
+                break
+            d = derivative(x)
+            step = -r / d
+            steps = np.isfinite(step * d)  # step and derivative finite: inf * 0 is NaN
+            x_new = x + step
+            r_new = np.asarray(residual(x_new), dtype=float)
+            rn_new = np.abs(r_new)
+            ok = run & steps & np.isfinite(rn_new) & np.isfinite(x_new)
+            if np.count_nonzero(ok) < np.count_nonzero(run):
+                outcome[run & ~steps] = _BAD_DERIVATIVE
+                outcome[run & steps & ~ok] = _DIVERGED
+            x, r, rn = np.where(ok, x_new, x), np.where(ok, r_new, r), np.where(ok, rn_new, rn)
+            history.append(rn)
+            iterations += ok
+            run = ok & (rn > cfg.tol)
+        outcome[rn <= cfg.tol] = _CONVERGED
+    return x, iterations, rn, outcome, history
 
 
 def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
@@ -287,12 +329,13 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
     ----------
     residual, jacobian:
         Functions of the unknown, for one of two kinds of unknown.  A float
-        unknown has a float derivative, and each step divides the residual
-        by it; a zero or non-finite derivative ends the solve as a failed
-        linear solve.  A flat-array unknown has a ShiftedLaplacian Jacobian,
-        whose solve picks a tridiagonal solve (1D), preconditioned CG (2D,
-        certified positive definite) or sparse LU from the operator itself;
-        any other Jacobian raises.
+        unknown is the size-1 case of _newton_each: residual and jacobian
+        (its derivative) are called on a 1-element array, each step divides
+        the residual by the derivative, and a zero or non-finite derivative
+        ends the solve as a failed linear solve.  A flat-array unknown has a
+        ShiftedLaplacian Jacobian, whose solve picks a tridiagonal solve
+        (1D), preconditioned CG (2D, certified positive definite) or sparse
+        LU from the operator itself; any other Jacobian raises.
     guess:
         float or flat ndarray; the solution has the same kind.
     cfg:
@@ -304,9 +347,12 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
     returned iterate is the last finite one.
     """
     cfg = cfg or NewtonConfig()
-    if np.isscalar(guess):
-        return _newton_core(residual, jacobian, float(guess), cfg, _SCALAR)
-    return _newton_core(residual, jacobian, np.array(guess, dtype=float), cfg, _ARRAY)
+    if not np.isscalar(guess):
+        return _newton_core(residual, jacobian, np.array(guess, dtype=float), cfg)
+    x, iterations, rn, outcome, history = _newton_each(residual, jacobian, np.array([guess]), cfg)
+    its, why = int(iterations[0]), int(outcome[0])
+    return float(x[0]), NewtonReport(its, float(rn[0]), why == _CONVERGED,
+                                     tuple(float(h[0]) for h in history[:its + 1]), _OUTCOME[why])
 
 
 def fd_jacobian(residual, u, h_fd: float | None = None) -> np.ndarray:
@@ -428,7 +474,10 @@ class CubicRoots:
 
     discriminant_sign is +1 (three distinct real roots), 0 (repeated root),
     or -1 (one real root); the sign is zeroed when the discriminant is
-    below 1e-12 relative to its own terms.
+    below 1e-12 relative to its own terms, a decision made on the exact
+    sum of the terms (math.fsum) wherever a plain sum could change it.
+    discriminant is the sum of the terms, exact only where that decision
+    needed it.
     """
 
     real_roots: tuple[float, ...]
@@ -436,15 +485,34 @@ class CubicRoots:
     discriminant: float
 
 
-def real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> CubicRoots:
-    """All real roots of a3 x^3 + a2 x^2 + a1 x + a0.
+def _cube(v: float) -> float:
+    """v ** 3 with pow's rounding; by products past 1e100, where pow raises
+    OverflowError instead of returning inf."""
+    return v ** 3 if -1e100 < v < 1e100 else v * v * v
 
-    Closed-form: trigonometric branch when all roots are real, Cardano
-    otherwise, each root polished by one safeguarded Newton step.  Raises
-    ConfigurationError when a3 == 0.
-    """
-    if a3 == 0.0:
-        raise ConfigurationError("leading coefficient must be nonzero")
+
+# acos and x ** 3 go through the C library entry by entry, as on Python floats:
+# numpy's SIMD arccos and power round differently on some inputs, and an
+# array entry must get the bits its float would.
+
+def _cubes(x):
+    """x ** 3 with pow's rounding, on a float or per entry of an array."""
+    if not isinstance(x, np.ndarray):
+        return _cube(float(x))
+    if np.abs(x).max(initial=0.0) < 1e100:
+        return np.fromiter(map(math.pow, x.tolist(), repeat(3.0)), float, x.size)
+    return np.fromiter(map(_cube, x.tolist()), float, x.size)
+
+
+def _acos(x):
+    """math.acos on a float, or per entry of an array."""
+    if not isinstance(x, np.ndarray):
+        return math.acos(float(x))
+    return np.fromiter(map(math.acos, x.tolist()), float, x.size)
+
+
+def _exact_discriminant(a3: float, a2: float, a1: float, a0: float) -> tuple[float, float]:
+    """(discriminant, scale): math.fsum of the terms, and their absolute values summed."""
     terms = (
         18.0 * a3 * a2 * a1 * a0,
         -4.0 * a2 ** 3 * a0,
@@ -452,48 +520,144 @@ def real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> CubicRoots:
         -4.0 * a3 * a1 ** 3,
         -27.0 * a3 ** 2 * a0 ** 2,
     )
-    disc = math.fsum(terms)
-    scale = sum(abs(t) for t in terms)
-    if abs(disc) <= 1e-12 * scale:
-        sign = 0
-    else:
-        sign = 1 if disc > 0 else -1
+    return math.fsum(terms), sum(abs(t) for t in terms)
 
-    b, c, d = a2 / a3, a1 / a3, a0 / a3
-    p = c - b * b / 3.0
-    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
-    shift = -b / 3.0
 
-    if sign > 0:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = min(1.0, max(-1.0, 3.0 * q / (p * m)))
-        theta = math.acos(arg)
-        ts = [m * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3)]
-    elif sign == 0:
-        # Discriminant zero: either a triple root (p = q = 0) or a double
-        # plus a simple root; p <= 0 always holds here.
-        p_scale = max(1.0, abs(c), b * b / 3.0)
-        if abs(p) <= 1e-9 * p_scale:
-            ts = [0.0, 0.0, 0.0]
-        else:
-            ts = [3.0 * q / p, -1.5 * q / p, -1.5 * q / p]
-    else:
-        if q == 0.0:
-            ts = [0.0]  # p > 0 here, so t (t^2 + p) = 0 has one real root
-        else:
-            big = math.sqrt(q * q / 4.0 + p ** 3 / 27.0)
-            u = np.cbrt(-q / 2.0 - math.copysign(big, q))
-            ts = [u - p / (3.0 * u)]
+_TWO_PI_K = tuple(2.0 * math.pi * k for k in range(3))
 
-    def poly(x: float) -> float:
+
+def _rows(v, rows):
+    """v at the given rows: v itself when it is a float."""
+    return v[rows] if isinstance(v, np.ndarray) else v
+
+
+def _mask(rows: np.ndarray):
+    """rows as an index: None when no entry is set, every row when all are."""
+    count = np.count_nonzero(rows)
+    if count == 0:
+        return None
+    return slice(None) if count == rows.size else rows
+
+
+def _where(cond, a, b):
+    """a where cond holds, else b: np.where on arrays, a plain choice on a single bool."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _trig(p, q, b, c):
+    """Columns t of the three real roots of t^3 + p t + q, p < 0: the trigonometric form."""
+    m = 2.0 * np.sqrt(-p / 3.0)
+    theta = _acos(np.minimum(1.0, np.maximum(-1.0, 3.0 * q / (p * m))))
+    return [m * np.cos((theta - k) / 3.0) for k in _TWO_PI_K]
+
+
+def _double(p, q, b, c):
+    """Columns t of the roots of t^3 + p t + q at a zero discriminant: a triple root
+    (p = q = 0) or a double plus a simple root; p <= 0 here."""
+    p_scale = np.maximum(np.maximum(1.0, np.abs(c)), b * b / 3.0)
+    triple = np.abs(p) <= 1e-9 * p_scale
+    double = _where(triple, 0.0, -1.5 * q / p)
+    return [_where(triple, 0.0, 3.0 * q / p), double, double]
+
+
+def _cardano(p, q, b, c):
+    """Column t of the one real root of t^3 + p t + q at a negative discriminant
+    (Cardano); p > 0 when q = 0, so t (t^2 + p) = 0 has t = 0."""
+    big = np.sqrt(q * q / 4.0 + _cubes(p) / 27.0)
+    u = np.cbrt(q * -0.5 - np.copysign(big, q))  # q * -0.5 is -q / 2.0 to the bit
+    return [_where(q == 0.0, 0.0, u - p / (3.0 * u))]
+
+
+def _polish(x, a3, a2, a1, a0):
+    """x after one Newton step on the cubic, kept where it does not increase |poly|;
+    a zero derivative gives a non-finite step, which is not taken."""
+
+    def poly(x):
         return ((a3 * x + a2) * x + a1) * x + a0
 
-    def polish(x: float) -> float:
-        fp = (3.0 * a3 * x + 2.0 * a2) * x + a1
-        if fp == 0.0:
-            return x
-        x2 = x - poly(x) / fp
-        return x2 if math.isfinite(x2) and abs(poly(x2)) <= abs(poly(x)) else x
+    px = poly(x)
+    x2 = x - px / ((3.0 * a3 * x + 2.0 * a2) * x + a1)
+    return _where((x2 - x2 == 0.0) & (abs(poly(x2)) <= abs(px)), x2, x)  # x2 - x2 == 0: finite
 
-    roots = sorted(polish(t + shift) for t in ts)
-    return CubicRoots(tuple(roots), sign, disc)
+
+def _cubic_roots(a3, a2, a1, a0):
+    """Real roots of a3 x^3 + a2 x^2 + a1 x + a0, a3 != 0, by real_cubic_roots' method.
+
+    Each coefficient is a float or a 1-D array, the arrays of one length n.
+    With an array among them, returns (roots, sign, disc) per entry: roots
+    of shape (n, 3), each row ascending with NaN after its real roots, and
+    sign and disc as in CubicRoots; a row whose coefficients are not finite,
+    whose discriminant overflows, or whose Cardano square root rounds to a
+    negative argument is all NaN.  With floats only, roots is the ascending
+    tuple of real roots (empty or NaN for such a cubic) and sign and disc
+    are numbers.  Both run the same arithmetic, so every entry gets the
+    bits it would get alone.
+    """
+    arrays = isinstance(a0, np.ndarray) or isinstance(a1, np.ndarray) or isinstance(a2, np.ndarray)
+    with np.errstate(all="ignore"):
+        if not arrays:  # numpy floats: a zero divisor gives inf instead of raising
+            a3, a2, a1, a0 = np.float64(a3), np.float64(a2), np.float64(a1), np.float64(a0)
+        terms = (-4.0 * a3 * (a1 * a1 * a1), -27.0 * (a3 * a3) * (a0 * a0))
+        if isinstance(a2, np.ndarray) or a2 != 0.0:  # the terms in a2 vanish when it is 0.0
+            terms += (18.0 * a3 * a2 * a1 * a0, -4.0 * (a2 * a2 * a2) * a0, (a2 * a2) * (a1 * a1))
+        disc = sum(terms[1:], terms[0])
+        scale = sum(map(abs, terms[1:]), abs(terms[0]))
+        tol = 1e-12 * scale
+        # the plain sum is within 1e-14 of scale of math.fsum's; recompute where that could
+        # move the discriminant across the threshold
+        near = abs(abs(disc) - tol) <= 0.1 * tol
+        if np.count_nonzero(near):
+            if arrays:
+                for i in np.flatnonzero(near):
+                    coeffs = (float(_rows(a, i)) for a in (a3, a2, a1, a0))
+                    disc[i], scale[i] = _exact_discriminant(*coeffs)
+            else:
+                disc, scale = map(np.float64, _exact_discriminant(*map(float, (a3, a2, a1, a0))))
+            tol = 1e-12 * scale
+        three, one = disc > tol, disc < -tol
+
+        b, c, d = a2 / a3, a1 / a3, a0 / a3
+        p = c - b * b / 3.0
+        q = 2.0 * _cubes(b) / 27.0 - b * c / 3.0 + d
+        shift = -b / 3.0
+        if not arrays:
+            finite = scale - scale == 0.0
+            branch = _trig if three else _cardano if one else _double if finite else None
+            cols = branch(p, q, b, c) if branch else []
+            roots = sorted(float(_polish(t + shift, a3, a2, a1, a0)) for t in cols)
+            return tuple(roots), int(three) - int(one), float(disc)
+        t = np.full((disc.size, 3), np.nan)
+        branches = [(three, _trig), (one, _cardano)]
+        if np.count_nonzero(three) + np.count_nonzero(one) < disc.size:
+            branches.append((~(three | one) & (scale - scale == 0.0), _double))  # finite scale
+        for rows, branch in branches:
+            rows = _mask(rows)
+            if rows is not None:
+                for j, col in enumerate(branch(*(_rows(v, rows) for v in (p, q, b, c)))):
+                    t[rows, j] = col
+        a3, a2, a1, a0, shift = (np.reshape(a, (-1, 1)) if isinstance(a, np.ndarray) else a
+                                 for a in (a3, a2, a1, a0, shift))
+        x = _polish(t + shift, a3, a2, a1, a0)
+    return np.sort(x, axis=1, kind="stable"), three * 1 - one, disc
+
+
+def real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> CubicRoots:
+    """All real roots of a3 x^3 + a2 x^2 + a1 x + a0.
+
+    Closed-form: trigonometric branch when all roots are real, Cardano
+    otherwise, each root polished by one safeguarded Newton step.  It is
+    _cubic_roots on floats, the same arithmetic that classify runs on whole
+    arrays of constants.  Raises ConfigurationError when a3 == 0 and
+    AnalysisError when a root is not finite: a coefficient is not finite,
+    the discriminant overflows, or rounding makes Cardano's square root
+    negative.
+    """
+    if a3 == 0.0:
+        raise ConfigurationError("leading coefficient must be nonzero")
+    roots, sign, disc = _cubic_roots(float(a3), float(a2), float(a1), float(a0))
+    if not (roots and all(map(math.isfinite, roots))):
+        raise AnalysisError(f"cubic ({a3!r}, {a2!r}, {a1!r}, {a0!r}) has no finite closed-form "
+                            "roots: a coefficient is not finite, or the closed form overflows")
+    return CubicRoots(roots, sign, disc)

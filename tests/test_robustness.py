@@ -390,12 +390,13 @@ def test_classify_where_scalar_newton_misses_tolerance(r):
 def test_classify_stops_mapping_at_an_exact_fixed_point(kind, monkeypatch):
     # 0 maps to itself, so every step after the first repeats it
     calls = []
+    selected_images = robustness._selected_images
 
     def counting(*args):
         calls.append(args)
-        return scalar_map(*args)
+        return selected_images(*args)
 
-    monkeypatch.setattr(robustness, "scalar_map", counting)
+    monkeypatch.setattr(robustness, "_selected_images", counting)
     res = classify_constant_initial(kind, 0.0, ACParams(1.0, 0.5))
     assert res.pattern == (0,) * 401
     assert res.settle_step is None and res.limit == 0

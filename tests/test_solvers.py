@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acstab import solvers
-from acstab.errors import ConfigurationError
+from acstab.errors import AnalysisError, ConfigurationError
 from acstab.fields import ACParams, DIRK2_TABLEAU, ScalarField, constant_field, make_grid
 from acstab.schemes import (
     BE,
@@ -101,12 +101,59 @@ def test_newton_divergence_reported():
     assert rep.message != ""
 
 
-@pytest.mark.parametrize("deriv", (lambda u: 2.0 * u, lambda u: math.nan), ids=("zero", "nan"))
+@pytest.mark.parametrize("deriv", (lambda u: 2.0 * u, lambda u: math.nan, lambda u: math.inf),
+                         ids=("zero", "nan", "inf"))
 def test_newton_scalar_bad_derivative_reported(deriv):
     x, rep = newton_solve(lambda u: u * u + 1.0, deriv, 0.0)
     assert x == 0.0
     assert not rep.converged
     assert rep.message.startswith("linear solve failed")
+
+
+def _reference_newton(f, fp, x, tol=1e-10, max_iter=50):
+    """(x, iterations, |residual|, converged, history) by Newton on one float,
+    as the float loop ran before floats became the size-1 case of arrays."""
+    rn = abs(f(x))
+    history = [rn]
+    if not math.isfinite(rn) or rn <= tol:
+        return x, 0, rn, rn <= tol, history
+    for it in range(1, max_iter + 1):
+        d = fp(x)
+        step = -f(x) / d if d != 0.0 and math.isfinite(d) else math.nan
+        if not math.isfinite(step):
+            return x, it - 1, rn, False, history
+        x_new = x + step
+        rn_new = abs(f(x_new))
+        if not (math.isfinite(rn_new) and math.isfinite(x_new)):
+            return x, it - 1, rn, False, history
+        x, rn = x_new, rn_new
+        history.append(rn)
+        if rn <= tol:
+            return x, it, rn, True, history
+    return x, max_iter, rn, False, history
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from(("be", "cn", "modcn")),
+    st.floats(0.05, 2.0),
+    st.floats(1e-3, 10.0),
+    st.lists(st.one_of(st.floats(-300.0, 300.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8),
+)
+def test_newton_each_entry_is_the_float_loop(tag, eps, dt, rs):
+    # each entry of an array of constant step equations, and each one alone
+    # as a float unknown, iterates exactly as the float loop does
+    p = ACParams(eps, dt)
+    kind = {"be": BE, "cn": CN, "modcn": MODCN}[tag]
+    rs = np.array(rs)
+    terms = _step_terms(kind, rs, 0.0, p)
+    x, iterations, rn, _, _ = solvers._newton_each(*constant_residual(p, *terms), rs)
+    for j, r in enumerate(rs.tolist()):
+        one = constant_residual(p, *_step_terms(kind, r, 0.0, p))
+        want = _reference_newton(*one, r)
+        assert (x[j], iterations[j], rn[j]) == want[:3]
+        got, rep = newton_solve(*one, r)
+        assert (got, rep.iterations, rep.residual, rep.converged, list(rep.history)) == want
 
 
 def test_newton_banded_path_matches_dense_solution(monkeypatch):
@@ -210,6 +257,117 @@ def test_cubic_type_counts():
     out = real_cubic_roots(1.0, -5.0, 8.0, -4.0)  # (x-1)(x-2)^2
     assert out.discriminant_sign == 0
     assert sorted(round(v, 6) for v in out.real_roots) == [1.0, 2.0, 2.0]
+
+
+def _reference_cubic_roots(a3, a2, a1, a0):
+    """(real roots, discriminant sign) by the closed form on Python floats, as
+    written before it ran on arrays: the bits solvers._cubic_roots must give."""
+    terms = (
+        18.0 * a3 * a2 * a1 * a0,
+        -4.0 * a2 ** 3 * a0,
+        a2 ** 2 * a1 ** 2,
+        -4.0 * a3 * a1 ** 3,
+        -27.0 * a3 ** 2 * a0 ** 2,
+    )
+    disc = math.fsum(terms)
+    scale = sum(abs(t) for t in terms)
+    sign = 0 if abs(disc) <= 1e-12 * scale else (1 if disc > 0 else -1)
+    b, c, d = a2 / a3, a1 / a3, a0 / a3
+    p = c - b * b / 3.0
+    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
+    if sign > 0:
+        m = 2.0 * math.sqrt(-p / 3.0)
+        theta = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * m))))
+        ts = [m * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3)]
+    elif sign == 0:
+        if abs(p) <= 1e-9 * max(1.0, abs(c), b * b / 3.0):
+            ts = [0.0, 0.0, 0.0]
+        else:
+            ts = [3.0 * q / p, -1.5 * q / p, -1.5 * q / p]
+    elif q == 0.0:
+        ts = [0.0]
+    else:
+        big = math.sqrt(q * q / 4.0 + p ** 3 / 27.0)
+        u = float(np.cbrt(-q / 2.0 - math.copysign(big, q)))
+        ts = [u - p / (3.0 * u)]
+
+    def poly(x):
+        return ((a3 * x + a2) * x + a1) * x + a0
+
+    def polish(x):
+        fp = (3.0 * a3 * x + 2.0 * a2) * x + a1
+        if fp == 0.0:
+            return x
+        x2 = x - poly(x) / fp
+        return x2 if math.isfinite(x2) and abs(poly(x2)) <= abs(poly(x)) else x
+
+    return tuple(sorted(polish(t - b / 3.0) for t in ts)), sign
+
+
+def _assert_cubic_roots_match_reference(coeffs):
+    """_cubic_roots on the arrays of coeffs, and real_cubic_roots on each row,
+    give the reference's roots and sign to the bit.  Where the reference fails
+    (rounding makes Cardano's square root negative), the row is all NaN and
+    real_cubic_roots raises."""
+    columns = [np.array(c) for c in zip(*coeffs)]
+    roots, sign, _ = solvers._cubic_roots(*columns)
+    for row, got_roots, got_sign in zip(coeffs, roots, sign.tolist()):
+        try:
+            want_roots, want_sign = _reference_cubic_roots(*row)
+        except ValueError:
+            assert np.isnan(got_roots).all()
+            with pytest.raises(AnalysisError, match="no finite closed-form roots"):
+                real_cubic_roots(*row)
+            continue
+        got = tuple(got_roots[~np.isnan(got_roots)].tolist())
+        assert (got, got_sign) == (want_roots, want_sign)
+        out = real_cubic_roots(*row)
+        assert (out.real_roots, out.discriminant_sign) == (want_roots, want_sign)
+        assert np.signbit(out.real_roots).tolist() == np.signbit(want_roots).tolist()
+
+
+_coefficient = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+def _three_roots(x, dx, dy):
+    """The monic cubic with roots x, x + dx and x + dy."""
+    return (1.0, -(3 * x + dx + dy), 3 * x * x + 2 * x * (dx + dy) + dx * dy,
+            -x * (x + dx) * (x + dy))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(
+    # the step cubics: monic, with a2 = 0 or MODCN's partner state
+    st.tuples(st.just(1.0), st.just(0.0), _coefficient, _coefficient),
+    st.tuples(st.just(1.0), _coefficient, _coefficient, _coefficient),
+    st.tuples(st.floats(0.5, 4.0), _coefficient, _coefficient, _coefficient),
+    # three real roots x, x + dx, x + dy: apart, or with a near-double pair
+    st.builds(_three_roots, st.floats(-5.0, 5.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    st.builds(_three_roots, _coefficient, st.floats(-1.0, 1.0), st.floats(-1e-6, 1e-6)),
+), min_size=1, max_size=12))
+def test_cubic_roots_on_arrays_are_the_float_closed_form(coeffs):
+    _assert_cubic_roots_match_reference(coeffs)
+
+
+def test_cubic_roots_on_arrays_take_acos_and_powers_from_the_c_library():
+    # numpy's SIMD arccos and power round differently from math.acos and
+    # Python's ** on a few percent of inputs; some of that survives the
+    # polishing Newton step, so enough three-root cubics (the arccos branch)
+    # and cubics with a2 != 0 (powers of a2 / a3) show it
+    rng = np.random.default_rng(11)
+    x, (dx, dy) = rng.uniform(-5.0, 5.0, 2000), rng.uniform(-3.0, 3.0, (2, 2000))
+    coeffs = [_three_roots(*v) for v in zip(x.tolist(), dx.tolist(), dy.tolist())]
+    coeffs += [(1.0, *v) for v in rng.uniform(-50.0, 50.0, (2000, 3)).tolist()]
+    _assert_cubic_roots_match_reference(coeffs)
+
+
+@pytest.mark.parametrize("a2,a1,a0", ((-2.5, 1.0, 0.7580756164864589),
+                                      (7.0, 1.0, 0.03608734990823525)))
+def test_cubic_roots_decide_the_discriminant_sign_exactly(a2, a1, a0):
+    # a0 puts the discriminant at 1e-12 of its terms; within 300 ulps of it a
+    # plain sum of the terms decides the sign differently from math.fsum
+    sweep = sorted({a0 + k * math.ulp(a0) for k in range(-300, 301)})
+    _assert_cubic_roots_match_reference([(1.0, a2, a1, x) for x in sweep])
 
 
 def test_homotopy_config_validation():
