@@ -125,6 +125,8 @@ def _resolve_params(args) -> ACParams:
             raise ConfigurationError("missing required option(s): --eps")
         eps = 1.0
     if dt is None:
+        if not (math.isfinite(ratio) and ratio > 0.0):
+            raise ConfigurationError(f"--ratio must be finite and > 0, got {ratio}")
         kind = parse_scheme(args.scheme)
         dt = ratio * _RATIO_FACTOR[kind.tag] * eps ** 2
     return ACParams(eps=eps, dt=dt)
@@ -595,9 +597,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         args = _merge_config(args)
         if args.command == "reproduce":

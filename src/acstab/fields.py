@@ -21,11 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "GridSpec",
@@ -223,8 +226,11 @@ def laplacian_matrix(grid: GridSpec) -> sp.csr_matrix:
     1D rows: (u_{j-1} - 2 u_j + u_{j+1}) / h^2 in the interior and
     2 (u_1 - u_0) / h^2 at the boundary (ghost u_{-1} := u_1).  In 2D the
     operator is the Kronecker sum of two 1D copies.  The matrix is cached
-    per grid and must be treated as read-only.
+    per grid and must be treated as read-only.  scipy.sparse is imported
+    on the first call, so only the commands that build one load it.
     """
+    import scipy.sparse as sp
+
     n, h = grid.n, grid.h
     main = np.full(n, -2.0)
     off = np.ones(n - 1)
@@ -264,7 +270,7 @@ def dct1(arr: np.ndarray) -> np.ndarray:
 
         laplacian_matrix(g) @ x == dct1(laplacian_eigenvalues(g) * dct1(x)) / (2 (n - 1))^dim
 
-    Built on numpy.fft, which numpy and scipy.sparse already import.
+    Built on numpy.fft.
     """
     out = np.asarray(arr, dtype=float)
     for axis in range(out.ndim):

@@ -28,6 +28,12 @@ its method from the operator itself:
 Every direct solve takes one round of iterative refinement when its true
 residual exceeds 1e-12 relative to the right-hand side; CG stops only on a
 true residual within that bound.
+
+SciPy loads on the first field solve that needs it, not on import: the
+analyses of constant states never load it.  The module attributes scipy
+(with scipy.linalg) and spla (scipy.sparse.linalg) are imported on first
+access and then kept as globals; the solves read them when they run, so a
+patched solvers.spla.splu is the one they call.
 """
 
 from __future__ import annotations
@@ -36,12 +42,9 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import AnalysisError, ConfigurationError
 from .fields import (
@@ -51,6 +54,9 @@ from .fields import (
     laplacian_matrix,
     trapezoid_weights,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "NewtonConfig",
@@ -103,6 +109,25 @@ class NewtonReport:
     delta: float | None = None
 
 
+def __getattr__(name: str):
+    """scipy and spla: imported on first access, then kept as module globals."""
+    if name == "scipy":
+        import scipy.linalg
+
+        module = scipy
+    elif name == "spla":
+        import scipy.sparse.linalg as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = module
+    return module
+
+
+def _scipy(name: str):
+    """solvers.<name> as it stands now: imported on first use, or as patched."""
+    return globals().get(name) or __getattr__(name)
+
+
 def _linf(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
@@ -118,7 +143,7 @@ def _refined_solve(solve, apply, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-_GTSV = scipy.linalg.get_lapack_funcs("gtsv", dtype=np.float64)
+_GTSV = None  # LAPACK gtsv, looked up on the first 1D solve
 
 
 def _tridiagonal_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -127,6 +152,9 @@ def _tridiagonal_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     The same LAPACK gtsv call, bits and errors as
     scipy.linalg.solve_banded((1, 1), ab, rhs); ab and rhs are left intact.
     """
+    global _GTSV
+    if _GTSV is None:
+        _GTSV = _scipy("scipy").linalg.get_lapack_funcs("gtsv", dtype=np.float64)
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
     x, info = _GTSV(ab[2, :-1], ab[1], ab[0, 1:], rhs)[3:]
@@ -173,6 +201,8 @@ class ShiftedLaplacian:
         return self.a * x - self.b * (laplacian_matrix(self.grid) @ x) + self.d * x
 
     def tosparse(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         return (sp.diags(self.a + self.d) - self.b * laplacian_matrix(self.grid)).tocsr()
 
     def todense(self) -> np.ndarray:
@@ -187,7 +217,8 @@ class ShiftedLaplacian:
             x = self._pcg(rhs)
             if x is not None:
                 return x
-        return _refined_solve(spla.splu(self.tosparse().tocsc()).solve, self.__matmul__, rhs)
+        lu = _scipy("spla").splu(self.tosparse().tocsc())
+        return _refined_solve(lu.solve, self.__matmul__, rhs)
 
     def _band(self) -> np.ndarray:
         """The tridiagonal 1D operator in solve_banded's (1, 1) layout."""

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -138,6 +140,14 @@ def test_simulate_requires_scheme(tmp_path):
 def test_dt_and_ratio_exclusive(tmp_path):
     assert _run("simulate", "const:1", "--scheme", "cn", "--eps", "0.1",
                 "--dt", "0.01", "--ratio", "0.5", "--out", str(tmp_path / "t.csv")) == 2
+
+
+@pytest.mark.parametrize("ratio", ("-0.5", "0", "nan", "inf"))
+def test_ratio_must_be_finite_and_positive(ratio, tmp_path, capsys):
+    assert _run("analyze", "classify", "--scheme", "cn", "--ratio", ratio, "--rmin", "-1",
+                "--rmax", "1", "--out", str(tmp_path / "c.csv")) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --ratio must be finite and > 0, got {float(ratio)}\n"
 
 
 def test_dt_or_ratio_required(tmp_path):
@@ -372,3 +382,101 @@ def test_config_flags_override_file(tmp_path):
 def test_config_file_missing(tmp_path):
     assert _run("analyze", "intervals", "--config", str(tmp_path / "none.json"),
                 "--out", str(tmp_path / "x.csv")) == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _count_builds(monkeypatch):
+    """Drop the cached parser and count the build_parser calls that follow."""
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    return calls
+
+
+def _outcome(argv, out, capsys):
+    """(exit code, stdout, stderr, CSV bytes or None) of one main call."""
+    out.unlink(missing_ok=True)
+    try:
+        code = _run(*argv, "--out", str(out))
+    except SystemExit as exc:
+        code = exc.code
+    std = capsys.readouterr()
+    return code, std.out, std.err, out.read_bytes() if out.exists() else None
+
+
+def test_parser_built_once_and_reused(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scheme": "cn", "ratio": 0.5, "count": 2}))
+    calls = [
+        ("analyze", "intervals", "--scheme", "dirk2", "--ratio", "0.25"),
+        ("analyze", "classify", "--scheme", "xx"),  # argparse error
+        ("reproduce", "table4", "--check"),
+        ("analyze", "intervals", "--config", str(cfg)),
+        ("analyze", "intervals", "--scheme", "dirk2", "--ratio", "0.25"),
+        ("analyze", "intervals"),  # nothing left over from --config
+        ("preimage", "const:0.5", "--scheme", "modcn", "--ratio", "2"),
+    ]
+    out = tmp_path / "out.csv"
+    alone = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        alone.append(_outcome(argv, out, capsys))
+    builds = _count_builds(monkeypatch)
+    reused = [_outcome(argv, out, capsys) for argv in calls]
+    assert len(builds) == 1
+    assert reused == alone
+    assert [o[0] for o in reused] == [0, 2, 0, 0, 0, 2, 0]
+    assert reused[4][3].count(b",s") == 4  # the default count, not the config's 2
+    assert reused[5][2] == "error: missing required option(s): --scheme, --ratio\n"
+
+
+# ---------------------------------------------------------------------------
+# SciPy loads only for field work
+
+_CONSTANT_COMMANDS = (
+    ("analyze", "classify", "--scheme", "dirk2", "--ratio", "0.5", "--rmin", "-3", "--rmax", "3"),
+    ("analyze", "intervals", "--scheme", "modcn", "--ratio", "0.5"),
+    ("analyze", "thresholds", "--eps", "0.1"),
+    ("analyze", "bifurcations", "--scheme", "cn", "--c", "0.2", "--dt", "0.01", "--dim", "2"),
+    ("analyze", "perturb", "--scheme", "dirk2", "--c", "0.5", "--r", "0.4", "--k", "1",
+     "--ratio", "0.5"),
+    *(("reproduce", target, "--check") for target in REPRODUCE_IDS),
+    ("preimage", "const:0.5", "--scheme", "dirk2", "--ratio", "2"),
+)
+
+_SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import acstab
+loaded = [["import acstab", 0, scipy_modules()]]
+import acstab.cli
+loaded.append(["import acstab.cli", 0, scipy_modules()])
+for argv in json.loads(sys.argv[1]):
+    code = acstab.cli.main(argv)
+    loaded.append([" ".join(argv[:2]), code, scipy_modules()])
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_for_field_work(tmp_path):
+    simulate = ("simulate", "const+mode:0.5,0.1,1", "--scheme", "cn", "--eps", "0.1",
+                "--dt", "0.01", "--n", "17", "--steps", "2")
+    argvs = [[*argv, "--out", str(tmp_path / "o.csv")] for argv in (*_CONSTANT_COMMANDS, simulate)]
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+                         capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert len(loaded) == 2 + len(argvs)
+    *constant, (what, code, modules) = loaded
+    assert constant == [[w, 0, []] for w, _, _ in constant]
+    assert what == "simulate const+mode:0.5,0.1,1" and code == 0
+    assert "scipy.linalg" in modules and "scipy.sparse" in modules

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -164,3 +165,37 @@ def test_cli_import_leaves_scipy_fft_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_solvers_scipy_attributes_import_on_first_access():
+    code = (
+        "import sys, acstab.solvers as s\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules),"
+        " getattr(s, 'spla') is sys.modules['scipy.sparse.linalg'],"
+        " getattr(s, 'scipy') is sys.modules['scipy'] and 'scipy.linalg' in sys.modules,"
+        " 'spla' in vars(s) and 'scipy' in vars(s), getattr(s, 'nonesuch', None))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "True", "True", "True", "None"]
+
+
+def test_uncertified_2d_solve_reads_patched_splu(monkeypatch):
+    g = make_grid(2, 9)
+    op = ShiftedLaplacian(g, 1.0, -1e-3, np.zeros(g.num_nodes))  # b < 0: not certified
+    rhs = np.linspace(-1.0, 1.0, g.num_nodes)
+    calls = []
+    splu = solvers.spla.splu
+
+    def counting(matrix):
+        calls.append("module")
+        return splu(matrix)
+
+    monkeypatch.setattr(solvers.spla, "splu", counting)
+    x = op.solve(rhs)
+    assert calls == ["module"] and _linf(op @ x - rhs) <= 1e-12
+    # a replaced solvers.spla is read on the next call, as a tracer installs it
+    view = SimpleNamespace(splu=lambda matrix: calls.append("view") or splu(matrix))
+    monkeypatch.setattr(solvers, "spla", view)
+    assert np.array_equal(op.solve(rhs), x) and calls == ["module", "view"]
