@@ -84,7 +84,12 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill in None-valued flags from the --config JSON file, if any."""
+    """Fill in None-valued flags from the --config JSON file, if any.
+
+    Each value is read as its flag's command-line text would be, through the
+    flag's type and choices; a value they reject is a ConfigurationError
+    naming its key.
+    """
     path = getattr(args, "config", None)
     if not path:
         return args
@@ -95,10 +100,22 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ConfigurationError(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a JSON object")
+    actions = {a.dest: a for a in args.flags._actions}
     for key, val in data.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, val)
+        action = actions.get(key.replace("-", "_"))
+        if action is None or not hasattr(args, action.dest) or getattr(args, action.dest) is not None:
+            continue
+        if action.nargs != 0:  # not a const flag: the value is read as command-line text
+            read = action.type or str
+            try:
+                val = read(str(val))
+            except ValueError:
+                raise ConfigurationError(
+                    f"config key {key!r}: invalid {read.__name__} value {val!r}") from None
+        if action.choices is not None and val not in action.choices:
+            raise ConfigurationError(f"config key {key!r}: invalid choice {val!r} "
+                                     f"(choose from {', '.join(map(str, action.choices))})")
+        setattr(args, action.dest, val)
     return args
 
 
@@ -138,8 +155,8 @@ def _resolve_grid(args, spec: str | None = None):
         # a 4-component mode spec ("const+mode:v,d,k,l") implies 2D
         dim = 2 if (spec.startswith("const+mode:") and spec.count(",") == 3) else 1
     dim = dim or 1
-    n = getattr(args, "n", None) or (257 if dim == 1 else 65)
-    return make_grid(dim, n)
+    n = getattr(args, "n", None)
+    return make_grid(dim, (257 if dim == 1 else 65) if n is None else n)
 
 
 def _parse_mode(kval, lval, dim: int) -> ModeIndex:
@@ -556,6 +573,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="Newton residual tolerance (default 1e-10)")
     sub.add_argument("--newton-max-iter", type=int, dest="newton_max_iter",
                      help="Newton iteration cap (default 50)")
+    sub.set_defaults(flags=sub)  # the flags that type --config values
 
 
 def build_parser() -> argparse.ArgumentParser:

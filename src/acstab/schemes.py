@@ -28,10 +28,10 @@ Each scheme's step is read forward once, ``_forward_stages``: its stages'
 terms, each from phi_n and the forces F of earlier stages, and the weights
 b combining all forces into phi_{n+1} (be/cn/modcn: one stage, phi_{n+1}).
 ``step`` walks it on fields, one Newton solve per stage started from the
-previous stage.  Constant fields stay constant, so ``scalar_map`` walks it
-on constants, following every chain of cubic roots and marking the one the
-field stepper takes; ``_selected_images`` walks it on a whole array of
-constants, following that chain only.
+previous stage.  Constant fields stay constant, so ``_constant_images`` walks
+it once on a whole array of constants: every chain of cubic roots, with the
+one the field stepper takes marked.  ``scalar_map`` is its one-state case,
+and classify's ``_selected_images`` reads the marked column.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import AnalysisError, ConfigurationError
 from .fields import (
     ACParams,
     ButcherTableau,
@@ -60,8 +60,8 @@ from .solvers import (
     _cubic_roots,
     _newton_each,
     newton_solve,
-    real_cubic_roots,
 )
+from .solvers import real_cubic_roots  # unused here, kept for perfbench/layertrace.py, which patches it
 
 __all__ = [
     "SchemeKind",
@@ -77,8 +77,6 @@ __all__ = [
     "constant_residual",
     "mode_slope",
     "constant_cubic",
-    "step_system",
-    "dirk_stage_system",
     "step",
     "simulate",
     "scalar_map",
@@ -205,27 +203,7 @@ def _step_terms(kind: SchemeKind, v0, lap_v0, p: ACParams):
     if kind.tag == "modcn":
         # the expansive -v0/eps^2 stays explicit
         return idt, v0, 0.5, -0.5 * lap_v0 - ie2 * v0, v0
-    raise ConfigurationError("dirk steps solve stage systems; see dirk_stage_system")
-
-
-def step_system(kind: SchemeKind, phi_n: ScalarField, p: ACParams):
-    """(residual, jacobian) of the one-step equation in the unknown next state.
-
-    Defined for the single-solve schemes (be, cn, modcn); DIRK steps are a
-    chain of stage systems, see dirk_stage_system.  The Jacobian is a
-    ShiftedLaplacian.
-    """
-    v0 = phi_n.values
-    terms = _step_terms(kind, v0, laplacian_matrix(phi_n.grid) @ v0, p)
-    return implicit_system(phi_n.grid, p, *terms)
-
-
-def dirk_stage_system(known: np.ndarray, gamma: float, grid, p: ACParams):
-    """(residual, jacobian) of one implicit stage v - gamma F(v) = known.
-
-    The Jacobian is a ShiftedLaplacian.
-    """
-    return implicit_system(grid, p, 1.0, known, gamma)
+    raise ConfigurationError("a dirk step is a chain of stages; see _forward_stages")
 
 
 def _forward_stages(kind: SchemeKind, p: ACParams):
@@ -397,82 +375,80 @@ def _nearest(roots, x):
     return np.argmin(np.where(np.isnan(dist), np.inf, dist), axis=-1)
 
 
-def _dedupe(pairs: list[tuple[float, bool]]) -> list[tuple[float, bool]]:
-    """(value, flag) pairs sorted, values within MERGE_TOL merged with their flags or-ed."""
-    if len(pairs) < 2:
-        return pairs
-    out: list[tuple[float, bool]] = []
-    for v, fl in sorted(pairs):
-        if out and abs(v - out[-1][0]) <= MERGE_TOL:
-            out[-1] = (out[-1][0], out[-1][1] or fl)
-        else:
-            out.append((v, fl))
-    return out
+def _constant_images(kind: SchemeKind, r: np.ndarray, p: ACParams):
+    """Every constant image of each constant state in the 1-D array r under one step.
+
+    Walks the forward stages on constants, each stage a cubic per chain of
+    stage roots.  Every state starts as one chain, and a stage where some
+    cubic has several real roots branches every chain into three, one per
+    root, NaN past the real ones.  Returns (images, selected): images[i]
+    lists state i's images ascending with NaN after them, an image within
+    MERGE_TOL of the first of its run merged into it, and selected[i] is the
+    column the field stepper's chain reaches.  Its Newton iterate, started
+    from r and then from the previous stage as in step, picks the nearest
+    root at each stage; it runs only for the states with several images,
+    since one leaves no choice.
+    """
+    stages, b = _forward_stages(kind, p)
+    # v0 and fs: each chain's state and stage forces; walked: each stage's roots, by
+    # state and chain; several: the states with more than one chain
+    v0, fs, walked, several = r, [], [], False
+    with np.errstate(all="ignore"):
+        for stage in stages:
+            roots = _cubic_roots(*constant_cubic(p, *stage(v0, fs, _no_lap)))[0]
+            second = roots[:, 1] == roots[:, 1]  # not NaN
+            branch = np.count_nonzero(second)
+            if branch:
+                several = several | second.reshape(r.size, -1).any(axis=1)
+                v0, fs, x = np.repeat(v0, 3), [np.repeat(f, 3) for f in fs], roots.ravel()
+            else:
+                x = roots[:, 0]
+            walked.append((roots.reshape(r.size, -1, 3), branch))
+            if b is not None:
+                fs.append(ac_force(0.0, x, p))
+        images = (x if b is None else _weighted(v0, b, fs, p.dt)).reshape(r.size, -1)
+        selected = np.zeros(r.size, dtype=int)
+        if images.shape[1] == 1:  # one chain per state
+            return images, selected
+        several = np.flatnonzero(several)
+        chain, start, fs = selected[several], r[several], []  # the stepper's chain
+        for stage, (roots, branch) in zip(stages, walked):
+            start = _newton_each(*constant_residual(p, *stage(r[several], fs, _no_lap)), start)[0]
+            roots = roots[several, chain]
+            pick = _nearest(roots, start)
+            if b is not None:
+                fs.append(ac_force(0.0, roots[np.arange(several.size), pick], p))
+            chain = chain * 3 + pick if branch else chain
+        # sort each of them, the stepper's image after the images equal to it (0.0 and
+        # -0.0 tie), and merge each run within MERGE_TOL into its first
+        cols = np.arange(images.shape[1]) + (np.arange(images.shape[1]) >= chain[:, None])
+        cols[:, -1] = chain
+        mine = images[several, chain]
+        rows = np.sort(images[several[:, None], cols], axis=1, kind="stable")
+        first, lead = np.ones(rows.shape, dtype=bool), rows[:, 0]
+        for j in range(1, rows.shape[1]):
+            first[:, j] = ~(np.abs(rows[:, j] - lead) <= MERGE_TOL)
+            lead = np.where(first[:, j], rows[:, j], lead)
+        images[several] = rows if first.all() else np.sort(np.where(first, rows, np.nan), axis=1)
+    selected[several] = (first & (rows <= mine[:, None])).sum(axis=1) - 1
+    return images, selected
 
 
 def scalar_map(kind: SchemeKind, r: float, p: ACParams) -> list[tuple[float, bool]]:
-    """All constant images c of a constant state r under one step.
+    """All constant images c of a constant state r under one step: the one-state
+    _constant_images, as (c, selected) pairs in ascending order.
 
-    Walks the forward stages on constants: every chain of stage roots, each
-    stage a cubic.  Returns (c, selected) pairs in ascending order, images
-    within MERGE_TOL of each other listed once.  `selected` marks the image
-    of the one chain the field stepper follows: its Newton iterate, started
-    from the previous stage as in step, picks the nearest root at each stage.
+    Raises AnalysisError when r has no finite image.
     """
-    stages, b = _forward_stages(kind, p)
-    # (stage forces, last stage value, the Newton iterate on the stepper's
-    # chain or None elsewhere)
-    chains: list[tuple[tuple[float, ...], float, float | None]] = [((), r, r)]
-    for stage in stages:
-        grown = []
-        for fs, _, start in chains:
-            terms = stage(r, fs, _no_lap)
-            roots = real_cubic_roots(*constant_cubic(p, *terms)).real_roots
-            pick = -1
-            if start is not None:
-                start = newton_solve(*constant_residual(p, *terms), start)[0]
-                pick = _nearest(roots, start)
-            for j, x in enumerate(roots):
-                grown.append((fs + (ac_force(0.0, x, p),) if b else fs, x,
-                              start if j == pick else None))
-        chains = grown
-    return _dedupe([(_weighted(r, b, fs, p.dt) if b else x, start is not None)
-                    for fs, x, start in chains])
+    images, selected = _constant_images(kind, np.array([float(r)]), p)
+    if not np.isfinite(images[0]).any():
+        raise AnalysisError(f"r = {r!r} has no finite image: a stage cubic's coefficients "
+                            "are not finite or its roots overflow")
+    return [(float(c), j == int(selected[0])) for j, c in enumerate(images[0]) if c == c]
 
 
 def _selected_images(kind: SchemeKind, r: np.ndarray, p: ACParams) -> np.ndarray:
-    """The image scalar_map marks selected, for each constant state in the 1-D array r.
-
-    Walks the forward stages on arrays, following only the selected chain.
-    A stage with one real root leaves no choice.  In a one-stage scheme the
-    roots are the images, and where there are several, Newton from r picks
-    the nearest, as in scalar_map.  The states where scalar_map could report
-    another value go through scalar_map itself: a one-stage scheme whose
-    images lie within MERGE_TOL of each other, which scalar_map merges, and
-    DIRK where a stage has several roots, whose other chains it enumerates.
-    A state whose cubic coefficients are not finite, or whose discriminant
-    overflows, gets a NaN image.
-    """
-    stages, b = _forward_stages(kind, p)
-    fs, rest = [], set()  # rest: the states left to scalar_map
-    with np.errstate(all="ignore"):
-        for stage in stages:
-            terms = stage(r, fs, _no_lap)
-            roots = _cubic_roots(*constant_cubic(p, *terms))[0]
-            x = roots[:, 0]
-            several = np.flatnonzero(roots[:, 1] == roots[:, 1])  # a second root, not NaN
-            if several.size and b is not None:
-                rest.update(several.tolist())
-            elif several.size:
-                close = (np.diff(roots[several]) <= MERGE_TOL).any(axis=1)
-                rest.update(several[close].tolist())
-                pick = several[~close]
-                sub = [t[pick] if isinstance(t, np.ndarray) else t for t in terms]
-                start = _newton_each(*constant_residual(p, *sub), r[pick])[0]
-                x[pick] = roots[pick, _nearest(roots[pick], start)]
-            if b is not None:
-                fs.append(ac_force(0.0, x, p))
-        image = x if b is None else _weighted(r, b, fs, p.dt)
-    for i in rest:
-        image[i] = next(c for c, selected in scalar_map(kind, float(r[i]), p) if selected)
-    return image
+    """The image the field stepper reaches from each constant state in the 1-D
+    array r: _constant_images' selected column, NaN where a state has no finite image."""
+    images, selected = _constant_images(kind, r, p)
+    return images[:, 0] if images.shape[1] == 1 else images[np.arange(r.size), selected]

@@ -97,8 +97,8 @@ class NewtonReport:
     """Outcome of one Newton solve (or of the last solve on a continuation path).
 
     history holds the residual inf-norm before each accepted step and after
-    the last one.  delta is continuation metadata: the parameter value the
-    returned iterate belongs to, when the solve was driven by homotopy_path.
+    the last one.  delta is set by continuation (march_deltas): the parameter
+    value the returned iterate belongs to.
     """
 
     iterations: int

@@ -13,6 +13,7 @@ from acstab.fields import (
     ScalarField,
     constant_field,
     eval_mode,
+    laplacian_matrix,
     make_grid,
 )
 from acstab.robustness import (
@@ -22,7 +23,7 @@ from acstab.robustness import (
     preimage_constants,
     preimage_field,
 )
-from acstab.schemes import BE, CN, DIRK2, MODCN, dirk_stage_system, scalar_map, simulate, step, step_system
+from acstab.schemes import BE, CN, DIRK2, MODCN, _step_terms, implicit_system, scalar_map, simulate, step
 from acstab.solvers import HomotopyConfig, NewtonConfig, fd_jacobian, newton_solve
 from acstab.stability import stability_threshold
 
@@ -219,14 +220,16 @@ def test_criterion_10_property_bundle():
             for _ in range(20):
                 phi_n = ScalarField(grid, rng.uniform(-1.5, 1.5, grid.num_nodes))
                 u = rng.uniform(-1.5, 1.5, grid.num_nodes)
-                residual, jacobian = step_system(kind, phi_n, p)
+                v0 = phi_n.values
+                residual, jacobian = implicit_system(
+                    grid, p, *_step_terms(kind, v0, laplacian_matrix(grid) @ v0, p))
                 J = np.asarray(jacobian(u).todense())
                 Jfd = fd_jacobian(residual, u)
                 assert np.max(np.abs(J - Jfd)) <= 1e-5 * max(1.0, np.max(np.abs(J)))
         for _ in range(20):
             known = rng.uniform(-1.5, 1.5, grid.num_nodes)
             u = rng.uniform(-1.5, 1.5, grid.num_nodes)
-            residual, jacobian = dirk_stage_system(known, 0.25 * p.dt, grid, p)
+            residual, jacobian = implicit_system(grid, p, 1.0, known, 0.25 * p.dt)
             J = np.asarray(jacobian(u).todense())
             Jfd = fd_jacobian(residual, u)
             assert np.max(np.abs(J - Jfd)) <= 1e-5 * max(1.0, np.max(np.abs(J)))
@@ -293,7 +296,8 @@ def test_criterion_10_property_bundle():
         eps = 0.3
         pu = ACParams(eps, 0.5 * eps * eps)
         phi_n = ScalarField(g65, 0.1 + 0.3 * eval_mode(ModeIndex((1.0,)), g65).values)
-        residual, jacobian = step_system(BE, phi_n, pu)
+        v0 = phi_n.values
+        residual, jacobian = implicit_system(g65, pu, *_step_terms(BE, v0, laplacian_matrix(g65) @ v0, pu))
         sols = []
         for _ in range(100):
             guess = rng.uniform(-3, 3, g65.num_nodes)

@@ -1,11 +1,12 @@
 """Classification of constant initial states over arrays.
 
 classify_constant_initial walks a whole array of initial constants at once
-(schemes._selected_images, one selected-chain step per time step).  These
-tests hold it to the scalar map it replaces, bit for bit, and to the
-paper's robustness results: the limit flips at the tabulated thresholds,
-backward Euler under its stability condition reaches sign(r), and every
-scheme is odd.
+(schemes._selected_images, one step of the constant-image walk per time
+step).  These tests hold that walk, and scalar_map, its one-state case, to
+a float walk over every chain of stage roots kept here, bit for bit, and
+hold classify to the paper's robustness results: the limit flips at the
+tabulated thresholds, backward Euler under its stability condition reaches
+sign(r), and every scheme is odd.
 """
 
 import math
@@ -17,14 +18,68 @@ from hypothesis import strategies as st
 
 from acstab import cli
 from acstab.errors import AnalysisError, ConfigurationError
-from acstab.fields import ACParams
+from acstab.fields import ACParams, ac_force
 from acstab.robustness import classify_constant_initial, interval_sequence
-from acstab.schemes import BE, CN, DIRK2, MODCN, _selected_images, scalar_map
+from acstab.schemes import (
+    BE,
+    CN,
+    DIRK2,
+    MERGE_TOL,
+    MODCN,
+    _forward_stages,
+    _selected_images,
+    _weighted,
+    constant_cubic,
+    constant_residual,
+    scalar_map,
+)
+from acstab.solvers import newton_solve, real_cubic_roots
 
 SETTLE_TOL = 1e-3
 # dt / eps^2 per unit of ratio, as the CLI's --ratio reads it: ratio 1 is the
 # uniqueness threshold, beyond which a step has three constant images
 _RATIO_FACTOR = {"be": 1.0, "cn": 2.0, "modcn": 2.0, "dirk": 4.0}
+
+
+def _reference_scalar_map(kind, r, p):
+    """scalar_map as a float walk over every chain of stage roots, one cubic
+    (real_cubic_roots) per chain and stage: (c, selected) pairs ascending,
+    images within MERGE_TOL of the first of their run merged into it.  The
+    selected chain's Newton iterate (newton_solve), started from r and then
+    from the previous stage, picks the nearest root at each stage."""
+    stages, b = _forward_stages(kind, p)
+    # (stage forces, last stage value, the Newton iterate on the selected chain or None)
+    chains = [((), r, r)]
+    for stage in stages:
+        grown = []
+        for fs, _, start in chains:
+            terms = stage(r, fs, lambda x: 0.0)
+            roots = real_cubic_roots(*constant_cubic(p, *terms)).real_roots
+            pick = -1
+            if start is not None:
+                start = newton_solve(*constant_residual(p, *terms), start)[0]
+                pick = min(range(len(roots)), key=lambda j: abs(roots[j] - start))
+            for j, x in enumerate(roots):
+                grown.append((fs + (ac_force(0.0, x, p),) if b else fs, x,
+                              start if j == pick else None))
+        chains = grown
+    merged = []
+    for c, selected in sorted((_weighted(r, b, fs, p.dt) if b else x, start is not None)
+                              for fs, x, start in chains):
+        if merged and abs(c - merged[-1][0]) <= MERGE_TOL:
+            merged[-1] = (merged[-1][0], merged[-1][1] or selected)
+        else:
+            merged.append((c, selected))
+    return merged
+
+
+def _bits(pairs):
+    """(c, selected) pairs with each c as its hex string, so -0.0 differs from 0.0."""
+    return [(float(c).hex(), selected) for c, selected in pairs]
+
+
+def _selected(pairs):
+    return next(c for c, selected in pairs if selected)
 
 
 def _sign(x):
@@ -37,10 +92,10 @@ def _flips(signs):
 
 
 def _oracle(kind, r, p, max_steps):
-    """(pattern, settle_step, limit) of r from scalar_map's selected images, one float at a time."""
+    """(pattern, settle_step, limit) of r from the reference selected images, one float at a time."""
     pattern, cur = [_sign(r)], r
     for k in range(1, max_steps + 1):
-        prev, cur = cur, next(c for c, sel in scalar_map(kind, cur, p) if sel)
+        prev, cur = cur, _selected(_reference_scalar_map(kind, cur, p))
         pattern.append(_sign(cur))
         for limit in (1, -1):
             if abs(cur - limit) <= SETTLE_TOL:
@@ -73,23 +128,23 @@ def _row(res, j):
             int(res.limit[j]), int(res.flips[j]))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from((BE, CN, MODCN, DIRK2)),
     eps=st.sampled_from((0.1, 1.0)),
     # below 1 each stage has one real root; above it up to three
-    ratio=st.sampled_from((0.01, 0.1, 0.5, 0.99, 1.5, 3.0, 10.0)),
-    extra=st.lists(st.floats(-300.0, 300.0, allow_nan=False), min_size=1, max_size=4),
+    ratio=st.sampled_from((0.01, 0.1, 0.5, 0.99, 1.5, 3.0, 10.0, 50.0)),
+    extra=st.lists(st.one_of(st.floats(-300.0, 300.0), st.floats(-3.0, 3.0)), min_size=1, max_size=4),
 )
 def test_array_classify_is_the_scalar_map_bit_for_bit(kind, eps, ratio, extra):
     p = _params(kind, eps, ratio)
     r = np.array(_special_states(kind, ratio) + extra)
-    # one step: the selected image of every state, to the bit
+    # one step: every image and flag of every state, and the selected image, to the bit
+    want = [_reference_scalar_map(kind, x, p) for x in r.tolist()]
+    assert [_bits(scalar_map(kind, x, p)) for x in r.tolist()] == [_bits(w) for w in want]
     images = _selected_images(kind, r, p)
-    want = [next(c for c, sel in scalar_map(kind, float(x), p) if sel) for x in r]
-    assert images.tolist() == want
-    assert np.signbit(images).tolist() == np.signbit(want).tolist()
-    # whole trajectories: the array, each state alone, and the scalar-map loop agree
+    assert [c.hex() for c in images.tolist()] == [_selected(w).hex() for w in want]
+    # whole trajectories: the array, each state alone, and the reference loop agree
     max_steps = 40
     res = classify_constant_initial(kind, r, p, max_steps=max_steps)
     for j, x in enumerate(r.tolist()):
@@ -101,17 +156,31 @@ def test_array_classify_is_the_scalar_map_bit_for_bit(kind, eps, ratio, extra):
         assert alone.initial == x and res.initial[j] == x
 
 
+@pytest.mark.parametrize("ratio", (0.5, 1.5, 3.0, 10.0, 50.0))
+@pytest.mark.parametrize("kind", (BE, CN, MODCN, DIRK2), ids=lambda k: k.label)
+def test_constant_images_are_the_reference_walk_on_a_grid(kind, ratio):
+    # above ratio 1 the states near 0 have several images, and DIRK2 up to nine chains
+    p = _params(kind, 0.5, ratio)
+    r = np.linspace(-3.0, 3.0, 241)
+    want = [_reference_scalar_map(kind, x, p) for x in r.tolist()]
+    got = [scalar_map(kind, x, p) for x in r.tolist()]
+    assert all(isinstance(selected, bool) for pairs in got for _, selected in pairs)
+    assert [_bits(g) for g in got] == [_bits(w) for w in want]
+    assert [c.hex() for c in _selected_images(kind, r, p).tolist()] == [
+        _selected(w).hex() for w in want]
+
+
 def test_images_within_merge_tol_come_out_merged():
     # one ulp of dt past CN's uniqueness threshold, constants just inside the
-    # fold have three images, two of them within MERGE_TOL; scalar_map lists
-    # that pair once, by its smaller value, and so must the array walk
+    # fold have three images, two of them within MERGE_TOL; they are listed
+    # once, by their smaller value, in scalar_map and in the array walk
     p = ACParams(1.0, math.nextafter(2.0, 3.0))
     r = 6.367639324339367e-25 * (1 - 1e-5 * np.arange(50))
     r = np.concatenate([r, -r])
-    maps = [scalar_map(CN, x, p) for x in r.tolist()]
+    maps = [_reference_scalar_map(CN, x, p) for x in r.tolist()]
     assert all(len(images) == 2 for images in maps)
-    want = [next(c for c, sel in images if sel) for images in maps]
-    assert _selected_images(CN, r, p).tolist() == want
+    assert [_bits(scalar_map(CN, x, p)) for x in r.tolist()] == [_bits(m) for m in maps]
+    assert _selected_images(CN, r, p).tolist() == [_selected(m) for m in maps]
 
 
 def test_array_classify_result_form():

@@ -137,6 +137,15 @@ def test_simulate_requires_scheme(tmp_path):
                 "--out", str(tmp_path / "t.csv")) == 2
 
 
+@pytest.mark.parametrize("n", ("0", "1"))
+def test_simulate_rejects_a_grid_under_3_nodes(n, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert _run("simulate", "const:0.5", "--scheme", "be", "--eps", "0.1", "--dt", "0.01",
+                "--n", n, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: need at least 3 nodes per axis, got {n}\n"
+    assert not out.exists()
+
+
 def test_dt_and_ratio_exclusive(tmp_path):
     assert _run("simulate", "const:1", "--scheme", "cn", "--eps", "0.1",
                 "--dt", "0.01", "--ratio", "0.5", "--out", str(tmp_path / "t.csv")) == 2
@@ -377,6 +386,40 @@ def test_config_flags_override_file(tmp_path):
     assert _run("analyze", "intervals", "--config", str(cfg), "--count", "3",
                 "--out", str(out)) == 0
     assert [r[2] for r in _rows(out)[1:]] == ["r1", "r2", "r3"]
+
+
+@pytest.mark.parametrize("values", ({"steps": 2.5}, {"n": "many"}, {"eps": "small"},
+                                    {"dim": 3}, {"scheme": "rk4"}, {"n": True}),
+                         ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()))
+def test_config_value_its_flag_rejects_exits_2(values, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scheme": "be", "eps": 0.1, "dt": 0.01, "steps": 1, **values}))
+    out = tmp_path / "sim.csv"
+    assert _run("simulate", "const:0.5", "--config", str(cfg), "--out", str(out)) == 2
+    (key,) = values
+    assert capsys.readouterr().err.startswith(f"error: config key {key!r}: invalid ")
+    assert not out.exists()
+
+
+def test_config_values_are_read_as_the_command_line_reads_them(tmp_path, capsys, monkeypatch):
+    # numbers given as JSON strings take their flag's type, as on the command line
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scheme": "be", "eps": "0.1", "dt": 0.01, "n": "65", "steps": 2}))
+    out, want = tmp_path / "cfg.csv", tmp_path / "cli.csv"
+    assert _run("simulate", "const:0.5", "--config", str(cfg), "--out", str(out)) == 0
+    assert _run("simulate", "const:0.5", "--scheme", "be", "--eps", "0.1", "--dt", "0.01",
+                "--n", "65", "--steps", "2", "--out", str(want)) == 0
+    assert out.read_bytes() == want.read_bytes()
+    # a flag without a type reads the value's text, as --out 5 would
+    cfg.write_text(json.dumps({"scheme": "be", "eps": 0.1, "dt": 0.01, "steps": 2, "n": 65, "out": 5}))
+    monkeypatch.chdir(tmp_path)
+    assert _run("simulate", "const:0.5", "--config", str(cfg)) == 0
+    assert (tmp_path / "5").read_bytes() == want.read_bytes()
+    # a const flag takes the JSON value as it stands
+    cfg.write_text(json.dumps({"check": True}))
+    capsys.readouterr()
+    assert _run("reproduce", "table4", "--config", str(cfg), "--out", str(out)) == 0
+    assert capsys.readouterr().out.endswith("check: all values match\n")
 
 
 def test_config_file_missing(tmp_path):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import acstab.robustness as robustness
 import acstab.schemes as schemes
-from acstab.fields import ACParams
+from acstab.fields import ACParams, constant_field, make_grid
 
 _LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -22,8 +22,11 @@ def test_tracer_installs_records_and_uninstalls():
     tracer = _load_layertrace().Tracer()
     try:
         tracer.install()
-        # the scalar map's Newton solve and cubic must go through the patched names
-        robustness.scalar_map(schemes.CN, 2.0, ACParams(eps=1.0, dt=0.5))
+        p = ACParams(eps=1.0, dt=0.5)
+        robustness.scalar_map(schemes.CN, 2.0, p)
+        # a constant preimage's cubic and a field step's Newton solve go through the patched names
+        robustness.preimage_constants(schemes.CN, 0.0, p)
+        schemes.step(schemes.CN, constant_field(make_grid(1, 5), 2.0), p)
     finally:
         tracer.uninstall()
     names = {s.name for s in tracer.take()}
