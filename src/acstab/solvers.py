@@ -22,12 +22,17 @@ its method from the operator itself:
   definite in the trapezoid inner product, the step's uniqueness condition):
   conjugate gradients in that inner product, preconditioned by an exact
   DCT-I solve of the mean-diagonal operator (a + mean(d)) I - b L;
-* otherwise, or when CG misses its tolerance within a fixed iteration cap:
-  a sparse LU factorization.
+* 2D with b >= 0 otherwise (the operator is still self-adjoint in that
+  inner product, but may be indefinite): MINRES in it, preconditioned by
+  the DCT-I solve of the absolute value |(a + mean(d)) I - b L|, which is
+  positive definite;
+* 2D with b < 0, or when CG or MINRES misses its tolerance within their one
+  iteration cap: a sparse LU factorization, ordered for the symmetric
+  5-point pattern.
 
 Every direct solve takes one round of iterative refinement when its true
-residual exceeds 1e-12 relative to the right-hand side; CG stops only on a
-true residual within that bound.
+residual exceeds 1e-12 relative to the right-hand side; CG and MINRES stop
+only on a true residual within that bound.
 
 SciPy loads on the first field solve that needs it, not on import: the
 analyses of constant states never load it.  The module attributes scipy
@@ -72,7 +77,7 @@ __all__ = [
 
 _HALVING_LIMIT = 20
 _LINEAR_RTOL = 1e-12
-_CG_MAX_ITER = 60
+_KRYLOV_MAX_ITER = 60  # CG and MINRES alike
 
 
 @dataclass(frozen=True)
@@ -215,9 +220,15 @@ class ShiftedLaplacian:
             return _refined_solve(lambda r: _tridiagonal_solve(ab, r), self.__matmul__, rhs)
         if self.certified:
             x = self._pcg(rhs)
-            if x is not None:
-                return x
-        lu = _scipy("spla").splu(self.tosparse().tocsc())
+        elif self.b >= 0.0:
+            x = self._minres(rhs)
+        else:
+            x = None
+        if x is not None:
+            return x
+        # the 5-point pattern is symmetric: order on A + A^T, prefer diagonal pivots
+        lu = _scipy("spla").splu(self.tosparse().tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.1, options={"SymmetricMode": True})
         return _refined_solve(lu.solve, self.__matmul__, rhs)
 
     def _band(self) -> np.ndarray:
@@ -225,6 +236,26 @@ class ShiftedLaplacian:
         ab = -self.b * _laplacian_band(self.grid)
         ab[1] = (self.a + ab[1]) + self.d
         return ab
+
+    def _preconditioner(self, absolute: bool):
+        """The exact DCT-I solve of the mean-diagonal operator (a + mean(d)) I - b L,
+        or of its absolute value; None when that operator is singular.
+
+        Both are self-adjoint in the trapezoid inner product, and the absolute
+        value is positive definite in it whenever it is invertible.
+        """
+        g = self.grid
+        shape = (g.n,) * g.dim
+        shift = self.a + float(np.mean(self.d))
+        mean = shift - self.b * laplacian_eigenvalues(g)
+        denom = (np.abs(mean) if absolute else mean) * float(2 * (g.n - 1)) ** g.dim
+        if not denom.all():
+            return None
+
+        def precondition(r):
+            return dct1(dct1(r.reshape(shape)) / denom).ravel()
+
+        return precondition
 
     def _pcg(self, rhs: np.ndarray) -> np.ndarray | None:
         """Preconditioned CG in the trapezoid inner product; None on a miss.
@@ -234,23 +265,18 @@ class ShiftedLaplacian:
         _LINEAR_RTOL of rhs; a recursive residual that meets the bound while
         the true one does not restarts the iteration from the true residual.
         """
-        g = self.grid
         tol = _LINEAR_RTOL * _linf(rhs)
         if tol == 0.0:
             return np.zeros_like(rhs)
-        w = trapezoid_weights(g)
-        shape = (g.n,) * g.dim
-        shift = self.a + float(np.mean(self.d))
-        denom = (shift - self.b * laplacian_eigenvalues(g)) * float(2 * (g.n - 1)) ** g.dim
-
-        def precondition(r):
-            return dct1(dct1(r.reshape(shape)) / denom).ravel()
-
+        precondition = self._preconditioner(absolute=False)
+        if precondition is None:
+            return None
+        w = trapezoid_weights(self.grid)
         x = np.zeros_like(rhs)
         r = rhs.copy()
         p = np.zeros_like(rhs)
         rz = 1.0
-        for _ in range(_CG_MAX_ITER):
+        for _ in range(_KRYLOV_MAX_ITER):
             z = precondition(r)
             rz_new = float(w @ (r * z))
             p = z + (rz_new / rz) * p
@@ -267,6 +293,67 @@ class ShiftedLaplacian:
                 if _linf(r) <= tol:
                     return x
                 p = np.zeros_like(rhs)  # restart from the true residual
+        return None
+
+    def _minres(self, rhs: np.ndarray) -> np.ndarray | None:
+        """Preconditioned MINRES in the trapezoid inner product; None on a miss.
+
+        Paige and Saunders' recurrences for a self-adjoint indefinite
+        operator, preconditioned by the exact DCT-I solve of the absolute
+        value |(a + mean(d)) I - b L|, which is positive definite (absolute
+        value preconditioning, Vecharynski and Knyazev).  The residual is
+        carried along with x, through A applied to the search directions.
+        Returns only an x whose true residual is within _LINEAR_RTOL of rhs;
+        a recursive residual that meets the bound while the true one does not
+        restarts the Lanczos process from the true residual.
+        """
+        tol = _LINEAR_RTOL * _linf(rhs)
+        if tol == 0.0:
+            return np.zeros_like(rhs)
+        precondition = self._preconditioner(absolute=True)
+        if precondition is None:
+            return None
+        w = trapezoid_weights(self.grid)
+        x = np.zeros_like(rhs)
+        r = rhs
+        restart = True
+        for _ in range(_KRYLOV_MAX_ITER):
+            if restart:  # Lanczos from r: q is the residual-side vector, z = M q
+                q_old, q, z = None, r, precondition(r)
+                beta = float(w @ (r * z))
+                if not beta > 0.0:
+                    return None
+                beta = math.sqrt(beta)
+                beta_old, dbar, epsln, phibar, cs, sn = 0.0, 0.0, 0.0, beta, -1.0, 0.0
+                d_old = d = ad_old = ad = np.zeros_like(rhs)  # directions and A applied to them
+                restart = False
+            v = z / beta
+            av = self @ v
+            y = av if q_old is None else av - (beta / beta_old) * q_old
+            alpha = float(w @ (v * y))
+            y = y - (alpha / beta) * q
+            q_old, q, z = q, y, precondition(y)
+            beta_old, beta = beta, float(w @ (y * z))
+            if not beta >= 0.0:  # positivity lost to roundoff, or not finite
+                return None
+            beta = math.sqrt(beta)
+            # apply the previous plane rotation, then form and apply the next one
+            eps_old, delta, gbar = epsln, cs * dbar + sn * alpha, sn * dbar - cs * alpha
+            epsln, dbar = sn * beta, -cs * beta
+            gamma = math.hypot(gbar, beta)
+            if gamma == 0.0:
+                return None
+            cs, sn = gbar / gamma, beta / gamma
+            phi, phibar = cs * phibar, sn * phibar
+            d_old, d = d, (v - eps_old * d_old - delta * d) / gamma
+            ad_old, ad = ad, (av - eps_old * ad_old - delta * ad) / gamma
+            x = x + phi * d
+            r = r - phi * ad
+            if _linf(r) <= tol or beta == 0.0:  # beta = 0: the Krylov space is invariant
+                r = rhs - self @ x
+                if _linf(r) <= tol:
+                    return x
+                restart = True
         return None
 
 
@@ -365,8 +452,9 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
         the residual by the derivative, and a zero or non-finite derivative
         ends the solve as a failed linear solve.  A flat-array unknown has a
         ShiftedLaplacian Jacobian, whose solve picks a tridiagonal solve
-        (1D), preconditioned CG (2D, certified positive definite) or sparse
-        LU from the operator itself; any other Jacobian raises.
+        (1D), preconditioned CG (2D, certified positive definite),
+        preconditioned MINRES (2D, uncertified with b >= 0) or sparse LU from
+        the operator itself; any other Jacobian raises.
     guess:
         float or flat ndarray; the solution has the same kind.
     cfg:

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import acstab
 from acstab.fields import (
+    ModeIndex,
     dct1,
+    eval_mode,
     laplacian_eigenvalues,
     laplacian_matrix,
     make_grid,
@@ -48,8 +50,20 @@ def operators(draw):
     return ShiftedLaplacian(grid, a, b, d), rng
 
 
+def _helmholtz(n, amplitude):
+    """A Helmholtz-like 2D operator like DIRK2's backward stages: a + d near -1.1
+    and b > 0, indefinite from n = 17 on; d varies by amplitude times a smooth mode."""
+    g = make_grid(2, n)
+    d = -0.12 + amplitude * eval_mode(ModeIndex((1.0, 2.0)), g).values
+    return ShiftedLaplacian(g, -1.0, 0.0025, d)
+
+
 @settings(max_examples=60, deadline=None)
 @given(operators())
+@example((_helmholtz(33, 0.05), np.random.default_rng(0)))
+# a + mean(d) = 0: the absolute-value preconditioner is singular, so LU solves it
+@example((ShiftedLaplacian(make_grid(2, 4), -1.0, 0.0, np.tile((0.5, 1.5), 8)),
+          np.random.default_rng(0)))
 def test_operator_matches_sparse_and_solves_to_tolerance(drawn):
     op, rng = drawn
     x = rng.standard_normal(op.grid.num_nodes)
@@ -87,12 +101,42 @@ def test_certificate_is_the_uniqueness_condition():
 def test_preconditioner_is_exact_for_constant_diagonal(monkeypatch, n):
     # with d constant the DCT-I preconditioner inverts the operator, so one
     # CG iteration reaches the 1e-12 residual bound
-    monkeypatch.setattr(solvers, "_CG_MAX_ITER", 1)
+    monkeypatch.setattr(solvers, "_KRYLOV_MAX_ITER", 1)
     g = make_grid(2, n)
     op = ShiftedLaplacian(g, 100.0, 0.5, np.full(g.num_nodes, -37.5))
     rhs = np.random.default_rng(3).standard_normal(g.num_nodes)
     x = op._pcg(rhs)
     assert x is not None
+    assert _linf(rhs - op @ x) <= 1e-12 * _linf(rhs)
+
+
+@pytest.mark.parametrize("n", (17, 33))
+def test_absolute_preconditioner_is_exact_for_constant_diagonal(monkeypatch, n):
+    # with d constant the preconditioned operator has the eigenvalues -1 and
+    # +1 only, so two MINRES iterations reach the 1e-12 residual bound
+    monkeypatch.setattr(solvers, "_KRYLOV_MAX_ITER", 2)
+    op = _helmholtz(n, 0.0)
+    eig = _symmetric_eigenvalues(op)
+    assert not op.certified and eig.min() < 0.0 < eig.max()  # indefinite
+    rhs = np.random.default_rng(3).standard_normal(op.grid.num_nodes)
+    x = op._minres(rhs)
+    assert x is not None
+    assert _linf(rhs - op @ x) <= 1e-12 * _linf(rhs)
+
+
+def test_minres_miss_falls_back_to_lu(monkeypatch):
+    # one MINRES iteration cannot solve a varying-d operator: sparse LU does,
+    # ordered for the symmetric 5-point pattern
+    monkeypatch.setattr(solvers, "_KRYLOV_MAX_ITER", 1)
+    op = _helmholtz(17, 0.05)
+    rhs = np.random.default_rng(4).standard_normal(op.grid.num_nodes)
+    assert op._minres(rhs) is None
+    calls = []
+    splu = solvers.spla.splu
+    monkeypatch.setattr(solvers.spla, "splu",
+                        lambda matrix, **kwargs: calls.append(kwargs) or splu(matrix, **kwargs))
+    x = op.solve(rhs)
+    assert [c["options"] for c in calls] == [{"SymmetricMode": True}]
     assert _linf(rhs - op @ x) <= 1e-12 * _linf(rhs)
 
 
@@ -188,14 +232,15 @@ def test_uncertified_2d_solve_reads_patched_splu(monkeypatch):
     calls = []
     splu = solvers.spla.splu
 
-    def counting(matrix):
+    def counting(matrix, **kwargs):
         calls.append("module")
-        return splu(matrix)
+        return splu(matrix, **kwargs)
 
     monkeypatch.setattr(solvers.spla, "splu", counting)
     x = op.solve(rhs)
     assert calls == ["module"] and _linf(op @ x - rhs) <= 1e-12
     # a replaced solvers.spla is read on the next call, as a tracer installs it
-    view = SimpleNamespace(splu=lambda matrix: calls.append("view") or splu(matrix))
+    view = SimpleNamespace(
+        splu=lambda matrix, **kwargs: calls.append("view") or splu(matrix, **kwargs))
     monkeypatch.setattr(solvers, "spla", view)
     assert np.array_equal(op.solve(rhs), x) and calls == ["module", "view"]

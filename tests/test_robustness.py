@@ -670,9 +670,10 @@ def test_preimage_field_2d_certified_runs_cg(monkeypatch):
     assert np.max(np.abs(fwd.values - target.values)) <= 1e-8
 
 
-def test_preimage_field_2d_uncertified_runs_lu(monkeypatch):
+def test_preimage_field_2d_uncertified_runs_minres(monkeypatch):
     # the DIRK2 middle chain r = 0.2046 -> 0.2665 -> 0.4142 at c = 0.5: both
-    # backward stages have a + min(d) near -1.1, so sparse LU solves them
+    # backward stages have a + min(d) near -1.1, so MINRES solves them, with
+    # sparse LU only where it misses
     grid = make_grid(2, 17)
     p = ACParams(0.1, 0.01)
     c = 0.5
@@ -681,9 +682,17 @@ def test_preimage_field_2d_uncertified_runs_lu(monkeypatch):
     assert r == pytest.approx(0.2046, abs=1e-4)
     g = dirk_perturbation_gains(c2, c1, ModeIndex((1.0, 1.0)), p)
     splu_calls = _count_splu(monkeypatch)
+    uncertified = []
+    solve = solvers.ShiftedLaplacian.solve
+
+    def counting(op, rhs):
+        uncertified.append(not op.certified)
+        return solve(op, rhs)
+
+    monkeypatch.setattr(solvers.ShiftedLaplacian, "solve", counting)
     target, phi_n, rep = _mode_preimage(DIRK2, c, r, g.gain[2], (1, 1), p, grid, 0.2)
     assert rep.converged
-    assert splu_calls
+    assert len(splu_calls) < sum(uncertified)
     # the outer link c -> c2 and the inner link c2 -> c1, at their unknowns
     for (_, bwd), x, u in zip(_backward_links(DIRK2, p), (c, c2), (c2, c1)):
         terms = bwd(np.full(grid.num_nodes, x), 0.0)
