@@ -1,24 +1,29 @@
 """acstab: reproduce the built-in tables, run steppers, and analyze stability.
 
-Subcommands
------------
+Commands
+--------
 reproduce  table1|table2|table3|table4|fig1-data|fig5-data; --check compares
            computed cells to the embedded reference values (exit 4 on mismatch).
 simulate   run a time stepper from an initial spec and write trajectory.csv
            with columns step,t,min,max,center,l2,sign; the last row is
            "settle,<first settled step or -1>,<limit sign>,,,,".
-analyze    thresholds|bifurcations|intervals|classify|perturb -> CSV.
+analyze    thresholds|bifurcations|intervals|classify|perturb -> CSV, each
+           a subcommand of its own.
 preimage   constant targets -> root list CSV (root,disc_sign,forward_error);
            field targets -> continuation preimage written as
            <out stem>_field.csv (node coordinates, value) plus a summary row
            with the forward-step verification residual.
 
+Each command takes only the flags it reads; `acstab <command> --help` lists
+them with their defaults, and any other flag is a usage error.
+
 Field specs use the grammar "const:<v>" or "const+mode:<v>,<delta>,<k[,l]>"
 (value v plus delta times the cos/sin eigenmode with index k, and l in 2D).
 
-Exit codes: 0 success, 2 configuration error, 3 solver/analysis failure,
-4 check mismatch.  A JSON file passed via --config supplies defaults for
-any flag (same names, lower_snake_case); explicit flags win.
+Exit codes: 0 success, 2 configuration or usage error, 3 solver/analysis
+failure, 4 check mismatch.  A JSON file passed via --config supplies values
+for the command's flags (same names, lower_snake_case); explicit flags win,
+and keys the command does not take are ignored.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,6 +49,7 @@ from .fields import (
     make_grid,
 )
 from .robustness import (
+    _ratio_dt,
     dirk_perturbation_gains,
     interval_sequence,
     classify_constant_initial,
@@ -63,8 +70,6 @@ from .schemes import (
 from .solvers import HomotopyConfig, NewtonConfig
 from .stability import enumerate_bifurcations, stability_threshold
 
-_RATIO_FACTOR = {"be": 1.0, "cn": 2.0, "modcn": 2.0, "dirk": 4.0}
-
 
 def _fmt(v) -> str:
     if type(v) is int:
@@ -81,6 +86,13 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([*map(_fmt, row)] for row in rows)
+
+
+def _emit(path: str, header: list[str], rows) -> int:
+    """Write a command's CSV, say so on stdout, and return exit code 0."""
+    _write_csv(path, header, rows)
+    print(f"wrote {path}")
+    return 0
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -120,7 +132,7 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _require(args, *names) -> None:
-    missing = [n for n in names if getattr(args, n, None) is None]
+    missing = [n for n in names if getattr(args, n) is None]
     if missing:
         raise ConfigurationError("missing required option(s): " + ", ".join(
             "--" + n.replace("_", "-") for n in missing
@@ -128,35 +140,28 @@ def _require(args, *names) -> None:
 
 
 def _resolve_params(args) -> ACParams:
-    """eps plus exactly one of dt / ratio; ratio is scaled per scheme.
+    """eps plus exactly one of dt / ratio; robustness._ratio_dt maps a ratio to dt.
 
     A ratio-only invocation defaults eps to 1 (the quantities parameterized
     by the ratio do not depend on eps separately).
     """
-    dt, ratio = getattr(args, "dt", None), getattr(args, "ratio", None)
-    if (dt is None) == (ratio is None):
+    if (args.dt is None) == (args.ratio is None):
         raise ConfigurationError("supply exactly one of --dt and --ratio")
-    eps = args.eps
-    if eps is None:
-        if dt is not None:
-            raise ConfigurationError("missing required option(s): --eps")
-        eps = 1.0
-    if dt is None:
-        if not (math.isfinite(ratio) and ratio > 0.0):
-            raise ConfigurationError(f"--ratio must be finite and > 0, got {ratio}")
-        kind = parse_scheme(args.scheme)
-        dt = ratio * _RATIO_FACTOR[kind.tag] * eps ** 2
-    return ACParams(eps=eps, dt=dt)
+    if args.dt is not None:
+        _require(args, "eps")
+        return ACParams(eps=args.eps, dt=args.dt)
+    if not (math.isfinite(args.ratio) and args.ratio > 0.0):
+        raise ConfigurationError(f"--ratio must be finite and > 0, got {args.ratio}")
+    eps = 1.0 if args.eps is None else args.eps
+    return ACParams(eps=eps, dt=_ratio_dt(parse_scheme(args.scheme), args.ratio, eps))
 
 
-def _resolve_grid(args, spec: str | None = None):
-    dim = getattr(args, "dim", None)
-    if dim is None and spec is not None:
+def _resolve_grid(args, spec: str):
+    dim = args.dim
+    if dim is None:
         # a 4-component mode spec ("const+mode:v,d,k,l") implies 2D
         dim = 2 if (spec.startswith("const+mode:") and spec.count(",") == 3) else 1
-    dim = dim or 1
-    n = getattr(args, "n", None)
-    return make_grid(dim, (257 if dim == 1 else 65) if n is None else n)
+    return make_grid(dim, (257 if dim == 1 else 65) if args.n is None else args.n)
 
 
 def _parse_mode(kval, lval, dim: int) -> ModeIndex:
@@ -196,17 +201,6 @@ def _parse_field_spec(spec: str, grid):
     raise ConfigurationError(
         f"bad field spec {spec!r}: expected const:<v> or const+mode:<v>,<d>,<k[,l]>"
     )
-
-
-def _newton_cfg(args) -> NewtonConfig:
-    tol = getattr(args, "newton_tol", None)
-    mi = getattr(args, "newton_max_iter", None)
-    kw = {}
-    if tol is not None:
-        kw["tol"] = tol
-    if mi is not None:
-        kw["max_iter"] = int(mi)
-    return NewtonConfig(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +287,8 @@ def cmd_reproduce(args) -> int:
     if args.id not in _TARGETS:
         raise ConfigurationError(f"unknown reproduce target {args.id!r}")
     header, build, arg, cells, table = _TARGETS[args.id]
-    out = args.out or f"{args.id.replace('-', '_')}.csv"
     rows = build(arg)
-    _write_csv(out, header, rows)
-    print(f"wrote {out}")
+    _emit(args.out or f"{args.id.replace('-', '_')}.csv", header, rows)
     if not args.check:
         return 0
     bad = [cell for cell in cells(rows, table) if not _agrees(cell[1], cell[2])]
@@ -314,23 +306,19 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _require(args, "scheme")
     kind = parse_scheme(args.scheme)
     p = _resolve_params(args)
     grid = _resolve_grid(args, args.initial)
     phi0, _meta = _parse_field_spec(args.initial, grid)
-    steps = args.steps if args.steps is not None else 100
-    settle_tol = args.settle_tol if args.settle_tol is not None else 1e-3
-    traj = simulate(kind, phi0, steps, p, settle_tol=settle_tol, cfg=_newton_cfg(args))
-    out = args.out or "trajectory.csv"
+    traj = simulate(kind, phi0, args.steps, p, settle_tol=args.settle_tol,
+                    cfg=NewtonConfig(args.newton_tol, args.newton_max_iter))
     rows = [
         [s.step, s.time, s.vmin, s.vmax, s.center, s.l2, s.center_sign]
         for s in traj.summaries
     ]
     rows.append(["settle", traj.settle_step if traj.settled else -1, traj.limit,
                  "", "", "", ""])
-    _write_csv(out, ["step", "t", "min", "max", "center", "l2", "sign"], rows)
-    print(f"wrote {out}")
+    _emit(args.out, ["step", "t", "min", "max", "center", "l2", "sign"], rows)
     if traj.failure:
         print(traj.failure, file=sys.stderr)
         return 3
@@ -341,39 +329,30 @@ def cmd_simulate(args) -> int:
 # analyze
 
 
-def _analyze_thresholds(args, out: str) -> int:
-    _require(args, "eps")
-    _write_csv(out, ["scheme", "formula", "dt_max"], _threshold_rows(args.eps))
-    return 0
+def _analyze_thresholds(args) -> int:
+    return _emit(args.out, ["scheme", "formula", "dt_max"], _threshold_rows(args.eps))
 
 
-def _analyze_bifurcations(args, out: str) -> int:
-    _require(args, "scheme", "c")
+def _analyze_bifurcations(args) -> int:
     kind = parse_scheme(args.scheme)
     # the enumeration solves for eps, so only dt is needed here
     dt = args.dt if args.dt is not None else _resolve_params(args).dt
-    dim = args.dim or 1
-    eps_min = args.eps_min if args.eps_min is not None else 1e-3
-    max_k = args.max_k if args.max_k is not None else 8
-    points = enumerate_bifurcations(kind, args.c, dt, eps_min, max_k=max_k, dim=dim)
+    points = enumerate_bifurcations(kind, args.c, dt, args.eps_min, max_k=args.max_k, dim=args.dim)
     header = ["k1", "k2", "eps_sq", "eigenfunction", "note"]
     if not points:
-        _write_csv(out, header, [["", "", "", "no bifurcation: 1 - 3c^2 <= 0 or below eps-min", ""]])
-        return 0
+        return _emit(args.out, header,
+                     [["", "", "", "no bifurcation: 1 - 3c^2 <= 0 or below eps-min", ""]])
     rows = []
     for bp in points:
         k1 = bp.mode.k[0]
         k2 = bp.mode.k[1] if bp.mode.dim == 2 else ""
         rows.append([k1, k2, bp.eps_sq, bp.eigenfunction, bp.note])
-    _write_csv(out, header, rows)
-    return 0
+    return _emit(args.out, header, rows)
 
 
-def _analyze_intervals(args, out: str) -> int:
-    _require(args, "scheme", "ratio")
+def _analyze_intervals(args) -> int:
     kind = parse_scheme(args.scheme)
-    count = args.count if args.count is not None else 4
-    seq = interval_sequence(kind, args.ratio, count)
+    seq = interval_sequence(kind, args.ratio, args.count)
     rows = []
     if kind.tag == "dirk":
         for i, (r, s) in enumerate(zip(seq.r_values(), seq.s_values()), start=1):
@@ -382,25 +361,21 @@ def _analyze_intervals(args, out: str) -> int:
     else:
         for i, r in enumerate(seq.entries, start=1):
             rows.append([kind.label, args.ratio, f"r{i}", r])
-    _write_csv(out, ["scheme", "ratio", "name", "value"], rows)
-    return 0
+    return _emit(args.out, ["scheme", "ratio", "name", "value"], rows)
 
 
-def _analyze_classify(args, out: str) -> int:
-    _require(args, "scheme", "rmin", "rmax")
+def _analyze_classify(args) -> int:
     if not (math.isfinite(args.rmin) and math.isfinite(args.rmax)):
         raise ConfigurationError("--rmin and --rmax must be finite")
     kind = parse_scheme(args.scheme)
     p = _resolve_params(args)
-    samples = args.samples if args.samples is not None else 64
-    if samples < 2:
+    if args.samples < 2:
         raise ConfigurationError("--samples must be >= 2")
-    max_steps = args.steps if args.steps is not None else 400
-    res = classify_constant_initial(kind, np.linspace(args.rmin, args.rmax, samples), p,
-                                    max_steps=max_steps)
+    res = classify_constant_initial(kind, np.linspace(args.rmin, args.rmax, args.samples), p,
+                                    max_steps=args.steps)
     columns = (res.initial, res.limit, res.settle_step, res.flips)
-    _write_csv(out, ["r", "limit", "settle_step", "flips"], zip(*(c.tolist() for c in columns)))
-    return 0
+    return _emit(args.out, ["r", "limit", "settle_step", "flips"],
+                 zip(*(c.tolist() for c in columns)))
 
 
 def _branch_gains(kind: SchemeKind, c: float, r: float, mode: ModeIndex, p: ACParams, chains):
@@ -414,8 +389,7 @@ def _branch_gains(kind: SchemeKind, c: float, r: float, mode: ModeIndex, p: ACPa
     return chain[0], dirk_perturbation_gains(chain[2], chain[1], mode, p, kind=kind)
 
 
-def _analyze_perturb(args, out: str) -> int:
-    _require(args, "scheme", "c", "k")
+def _analyze_perturb(args) -> int:
     kind = parse_scheme(args.scheme)
     p = _resolve_params(args)
     dim = 2 if args.l is not None else 1
@@ -424,60 +398,33 @@ def _analyze_perturb(args, out: str) -> int:
     lcol = args.l if args.l is not None else ""
     if kind.tag == "be":
         raise ConfigurationError("perturbation gains are defined for cn, modcn, dirk2")
-    _require(args, "r")
     chains = preimage_constants(kind, args.c, p).chains if kind.tag == "dirk" else ()
     r, g = _branch_gains(kind, args.c, args.r, mode, p, chains)
     gains = [*g.gain, "", ""][:3]
-    _write_csv(out, header, [[kind.label, args.c, r, args.k, lcol, *gains, int(g.pole)]])
-    return 0
-
-
-def cmd_analyze(args) -> int:
-    sub = args.what
-    out = args.out or f"{sub}.csv"
-    if sub == "thresholds":
-        code = _analyze_thresholds(args, out)
-    elif sub == "bifurcations":
-        code = _analyze_bifurcations(args, out)
-    elif sub == "intervals":
-        code = _analyze_intervals(args, out)
-    elif sub == "classify":
-        code = _analyze_classify(args, out)
-    elif sub == "perturb":
-        code = _analyze_perturb(args, out)
-    else:
-        raise ConfigurationError(f"unknown analyze subcommand {sub!r}")
-    print(f"wrote {out}")
-    return code
+    return _emit(args.out, header, [[kind.label, args.c, r, args.k, lcol, *gains, int(g.pole)]])
 
 
 # ---------------------------------------------------------------------------
 # preimage
 
 
-def _preimage_constant(args, kind, p, c: float, out: str) -> int:
+def _preimage_constant(kind, p, c: float, out: str) -> int:
     ps = preimage_constants(kind, c, p)
     rows = []
-    for i, root in enumerate(ps.roots):
+    for root in ps.roots:
         images = scalar_map(kind, root, p)
         fwd_err = min(abs(img - c) for img, _sel in images)
         disc = ps.cubics[0].discriminant_sign if ps.cubics else ""
         rows.append([kind.label, c, root, disc, fwd_err])
-    _write_csv(out, ["scheme", "c", "root", "disc_sign", "forward_error"], rows)
-    print(f"wrote {out}")
-    return 0
+    return _emit(out, ["scheme", "c", "root", "disc_sign", "forward_error"], rows)
 
 
-def _preimage_field(args, kind, p, meta, grid, out: str) -> int:
+def _preimage_field(args, kind, p, target: ScalarField, meta) -> int:
+    grid = target.grid
     c, delta, mode = meta["const"], meta["delta"], meta["mode"]
-    target = ScalarField(
-        grid, c + delta * eval_mode(mode, grid).values
-    )
-    delta0 = args.delta0 if args.delta0 is not None else 1e-3
     delta_end = args.delta1 if args.delta1 is not None else delta
-    steps = args.steps if args.steps is not None else 32
-    hcfg = HomotopyConfig(delta_end=delta_end, delta_start=delta0, steps=steps)
-    ncfg = _newton_cfg(args)
+    hcfg = HomotopyConfig(delta_end=delta_end, delta_start=args.delta0, steps=args.steps)
+    ncfg = NewtonConfig(args.newton_tol, args.newton_max_iter)
 
     if kind.tag == "be":
         seed = target
@@ -500,21 +447,15 @@ def _preimage_field(args, kind, p, meta, grid, out: str) -> int:
         if g.pole:
             raise AnalysisError("perturbation gain has a pole; no regular branch to follow")
         gain = g.gain[-1]
-        seed = ScalarField(grid, seed_root + delta0 * gain * eval_mode(mode, grid).values)
+        seed = ScalarField(grid, seed_root + args.delta0 * gain * eval_mode(mode, grid).values)
 
     phi_n, rep = preimage_field(kind, target, seed, p, hcfg, ncfg)
 
+    out = args.out
     stem, ext = os.path.splitext(out)
     field_out = f"{stem}_field{ext or '.csv'}"
-    coords = grid.node_coordinates()
-    if grid.dim == 1:
-        frows = [[coords[i, 0], phi_n.values[i]] for i in range(grid.num_nodes)]
-        _write_csv(field_out, ["x1", "value"], frows)
-    else:
-        frows = [
-            [coords[i, 0], coords[i, 1], phi_n.values[i]] for i in range(grid.num_nodes)
-        ]
-        _write_csv(field_out, ["x1", "x2", "value"], frows)
+    _write_csv(field_out, [f"x{j}" for j in range(1, grid.dim + 1)] + ["value"],
+               np.column_stack((grid.node_coordinates(), phi_n.values)))
 
     fwd, _rep2 = step(kind, phi_n, p, ncfg)
     fwd_resid = float(np.max(np.abs(fwd.values - target.values)))
@@ -535,45 +476,111 @@ def _preimage_field(args, kind, p, meta, grid, out: str) -> int:
 
 
 def cmd_preimage(args) -> int:
-    _require(args, "scheme")
     kind = parse_scheme(args.scheme)
     p = _resolve_params(args)
     grid = _resolve_grid(args, args.target)
-    _field, meta = _parse_field_spec(args.target, grid)
-    out = args.out or "preimage.csv"
+    target, meta = _parse_field_spec(args.target, grid)
     if meta["mode"] is None:
-        return _preimage_constant(args, kind, p, meta["const"], out)
-    return _preimage_field(args, kind, p, meta, grid, out)
+        return _preimage_constant(kind, p, meta["const"], args.out)
+    return _preimage_field(args, kind, p, target, meta)
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table and its parser
+
+# Every flag a command may take, by dest: argparse keywords, with help text
+# that build_parser completes from the command's default.
+_FLAGS = {
+    "scheme": {"choices": ["be", "cn", "modcn", "dirk2"], "help": "time stepper"},
+    "eps": {"type": float, "help": "interface width parameter"},
+    "dt": {"type": float, "help": "time step (exclusive with --ratio)"},
+    "ratio": {"type": float, "help": "dt as a multiple of the scheme's uniqueness threshold"},
+    "dim": {"type": int, "choices": [1, 2], "help": "space dimension"},
+    "n": {"type": int, "help": "nodes per axis"},
+    "steps": {"type": int, "help": "time steps, or continuation steps in preimage"},
+    "settle_tol": {"type": float, "help": "uniform distance to +-1 that counts as settled"},
+    "c": {"type": float, "help": "constant next-step state"},
+    "r": {"type": float, "help": "constant previous state; selects the preimage branch"},
+    "k": {"type": float, "help": "mode index, first axis"},
+    "l": {"type": float, "help": "mode index, second axis (2D)"},
+    "eps_min": {"type": float, "help": "smallest eps of interest"},
+    "max_k": {"type": int, "help": "largest mode index enumerated"},
+    "count": {"type": int, "help": "entries per threshold family"},
+    "rmin": {"type": float, "help": "smallest initial constant"},
+    "rmax": {"type": float, "help": "largest initial constant"},
+    "samples": {"type": int, "help": "number of initial constants"},
+    "delta0": {"type": float, "help": "continuation start amplitude"},
+    "delta1": {"type": float, "help": "continuation end amplitude"},
+    "root": {"type": int, "help": "index (ascending) of the constant preimage branch to follow"},
+    "newton_tol": {"type": float, "help": "Newton residual tolerance"},
+    "newton_max_iter": {"type": int, "help": "Newton iteration cap"},
+    "check": {"action": "store_const", "const": True,
+              "help": "compare reproduced values against the embedded references"},
+    "out": {"help": "output CSV path"},
+    "config": {"help": "JSON file with values for this command's flags"},
+}
+
+# Defaults the commands compute from their input, as --help states them.
+_COMPUTED = {
+    "eps": "1 with --ratio alone",
+    "dim": "from the spec, 2 for a mode with k and l, else 1",
+    "n": "257 in 1D, 65 in 2D",
+    "delta1": "the target's delta",
+    "out": "the target's name with - as _, .csv",
+}
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scheme", choices=["be", "cn", "modcn", "dirk2"],
-                     help="time stepper")
-    sub.add_argument("--eps", type=float, help="interface width parameter")
-    sub.add_argument("--dt", type=float, help="time step (exclusive with --ratio)")
-    sub.add_argument("--ratio", type=float,
-                     help="dt as a multiple of the scheme's uniqueness threshold")
-    sub.add_argument("--dim", type=int, choices=[1, 2], help="space dimension (default 1)")
-    sub.add_argument("--n", type=int, help="nodes per axis (default 257 in 1D, 65 in 2D)")
-    sub.add_argument("--steps", type=int, help="step count (simulate/classify/continuation)")
-    sub.add_argument("--k", type=float, help="mode index, first axis")
-    sub.add_argument("--l", type=float, help="mode index, second axis (2D)")
-    sub.add_argument("--delta0", type=float, help="continuation start amplitude (default 1e-3)")
-    sub.add_argument("--delta1", type=float, help="continuation end amplitude (default: target's)")
-    sub.add_argument("--count", type=int, help="entries per threshold family (default 4)")
-    sub.add_argument("--out", help="output CSV path")
-    sub.add_argument("--config", help="JSON file with defaults for any flag")
-    sub.add_argument("--check", action="store_const", const=True,
-                     help="compare reproduced values against the embedded references")
-    sub.add_argument("--newton-tol", type=float, dest="newton_tol",
-                     help="Newton residual tolerance (default 1e-10)")
-    sub.add_argument("--newton-max-iter", type=int, dest="newton_max_iter",
-                     help="Newton iteration cap (default 50)")
-    sub.set_defaults(flags=sub)  # the flags that type --config values
+class _Command(NamedTuple):
+    """One (sub)command: its handler, help, positional (name, help), the
+    flags it reads (besides --config, which all take) with the defaults
+    applied after --config merging (None: none, or one computed from the
+    input), and the flags that must be given."""
+
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    positional: tuple[str, str] | None
+    flags: dict
+    required: tuple[str, ...] = ()
+
+
+_STEP = dict.fromkeys(("scheme", "eps", "dt", "ratio"))  # read by _resolve_params
+_GRID = dict.fromkeys(("dim", "n"))  # read by _resolve_grid
+_NEWTON = {"newton_tol": NewtonConfig.tol, "newton_max_iter": NewtonConfig.max_iter}
+_SPEC_HELP = '"const:<v>" or "const+mode:<v>,<d>,<k[,l]>"'
+
+# "analyze <what>" entries are subcommands of analyze
+_COMMANDS = {
+    "reproduce": _Command(
+        cmd_reproduce, "reproduce a built-in table or figure dataset",
+        ("id", "|".join(_TARGETS)), {"check": None, "out": None}),
+    "simulate": _Command(
+        cmd_simulate, "run a time stepper and record a trajectory",
+        ("initial", f"initial data, {_SPEC_HELP}"),
+        {**_STEP, **_GRID, "steps": 100, "settle_tol": 1e-3, **_NEWTON, "out": "trajectory.csv"},
+        ("scheme",)),
+    "analyze thresholds": _Command(
+        _analyze_thresholds, "every scheme's uniqueness threshold on dt at eps", None,
+        {"eps": None, "out": "thresholds.csv"}, ("eps",)),
+    "analyze bifurcations": _Command(
+        _analyze_bifurcations, "eps at which the step about the constant c bifurcates, per mode",
+        None, {**_STEP, "c": None, "dim": 1, "eps_min": 1e-3, "max_k": 8,
+               "out": "bifurcations.csv"}, ("scheme", "c")),
+    "analyze intervals": _Command(
+        _analyze_intervals, "threshold magnitudes r_i (and DIRK's s_i) at a ratio", None,
+        {"scheme": None, "ratio": None, "count": 4, "out": "intervals.csv"}, ("scheme", "ratio")),
+    "analyze classify": _Command(
+        _analyze_classify, "limits reached from constant initial states", None,
+        {**_STEP, "rmin": None, "rmax": None, "samples": 64, "steps": 400,
+         "out": "classify.csv"}, ("scheme", "rmin", "rmax")),
+    "analyze perturb": _Command(
+        _analyze_perturb, "gains of the preimage branch through r under a mode perturbation",
+        None, {**_STEP, "c": None, "r": None, "k": None, "l": None, "out": "perturb.csv"},
+        ("scheme", "c", "k", "r")),
+    "preimage": _Command(
+        cmd_preimage, "states that one step maps to a given target", ("target", _SPEC_HELP),
+        {**_STEP, **_GRID, "steps": 32, "delta0": 1e-3, "delta1": None, "root": None,
+         **_NEWTON, "out": "preimage.csv"}, ("scheme",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -582,36 +589,26 @@ def build_parser() -> argparse.ArgumentParser:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    rep = subs.add_parser("reproduce", help="reproduce a built-in table or figure dataset")
-    rep.add_argument("id", help="table1|table2|table3|table4|fig1-data|fig5-data")
-    _add_common(rep)
-
-    sim = subs.add_parser("simulate", help="run a time stepper and record a trajectory")
-    sim.add_argument("initial", help='initial data, "const:<v>" or "const+mode:<v>,<d>,<k[,l]>"')
-    sim.add_argument("--settle-tol", type=float, dest="settle_tol",
-                     help="uniform distance to +-1 that counts as settled (default 1e-3)")
-    _add_common(sim)
-
-    ana = subs.add_parser("analyze", help="stability/robustness analyses to CSV")
-    ana.add_argument("what", help="thresholds|bifurcations|intervals|classify|perturb")
-    ana.add_argument("--c", type=float, help="constant next-step state (bifurcations/perturb)")
-    ana.add_argument("--r", type=float, help="constant previous state (perturb branch select)")
-    ana.add_argument("--eps-min", type=float, dest="eps_min",
-                     help="smallest eps of interest (bifurcations, default 1e-3)")
-    ana.add_argument("--max-k", type=int, dest="max_k",
-                     help="largest mode index enumerated (default 8)")
-    ana.add_argument("--rmin", type=float, help="classify: smallest initial constant")
-    ana.add_argument("--rmax", type=float, help="classify: largest initial constant")
-    ana.add_argument("--samples", type=int, help="classify: number of initial constants")
-    _add_common(ana)
-
-    pre = subs.add_parser("preimage", help="states that one step maps to a given target")
-    pre.add_argument("target", help='"const:<c>" or "const+mode:<c>,<d>,<k[,l]>"')
-    pre.add_argument("--root", type=int,
-                     help="index (ascending) of the constant preimage branch to follow")
-    _add_common(pre)
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, cmd in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(
+                group, help="stability and robustness analyses to CSV",
+            ).add_subparsers(dest="what", required=True)
+        sub = groups[group].add_parser(leaf, help=cmd.help)
+        if cmd.positional:
+            sub.add_argument(cmd.positional[0], help=cmd.positional[1])
+        for flag, default in {**cmd.flags, "config": None}.items():
+            kw = dict(_FLAGS[flag])
+            if flag in cmd.required:
+                kw["help"] += " (required)"
+            elif default is not None:
+                kw["help"] += f" (default: {default})"
+            elif flag in _COMPUTED:
+                kw["help"] += f" (default: {_COMPUTED[flag]})"
+            sub.add_argument("--" + flag.replace("_", "-"), **kw)
+        sub.set_defaults(flags=sub, cmd=cmd)  # flags: the actions that type --config values
     return parser
 
 
@@ -625,13 +622,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         args = _merge_config(args)
-        if args.command == "reproduce":
-            return cmd_reproduce(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        return cmd_preimage(args)
+        for flag, default in args.cmd.flags.items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
+        _require(args, *args.cmd.required)
+        return args.cmd.run(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -174,10 +174,8 @@ class IntervalSequence:
 
     entries is ascending: (r_1, ..., r_count) for the trapezoid schemes and
     (r_1, s_1, ..., r_count, s_count) interleaved for a two-stage DIRK
-    scheme.  ratio is dt over the scheme's uniqueness threshold,
-    dt / (2 eps^2) for the trapezoid schemes and dt max a_ii / eps^2 for
-    DIRK (dt / (4 eps^2) for DIRK2), so the sequence depends on eps and dt
-    only through it.
+    scheme.  ratio is dt over the scheme's uniqueness threshold (see
+    _ratio_dt); the sequence depends on eps and dt only through it.
     """
 
     scheme: SchemeKind
@@ -195,14 +193,24 @@ class IntervalSequence:
         return ()
 
 
+def _ratio_dt(kind: SchemeKind, ratio: float, eps: float = 1.0) -> float:
+    """The time step whose ratio to the scheme's uniqueness threshold is `ratio`.
+
+    The threshold is eps^2 / h with the factor h = 1 for backward Euler,
+    1/2 for the trapezoid schemes (MODCN, unique at every dt, is measured
+    against CN's threshold) and max a_ii for DIRK, so dt = ratio eps^2 / h.
+    """
+    h = kind.tableau.max_diag if kind.tag == "dirk" else 1.0 if kind.tag == "be" else 0.5
+    return ratio * eps ** 2 / h
+
+
 def interval_sequence(kind: SchemeKind, ratio: float, count: int) -> IntervalSequence:
     """First `count` threshold magnitudes per family at the given ratio.
 
-    The step is taken at eps = 1 with dt = 2 ratio for the trapezoid schemes
-    and dt = ratio / max a_ii for DIRK.  Each family starts at a positive
-    constant preimage of 0 (CN and MODCN have one, a two-stage DIRK scheme
-    two), and each later entry is the magnitude of the unique real preimage
-    of its predecessor.  An AnalysisError is raised where the families are
+    The step is taken at eps = 1 and dt = _ratio_dt(kind, ratio).  Each
+    family starts at a positive constant preimage of 0 (CN and MODCN have
+    one, a two-stage DIRK scheme two), and each later entry is the
+    magnitude of the unique real preimage of its predecessor.  An AnalysisError is raised where the families are
     not defined: another number of positive preimages of 0, a preimage that
     is not unique, or families that fail to interleave.
     """
@@ -213,10 +221,7 @@ def interval_sequence(kind: SchemeKind, ratio: float, count: int) -> IntervalSeq
     if kind.tag == "be":
         raise ConfigurationError("backward Euler has a unique preimage everywhere; no sequence")
 
-    if kind.tag == "dirk":
-        p, families = ACParams(eps=1.0, dt=ratio / kind.tableau.max_diag), 2
-    else:
-        p, families = ACParams(eps=1.0, dt=2.0 * ratio), 1
+    p, families = ACParams(eps=1.0, dt=_ratio_dt(kind, ratio)), 2 if kind.tag == "dirk" else 1
     rows = [[x] for x in preimage_constants(kind, 0.0, p).roots if x > MERGE_TOL]
     if len(rows) != families:
         raise AnalysisError(
@@ -387,16 +392,6 @@ def dirk_perturbation_gains(
     return _chain_gains(kind or DIRK2, (c2, c2, c1, c1), k, p)
 
 
-def _be_preimage_field(phi_next: ScalarField, p: ACParams) -> tuple[ScalarField, NewtonReport]:
-    grid = phi_next.grid
-    v = phi_next.values
-    rhs = ac_force(laplacian_matrix(grid) @ v, v, p)
-    u = v - p.dt * rhs
-    resid = (v - u) / p.dt - rhs
-    rnorm = float(np.max(np.abs(resid)))
-    return ScalarField(grid, u), NewtonReport(0, rnorm, True, (rnorm,))
-
-
 def preimage_field(
     kind: SchemeKind,
     phi_next: ScalarField,
@@ -413,7 +408,7 @@ def preimage_field(
     The seed (typically r + delta * B * mode, with r a constant preimage and
     B its gain) starts the earliest unknown; DIRK's intermediate stages
     start from the constant preimage chain whose r is nearest the seed's
-    mean.  Backward Euler needs no continuation: its preimage is explicit.
+    mean.  Backward Euler's one link is explicit, so no Newton solve runs.
 
     Returns the preimage and the final NewtonReport; a failed continuation
     reports converged=False with report.delta the last good amplitude and a
@@ -421,8 +416,6 @@ def preimage_field(
     iterate (the seed if none).
     """
     ncfg = ncfg or NewtonConfig()
-    if kind.tag == "be":
-        return _be_preimage_field(phi_next, p)
     grid = phi_next.grid
     lap = laplacian_matrix(grid)
     links = _backward_links(kind, p)
@@ -439,7 +432,7 @@ def preimage_field(
 
     def solve_at(delta, state):
         x = c + delta * shape
-        walked = []
+        walked, report = [], NewtonReport(0, 0.0, True, (0.0,))  # kept if every link is explicit
         for i, ((_fwd, bwd), start) in enumerate(zip(links, state or starts), start=1):
             terms = bwd(x, lap @ x)
             if terms[2] == 0.0:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -276,7 +277,11 @@ def test_analyze_perturb_dirk(tmp_path):
 
 
 def test_analyze_unknown_what(tmp_path):
-    assert _run("analyze", "nonsense", "--out", str(tmp_path / "x.csv")) == 2
+    try:
+        code = _run("analyze", "nonsense", "--out", str(tmp_path / "x.csv"))
+    except SystemExit as exc:  # the analyses are subcommands: argparse rejects the name
+        code = exc.code
+    assert code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +427,77 @@ def test_config_values_are_read_as_the_command_line_reads_them(tmp_path, capsys,
     assert capsys.readouterr().out.endswith("check: all values match\n")
 
 
+@pytest.mark.parametrize("argv, values", [
+    (("reproduce", "table4", "--check"),
+     {"steps": "many", "scheme": "rk4", "newton_tol": "tight"}),
+    (("analyze", "intervals", "--scheme", "cn", "--ratio", "0.5"),
+     {"eps": "small", "samples": 2.5}),
+], ids=("reproduce", "intervals"))
+def test_config_keys_of_other_commands_flags_are_ignored(argv, values, tmp_path, capsys):
+    # each key names a flag of other commands only, whose type or choices would reject the value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    out, want = tmp_path / "cfg.csv", tmp_path / "cli.csv"
+    assert _run(*argv, "--config", str(cfg), "--out", str(out)) == 0
+    assert _run(*argv, "--out", str(want)) == 0
+    assert out.read_bytes() == want.read_bytes()
+    assert capsys.readouterr().err == ""
+
+
 def test_config_file_missing(tmp_path):
     assert _run("analyze", "intervals", "--config", str(tmp_path / "none.json"),
                 "--out", str(tmp_path / "x.csv")) == 2
+
+
+# ---------------------------------------------------------------------------
+# each command takes the flags its code reads, and no other
+
+_FLAGS_READ = {
+    "reproduce": {"check", "out", "config"},
+    "simulate": {"scheme", "eps", "dt", "ratio", "dim", "n", "steps", "settle_tol",
+                 "newton_tol", "newton_max_iter", "out", "config"},
+    "analyze thresholds": {"eps", "out", "config"},
+    "analyze bifurcations": {"scheme", "c", "dt", "eps", "ratio", "dim", "eps_min", "max_k",
+                             "out", "config"},
+    "analyze intervals": {"scheme", "ratio", "count", "out", "config"},
+    "analyze classify": {"scheme", "eps", "dt", "ratio", "rmin", "rmax", "samples", "steps",
+                         "out", "config"},
+    "analyze perturb": {"scheme", "eps", "dt", "ratio", "c", "r", "k", "l", "out", "config"},
+    "preimage": {"scheme", "eps", "dt", "ratio", "dim", "n", "steps", "delta0", "delta1", "root",
+                 "newton_tol", "newton_max_iter", "out", "config"},
+}
+
+
+def _leaf_parsers(parser, prefix=""):
+    """(command name, parser) of every (sub)command that takes flags."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, f"{prefix}{name} ")
+            return
+    yield prefix.strip(), parser
+
+
+def test_each_command_takes_exactly_the_flags_it_reads():
+    got = {name: {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+           for name, sub in _leaf_parsers(cli.build_parser())}
+    assert got == _FLAGS_READ
+    assert sum(map(len, got.values())) == 67
+
+
+@pytest.mark.parametrize("argv", [
+    ("reproduce", "table1", "--eps", "7"),
+    ("analyze", "classify", "--scheme", "cn", "--ratio", "0.5", "--rmin", "0", "--rmax", "4",
+     "--newton-tol", "1e-3"),
+    ("analyze", "intervals", "--scheme", "cn", "--ratio", "0.5", "--eps", "0.1"),
+], ids=("reproduce-eps", "classify-newton-tol", "intervals-eps"))
+def test_a_flag_the_command_never_reads_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        _run(*argv, "--out", str(out))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from acstab.schemes import (
     step,
 )
 from acstab.solvers import HomotopyConfig, NewtonConfig, fd_jacobian
+from acstab.stability import stability_threshold
 
 SQ3 = math.sqrt(3.0)
 
@@ -130,6 +131,15 @@ def test_interval_sequence_of_another_dirk_tableau():
     assert r1 == pytest.approx(10.0, rel=1e-12) and s1 == pytest.approx(22.1914, rel=1e-5)
     r1, s1 = interval_sequence(_DIRK_ODD, 0.12, 1).entries
     assert r1 == pytest.approx(9.18559, rel=1e-5) and s1 == pytest.approx(20.3817, rel=1e-5)
+
+
+@pytest.mark.parametrize("kind", (BE, CN, DIRK2, _DIRK_ODD), ids=("be", "cn", "dirk2", "dirk-odd"))
+def test_ratio_one_is_the_uniqueness_threshold(kind):
+    for eps in (0.1, 0.3, 1.0):
+        dt_max = stability_threshold(kind, eps).dt_max
+        assert robustness._ratio_dt(kind, 1.0, eps) == pytest.approx(dt_max, rel=1e-15)
+        # MODCN, unique at every dt, is measured against CN's threshold
+        assert robustness._ratio_dt(MODCN, 0.5, eps) == robustness._ratio_dt(CN, 0.5, eps)
 
 
 def test_interval_sequence_undefined_family_raises():
@@ -598,7 +608,8 @@ def test_preimage_field_backward_euler_explicit():
     mode = eval_mode(ModeIndex((1.0,)), grid)
     target = ScalarField(grid, 0.2 + 0.3 * mode.values)
     phi_n, rep = preimage_field(BE, target, target, p, HomotopyConfig(delta_end=0.3))
-    assert rep.converged
+    assert rep.converged and rep.delta == 0.3
+    assert (rep.iterations, rep.residual) == (0, 0.0)  # no Newton solve runs
     fwd, _ = step(BE, phi_n, p)
     assert np.max(np.abs(fwd.values - target.values)) <= 1e-10
 
