@@ -82,10 +82,19 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write header and rows; each cell as _fmt writes it.
+
+    A 2-D float array takes one "%.9g,...,%.9g" format per row, the bytes
+    _fmt and the csv writer give its cells (no number needs quoting).
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([*map(_fmt, row)] for row in rows)
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+            line = ",".join(["%.9g"] * rows.shape[1]) + "\n"
+            fh.writelines(line % tuple(row) for row in (rows + 0.0).tolist())
+        else:
+            writer.writerows([*map(_fmt, row)] for row in rows)
 
 
 def _emit(path: str, header: list[str], rows) -> int:
@@ -586,6 +595,7 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="acstab",
+        allow_abbrev=False,  # --r is not --ratio, --c not --config
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -594,9 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
         group, _, leaf = name.rpartition(" ")
         if group not in groups:
             groups[group] = groups[""].add_parser(
-                group, help="stability and robustness analyses to CSV",
+                group, help="stability and robustness analyses to CSV", allow_abbrev=False,
             ).add_subparsers(dest="what", required=True)
-        sub = groups[group].add_parser(leaf, help=cmd.help)
+        sub = groups[group].add_parser(leaf, help=cmd.help, allow_abbrev=False)
         if cmd.positional:
             sub.add_argument(cmd.positional[0], help=cmd.positional[1])
         for flag, default in {**cmd.flags, "config": None}.items():

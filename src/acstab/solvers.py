@@ -31,8 +31,20 @@ its method from the operator itself:
   5-point pattern.
 
 Every direct solve takes one round of iterative refinement when its true
-residual exceeds 1e-12 relative to the right-hand side; CG and MINRES stop
-only on a true residual within that bound.
+residual exceeds 1e-12 relative to the right-hand side.  CG and MINRES stop
+only on a true residual within max(1e-12, rtol) of it, rtol being solve's
+relative tolerance (1e-12 unless given).
+
+Newton on a field solves inexactly (Dembo, Eisenstat and Steihaug): each
+iteration passes a forcing term eta_k to solve as its rtol, so CG and MINRES
+stop once the linear residual is eta_k times the Newton residual, while the
+1D and LU solves stay exact and ignore it.  eta_k is Eisenstat and Walker's
+choice 2, eta_k = 0.9 (r_k / r_{k-1})^2 with r the residual inf-norm,
+starting from eta_0 = 0.1.  It is raised to 0.5 tol / r_k (Kelley: no solve
+below what Newton's stopping rule needs), then capped at 0.1, and never goes
+below 1e-12.  A step that fails to halve the residual makes the rest of that
+Newton solve exact (eta = 1e-12): a loose solve near an indefinite or nearly
+singular Jacobian could otherwise stall it short of its tolerance.
 
 SciPy loads on the first field solve that needs it, not on import: the
 analyses of constant states never load it.  The module attributes scipy
@@ -78,6 +90,8 @@ __all__ = [
 _HALVING_LIMIT = 20
 _LINEAR_RTOL = 1e-12
 _KRYLOV_MAX_ITER = 60  # CG and MINRES alike
+_FORCING_MAX = 0.1  # eta_0 and the cap of every forcing term
+_FORCING_GAMMA = 0.9
 
 
 @dataclass(frozen=True)
@@ -187,8 +201,8 @@ class ShiftedLaplacian:
     """The linear operator a I - b L + diag(d) on a grid, L = laplacian_matrix(grid).
 
     a and b are scalars and d holds one value per node.  Supports `op @ x`,
-    tosparse(), todense() and solve(rhs); see the module docstring for how
-    solve chooses its method.
+    tosparse(), todense() and solve(rhs, rtol); see the module docstring for
+    how solve chooses its method.
     """
 
     grid: GridSpec
@@ -213,15 +227,19 @@ class ShiftedLaplacian:
     def todense(self) -> np.ndarray:
         return self.tosparse().toarray()
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with self @ x = rhs (see the module docstring for the method)."""
+    def solve(self, rhs: np.ndarray, rtol: float = _LINEAR_RTOL) -> np.ndarray:
+        """x with self @ x = rhs (see the module docstring for the method).
+
+        CG and MINRES stop at a true residual within max(1e-12, rtol) of rhs;
+        the 1D and LU solves are exact whatever rtol is.
+        """
         if self.grid.dim == 1:
             ab = self._band()
             return _refined_solve(lambda r: _tridiagonal_solve(ab, r), self.__matmul__, rhs)
         if self.certified:
-            x = self._pcg(rhs)
+            x = self._pcg(rhs, rtol)
         elif self.b >= 0.0:
-            x = self._minres(rhs)
+            x = self._minres(rhs, rtol)
         else:
             x = None
         if x is not None:
@@ -257,15 +275,16 @@ class ShiftedLaplacian:
 
         return precondition
 
-    def _pcg(self, rhs: np.ndarray) -> np.ndarray | None:
+    def _pcg(self, rhs: np.ndarray, rtol: float = _LINEAR_RTOL) -> np.ndarray | None:
         """Preconditioned CG in the trapezoid inner product; None on a miss.
 
         The preconditioner solves (a + mean(d)) I - b L exactly in the DCT-I
         eigenbasis of L.  Returns only an x whose true residual is within
-        _LINEAR_RTOL of rhs; a recursive residual that meets the bound while
-        the true one does not restarts the iteration from the true residual.
+        max(_LINEAR_RTOL, rtol) of rhs; a recursive residual that meets the
+        bound while the true one does not restarts the iteration from the
+        true residual.
         """
-        tol = _LINEAR_RTOL * _linf(rhs)
+        tol = max(_LINEAR_RTOL, rtol) * _linf(rhs)
         if tol == 0.0:
             return np.zeros_like(rhs)
         precondition = self._preconditioner(absolute=False)
@@ -295,7 +314,7 @@ class ShiftedLaplacian:
                 p = np.zeros_like(rhs)  # restart from the true residual
         return None
 
-    def _minres(self, rhs: np.ndarray) -> np.ndarray | None:
+    def _minres(self, rhs: np.ndarray, rtol: float = _LINEAR_RTOL) -> np.ndarray | None:
         """Preconditioned MINRES in the trapezoid inner product; None on a miss.
 
         Paige and Saunders' recurrences for a self-adjoint indefinite
@@ -303,11 +322,11 @@ class ShiftedLaplacian:
         value |(a + mean(d)) I - b L|, which is positive definite (absolute
         value preconditioning, Vecharynski and Knyazev).  The residual is
         carried along with x, through A applied to the search directions.
-        Returns only an x whose true residual is within _LINEAR_RTOL of rhs;
-        a recursive residual that meets the bound while the true one does not
-        restarts the Lanczos process from the true residual.
+        Returns only an x whose true residual is within max(_LINEAR_RTOL,
+        rtol) of rhs; a recursive residual that meets the bound while the true
+        one does not restarts the Lanczos process from the true residual.
         """
-        tol = _LINEAR_RTOL * _linf(rhs)
+        tol = max(_LINEAR_RTOL, rtol) * _linf(rhs)
         if tol == 0.0:
             return np.zeros_like(rhs)
         precondition = self._preconditioner(absolute=True)
@@ -357,9 +376,19 @@ class ShiftedLaplacian:
         return None
 
 
+def _forcing(rnorm: float, previous: float, tol: float) -> float:
+    """Eisenstat and Walker's choice 2 forcing term after a step that took the
+    residual from previous to rnorm: raised to 0.5 tol / rnorm, then capped
+    at _FORCING_MAX and floored at _LINEAR_RTOL."""
+    eta = max(_FORCING_GAMMA * (rnorm / previous) ** 2, 0.5 * tol / rnorm)
+    return max(_LINEAR_RTOL, min(_FORCING_MAX, eta))
+
+
 def _newton_core(residual, jacobian, x0: np.ndarray, cfg: NewtonConfig):
     """Newton on a flat array unknown with a ShiftedLaplacian Jacobian; one
-    inf-norm decides convergence for the whole array."""
+    inf-norm decides convergence for the whole array.  Each step is solved
+    to the forcing term eta (see the module docstring); once a step fails to
+    halve the residual, every later one is solved exactly."""
     x = x0
     r = np.asarray(residual(x), dtype=float)
     rnorm = _linf(r)
@@ -368,9 +397,10 @@ def _newton_core(residual, jacobian, x0: np.ndarray, cfg: NewtonConfig):
         return x0, NewtonReport(0, rnorm, False, tuple(history), "residual not finite at guess")
     if rnorm <= cfg.tol:
         return x, NewtonReport(0, rnorm, True, tuple(history))
+    eta, stalled = _FORCING_MAX, False
     for it in range(1, cfg.max_iter + 1):
         try:
-            step = jacobian(x).solve(-r)
+            step = jacobian(x).solve(-r, eta)
         except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
             return x, NewtonReport(it - 1, rnorm, False, tuple(history), f"linear solve failed: {exc}")
         x_new = x + step
@@ -382,6 +412,8 @@ def _newton_core(residual, jacobian, x0: np.ndarray, cfg: NewtonConfig):
         history.append(rnorm)
         if rnorm <= cfg.tol:
             return x, NewtonReport(it, rnorm, True, tuple(history))
+        stalled = stalled or rnorm > 0.5 * history[-2]
+        eta = _LINEAR_RTOL if stalled else _forcing(rnorm, history[-2], cfg.tol)
     return x, NewtonReport(cfg.max_iter, rnorm, False, tuple(history), "max iterations reached")
 
 
@@ -454,7 +486,13 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
         ShiftedLaplacian Jacobian, whose solve picks a tridiagonal solve
         (1D), preconditioned CG (2D, certified positive definite),
         preconditioned MINRES (2D, uncertified with b >= 0) or sparse LU from
-        the operator itself; any other Jacobian raises.
+        the operator itself; any other Jacobian raises.  CG and MINRES solve
+        each Newton step only to the Eisenstat-Walker forcing term eta_k
+        times the residual (module docstring): 0.1 at first, then
+        0.9 (r_k / r_{k-1})^2 raised to 0.5 tol / r_k, capped at 0.1 and no
+        smaller than 1e-12; once a step fails to halve the residual, 1e-12
+        for the rest of the solve.  The stopping rule is cfg.tol on the
+        residual whatever the forcing.
     guess:
         float or flat ndarray; the solution has the same kind.
     cfg:

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from acstab import cli, reference
@@ -370,6 +371,21 @@ def test_preimage_field_stall_names_the_backward_link(tmp_path, capsys):
         "(max iterations reached, residual ")
 
 
+def test_preimage_field_2d_dirk2_middle_chain_converges(tmp_path):
+    # the middle chain's backward stages have indefinite, nearly singular
+    # Jacobians: Newton steps solved only to the forcing term stall near a
+    # residual of 2e-6 here, unless a step that fails to halve the residual
+    # makes the rest of the solve exact
+    out = tmp_path / "pre.csv"
+    code = _run(
+        "preimage", "const+mode:0.5,0.3,3,1", "--scheme", "dirk2", "--root", "2",
+        "--eps", "0.1", "--dt", "0.01", "--steps", "2", "--n", "33", "--out", str(out),
+    )
+    assert code == 0
+    row = dict(zip(*_rows(out)))
+    assert row["converged"] == "1" and float(row["forward_residual"]) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # config file merging
 
@@ -490,7 +506,12 @@ def test_each_command_takes_exactly_the_flags_it_reads():
     ("analyze", "classify", "--scheme", "cn", "--ratio", "0.5", "--rmin", "0", "--rmax", "4",
      "--newton-tol", "1e-3"),
     ("analyze", "intervals", "--scheme", "cn", "--ratio", "0.5", "--eps", "0.1"),
-], ids=("reproduce-eps", "classify-newton-tol", "intervals-eps"))
+    # no prefix matching: --r is not read as --ratio, nor --c as --config
+    ("analyze", "intervals", "--scheme", "cn", "--r", "0.5"),
+    ("analyze", "classify", "--scheme", "cn", "--ratio", "0.5", "--rmin", "0", "--rmax", "4",
+     "--c", "0.5"),
+], ids=("reproduce-eps", "classify-newton-tol", "intervals-eps", "intervals-r-prefix",
+        "classify-c-prefix"))
 def test_a_flag_the_command_never_reads_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exc:
@@ -498,6 +519,16 @@ def test_a_flag_the_command_never_reads_exits_2(argv, tmp_path, capsys):
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_float_array_csv_has_the_per_cell_bytes(tmp_path):
+    # a field CSV takes one format per row; _fmt formats each cell of the list rows
+    values = np.array([[-0.0, np.nan, np.inf], [-np.inf, 1e-300, 1e300], [-1e-300, 0.1, -2.5]])
+    fast, cells = tmp_path / "fast.csv", tmp_path / "cells.csv"
+    cli._write_csv(str(fast), ["a", "b", "c"], values)
+    cli._write_csv(str(cells), ["a", "b", "c"], values.tolist())
+    assert fast.read_bytes() == cells.read_bytes()
+    assert fast.read_bytes() == b"a,b,c\n0,nan,inf\n-inf,1e-300,1e+300\n-1e-300,0.1,-2.5\n"
 
 
 # ---------------------------------------------------------------------------

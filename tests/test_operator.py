@@ -37,8 +37,8 @@ def _symmetric_eigenvalues(op):
 
 
 @st.composite
-def operators(draw):
-    grid = make_grid(draw(st.sampled_from((1, 2))), draw(st.sampled_from(_NS)))
+def operators(draw, dims=(1, 2)):
+    grid = make_grid(draw(st.sampled_from(dims)), draw(st.sampled_from(_NS)))
     a = draw(st.floats(-300.0, 300.0, allow_subnormal=False))
     b = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0, allow_subnormal=False)))
     # d = center + spread * noise: both sides of a + min(d) > 0 get drawn
@@ -77,6 +77,38 @@ def test_operator_matches_sparse_and_solves_to_tolerance(drawn):
     rhs = op @ x
     got = op.solve(rhs)
     assert _linf(rhs - op @ got) <= 1e-12 * _linf(rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators(dims=(2,)), st.floats(-12.0, -1.0))
+def test_2d_solve_stops_at_its_rtol(drawn, log_rtol):
+    # CG and MINRES stop at a true residual within rtol; where they miss, LU
+    # solves exactly whatever rtol is
+    op, rng = drawn
+    eig = np.abs(_symmetric_eigenvalues(op))
+    assume(eig.min() > 1e-8 * eig.max())
+    rtol = 10.0 ** log_rtol
+    rhs = op @ rng.standard_normal(op.grid.num_nodes)
+    krylov = op._pcg if op.certified else op._minres if op.b >= 0.0 else None
+    x = krylov(rhs, rtol) if krylov else None
+    got = op.solve(rhs, rtol)
+    if x is not None:
+        assert np.array_equal(got, x)
+    assert _linf(rhs - op @ got) <= (rtol if x is not None else 1e-12) * _linf(rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators(dims=(1,)), st.floats(-12.0, -1.0))
+def test_1d_solve_is_exact_at_every_rtol(drawn, log_rtol):
+    op, rng = drawn
+    rhs = op @ rng.standard_normal(op.grid.num_nodes)
+    try:
+        want = op.solve(rhs)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            op.solve(rhs, 10.0 ** log_rtol)
+        return
+    assert op.solve(rhs, 10.0 ** log_rtol).tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

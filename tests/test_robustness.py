@@ -696,9 +696,9 @@ def test_preimage_field_2d_uncertified_runs_minres(monkeypatch):
     uncertified = []
     solve = solvers.ShiftedLaplacian.solve
 
-    def counting(op, rhs):
+    def counting(op, rhs, rtol=solvers._LINEAR_RTOL):
         uncertified.append(not op.certified)
-        return solve(op, rhs)
+        return solve(op, rhs, rtol)
 
     monkeypatch.setattr(solvers.ShiftedLaplacian, "solve", counting)
     target, phi_n, rep = _mode_preimage(DIRK2, c, r, g.gain[2], (1, 1), p, grid, 0.2)

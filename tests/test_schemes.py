@@ -209,20 +209,21 @@ def test_scalar_map_lists_a_multiple_image_once():
     assert [sel for _, sel in images] == [False, True]
 
 
-def _newton(residual, jacobian, x):
-    """Dense Newton with acstab's stopping rule: inf-norm residual <= 1e-10, 50 steps."""
+def _newton(residual, jacobian, x, tol):
+    """Dense Newton with acstab's stopping rule: inf-norm residual <= tol, 50 steps."""
     r = residual(x)
     for _ in range(50):
-        if np.max(np.abs(r)) <= 1e-10:
+        if np.max(np.abs(r)) <= tol:
             break
         x = x + np.linalg.solve(jacobian(x), -r)
         r = residual(x)
     return x
 
 
-def _step_by_definition(kind, v0, g, p):
+def _step_by_definition(kind, v0, g, p, tol):
     """One step from each scheme's definition, stage by stage, each stage
-    started from the one before; be/cn/modcn equations divided by dt."""
+    started from the one before and solved to residual tol; be/cn/modcn
+    equations divided by dt, and their tolerance with them."""
     lap = laplacian_matrix(g).toarray()
     eye = np.eye(v0.size)
     ie2, dt = 1.0 / p.eps2, p.dt
@@ -234,10 +235,10 @@ def _step_by_definition(kind, v0, g, p):
         return lap - np.diag(ie2 * (3.0 * v * v - 1.0))
 
     if kind is BE:
-        return _newton(lambda v: (v - v0) / dt - F(v), lambda v: eye / dt - dF(v), v0)
+        return _newton(lambda v: (v - v0) / dt - F(v), lambda v: eye / dt - dF(v), v0, tol / dt)
     if kind is CN:
         return _newton(lambda v: (v - v0) / dt - 0.5 * (F(v) + F(v0)),
-                       lambda v: eye / dt - 0.5 * dF(v), v0)
+                       lambda v: eye / dt - 0.5 * dF(v), v0, tol / dt)
     if kind is MODCN:
         # (phi1 - phi0)/dt = Lap(phi1 + phi0)/2 - ((phi1 + phi0)(phi1^2 + phi0^2)/4 - phi0)/eps^2
         def N(v):
@@ -247,13 +248,14 @@ def _step_by_definition(kind, v0, g, p):
             return np.diag(ie2 * (3.0 * v * v + 2.0 * v * v0 + v0 * v0) / 4.0)
 
         return _newton(lambda v: (v - v0) / dt - 0.5 * lap @ (v + v0) + N(v),
-                       lambda v: eye / dt - 0.5 * lap + dN(v), v0)
+                       lambda v: eye / dt - 0.5 * lap + dN(v), v0, tol / dt)
     tab = kind.tableau
     forces, prev = [], v0
     for i in range(tab.stages):
         known = v0 + dt * sum(tab.a[i][j] * forces[j] for j in range(i))
         gamma = dt * tab.a[i][i]
-        prev = _newton(lambda v: v - gamma * F(v) - known, lambda v: eye - gamma * dF(v), prev)
+        prev = _newton(lambda v: v - gamma * F(v) - known, lambda v: eye - gamma * dF(v), prev,
+                       tol)
         forces.append(F(prev))
     return v0 + dt * sum(b * f for b, f in zip(tab.b, forces))
 
@@ -275,12 +277,15 @@ def test_step_matches_the_scheme_definitions(kind, dim, n, eps, frac, data):
     g = make_grid(dim, n)
     v0 = np.array(data.draw(st.lists(
         st.floats(-1.5, 1.5), min_size=g.num_nodes, max_size=g.num_nodes)))
-    out, rep = step(kind, ScalarField(g, v0), p)
-    assert rep.success
-    want = _step_by_definition(kind, v0, g, p)
     lap_v0 = laplacian_matrix(g) @ v0
     scale = max(1.0, np.max(np.abs(v0)), p.dt * np.max(np.abs(lap_v0)),
                 p.dt * np.max(np.abs(v0)) ** 3 / p.eps2)
+    # both sides solved well below the bound: at the default tolerance two
+    # Newton paths may stop at different points within it of the root
+    tol = 1e-13 * scale
+    out, rep = step(kind, ScalarField(g, v0), p, NewtonConfig(tol=tol))
+    assert rep.success
+    want = _step_by_definition(kind, v0, g, p, tol)
     assert np.max(np.abs(out.values - want)) <= 1e-12 * scale
 
 

@@ -186,6 +186,52 @@ def test_newton_banded_path_matches_dense_solution(monkeypatch):
     assert np.max(np.abs(x - y)) <= 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((5, 9, 17)), st.sampled_from((1.0, -1.0)), st.floats(1e-3, 0.09),
+       st.floats(-1.5, 1.5), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+def test_2d_newton_converges_to_tol_under_forcing(n, a, b, c, spread, seed):
+    # a root u made to order: k puts it on a (v - s) - b L v + b (v^3 - v) + k = 0.
+    # a = 1 gives certified Jacobians (CG), a = -1 uncertified ones (MINRES),
+    # each solved to the forcing term of its Newton iteration
+    rng = np.random.default_rng(seed)
+    grid = make_grid(2, n)
+    p = ACParams(1.0, 1.0)
+    u = c + spread * rng.uniform(-1.0, 1.0, grid.num_nodes)
+    k = -implicit_system(grid, p, a, 0.0, b)[0](u)
+    residual, jacobian = implicit_system(grid, p, a, 0.0, b, k)
+    assert jacobian(u).certified == (a > 0.0)
+    x, rep = newton_solve(residual, jacobian, u + 0.05 * rng.uniform(-1.0, 1.0, grid.num_nodes))
+    assert rep.converged and rep.residual <= NewtonConfig().tol
+    assert np.max(np.abs(residual(x))) == rep.residual
+
+
+def test_forcing_terms_and_the_stall_rule(monkeypatch):
+    rtols = []
+    solve = ShiftedLaplacian.solve
+    monkeypatch.setattr(ShiftedLaplacian, "solve",
+                        lambda op, rhs, rtol=1e-12: rtols.append(rtol) or solve(op, rhs, rtol))
+    grid = make_grid(2, 9)
+    s = np.random.default_rng(5).uniform(-1.0, 1.0, grid.num_nodes)
+    residual, jacobian = implicit_system(grid, ACParams(1.0, 1.0), 1.0, s, 0.05)
+    x, rep = newton_solve(residual, jacobian, s + 0.5)
+    h = rep.history
+    assert rep.converged and all(b <= 0.5 * a for a, b in zip(h, h[1:]))
+    # Eisenstat-Walker choice 2 from 0.1, raised to 0.5 tol / r_k, within [1e-12, 0.1]
+    want = [max(1e-12, min(0.1, max(0.9 * (b / a) ** 2, 0.5e-10 / b))) for a, b in zip(h, h[1:])]
+    assert rtols == [0.1, *want[:-1]] and min(rtols) < 0.1
+
+    # a Jacobian three times too large takes a third of each Newton step, so
+    # the residual falls by a third only: every step after the first is exact
+    rtols.clear()
+
+    def too_large(v):
+        op = jacobian(v)
+        return ShiftedLaplacian(grid, 3.0 * op.a, 3.0 * op.b, 3.0 * op.d)
+
+    x, rep = newton_solve(residual, too_large, s + 0.5, NewtonConfig(max_iter=5))
+    assert rtols == [0.1] + [1e-12] * 4
+
+
 @pytest.mark.parametrize("matrix", (np.eye, sp.identity), ids=("dense", "sparse"))
 def test_newton_array_jacobian_must_be_a_shifted_laplacian(matrix, monkeypatch):
     # a plain matrix Jacobian is a caller's error: it raises, and is neither
