@@ -40,7 +40,7 @@ import numpy as np
 from .errors import AnalysisError, ConfigurationError
 from .fields import ACParams, ModeIndex, ScalarField, _cubic, ac_force, field_mean, laplacian_matrix
 from .schemes import DIRK2, MERGE_TOL, SchemeKind, _selected_images, _sign, _step_terms
-from .schemes import constant_cubic, implicit_system, mode_slope
+from .schemes import _check_settle_tol, constant_cubic, implicit_system, mode_slope
 from .schemes import scalar_map  # unused here, kept for perfbench/layertrace.py, which patches it
 from .solvers import (
     CubicRoots,
@@ -285,6 +285,7 @@ def classify_constant_initial(
     """
     if max_steps < 1:
         raise ConfigurationError("max_steps must be >= 1")
+    _check_settle_tol(settle_tol)
     r0 = np.array(r, dtype=float, ndmin=1)
     if r0.ndim != 1:
         raise ConfigurationError("initial states must be a float or a 1-D array")

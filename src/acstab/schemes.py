@@ -36,7 +36,7 @@ and classify's ``_selected_images`` reads the marked column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -311,6 +311,11 @@ def _summarize(idx: int, t: float, u: ScalarField) -> StepSummary:
     return StepSummary(idx, t, float(v.min()), float(v.max()), center_value(u), field_l2(u))
 
 
+def _check_settle_tol(settle_tol: float) -> None:
+    if not (np.isfinite(settle_tol) and settle_tol >= 0.0):
+        raise ConfigurationError(f"settle_tol must be finite and >= 0, got {settle_tol}")
+
+
 def _settled_sign(s: StepSummary, settle_tol: float) -> int:
     """+1 or -1 when max |v - c| <= settle_tol for that constant c, else 0.
 
@@ -335,13 +340,20 @@ def simulate(
 
     Stops early (with a failure diagnostic) if any step's Newton solve does
     not converge; the summaries up to the last good state are kept.
+
+    Stops stepping once a state repeats one of the two before it bit for bit:
+    step is a pure function of the state for fixed (kind, p, cfg), so the rest
+    of the run has period 1 or 2, and each remaining summary is the one
+    `period` steps back, with the same bits as stepping on would give.
     """
     if steps < 0:
         raise ConfigurationError("steps must be >= 0")
+    _check_settle_tol(settle_tol)
     u = phi0
     summaries = [_summarize(0, 0.0, u)]
     limit = _settled_sign(summaries[0], settle_tol)
     settle_step = 0 if limit else None
+    recent = (u.values.tobytes(), None)  # the bits of the last two states
     for i in range(1, steps + 1):
         u_new, rep = step(kind, u, p, cfg)
         if not rep.success:
@@ -353,6 +365,13 @@ def simulate(
                 f"({bad.message}, residual {bad.residual:.3g})",
             )
         u = u_new
+        bits = u.values.tobytes()
+        if bits in recent:  # copies of summaries already tested for settling
+            period = recent.index(bits) + 1
+            for j in range(i, steps + 1):
+                summaries.append(replace(summaries[-period], step=j, time=j * p.dt))
+            break
+        recent = (bits, recent[0])
         summaries.append(_summarize(i, i * p.dt, u))
         if not limit:
             limit = _settled_sign(summaries[-1], settle_tol)

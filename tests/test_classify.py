@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from acstab import cli
 from acstab.errors import AnalysisError, ConfigurationError
 from acstab.fields import ACParams, ac_force
+from acstab.reference import RATIOS
 from acstab.robustness import classify_constant_initial, interval_sequence
 from acstab.schemes import (
     BE,
@@ -195,6 +196,12 @@ def test_array_classify_result_form():
         classify_constant_initial(CN, np.zeros((2, 2)), p)
 
 
+@pytest.mark.parametrize("tol", (math.nan, -1.0, math.inf))
+def test_classify_rejects_a_settle_tol_that_is_not_finite_and_nonnegative(tol):
+    with pytest.raises(ConfigurationError, match=r"settle_tol must be finite and >= 0"):
+        classify_constant_initial(CN, np.array([0.5, 2.0]), ACParams(1.0, 1.0), settle_tol=tol)
+
+
 @pytest.mark.parametrize("r", (math.nan, math.inf, 1e200))
 def test_classify_raises_on_a_state_with_no_finite_image(r):
     states = np.array([0.5, r, 2.0])
@@ -206,23 +213,26 @@ def test_classify_raises_on_a_state_with_no_finite_image(r):
 # the robustness results, by forward iteration
 
 
-@pytest.mark.parametrize("ratio", (0.1, 0.25, 0.5))
+@pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("kind", (CN, MODCN, DIRK2), ids=lambda k: k.label)
 def test_forward_iteration_flips_at_the_tabulated_thresholds(kind, ratio):
     # Tables 1-3 come from backward preimage chains; iterating forward must
     # give the limit the fig-data rows assign to each interval, and the
-    # limit must change across every endpoint
+    # limit must change across every endpoint.  Near the thresholds at the
+    # smallest ratios the states take thousands of steps to settle (up to
+    # 7,720 at ratio 0.001)
     if kind.tag == "dirk":
         p = ACParams(1.0, ratio / kind.tableau.max_diag)
     else:
         p = ACParams(1.0, 2.0 * ratio)
     entries = np.array(interval_sequence(kind, ratio, 4).entries)
-    below = classify_constant_initial(kind, entries * (1 - 1e-7), p).limit
-    above = classify_constant_initial(kind, entries * (1 + 1e-7), p).limit
+    below = classify_constant_initial(kind, entries * (1 - 1e-7), p, max_steps=10_000).limit
+    above = classify_constant_initial(kind, entries * (1 + 1e-7), p, max_steps=10_000).limit
     assert np.all(below != 0) and np.all(above == -below)
     rows = [row for row in cli._interval_rows(kind) if row[0] == ratio]
     mid = np.array([(lo + hi) / 2 for _, _, lo, hi, _ in rows])
-    assert classify_constant_initial(kind, mid, p).limit.tolist() == [row[4] for row in rows]
+    limits = classify_constant_initial(kind, mid, p, max_steps=10_000).limit
+    assert limits.tolist() == [row[4] for row in rows]
 
 
 @pytest.mark.parametrize("dt_over_eps2", (0.01, 0.5, 1.0))

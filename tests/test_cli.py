@@ -161,6 +161,15 @@ def test_ratio_must_be_finite_and_positive(ratio, tmp_path, capsys):
     assert err == f"error: --ratio must be finite and > 0, got {float(ratio)}\n"
 
 
+@pytest.mark.parametrize("tol", ("nan", "-1", "inf"))
+def test_settle_tol_must_be_finite_and_nonnegative(tol, tmp_path, capsys):
+    assert _run("simulate", "const:1", "--scheme", "be", "--eps", "0.1", "--dt", "0.01",
+                "--settle-tol", tol, "--out", str(tmp_path / "t.csv")) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: settle_tol must be finite and >= 0, got {float(tol)}\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_dt_or_ratio_required(tmp_path):
     assert _run("preimage", "const:0", "--scheme", "cn", "--eps", "1",
                 "--out", str(tmp_path / "t.csv")) == 2

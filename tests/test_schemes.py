@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acstab.errors import ConfigurationError
@@ -12,11 +12,14 @@ from acstab.fields import (
     ModeIndex,
     ScalarField,
     ac_force,
+    center_value,
     constant_field,
     eval_mode,
+    field_l2,
     laplacian_matrix,
     make_grid,
 )
+import acstab.schemes as schemes
 from acstab.schemes import (
     BE,
     CN,
@@ -369,3 +372,109 @@ def test_simulate_failure_names_the_stage_and_residual():
     traj = simulate(DIRK2, constant_field(g, 1.9931), 4, ACParams(0.1, 0.01), cfg=cfg)
     assert traj.failure.startswith(
         "step 1 did not converge at stage 1 of 2 (max iterations reached, residual ")
+
+
+def test_simulate_rejects_a_settle_tol_that_is_not_finite_and_nonnegative():
+    g = make_grid(1, 9)
+    for tol in (math.nan, -1.0, math.inf):
+        with pytest.raises(ConfigurationError, match=r"settle_tol must be finite and >= 0"):
+            simulate(BE, constant_field(g, 1.0), 3, ACParams(0.1, 0.01), settle_tol=tol)
+
+
+def _simulate_by_stepping(kind, phi0, steps, p, settle_tol, cfg=None):
+    """simulate's result from a plain loop of step calls, plus every state's values."""
+    states, summaries, failure = [phi0.values], [], None
+    u = phi0
+    for i in range(steps + 1):
+        if i:
+            u, rep = step(kind, u, p, cfg)
+            if not rep.success:
+                bad = rep.stage_reports[-1]
+                stages = kind.tableau.stages if kind.tableau else 1
+                failure = (f"step {i} did not converge at stage {len(rep.stage_reports)} of "
+                           f"{stages} ({bad.message}, residual {bad.residual:.3g})")
+                break
+            states.append(u.values)
+        v = u.values
+        summaries.append(StepSummary(i, i * p.dt, float(v.min()), float(v.max()),
+                                     center_value(u), field_l2(u)))
+    signs = [_settled_sign(s, settle_tol) for s in summaries]
+    settle_step = next((i for i, c in enumerate(signs) if c), None)
+    limit = 0 if settle_step is None else signs[settle_step]
+    return (tuple(summaries), settle_step is not None, settle_step, limit, failure), states
+
+
+def _fields(traj):
+    return traj.summaries, traj.settled, traj.settle_step, traj.limit, traj.failure
+
+
+def _same(got, want):
+    """Equal with every float compared by its repr, so 0.0 and -0.0 differ."""
+    return repr(got) == repr(want)
+
+
+def _first_repeat(states):
+    """(i, period) of the first state equal bit for bit to one of the two before it."""
+    bits = [v.tobytes() for v in states]
+    for i in range(1, len(bits)):
+        for period in (1, 2):
+            if i >= period and bits[i] == bits[i - period]:
+                return i, period
+    return None
+
+
+@st.composite
+def _runs(draw):
+    """(kind, phi0, steps, p, settle_tol, cfg) on small grids, with constants at and
+    near the exact fixed points and 2-cycles the schemes reach, and runs that fail."""
+    kind = draw(st.sampled_from(ALL))
+    dim = draw(st.sampled_from((1, 2)))
+    g = make_grid(dim, draw(st.integers(3, 17) if dim == 1 else st.integers(3, 6)))
+    special = (0.0, -0.0, 1.0, -1.0, 0.5, 1.9931, 5.074, 31.0, -35.0, 40.0)
+    c = draw(st.one_of(st.sampled_from(special), st.floats(-40.0, 40.0)))
+    values = np.full(g.num_nodes, c)
+    if draw(st.booleans()):
+        mode = ModeIndex((draw(st.integers(1, 2)),) * dim)
+        values = values + draw(st.floats(0.01, 0.3)) * eval_mode(mode, g).values
+    eps = draw(st.sampled_from((0.1, 1.0)))
+    p = ACParams(eps, draw(st.sampled_from((0.5, 1.0, 2.0, 5.0))) * eps * eps)
+    cfg = draw(st.sampled_from((None, None, NewtonConfig(max_iter=4))))
+    settle_tol = draw(st.sampled_from((1e-3, 0.0, 1e-12)))
+    return kind, ScalarField(g, values), draw(st.integers(0, 40)), p, settle_tol, cfg
+
+
+# DIRK2's 2-cycle from 31 (states 10 and 12 equal): 1D runs cut before and at it, a 2D one past it
+_CYCLE = [(DIRK2, constant_field(make_grid(dim, 5), 31.0), steps, ACParams(0.1, 0.01), 1e-3, None)
+          for dim, steps in ((1, 11), (1, 12), (2, 13))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_runs())
+@example(_CYCLE[0])
+@example(_CYCLE[1])
+@example(_CYCLE[2])
+def test_simulate_is_a_plain_step_loop(run):
+    # the early exit on a repeated state changes no summary, settling or failure
+    kind, phi0, steps, p, settle_tol, cfg = run
+    traj = simulate(kind, phi0, steps, p, settle_tol, cfg)
+    assert _same(_fields(traj), _simulate_by_stepping(kind, phi0, steps, p, settle_tol, cfg)[0])
+
+
+@pytest.mark.parametrize("kind,value,period", [(BE, 1.9931, 1), (DIRK2, 31.0, 2)],
+                         ids=("be", "dirk2"))
+def test_simulate_stops_stepping_at_the_first_repeat(kind, value, period, monkeypatch):
+    g, p, steps = make_grid(1, 257), ACParams(0.1, 0.01), 200
+    phi0 = constant_field(g, value)
+    want, states = _simulate_by_stepping(kind, phi0, steps, p, 1e-3)
+    repeat, got_period = _first_repeat(states)
+    assert got_period == period and repeat < 30
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, "step", counting)
+    traj = simulate(kind, phi0, steps, p)
+    assert len(calls) == repeat
+    assert _same(_fields(traj), want)
