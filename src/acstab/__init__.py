@@ -61,7 +61,6 @@ from .stability import (
     bifurcation_epsilon_sq,
     enumerate_bifurcations,
     stability_threshold,
-    uniqueness_coefficient,
 )
 from .robustness import (
     ClassificationResult,
@@ -121,7 +120,6 @@ __all__ = [
     "bifurcation_epsilon_sq",
     "enumerate_bifurcations",
     "stability_threshold",
-    "uniqueness_coefficient",
     "ClassificationResult",
     "IntervalSequence",
     "PerturbationGain",

@@ -49,7 +49,6 @@ from .fields import (
     make_grid,
 )
 from .robustness import (
-    _ratio_dt,
     dirk_perturbation_gains,
     interval_sequence,
     classify_constant_initial,
@@ -68,7 +67,7 @@ from .schemes import (
     step,
 )
 from .solvers import HomotopyConfig, NewtonConfig
-from .stability import enumerate_bifurcations, stability_threshold
+from .stability import _ratio_dt, enumerate_bifurcations, stability_threshold
 
 
 def _fmt(v) -> str:
@@ -149,7 +148,7 @@ def _require(args, *names) -> None:
 
 
 def _resolve_params(args) -> ACParams:
-    """eps plus exactly one of dt / ratio; robustness._ratio_dt maps a ratio to dt.
+    """eps plus exactly one of dt / ratio; stability._ratio_dt maps a ratio to dt.
 
     A ratio-only invocation defaults eps to 1 (the quantities parameterized
     by the ratio do not depend on eps separately).
@@ -431,8 +430,7 @@ def _preimage_constant(kind, p, c: float, out: str) -> int:
 def _preimage_field(args, kind, p, target: ScalarField, meta) -> int:
     grid = target.grid
     c, delta, mode = meta["const"], meta["delta"], meta["mode"]
-    delta_end = args.delta1 if args.delta1 is not None else delta
-    hcfg = HomotopyConfig(delta_end=delta_end, delta_start=args.delta0, steps=args.steps)
+    hcfg = HomotopyConfig(delta_end=delta, delta_start=args.delta0, steps=args.steps)
     ncfg = NewtonConfig(args.newton_tol, args.newton_max_iter)
 
     if kind.tag == "be":
@@ -473,7 +471,7 @@ def _preimage_field(args, kind, p, target: ScalarField, meta) -> int:
         "scheme", "c", "delta", "k", "l", "seed_root", "gain",
         "converged", "delta_reached", "newton_residual", "forward_residual",
     ], [[
-        kind.label, c, delta_end, mode.k[0], krest, seed_root, gain,
+        kind.label, c, delta, mode.k[0], krest, seed_root, gain,
         int(rep.converged), rep.delta if rep.delta is not None else "",
         rep.residual, fwd_resid,
     ]])
@@ -519,7 +517,6 @@ _FLAGS = {
     "rmax": {"type": float, "help": "largest initial constant"},
     "samples": {"type": int, "help": "number of initial constants"},
     "delta0": {"type": float, "help": "continuation start amplitude"},
-    "delta1": {"type": float, "help": "continuation end amplitude"},
     "root": {"type": int, "help": "index (ascending) of the constant preimage branch to follow"},
     "newton_tol": {"type": float, "help": "Newton residual tolerance"},
     "newton_max_iter": {"type": int, "help": "Newton iteration cap"},
@@ -534,7 +531,6 @@ _COMPUTED = {
     "eps": "1 with --ratio alone",
     "dim": "from the spec, 2 for a mode with k and l, else 1",
     "n": "257 in 1D, 65 in 2D",
-    "delta1": "the target's delta",
     "out": "the target's name with - as _, .csv",
 }
 
@@ -587,7 +583,7 @@ _COMMANDS = {
         ("scheme", "c", "k", "r")),
     "preimage": _Command(
         cmd_preimage, "states that one step maps to a given target", ("target", _SPEC_HELP),
-        {**_STEP, **_GRID, "steps": 32, "delta0": 1e-3, "delta1": None, "root": None,
+        {**_STEP, **_GRID, "steps": 32, "delta0": 1e-3, "root": None,
          **_NEWTON, "out": "preimage.csv"}, ("scheme",)),
 }
 

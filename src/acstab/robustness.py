@@ -53,6 +53,7 @@ from .solvers import (
     newton_solve,
     real_cubic_roots,
 )
+from .stability import _ratio_dt
 
 __all__ = [
     "PreimageSet",
@@ -175,7 +176,7 @@ class IntervalSequence:
     entries is ascending: (r_1, ..., r_count) for the trapezoid schemes and
     (r_1, s_1, ..., r_count, s_count) interleaved for a two-stage DIRK
     scheme.  ratio is dt over the scheme's uniqueness threshold (see
-    _ratio_dt); the sequence depends on eps and dt only through it.
+    stability._ratio_dt); the sequence depends on eps and dt only through it.
     """
 
     scheme: SchemeKind
@@ -193,26 +194,16 @@ class IntervalSequence:
         return ()
 
 
-def _ratio_dt(kind: SchemeKind, ratio: float, eps: float = 1.0) -> float:
-    """The time step whose ratio to the scheme's uniqueness threshold is `ratio`.
-
-    The threshold is eps^2 / h with the factor h = 1 for backward Euler,
-    1/2 for the trapezoid schemes (MODCN, unique at every dt, is measured
-    against CN's threshold) and max a_ii for DIRK, so dt = ratio eps^2 / h.
-    """
-    h = kind.tableau.max_diag if kind.tag == "dirk" else 1.0 if kind.tag == "be" else 0.5
-    return ratio * eps ** 2 / h
-
-
 def interval_sequence(kind: SchemeKind, ratio: float, count: int) -> IntervalSequence:
     """First `count` threshold magnitudes per family at the given ratio.
 
-    The step is taken at eps = 1 and dt = _ratio_dt(kind, ratio).  Each
-    family starts at a positive constant preimage of 0 (CN and MODCN have
-    one, a two-stage DIRK scheme two), and each later entry is the
-    magnitude of the unique real preimage of its predecessor.  An AnalysisError is raised where the families are
-    not defined: another number of positive preimages of 0, a preimage that
-    is not unique, or families that fail to interleave.
+    The step is taken at eps = 1 and dt = stability._ratio_dt(kind, ratio).
+    Each family starts at a positive constant preimage of 0 (CN and MODCN
+    have one, a two-stage DIRK scheme two), and each later entry is the
+    magnitude of the unique real preimage of its predecessor.  An
+    AnalysisError is raised where the families are not defined: another
+    number of positive preimages of 0, a preimage that is not unique, or
+    families that fail to interleave.
     """
     if not (math.isfinite(ratio) and ratio > 0):
         raise ConfigurationError(f"ratio must be finite and > 0, got {ratio}")

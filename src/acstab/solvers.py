@@ -255,18 +255,17 @@ class ShiftedLaplacian:
         ab[1] = (self.a + ab[1]) + self.d
         return ab
 
-    def _preconditioner(self, absolute: bool):
-        """The exact DCT-I solve of the mean-diagonal operator (a + mean(d)) I - b L,
-        or of its absolute value; None when that operator is singular.
-
-        Both are self-adjoint in the trapezoid inner product, and the absolute
-        value is positive definite in it whenever it is invertible.
+    def _preconditioner(self):
+        """The exact DCT-I solve of |(a + mean(d)) I - b L|, which is positive
+        definite and self-adjoint in the trapezoid inner product; None when it is
+        singular.  On a certified operator it is (a + mean(d)) I - b L itself,
+        since b >= 0 and L's eigenvalues are <= 0.
         """
         g = self.grid
         shape = (g.n,) * g.dim
         shift = self.a + float(np.mean(self.d))
         mean = shift - self.b * laplacian_eigenvalues(g)
-        denom = (np.abs(mean) if absolute else mean) * float(2 * (g.n - 1)) ** g.dim
+        denom = np.abs(mean) * float(2 * (g.n - 1)) ** g.dim
         if not denom.all():
             return None
 
@@ -278,7 +277,7 @@ class ShiftedLaplacian:
     def _pcg(self, rhs: np.ndarray, rtol: float = _LINEAR_RTOL) -> np.ndarray | None:
         """Preconditioned CG in the trapezoid inner product; None on a miss.
 
-        The preconditioner solves (a + mean(d)) I - b L exactly in the DCT-I
+        The preconditioner solves |(a + mean(d)) I - b L| exactly in the DCT-I
         eigenbasis of L.  Returns only an x whose true residual is within
         max(_LINEAR_RTOL, rtol) of rhs; a recursive residual that meets the
         bound while the true one does not restarts the iteration from the
@@ -287,7 +286,7 @@ class ShiftedLaplacian:
         tol = max(_LINEAR_RTOL, rtol) * _linf(rhs)
         if tol == 0.0:
             return np.zeros_like(rhs)
-        precondition = self._preconditioner(absolute=False)
+        precondition = self._preconditioner()
         if precondition is None:
             return None
         w = trapezoid_weights(self.grid)
@@ -329,7 +328,7 @@ class ShiftedLaplacian:
         tol = max(_LINEAR_RTOL, rtol) * _linf(rhs)
         if tol == 0.0:
             return np.zeros_like(rhs)
-        precondition = self._preconditioner(absolute=True)
+        precondition = self._preconditioner()
         if precondition is None:
             return None
         w = trapezoid_weights(self.grid)

@@ -2,18 +2,20 @@
 
 Linearizing a scheme's one-step equation about a constant state c turns the
 question of local solvability into a sign condition on a scalar coefficient
-(per eigenmode of the zero-flux Laplacian).  The coefficient crosses zero at
+(per eigenmode of the zero-flux Laplacian): the kernel's slope
+``schemes.mode_slope`` of the step's terms in ``schemes.implicit_system``.
+It crosses zero at
 
-    eps^2 = (1 - 3 c^2) / (D + sum_i (k_i pi)^2),
+    eps^2 = -n'(c) / (D + sum_i (k_i pi)^2),
 
-where D = a / b of the step's terms (a, b) in ``schemes.implicit_system``:
-1/dt for backward Euler, 2/dt for Crank-Nicolson, and 1/(dt * a_ii) for a
-DIRK step, taken as its stiffest stage (a_ii the largest diagonal entry), a
-backward Euler step of length dt * a_ii.  The coefficient is the kernel's
-slope ``schemes.mode_slope`` of those terms.  No crossing exists when
-1 - 3c^2 <= 0, and the modified Crank-Nicolson scheme never bifurcates at
-all.  Sufficient uniqueness thresholds on the time step follow by taking
-the worst mode (k = 0) and worst state (c = 0).
+where D = a / b: 1/dt for backward Euler, 2/dt for Crank-Nicolson, and
+1/(dt * a_ii) for a DIRK step, taken as its stiffest stage (a_ii the
+largest diagonal entry), a backward Euler step of length dt * a_ii.  The
+nonlinearity's slope n'(c) is 3c^2 - 1, so no crossing exists when
+1 - 3c^2 <= 0; for the modified Crank-Nicolson scheme (partner state c) it
+is 3c^2 >= 0, so that scheme never bifurcates.  The uniqueness thresholds
+on dt and the ratio -> dt map are read off the worst mode (k = 0) at the
+worst state (c = 0).
 """
 
 from __future__ import annotations
@@ -23,39 +25,15 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .fields import ACParams, ModeIndex
-from .schemes import BE, SchemeKind, _step_terms, mode_slope
+from .schemes import BE, CN, SchemeKind, _step_terms, mode_slope
 
 __all__ = [
     "StabilityThreshold",
     "BifurcationPoint",
     "stability_threshold",
-    "uniqueness_coefficient",
     "bifurcation_epsilon_sq",
     "enumerate_bifurcations",
 ]
-
-
-@dataclass(frozen=True)
-class StabilityThreshold:
-    """Largest dt with an unconditionally unique next step (inf if unrestricted)."""
-
-    scheme: SchemeKind
-    dt_max: float
-    formula: str  # one of EPS2, TWO_EPS2, INF, EPS2_OVER_MAX_AII
-
-
-def stability_threshold(kind: SchemeKind, eps: float) -> StabilityThreshold:
-    """Uniqueness threshold on dt for the given scheme at interface width eps."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise ConfigurationError(f"eps must be finite and > 0, got {eps}")
-    e2 = eps * eps
-    if kind.tag == "be":
-        return StabilityThreshold(kind, e2, "EPS2")
-    if kind.tag == "cn":
-        return StabilityThreshold(kind, 2.0 * e2, "TWO_EPS2")
-    if kind.tag == "modcn":
-        return StabilityThreshold(kind, math.inf, "INF")
-    return StabilityThreshold(kind, e2 / kind.tableau.max_diag, "EPS2_OVER_MAX_AII")
 
 
 def _step_terms_at(kind: SchemeKind, p: ACParams, v0):
@@ -66,40 +44,57 @@ def _step_terms_at(kind: SchemeKind, p: ACParams, v0):
     return _step_terms(BE, v0, 0.0, ACParams(p.eps, p.dt * kind.tableau.max_diag))
 
 
-def uniqueness_coefficient(
-    kind: SchemeKind,
-    c: float,
-    p: ACParams,
-    r: float | None = None,
-) -> float:
-    """Scalar slope of the one-step equation at a constant state c (mode k = 0).
-
-    Positive for every admissible c means the step from any state near c is
-    uniquely solvable.  For DIRK the slope is that of the stage with the
-    largest diagonal entry; for the modified Crank-Nicolson scheme it also
-    involves the previous state r.
-    """
-    if kind.tag == "modcn" and r is None:
-        raise ConfigurationError("modcn slope needs the previous state r")
-    return mode_slope(p, *_step_terms_at(kind, p, c if r is None else r))(c)
-
-
 def bifurcation_epsilon_sq(kind: SchemeKind, c: float, dt: float, k: ModeIndex) -> float | None:
     """eps^2 at which mode k's linearized coefficient vanishes at state c.
 
-    Returns None when no bifurcation exists: always for the modified
-    Crank-Nicolson scheme, and whenever 1 - 3 c^2 <= 0.
+    Returns None when no bifurcation exists: whenever n'(c) >= 0, which is
+    1 - 3 c^2 <= 0, and always for the modified Crank-Nicolson scheme.
     """
     p = ACParams(1.0, dt)  # a and b of the step's terms do not depend on eps
-    if kind.tag == "modcn":
-        return None
+    a, _, b, _, partner = _step_terms_at(kind, p, c)
     # the slope a + b m + (b / eps^2) n'(c) vanishes at eps^2 = -n'(c) / (D + m)
-    # with D = a / b; n'(c) is the slope of n alone (a = 0, b = 1, eps = 1)
-    num = -mode_slope(p, 0.0, c, 1.0)(c)
+    # with D = a / b; n'(c) is the slope of the step's n alone (a = 0, b = 1, eps = 1)
+    num = -mode_slope(p, 0.0, c, 1.0, 0.0, partner)(c)
     if num <= 0.0:
         return None
-    a, _, b, _, _ = _step_terms_at(kind, p, c)
     return num / (a / b + k.laplace_eigenvalue)
+
+
+_FORMULAS = {"be": "EPS2", "cn": "TWO_EPS2", "modcn": "INF", "dirk": "EPS2_OVER_MAX_AII"}
+
+
+@dataclass(frozen=True)
+class StabilityThreshold:
+    """Largest dt with an unconditionally unique next step (inf if unrestricted)."""
+
+    scheme: SchemeKind
+    dt_max: float
+    formula: str  # dt_max's closed form, labelled by _FORMULAS
+
+
+def _eps_sq_per_dt(kind: SchemeKind) -> float | None:
+    """h: the eps^2 per unit dt at which the constant mode about c = 0
+    bifurcates (eps^2 scales with dt, as D = a / b does with 1/dt), or None
+    when it never does."""
+    return bifurcation_epsilon_sq(kind, 0.0, 1.0, ModeIndex((0.0,)))
+
+
+def stability_threshold(kind: SchemeKind, eps: float) -> StabilityThreshold:
+    """Uniqueness threshold on dt for the given scheme at interface width eps:
+    dt_max = eps^2 / h with h from _eps_sq_per_dt, inf if there is no h."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigurationError(f"eps must be finite and > 0, got {eps}")
+    h = _eps_sq_per_dt(kind)
+    return StabilityThreshold(kind, math.inf if h is None else eps * eps / h, _FORMULAS[kind.tag])
+
+
+def _ratio_dt(kind: SchemeKind, ratio: float, eps: float = 1.0) -> float:
+    """The time step whose ratio to the scheme's uniqueness threshold is `ratio`.
+
+    dt = ratio eps^2 / h with stability_threshold's h; MODCN, unique at every
+    dt, is measured against CN's threshold.
+    """
+    return ratio * eps ** 2 / _eps_sq_per_dt(CN if kind.tag == "modcn" else kind)
 
 
 @dataclass(frozen=True)

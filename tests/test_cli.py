@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import acstab
 from acstab import cli, reference
 
 REPRODUCE_IDS = ("table1", "table2", "table3", "table4", "fig1-data", "fig5-data")
@@ -488,7 +489,7 @@ _FLAGS_READ = {
     "analyze classify": {"scheme", "eps", "dt", "ratio", "rmin", "rmax", "samples", "steps",
                          "out", "config"},
     "analyze perturb": {"scheme", "eps", "dt", "ratio", "c", "r", "k", "l", "out", "config"},
-    "preimage": {"scheme", "eps", "dt", "ratio", "dim", "n", "steps", "delta0", "delta1", "root",
+    "preimage": {"scheme", "eps", "dt", "ratio", "dim", "n", "steps", "delta0", "root",
                  "newton_tol", "newton_max_iter", "out", "config"},
 }
 
@@ -507,7 +508,31 @@ def test_each_command_takes_exactly_the_flags_it_reads():
     got = {name: {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
            for name, sub in _leaf_parsers(cli.build_parser())}
     assert got == _FLAGS_READ
-    assert sum(map(len, got.values())) == 67
+    assert sum(map(len, got.values())) == 66
+
+
+_PUBLIC_NAMES = {
+    "AnalysisError", "ConfigurationError",
+    "ACParams", "ButcherTableau", "DIRK2_TABLEAU", "GridSpec", "ModeIndex", "ScalarField",
+    "apply_laplacian", "center_value", "constant_field", "eval_mode", "field_l2", "field_mean",
+    "laplacian_matrix", "make_grid", "trapezoid_weights",
+    "CubicRoots", "HomotopyConfig", "NewtonConfig", "NewtonReport", "delta_schedule",
+    "homotopy_path", "newton_solve", "real_cubic_roots",
+    "BE", "CN", "DIRK2", "MODCN", "SchemeKind", "StepReport", "StepSummary", "Trajectory",
+    "parse_scheme", "scalar_map", "simulate", "step",
+    "BifurcationPoint", "StabilityThreshold", "bifurcation_epsilon_sq", "enumerate_bifurcations",
+    "stability_threshold",
+    "ClassificationResult", "IntervalSequence", "PerturbationGain", "PreimageSet",
+    "classify_constant_initial", "dirk_perturbation_gains", "interval_sequence",
+    "perturbation_gain", "preimage_constants", "preimage_field",
+    "__version__",
+}
+
+
+def test_the_package_exports_exactly_its_public_names():
+    assert len(acstab.__all__) == len(set(acstab.__all__)) == 53
+    assert set(acstab.__all__) == _PUBLIC_NAMES
+    assert all(hasattr(acstab, name) for name in acstab.__all__)
 
 
 @pytest.mark.parametrize("argv", [
@@ -519,8 +544,11 @@ def test_each_command_takes_exactly_the_flags_it_reads():
     ("analyze", "intervals", "--scheme", "cn", "--r", "0.5"),
     ("analyze", "classify", "--scheme", "cn", "--ratio", "0.5", "--rmin", "0", "--rmax", "4",
      "--c", "0.5"),
+    # the continuation always ends at the target's delta
+    ("preimage", "const+mode:0.5,0.1,1", "--scheme", "cn", "--eps", "0.1", "--dt", "0.01",
+     "--delta1", "0.2"),
 ], ids=("reproduce-eps", "classify-newton-tol", "intervals-eps", "intervals-r-prefix",
-        "classify-c-prefix"))
+        "classify-c-prefix", "preimage-delta1"))
 def test_a_flag_the_command_never_reads_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exc:

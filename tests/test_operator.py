@@ -129,6 +129,22 @@ def test_certificate_is_the_uniqueness_condition():
     assert not ShiftedLaplacian(g, 1.5, -0.3, d).certified  # b < 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(operators(dims=(2,)))
+def test_certified_mean_diagonal_operator_is_positive(drawn):
+    # on a certified operator (a + mean(d)) - b lam > 0 at every DCT-I
+    # eigenvalue lam <= 0 of L, so the preconditioner's absolute value is the
+    # operator itself; np.mean may round a few ulps below min(d), which only
+    # matters when a + min(d) is within rounding of 0
+    op, _ = drawn
+    assume(op.certified)
+    lam = laplacian_eigenvalues(op.grid)
+    assert np.max(lam) <= 0.0
+    mean = (op.a + float(np.mean(op.d))) - op.b * lam
+    slack = op.a + float(np.min(op.d))
+    assert np.min(mean) > 0.0 or 0.0 < slack <= 1e-12 * (abs(op.a) + _linf(op.d))
+
+
 @pytest.mark.parametrize("n", (5, 33))
 def test_preconditioner_is_exact_for_constant_diagonal(monkeypatch, n):
     # with d constant the DCT-I preconditioner inverts the operator, so one

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acstab.errors import ConfigurationError
 from acstab.fields import (
@@ -13,13 +15,20 @@ from acstab.fields import (
     laplacian_matrix,
     make_grid,
 )
-from acstab.schemes import BE, CN, DIRK2, MODCN, SchemeKind
+from acstab.schemes import BE, CN, DIRK2, MODCN, SchemeKind, mode_slope
 from acstab.stability import (
+    _ratio_dt,
+    _step_terms_at,
     bifurcation_epsilon_sq,
     enumerate_bifurcations,
     stability_threshold,
-    uniqueness_coefficient,
 )
+
+
+def _slope(kind, c, p, r=None):
+    """The step's slope at the constant c on mode k = 0, from the previous state
+    r (default c); for DIRK that of its stiffest stage."""
+    return mode_slope(p, *_step_terms_at(kind, p, c if r is None else r))(c)
 
 
 def test_thresholds_exact():
@@ -41,37 +50,51 @@ def test_threshold_validation():
         stability_threshold(BE, 0.0)
 
 
-def test_uniqueness_zero_exactly_at_threshold():
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 10.0))
+@example(0.1)
+def test_uniqueness_zero_exactly_at_threshold(eps):
     for kind in (BE, CN, DIRK2):
-        eps = 0.1
         dt_max = stability_threshold(kind, eps).dt_max
-        assert uniqueness_coefficient(kind, 0.0, ACParams(eps, dt_max)) == 0.0
+        assert _slope(kind, 0.0, ACParams(eps, dt_max)) == 0.0
+
+
+def test_threshold_of_another_dirk_tableau():
+    # implicit midpoint: one stage, a_11 = 1/2, so the threshold is CN's
+    midpoint = SchemeKind("dirk", ButcherTableau(((0.5,),), (1.0,), (0.5,)))
+    for eps in (1e-3, 0.05, 0.1, 0.3, 1.0, 1.7):
+        dt_max = stability_threshold(midpoint, eps).dt_max
+        assert dt_max == eps * eps / 0.5 == stability_threshold(CN, eps).dt_max
+        assert _ratio_dt(midpoint, 1.0, eps) == dt_max
 
 
 def test_uniqueness_sign_tracks_dt():
     eps = 0.2
     for kind in (BE, CN, DIRK2):
         dt_max = stability_threshold(kind, eps).dt_max
-        assert uniqueness_coefficient(kind, 0.0, ACParams(eps, 0.5 * dt_max)) > 0
-        assert uniqueness_coefficient(kind, 0.0, ACParams(eps, 2.0 * dt_max)) < 0
+        assert _slope(kind, 0.0, ACParams(eps, 0.5 * dt_max)) > 0
+        assert _slope(kind, 0.0, ACParams(eps, 2.0 * dt_max)) < 0
 
 
 def test_modcn_uniqueness_always_positive():
     rng = np.random.default_rng(19)
     p = ACParams(0.1, 0.7)
-    assert uniqueness_coefficient(MODCN, 1.0, p, r=1.0) == pytest.approx(
+    assert _slope(MODCN, 1.0, p, r=1.0) == pytest.approx(
         1.0 / p.dt + 6.0 / (4.0 * p.eps2), rel=1e-14
     )
     for _ in range(200):
         c, r = rng.uniform(-4, 4, 2)
         dt = rng.uniform(1e-3, 1e3)
-        assert uniqueness_coefficient(MODCN, c, ACParams(0.1, dt), r=r) > 0
+        assert _slope(MODCN, c, ACParams(0.1, dt), r=r) > 0
 
 
-def test_uniqueness_requires_extras():
-    p = ACParams(0.1, 0.01)
-    with pytest.raises(ConfigurationError):
-        uniqueness_coefficient(MODCN, 0.0, p)  # r missing
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-4.0, 4.0), st.floats(1e-3, 1e3),
+       st.lists(st.integers(0, 16).map(lambda j: j / 2.0), min_size=1, max_size=2))
+def test_modcn_never_bifurcates(c, dt, k):
+    # MODCN's nonlinearity about c with partner c has slope 3c^2 >= 0
+    assert bifurcation_epsilon_sq(MODCN, c, dt, ModeIndex(tuple(k))) is None
+    assert enumerate_bifurcations(MODCN, c, dt, eps_min=1e-3, max_k=2, dim=len(k)) == []
 
 
 def test_dirk_stage_a_one_reduces_to_be():
@@ -81,7 +104,7 @@ def test_dirk_stage_a_one_reduces_to_be():
     for _ in range(50):
         c = rng.uniform(-2, 2)
         p = ACParams(rng.uniform(0.05, 0.5), rng.uniform(1e-3, 1.0))
-        assert uniqueness_coefficient(one_stage, c, p) == uniqueness_coefficient(BE, c, p)
+        assert _slope(one_stage, c, p) == _slope(BE, c, p)
 
 
 def test_bifurcation_values():
