@@ -115,15 +115,18 @@ def constant_field(grid: GridSpec, value: float) -> ScalarField:
 
 @dataclass(frozen=True)
 class ACParams:
-    """Interface-width parameter eps and time step dt, both finite and positive."""
+    """Interface-width parameter eps and time step dt, both finite and positive;
+    eps^2 and 1/eps^2 must be finite and positive too, as the steps use both."""
 
     eps: float
     dt: float
 
     def __post_init__(self) -> None:
-        for name, val in (("eps", self.eps), ("dt", self.dt)):
-            if not (math.isfinite(val) and val > 0.0):
-                raise ConfigurationError(f"{name} must be finite and > 0, got {val}")
+        if not (self.eps > 0.0 and 0.0 < self.eps2 < math.inf and 1.0 / self.eps2 < math.inf):
+            raise ConfigurationError(
+                f"eps must be > 0 with eps^2 and 1/eps^2 finite and > 0, got {self.eps}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ConfigurationError(f"dt must be finite and > 0, got {self.dt}")
 
     @property
     def eps2(self) -> float:

@@ -90,11 +90,14 @@ class PreimageSet:
 
 def _backward_terms(kind: SchemeKind, v, lap_v, p: ACParams):
     """implicit_system's (a, s, b, k, partner) in the previous state u of one
-    cn/modcn step that ends at v; lap_v is Lap(v), 0.0 on constants."""
-    idt, ie2 = 1.0 / p.dt, 1.0 / p.eps2
+    cn/modcn step that ends at v; lap_v is Lap(v), 0.0 on constants.  CN's
+    step equation is symmetric in its two states, so its terms are the
+    forward ones from v with a negated."""
     if kind.tag == "cn":
-        return -idt, v, 0.5, -0.5 * lap_v + 0.5 * ie2 * _cubic(v), None
+        a, *rest = _step_terms(kind, v, lap_v, p)
+        return (-a, *rest)
     # modcn: the explicit -u/eps^2 joins the shift
+    idt, ie2 = 1.0 / p.dt, 1.0 / p.eps2
     return -idt - ie2, 0.0, 0.5, idt * v - 0.5 * lap_v, v
 
 

@@ -20,20 +20,20 @@ its method from the operator itself:
   per-call argument checks);
 * 2D with b >= 0 and a + min(d) > 0 (the operator is then symmetric positive
   definite in the trapezoid inner product, the step's uniqueness condition):
-  conjugate gradients in that inner product, preconditioned by an exact
-  DCT-I solve of the mean-diagonal operator (a + mean(d)) I - b L;
-* 2D with b >= 0 otherwise (the operator is still self-adjoint in that
-  inner product, but may be indefinite): MINRES in it, preconditioned by
-  the DCT-I solve of the absolute value |(a + mean(d)) I - b L|, which is
-  positive definite;
-* 2D with b < 0, or when CG or MINRES misses its tolerance within their one
-  iteration cap: a sparse LU factorization, ordered for the symmetric
-  5-point pattern.
+  conjugate gradients in that inner product;
+* every other 2D operator (self-adjoint in that inner product for any b,
+  but possibly indefinite): MINRES in it (Paige and Saunders);
+* where CG or MINRES misses: a sparse LU factorization, ordered for the
+  symmetric 5-point pattern.
 
-Every direct solve takes one round of iterative refinement when its true
-residual exceeds 1e-12 relative to the right-hand side.  CG and MINRES stop
-only on a true residual within max(1e-12, rtol) of it, rtol being solve's
-relative tolerance (1e-12 unless given).
+CG and MINRES start from x = 0, are preconditioned by the exact DCT-I solve
+of |(a + mean(d)) I - b L|, which is positive definite (absolute value
+preconditioning, Vecharynski and Knyazev), and stop within 60 iterations
+once the recursive residual is within max(1e-12, rtol) of the right-hand
+side, rtol being solve's relative tolerance (1e-12 unless given).  They
+miss unless the true residual is within it too.  Every direct solve takes
+one round of iterative refinement when its true residual exceeds 1e-12
+relative to the right-hand side.
 
 Newton on a field solves inexactly (Dembo, Eisenstat and Steihaug): each
 iteration passes a forcing term eta_k to solve as its rtol, so CG and MINRES
@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -201,8 +201,9 @@ class ShiftedLaplacian:
     """The linear operator a I - b L + diag(d) on a grid, L = laplacian_matrix(grid).
 
     a and b are scalars and d holds one value per node.  Supports `op @ x`,
-    tosparse(), todense() and solve(rhs, rtol); see the module docstring for
-    how solve chooses its method.
+    tosparse(), todense() and solve(rhs, rtol), which runs gtsv in 1D and, in
+    2D, CG when certified and MINRES otherwise, with sparse LU where either
+    misses (module docstring).
     """
 
     grid: GridSpec
@@ -236,12 +237,7 @@ class ShiftedLaplacian:
         if self.grid.dim == 1:
             ab = self._band()
             return _refined_solve(lambda r: _tridiagonal_solve(ab, r), self.__matmul__, rhs)
-        if self.certified:
-            x = self._pcg(rhs, rtol)
-        elif self.b >= 0.0:
-            x = self._minres(rhs, rtol)
-        else:
-            x = None
+        x = self._krylov(rhs, rtol)
         if x is not None:
             return x
         # the 5-point pattern is symmetric: order on A + A^T, prefer diagonal pivots
@@ -274,14 +270,12 @@ class ShiftedLaplacian:
 
         return precondition
 
-    def _pcg(self, rhs: np.ndarray, rtol: float = _LINEAR_RTOL) -> np.ndarray | None:
-        """Preconditioned CG in the trapezoid inner product; None on a miss.
+    def _krylov(self, rhs: np.ndarray, rtol: float = _LINEAR_RTOL) -> np.ndarray | None:
+        """CG on a certified operator, MINRES on any other; None on a miss.
 
-        The preconditioner solves |(a + mean(d)) I - b L| exactly in the DCT-I
-        eigenbasis of L.  Returns only an x whose true residual is within
-        max(_LINEAR_RTOL, rtol) of rhs; a recursive residual that meets the
-        bound while the true one does not restarts the iteration from the
-        true residual.
+        Stops within _KRYLOV_MAX_ITER iterations at the first x whose recursive
+        residual is within max(_LINEAR_RTOL, rtol) of rhs, or whose Krylov
+        space is invariant, and returns it only if its true residual is too.
         """
         tol = max(_LINEAR_RTOL, rtol) * _linf(rhs)
         if tol == 0.0:
@@ -289,90 +283,77 @@ class ShiftedLaplacian:
         precondition = self._preconditioner()
         if precondition is None:
             return None
-        w = trapezoid_weights(self.grid)
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
-        p = np.zeros_like(rhs)
-        rz = 1.0
-        for _ in range(_KRYLOV_MAX_ITER):
-            z = precondition(r)
-            rz_new = float(w @ (r * z))
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-            ap = self @ p
-            pap = float(w @ (p * ap))
-            if not (rz > 0.0 and pap > 0.0):  # positivity lost to roundoff or underflow
-                return None
-            alpha = rz / pap
-            x = x + alpha * p
-            r = r - alpha * ap
-            if _linf(r) <= tol:
-                r = rhs - self @ x
-                if _linf(r) <= tol:
-                    return x
-                p = np.zeros_like(rhs)  # restart from the true residual
+        method = _cg if self.certified else _minres
+        for x, r, invariant in islice(method(self, rhs, precondition, trapezoid_weights(self.grid)),
+                                      _KRYLOV_MAX_ITER):
+            if invariant or _linf(r) <= tol:
+                return x if _linf(rhs - self @ x) <= tol else None
         return None
 
-    def _minres(self, rhs: np.ndarray, rtol: float = _LINEAR_RTOL) -> np.ndarray | None:
-        """Preconditioned MINRES in the trapezoid inner product; None on a miss.
 
-        Paige and Saunders' recurrences for a self-adjoint indefinite
-        operator, preconditioned by the exact DCT-I solve of the absolute
-        value |(a + mean(d)) I - b L|, which is positive definite (absolute
-        value preconditioning, Vecharynski and Knyazev).  The residual is
-        carried along with x, through A applied to the search directions.
-        Returns only an x whose true residual is within max(_LINEAR_RTOL,
-        rtol) of rhs; a recursive residual that meets the bound while the true
-        one does not restarts the Lanczos process from the true residual.
-        """
-        tol = max(_LINEAR_RTOL, rtol) * _linf(rhs)
-        if tol == 0.0:
-            return np.zeros_like(rhs)
-        precondition = self._preconditioner()
-        if precondition is None:
-            return None
-        w = trapezoid_weights(self.grid)
-        x = np.zeros_like(rhs)
-        r = rhs
-        restart = True
-        for _ in range(_KRYLOV_MAX_ITER):
-            if restart:  # Lanczos from r: q is the residual-side vector, z = M q
-                q_old, q, z = None, r, precondition(r)
-                beta = float(w @ (r * z))
-                if not beta > 0.0:
-                    return None
-                beta = math.sqrt(beta)
-                beta_old, dbar, epsln, phibar, cs, sn = 0.0, 0.0, 0.0, beta, -1.0, 0.0
-                d_old = d = ad_old = ad = np.zeros_like(rhs)  # directions and A applied to them
-                restart = False
-            v = z / beta
-            av = self @ v
-            y = av if q_old is None else av - (beta / beta_old) * q_old
-            alpha = float(w @ (v * y))
-            y = y - (alpha / beta) * q
-            q_old, q, z = q, y, precondition(y)
-            beta_old, beta = beta, float(w @ (y * z))
-            if not beta >= 0.0:  # positivity lost to roundoff, or not finite
-                return None
-            beta = math.sqrt(beta)
-            # apply the previous plane rotation, then form and apply the next one
-            eps_old, delta, gbar = epsln, cs * dbar + sn * alpha, sn * dbar - cs * alpha
-            epsln, dbar = sn * beta, -cs * beta
-            gamma = math.hypot(gbar, beta)
-            if gamma == 0.0:
-                return None
-            cs, sn = gbar / gamma, beta / gamma
-            phi, phibar = cs * phibar, sn * phibar
-            d_old, d = d, (v - eps_old * d_old - delta * d) / gamma
-            ad_old, ad = ad, (av - eps_old * ad_old - delta * ad) / gamma
-            x = x + phi * d
-            r = r - phi * ad
-            if _linf(r) <= tol or beta == 0.0:  # beta = 0: the Krylov space is invariant
-                r = rhs - self @ x
-                if _linf(r) <= tol:
-                    return x
-                restart = True
-        return None
+def _cg(op: ShiftedLaplacian, rhs: np.ndarray, precondition, w: np.ndarray):
+    """Preconditioned CG on op x = rhs in the inner product with weights w:
+    yields (x, recursive residual, False) at each iteration from x = 0, and
+    ends where positivity is lost to roundoff or underflow."""
+    x = np.zeros_like(rhs)
+    r = rhs
+    p = np.zeros_like(rhs)
+    rz = 1.0
+    while True:
+        z = precondition(r)
+        rz_new = float(w @ (r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        ap = op @ p
+        pap = float(w @ (p * ap))
+        if not (rz > 0.0 and pap > 0.0):
+            return
+        alpha = rz / pap
+        x = x + alpha * p
+        r = r - alpha * ap
+        yield x, r, False
+
+
+def _minres(op: ShiftedLaplacian, rhs: np.ndarray, precondition, w: np.ndarray):
+    """Preconditioned MINRES on op x = rhs in the inner product with weights w,
+    for a self-adjoint, possibly indefinite op: yields (x, recursive residual,
+    invariant) at each iteration from x = 0, the residual carried along with
+    x through op applied to the search directions, and invariant once the
+    Lanczos beta is 0.  Ends where positivity is lost to roundoff or not
+    finite, or a plane rotation degenerates."""
+    x = np.zeros_like(rhs)
+    r = rhs
+    q_old, q, z = None, rhs, precondition(rhs)  # q is the residual-side vector, z = M q
+    beta = float(w @ (rhs * z))
+    if not beta > 0.0:
+        return
+    beta = math.sqrt(beta)
+    beta_old, dbar, epsln, phibar, cs, sn = 0.0, 0.0, 0.0, beta, -1.0, 0.0
+    d_old = d = ad_old = ad = np.zeros_like(rhs)  # directions and op applied to them
+    while True:
+        v = z / beta
+        av = op @ v
+        y = av if q_old is None else av - (beta / beta_old) * q_old
+        alpha = float(w @ (v * y))
+        y = y - (alpha / beta) * q
+        q_old, q, z = q, y, precondition(y)
+        beta_old, beta = beta, float(w @ (y * z))
+        if not beta >= 0.0:  # positivity lost to roundoff, or not finite
+            return
+        beta = math.sqrt(beta)
+        # apply the previous plane rotation, then form and apply the next one
+        eps_old, delta, gbar = epsln, cs * dbar + sn * alpha, sn * dbar - cs * alpha
+        epsln, dbar = sn * beta, -cs * beta
+        gamma = math.hypot(gbar, beta)
+        if gamma == 0.0:
+            return
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        d_old, d = d, (v - eps_old * d_old - delta * d) / gamma
+        ad_old, ad = ad, (av - eps_old * ad_old - delta * ad) / gamma
+        x = x + phi * d
+        r = r - phi * ad
+        yield x, r, beta == 0.0
 
 
 def _forcing(rnorm: float, previous: float, tol: float) -> float:
@@ -483,9 +464,10 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
         the residual by the derivative, and a zero or non-finite derivative
         ends the solve as a failed linear solve.  A flat-array unknown has a
         ShiftedLaplacian Jacobian, whose solve picks a tridiagonal solve
-        (1D), preconditioned CG (2D, certified positive definite),
-        preconditioned MINRES (2D, uncertified with b >= 0) or sparse LU from
-        the operator itself; any other Jacobian raises.  CG and MINRES solve
+        (1D), preconditioned CG (2D, certified positive definite) or
+        preconditioned MINRES (every other 2D operator) from the operator
+        itself, with sparse LU where a Krylov solve misses; any other
+        Jacobian raises.  CG and MINRES solve
         each Newton step only to the Eisenstat-Walker forcing term eta_k
         times the residual (module docstring): 0.1 at first, then
         0.9 (r_k / r_{k-1})^2 raised to 0.5 tol / r_k, capped at 0.1 and no

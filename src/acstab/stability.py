@@ -94,7 +94,7 @@ def _ratio_dt(kind: SchemeKind, ratio: float, eps: float = 1.0) -> float:
     dt = ratio eps^2 / h with stability_threshold's h; MODCN, unique at every
     dt, is measured against CN's threshold.
     """
-    return ratio * eps ** 2 / _eps_sq_per_dt(CN if kind.tag == "modcn" else kind)
+    return ratio * (eps * eps) / _eps_sq_per_dt(CN if kind.tag == "modcn" else kind)
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,23 @@ def test_ratio_must_be_finite_and_positive(ratio, tmp_path, capsys):
     assert err == f"error: --ratio must be finite and > 0, got {float(ratio)}\n"
 
 
+@pytest.mark.parametrize("eps", ("1e160", "1e200", "1e-160", "1e-200"))
+@pytest.mark.parametrize("step", (("--dt", "1"), ("--ratio", "1")), ids=("dt", "ratio"))
+@pytest.mark.parametrize(
+    "command",
+    (("simulate", "const:0.5"),
+     ("analyze", "classify", "--rmin", "0", "--rmax", "1", "--samples", "2")),
+    ids=("simulate", "classify"),
+)
+def test_eps_whose_square_is_not_a_double_exits_2(command, step, eps, tmp_path, capsys):
+    # eps^2 or 1/eps^2 overflows or underflows in double precision
+    out = tmp_path / "t.csv"
+    assert _run(*command, "--scheme", "cn", *step, "--eps", eps, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: eps must be > 0 with eps^2 and 1/eps^2 finite and > 0, got {float(eps)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ("nan", "-1", "inf"))
 def test_settle_tol_must_be_finite_and_nonnegative(tol, tmp_path, capsys):
     assert _run("simulate", "const:1", "--scheme", "be", "--eps", "0.1", "--dt", "0.01",

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def _symmetric_eigenvalues(op):
 def operators(draw, dims=(1, 2)):
     grid = make_grid(draw(st.sampled_from(dims)), draw(st.sampled_from(_NS)))
     a = draw(st.floats(-300.0, 300.0, allow_subnormal=False))
-    b = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0, allow_subnormal=False)))
+    b = draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_subnormal=False)))
     # d = center + spread * noise: both sides of a + min(d) > 0 get drawn
     center = draw(st.floats(-300.0, 300.0, allow_subnormal=False))
     spread = draw(st.floats(0.0, 300.0, allow_subnormal=False))
@@ -68,7 +69,7 @@ def test_operator_matches_sparse_and_solves_to_tolerance(drawn):
     op, rng = drawn
     x = rng.standard_normal(op.grid.num_nodes)
     lap_norm = _linf(laplacian_matrix(op.grid).data)
-    scale = (abs(op.a) + 4.0 * op.grid.dim * op.b * lap_norm + _linf(op.d)) * _linf(x)
+    scale = (abs(op.a) + 4.0 * op.grid.dim * abs(op.b) * lap_norm + _linf(op.d)) * _linf(x)
     assert _linf(op @ x - op.tosparse() @ x) <= 1e-13 * scale
 
     # solve is held to 1e-12 on operators away from singular
@@ -89,8 +90,7 @@ def test_2d_solve_stops_at_its_rtol(drawn, log_rtol):
     assume(eig.min() > 1e-8 * eig.max())
     rtol = 10.0 ** log_rtol
     rhs = op @ rng.standard_normal(op.grid.num_nodes)
-    krylov = op._pcg if op.certified else op._minres if op.b >= 0.0 else None
-    x = krylov(rhs, rtol) if krylov else None
+    x = op._krylov(rhs, rtol)
     got = op.solve(rhs, rtol)
     if x is not None:
         assert np.array_equal(got, x)
@@ -153,21 +153,26 @@ def test_preconditioner_is_exact_for_constant_diagonal(monkeypatch, n):
     g = make_grid(2, n)
     op = ShiftedLaplacian(g, 100.0, 0.5, np.full(g.num_nodes, -37.5))
     rhs = np.random.default_rng(3).standard_normal(g.num_nodes)
-    x = op._pcg(rhs)
+    assert op.certified
+    x = op._krylov(rhs)
     assert x is not None
     assert _linf(rhs - op @ x) <= 1e-12 * _linf(rhs)
 
 
-@pytest.mark.parametrize("n", (17, 33))
-def test_absolute_preconditioner_is_exact_for_constant_diagonal(monkeypatch, n):
+@pytest.mark.parametrize(
+    "op",
+    (_helmholtz(17, 0.0), _helmholtz(33, 0.0),
+     ShiftedLaplacian(make_grid(2, 17), 1.0, -0.05, np.full(17 * 17, -0.5))),  # b < 0
+    ids=("17", "33", "b_negative"),
+)
+def test_absolute_preconditioner_is_exact_for_constant_diagonal(monkeypatch, op):
     # with d constant the preconditioned operator has the eigenvalues -1 and
     # +1 only, so two MINRES iterations reach the 1e-12 residual bound
     monkeypatch.setattr(solvers, "_KRYLOV_MAX_ITER", 2)
-    op = _helmholtz(n, 0.0)
     eig = _symmetric_eigenvalues(op)
     assert not op.certified and eig.min() < 0.0 < eig.max()  # indefinite
     rhs = np.random.default_rng(3).standard_normal(op.grid.num_nodes)
-    x = op._minres(rhs)
+    x = op._krylov(rhs)
     assert x is not None
     assert _linf(rhs - op @ x) <= 1e-12 * _linf(rhs)
 
@@ -178,7 +183,7 @@ def test_minres_miss_falls_back_to_lu(monkeypatch):
     monkeypatch.setattr(solvers, "_KRYLOV_MAX_ITER", 1)
     op = _helmholtz(17, 0.05)
     rhs = np.random.default_rng(4).standard_normal(op.grid.num_nodes)
-    assert op._minres(rhs) is None
+    assert op._krylov(rhs) is None
     calls = []
     splu = solvers.spla.splu
     monkeypatch.setattr(solvers.spla, "splu",
@@ -186,6 +191,55 @@ def test_minres_miss_falls_back_to_lu(monkeypatch):
     x = op.solve(rhs)
     assert [c["options"] for c in calls] == [{"SymmetricMode": True}]
     assert _linf(rhs - op @ x) <= 1e-12 * _linf(rhs)
+
+
+@pytest.mark.parametrize("certified", (True, False), ids=("cg", "minres"))
+def test_false_recursive_convergence_falls_back_to_lu(monkeypatch, certified):
+    # a recursive residual that meets the bound while the true one does not
+    # is a miss: _krylov returns None and solve falls back to LU
+    op = _helmholtz(17, 0.05)
+    if certified:
+        op = ShiftedLaplacian(op.grid, 2.0, op.b, op.d)
+    assert op.certified == certified
+    rhs = np.random.default_rng(5).standard_normal(op.grid.num_nodes)
+    assert op._krylov(rhs) is not None
+    name = "_cg" if certified else "_minres"
+    method = getattr(solvers, name)
+
+    def converged_at_once(*args):
+        iterates = method(*args)
+        x, r, invariant = next(iterates)
+        yield x, np.zeros_like(r), invariant  # a false recursive convergence
+        yield from iterates
+
+    monkeypatch.setattr(solvers, name, converged_at_once)
+    assert op._krylov(rhs) is None
+    calls = []
+    splu = solvers.spla.splu
+    monkeypatch.setattr(solvers.spla, "splu",
+                        lambda matrix, **kwargs: calls.append(1) or splu(matrix, **kwargs))
+    x = op.solve(rhs)
+    assert calls == [1] and _linf(rhs - op @ x) <= 1e-12 * _linf(rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators(dims=(2,)), st.floats(-12.0, -1.0))
+@example((_helmholtz(33, 0.3), np.random.default_rng(0)), -12.0)
+def test_krylov_runs_at_most_its_iteration_cap(drawn, log_rtol):
+    op, rng = drawn
+    name = "_cg" if op.certified else "_minres"
+    method = getattr(solvers, name)
+    iterations = []
+
+    def counted(*args):
+        for item in method(*args):
+            iterations.append(1)
+            yield item
+
+    rhs = rng.standard_normal(op.grid.num_nodes)
+    with mock.patch.object(solvers, name, counted):
+        op._krylov(rhs, 10.0 ** log_rtol)
+    assert len(iterations) <= solvers._KRYLOV_MAX_ITER
 
 
 @st.composite
@@ -274,9 +328,12 @@ def test_solvers_scipy_attributes_import_on_first_access():
 
 
 def test_uncertified_2d_solve_reads_patched_splu(monkeypatch):
+    # one MINRES iteration misses on a varying-d operator, so LU solves it
+    monkeypatch.setattr(solvers, "_KRYLOV_MAX_ITER", 1)
     g = make_grid(2, 9)
-    op = ShiftedLaplacian(g, 1.0, -1e-3, np.zeros(g.num_nodes))  # b < 0: not certified
+    op = ShiftedLaplacian(g, 1.0, -1e-3, np.linspace(0.0, 1.0, g.num_nodes))  # b < 0: not certified
     rhs = np.linspace(-1.0, 1.0, g.num_nodes)
+    assert op._krylov(rhs) is None
     calls = []
     splu = solvers.spla.splu
 

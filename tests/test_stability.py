@@ -59,6 +59,14 @@ def test_uniqueness_zero_exactly_at_threshold(eps):
         assert _slope(kind, 0.0, ACParams(eps, dt_max)) == 0.0
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e))
+@example(2.5135266579057918)  # eps ** 2 is an ulp off eps * eps here
+def test_ratio_one_is_the_threshold(eps):
+    for kind in (BE, CN, DIRK2):
+        assert _ratio_dt(kind, 1.0, eps) == stability_threshold(kind, eps).dt_max
+
+
 def test_threshold_of_another_dirk_tableau():
     # implicit midpoint: one stage, a_11 = 1/2, so the threshold is CN's
     midpoint = SchemeKind("dirk", ButcherTableau(((0.5,),), (1.0,), (0.5,)))
