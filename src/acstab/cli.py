@@ -19,11 +19,14 @@ them with their defaults, and any other flag is a usage error.
 
 Field specs use the grammar "const:<v>" or "const+mode:<v>,<delta>,<k[,l]>"
 (value v plus delta times the cos/sin eigenmode with index k, and l in 2D).
+The grid has --dim dimensions, else the mode's (2 with k and l), else 1; a
+mode whose dimension differs from --dim is an error.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 solver/analysis
 failure, 4 check mismatch.  A JSON file passed via --config supplies values
-for the command's flags (same names, lower_snake_case); explicit flags win,
-and keys the command does not take are ignored.
+for the command's flags (same names, lower_snake_case; true or false for a
+flag that takes no value); explicit flags win, and keys the command does not
+take are ignored.
 """
 
 from __future__ import annotations
@@ -71,8 +74,6 @@ from .stability import _ratio_dt, enumerate_bifurcations, stability_threshold
 
 
 def _fmt(v) -> str:
-    if type(v) is int:
-        return str(v)
     if isinstance(v, str):
         return v
     if isinstance(v, (int, np.integer)):
@@ -83,15 +84,17 @@ def _fmt(v) -> str:
 def _write_csv(path: str, header: list[str], rows) -> None:
     """Write header and rows; each cell as _fmt writes it.
 
-    A 2-D float array takes one "%.9g,...,%.9g" format per row, the bytes
-    _fmt and the csv writer give its cells (no number needs quoting).
+    rows may be a tuple of 1-D numeric arrays, the columns: each row then
+    takes one format of "%.9g" per float column and "%d" per other, the
+    bytes _fmt and the csv writer give its cells (no number needs quoting).
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-            line = ",".join(["%.9g"] * rows.shape[1]) + "\n"
-            fh.writelines(line % tuple(row) for row in (rows + 0.0).tolist())
+        if isinstance(rows, tuple):
+            line = ",".join("%.9g" if c.dtype.kind == "f" else "%d" for c in rows) + "\n"
+            columns = [(c + 0.0 if c.dtype.kind == "f" else c).tolist() for c in rows]
+            fh.writelines(line % row for row in zip(*columns))
         else:
             writer.writerows([*map(_fmt, row)] for row in rows)
 
@@ -125,7 +128,11 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         action = actions.get(key.replace("-", "_"))
         if action is None or not hasattr(args, action.dest) or getattr(args, action.dest) is not None:
             continue
-        if action.nargs != 0:  # not a const flag: the value is read as command-line text
+        if action.nargs == 0:  # a const flag: true gives it, false leaves it out
+            if not isinstance(val, bool):
+                raise ConfigurationError(f"config key {key!r}: expected true or false, got {val!r}")
+            val = action.const if val else None
+        else:  # the value is read as command-line text
             read = action.type or str
             try:
                 val = read(str(val))
@@ -140,11 +147,9 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _require(args, *names) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
+    missing = ["--" + n.replace("_", "-") for n in names if getattr(args, n) is None]
     if missing:
-        raise ConfigurationError("missing required option(s): " + ", ".join(
-            "--" + n.replace("_", "-") for n in missing
-        ))
+        raise ConfigurationError("missing required option(s): " + ", ".join(missing))
 
 
 def _resolve_params(args) -> ACParams:
@@ -158,57 +163,35 @@ def _resolve_params(args) -> ACParams:
     if args.dt is not None:
         _require(args, "eps")
         return ACParams(eps=args.eps, dt=args.dt)
-    if not (math.isfinite(args.ratio) and args.ratio > 0.0):
-        raise ConfigurationError(f"--ratio must be finite and > 0, got {args.ratio}")
     eps = 1.0 if args.eps is None else args.eps
     return ACParams(eps=eps, dt=_ratio_dt(parse_scheme(args.scheme), args.ratio, eps))
 
 
-def _resolve_grid(args, spec: str):
-    dim = args.dim
-    if dim is None:
-        # a 4-component mode spec ("const+mode:v,d,k,l") implies 2D
-        dim = 2 if (spec.startswith("const+mode:") and spec.count(",") == 3) else 1
-    return make_grid(dim, (257 if dim == 1 else 65) if args.n is None else args.n)
+def _read_spec(args, spec: str):
+    """(field, v, delta, mode) of "const:<v>" or "const+mode:<v>,<d>,<k[,l]>";
+    delta and mode are None for a constant.
 
-
-def _parse_mode(kval, lval, dim: int) -> ModeIndex:
-    if dim == 2:
-        if lval is None:
-            raise ConfigurationError("2D modes need both k and l")
-        return ModeIndex((float(kval), float(lval)))
-    return ModeIndex((float(kval),))
-
-
-def _parse_field_spec(spec: str, grid):
-    """Parse "const:<v>" / "const+mode:<v>,<d>,<k[,l]>" into a field + metadata."""
-    if spec.startswith("const+mode:"):
-        body = spec[len("const+mode:"):]
-        parts = body.split(",")
-        if len(parts) not in (3, 4):
-            raise ConfigurationError(f"bad field spec {spec!r}: expected <v>,<delta>,<k[,l]>")
-        try:
-            v, delta = float(parts[0]), float(parts[1])
-            kval = float(parts[2])
-            lval = float(parts[3]) if len(parts) == 4 else None
-        except ValueError:
-            raise ConfigurationError(f"bad numeric value in field spec {spec!r}")
-        if (lval is not None) and grid.dim != 2:
-            raise ConfigurationError("field spec has an l component but the grid is 1D")
-        mode = _parse_mode(kval, lval, grid.dim)
-        shape = eval_mode(mode, grid)
-        return ScalarField(grid, v + delta * shape.values), {
-            "const": v, "delta": delta, "mode": mode,
-        }
-    if spec.startswith("const:"):
-        try:
-            v = float(spec[len("const:"):])
-        except ValueError:
-            raise ConfigurationError(f"bad constant in field spec {spec!r}")
-        return constant_field(grid, v), {"const": v, "delta": None, "mode": None}
-    raise ConfigurationError(
-        f"bad field spec {spec!r}: expected const:<v> or const+mode:<v>,<d>,<k[,l]>"
-    )
+    The field lies on the grid of --dim (else the mode's dimension, else 1)
+    and --n (else 257 in 1D, 65 in 2D); eval_mode rejects a mode whose
+    dimension is not the grid's.
+    """
+    name, _, body = spec.partition(":")
+    try:
+        nums = [float(x) for x in body.split(",")]
+    except ValueError:
+        nums = []
+    if name == "const" and len(nums) == 1:
+        v, delta, mode = nums[0], None, None
+    elif name == "const+mode" and len(nums) in (3, 4):
+        v, delta, mode = nums[0], nums[1], ModeIndex(tuple(nums[2:]))
+    else:
+        raise ConfigurationError(
+            f"bad field spec {spec!r}: expected const:<v> or const+mode:<v>,<d>,<k[,l]>")
+    dim = args.dim if args.dim is not None else 1 if mode is None else mode.dim
+    grid = make_grid(dim, (257 if dim == 1 else 65) if args.n is None else args.n)
+    if mode is None:
+        return constant_field(grid, v), v, None, None
+    return ScalarField(grid, v + delta * eval_mode(mode, grid).values), v, delta, mode
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +299,7 @@ def cmd_reproduce(args) -> int:
 def cmd_simulate(args) -> int:
     kind = parse_scheme(args.scheme)
     p = _resolve_params(args)
-    grid = _resolve_grid(args, args.initial)
-    phi0, _meta = _parse_field_spec(args.initial, grid)
+    phi0 = _read_spec(args, args.initial)[0]
     traj = simulate(kind, phi0, args.steps, p, settle_tol=args.settle_tol,
                     cfg=NewtonConfig(args.newton_tol, args.newton_max_iter))
     rows = [
@@ -343,19 +325,12 @@ def _analyze_thresholds(args) -> int:
 
 def _analyze_bifurcations(args) -> int:
     kind = parse_scheme(args.scheme)
-    # the enumeration solves for eps, so only dt is needed here
-    dt = args.dt if args.dt is not None else _resolve_params(args).dt
+    # the enumeration solves for eps, so --dt alone needs none
+    dt = args.dt if args.ratio is None and args.dt is not None else _resolve_params(args).dt
     points = enumerate_bifurcations(kind, args.c, dt, args.eps_min, max_k=args.max_k, dim=args.dim)
-    header = ["k1", "k2", "eps_sq", "eigenfunction", "note"]
-    if not points:
-        return _emit(args.out, header,
-                     [["", "", "", "no bifurcation: 1 - 3c^2 <= 0 or below eps-min", ""]])
-    rows = []
-    for bp in points:
-        k1 = bp.mode.k[0]
-        k2 = bp.mode.k[1] if bp.mode.dim == 2 else ""
-        rows.append([k1, k2, bp.eps_sq, bp.eigenfunction, bp.note])
-    return _emit(args.out, header, rows)
+    rows = [[*bp.mode.k, ""][:2] + [bp.eps_sq, bp.eigenfunction, bp.note] for bp in points]
+    return _emit(args.out, ["k1", "k2", "eps_sq", "eigenfunction", "note"],
+                 rows or [["", "", "", "no bifurcation: 1 - 3c^2 <= 0 or below eps-min", ""]])
 
 
 def _analyze_intervals(args) -> int:
@@ -381,9 +356,8 @@ def _analyze_classify(args) -> int:
         raise ConfigurationError("--samples must be >= 2")
     res = classify_constant_initial(kind, np.linspace(args.rmin, args.rmax, args.samples), p,
                                     max_steps=args.steps)
-    columns = (res.initial, res.limit, res.settle_step, res.flips)
     return _emit(args.out, ["r", "limit", "settle_step", "flips"],
-                 zip(*(c.tolist() for c in columns)))
+                 (res.initial, res.limit, res.settle_step, res.flips))
 
 
 def _branch_gains(kind: SchemeKind, c: float, r: float, mode: ModeIndex, p: ACParams, chains):
@@ -400,16 +374,14 @@ def _branch_gains(kind: SchemeKind, c: float, r: float, mode: ModeIndex, p: ACPa
 def _analyze_perturb(args) -> int:
     kind = parse_scheme(args.scheme)
     p = _resolve_params(args)
-    dim = 2 if args.l is not None else 1
-    mode = _parse_mode(args.k, args.l, dim)
+    mode = ModeIndex((args.k,) if args.l is None else (args.k, args.l))
     header = ["scheme", "c", "r", "k", "l", "gain0", "gain1", "gain2", "pole"]
-    lcol = args.l if args.l is not None else ""
     if kind.tag == "be":
         raise ConfigurationError("perturbation gains are defined for cn, modcn, dirk2")
     chains = preimage_constants(kind, args.c, p).chains if kind.tag == "dirk" else ()
     r, g = _branch_gains(kind, args.c, args.r, mode, p, chains)
     gains = [*g.gain, "", ""][:3]
-    return _emit(args.out, header, [[kind.label, args.c, r, args.k, lcol, *gains, int(g.pole)]])
+    return _emit(args.out, header, [[kind.label, args.c, r, *[*mode.k, ""][:2], *gains, int(g.pole)]])
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +399,9 @@ def _preimage_constant(kind, p, c: float, out: str) -> int:
     return _emit(out, ["scheme", "c", "root", "disc_sign", "forward_error"], rows)
 
 
-def _preimage_field(args, kind, p, target: ScalarField, meta) -> int:
+def _preimage_field(args, kind, p, target: ScalarField, c: float, delta: float,
+                    mode: ModeIndex) -> int:
     grid = target.grid
-    c, delta, mode = meta["const"], meta["delta"], meta["mode"]
     hcfg = HomotopyConfig(delta_end=delta, delta_start=args.delta0, steps=args.steps)
     ncfg = NewtonConfig(args.newton_tol, args.newton_max_iter)
 
@@ -462,16 +434,15 @@ def _preimage_field(args, kind, p, target: ScalarField, meta) -> int:
     stem, ext = os.path.splitext(out)
     field_out = f"{stem}_field{ext or '.csv'}"
     _write_csv(field_out, [f"x{j}" for j in range(1, grid.dim + 1)] + ["value"],
-               np.column_stack((grid.node_coordinates(), phi_n.values)))
+               (*grid.node_coordinates().T, phi_n.values))
 
     fwd, _rep2 = step(kind, phi_n, p, ncfg)
     fwd_resid = float(np.max(np.abs(fwd.values - target.values)))
-    krest = mode.k[1] if mode.dim == 2 else ""
     _write_csv(out, [
         "scheme", "c", "delta", "k", "l", "seed_root", "gain",
         "converged", "delta_reached", "newton_residual", "forward_residual",
     ], [[
-        kind.label, c, delta, mode.k[0], krest, seed_root, gain,
+        kind.label, c, delta, *[*mode.k, ""][:2], seed_root, gain,
         int(rep.converged), rep.delta if rep.delta is not None else "",
         rep.residual, fwd_resid,
     ]])
@@ -485,11 +456,10 @@ def _preimage_field(args, kind, p, target: ScalarField, meta) -> int:
 def cmd_preimage(args) -> int:
     kind = parse_scheme(args.scheme)
     p = _resolve_params(args)
-    grid = _resolve_grid(args, args.target)
-    target, meta = _parse_field_spec(args.target, grid)
-    if meta["mode"] is None:
-        return _preimage_constant(kind, p, meta["const"], args.out)
-    return _preimage_field(args, kind, p, target, meta)
+    target, c, delta, mode = _read_spec(args, args.target)
+    if mode is None:
+        return _preimage_constant(kind, p, c, args.out)
+    return _preimage_field(args, kind, p, target, c, delta, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +519,7 @@ class _Command(NamedTuple):
 
 
 _STEP = dict.fromkeys(("scheme", "eps", "dt", "ratio"))  # read by _resolve_params
-_GRID = dict.fromkeys(("dim", "n"))  # read by _resolve_grid
+_GRID = dict.fromkeys(("dim", "n"))  # read by _read_spec
 _NEWTON = {"newton_tol": NewtonConfig.tol, "newton_max_iter": NewtonConfig.max_iter}
 _SPEC_HELP = '"const:<v>" or "const+mode:<v>,<d>,<k[,l]>"'
 

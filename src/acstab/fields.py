@@ -113,18 +113,25 @@ def constant_field(grid: GridSpec, value: float) -> ScalarField:
     return ScalarField(grid, np.full(grid.num_nodes, float(value)))
 
 
+def _eps_sq(eps: float) -> float:
+    """eps^2 of an eps > 0 whose eps^2 and 1/eps^2 are finite and > 0, as the
+    steps use both; any other eps is a ConfigurationError."""
+    eps2 = eps * eps
+    if not (eps > 0.0 and 0.0 < eps2 < math.inf and 1.0 / eps2 < math.inf):
+        raise ConfigurationError(f"eps must be > 0 with eps^2 and 1/eps^2 finite and > 0, got {eps}")
+    return eps2
+
+
 @dataclass(frozen=True)
 class ACParams:
-    """Interface-width parameter eps and time step dt, both finite and positive;
-    eps^2 and 1/eps^2 must be finite and positive too, as the steps use both."""
+    """Interface-width parameter eps and time step dt: eps as _eps_sq takes
+    it, dt finite and positive."""
 
     eps: float
     dt: float
 
     def __post_init__(self) -> None:
-        if not (self.eps > 0.0 and 0.0 < self.eps2 < math.inf and 1.0 / self.eps2 < math.inf):
-            raise ConfigurationError(
-                f"eps must be > 0 with eps^2 and 1/eps^2 finite and > 0, got {self.eps}")
+        _eps_sq(self.eps)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigurationError(f"dt must be finite and > 0, got {self.dt}")
 

@@ -208,14 +208,11 @@ def interval_sequence(kind: SchemeKind, ratio: float, count: int) -> IntervalSeq
     number of positive preimages of 0, a preimage that is not unique, or
     families that fail to interleave.
     """
-    if not (math.isfinite(ratio) and ratio > 0):
-        raise ConfigurationError(f"ratio must be finite and > 0, got {ratio}")
+    p, families = ACParams(eps=1.0, dt=_ratio_dt(kind, ratio)), 2 if kind.tag == "dirk" else 1
     if count < 1:
         raise ConfigurationError("count must be >= 1")
     if kind.tag == "be":
         raise ConfigurationError("backward Euler has a unique preimage everywhere; no sequence")
-
-    p, families = ACParams(eps=1.0, dt=_ratio_dt(kind, ratio)), 2 if kind.tag == "dirk" else 1
     rows = [[x] for x in preimage_constants(kind, 0.0, p).roots if x > MERGE_TOL]
     if len(rows) != families:
         raise AnalysisError(

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .fields import ACParams, ModeIndex
+from .fields import ACParams, ModeIndex, _eps_sq
 from .schemes import BE, CN, SchemeKind, _step_terms, mode_slope
 
 __all__ = [
@@ -80,20 +80,20 @@ def _eps_sq_per_dt(kind: SchemeKind) -> float | None:
 
 
 def stability_threshold(kind: SchemeKind, eps: float) -> StabilityThreshold:
-    """Uniqueness threshold on dt for the given scheme at interface width eps:
-    dt_max = eps^2 / h with h from _eps_sq_per_dt, inf if there is no h."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise ConfigurationError(f"eps must be finite and > 0, got {eps}")
-    h = _eps_sq_per_dt(kind)
-    return StabilityThreshold(kind, math.inf if h is None else eps * eps / h, _FORMULAS[kind.tag])
+    """Uniqueness threshold on dt for the given scheme at interface width eps
+    (as ACParams takes it): dt_max = eps^2 / h, h from _eps_sq_per_dt or inf."""
+    eps2, h = _eps_sq(eps), _eps_sq_per_dt(kind)
+    return StabilityThreshold(kind, math.inf if h is None else eps2 / h, _FORMULAS[kind.tag])
 
 
 def _ratio_dt(kind: SchemeKind, ratio: float, eps: float = 1.0) -> float:
     """The time step whose ratio to the scheme's uniqueness threshold is `ratio`.
 
     dt = ratio eps^2 / h with stability_threshold's h; MODCN, unique at every
-    dt, is measured against CN's threshold.
+    dt, is measured against CN's threshold.  The ratio must be finite and > 0.
     """
+    if not (math.isfinite(ratio) and ratio > 0.0):
+        raise ConfigurationError(f"ratio must be finite and > 0, got {ratio}")
     return ratio * (eps * eps) / _eps_sq_per_dt(CN if kind.tag == "modcn" else kind)
 
 

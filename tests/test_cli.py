@@ -159,7 +159,7 @@ def test_ratio_must_be_finite_and_positive(ratio, tmp_path, capsys):
     assert _run("analyze", "classify", "--scheme", "cn", "--ratio", ratio, "--rmin", "-1",
                 "--rmax", "1", "--out", str(tmp_path / "c.csv")) == 2
     err = capsys.readouterr().err
-    assert err == f"error: --ratio must be finite and > 0, got {float(ratio)}\n"
+    assert err == f"error: ratio must be finite and > 0, got {float(ratio)}\n"
 
 
 @pytest.mark.parametrize("eps", ("1e160", "1e200", "1e-160", "1e-200"))
@@ -176,6 +176,24 @@ def test_eps_whose_square_is_not_a_double_exits_2(command, step, eps, tmp_path, 
     assert _run(*command, "--scheme", "cn", *step, "--eps", eps, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err == f"error: eps must be > 0 with eps^2 and 1/eps^2 finite and > 0, got {float(eps)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ("1e160", "1e200", "1e-160", "1e-200"))
+def test_thresholds_take_eps_as_acparams_does(eps, tmp_path, capsys):
+    # dt_max = eps^2 / h would be inf, 0 or subnormal here
+    out = tmp_path / "th.csv"
+    assert _run("analyze", "thresholds", "--eps", eps, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: eps must be > 0 with eps^2 and 1/eps^2 finite and > 0, got {float(eps)}\n"
+    assert not out.exists()
+
+
+def test_bifurcations_take_dt_or_ratio_not_both(tmp_path, capsys):
+    out = tmp_path / "bif.csv"
+    assert _run("analyze", "bifurcations", "--scheme", "cn", "--c", "0", "--dt", "1",
+                "--ratio", "2", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: supply exactly one of --dt and --ratio\n"
     assert not out.exists()
 
 
@@ -198,6 +216,39 @@ def test_bad_field_spec(tmp_path):
             "--out", str(tmp_path / "t.csv"))
     assert _run("simulate", "garbage:1", *base) == 2
     assert _run("simulate", "const+mode:1,2", *base) == 2
+
+
+@pytest.mark.parametrize("spec", ("const", "const:", "const:x", "const:1,2", "const+mode:1,2",
+                                  "const+mode:1,2,3,4,5", "mode:1"))
+@pytest.mark.parametrize("command", ("simulate", "preimage"))
+def test_malformed_field_spec_exits_2_with_no_csv(command, spec, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert _run(command, spec, "--scheme", "cn", "--eps", "0.1", "--dt", "0.01",
+                "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: bad field spec {spec!r}: expected const:<v> "
+                                       "or const+mode:<v>,<d>,<k[,l]>\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, dim", (("const+mode:0.5,0.1,1", "2"),
+                                       ("const+mode:0.5,0.1,1,2", "1")))
+def test_a_mode_of_another_dimension_than_dim_exits_2(spec, dim, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert _run("simulate", spec, "--scheme", "cn", "--eps", "0.1", "--dt", "0.01",
+                "--dim", dim, "--out", str(out)) == 2
+    comps = spec.count(",") - 1
+    assert capsys.readouterr().err == (f"error: mode has {comps} component(s) but grid is "
+                                       f"{dim}-dimensional\n")
+    assert not out.exists()
+
+
+def test_a_mode_with_k_and_l_runs_in_2d_at_n_65(tmp_path):
+    spec = "const+mode:0.5,0.1,1,2"
+    out, want = tmp_path / "spec.csv", tmp_path / "dim.csv"
+    base = ("--scheme", "cn", "--eps", "0.1", "--dt", "0.01", "--steps", "2")
+    assert _run("simulate", spec, *base, "--out", str(out)) == 0
+    assert _run("simulate", spec, *base, "--dim", "2", "--n", "65", "--out", str(want)) == 0
+    assert out.read_bytes() == want.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +521,24 @@ def test_config_values_are_read_as_the_command_line_reads_them(tmp_path, capsys,
     assert capsys.readouterr().out.endswith("check: all values match\n")
 
 
+def test_config_false_leaves_a_const_flag_out(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "t4.csv"
+    cfg.write_text(json.dumps({"check": False}))
+    assert _run("reproduce", "table4", "--config", str(cfg), "--out", str(out)) == 0
+    assert out.exists()
+    assert capsys.readouterr().out == f"wrote {out}\n"
+
+
+@pytest.mark.parametrize("value", ("no", 0, 1))
+def test_config_const_flag_rejects_other_values(value, tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "t4.csv"
+    cfg.write_text(json.dumps({"check": value}))
+    assert _run("reproduce", "table4", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: config key 'check': expected true or false, "
+                                       f"got {value!r}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, values", [
     (("reproduce", "table4", "--check"),
      {"steps": "many", "scheme": "rk4", "newton_tol": "tight"}),
@@ -576,13 +645,21 @@ def test_a_flag_the_command_never_reads_exits_2(argv, tmp_path, capsys):
 
 
 def test_float_array_csv_has_the_per_cell_bytes(tmp_path):
-    # a field CSV takes one format per row; _fmt formats each cell of the list rows
+    # columns take one format per row; _fmt formats each cell of the list rows
     values = np.array([[-0.0, np.nan, np.inf], [-np.inf, 1e-300, 1e300], [-1e-300, 0.1, -2.5]])
     fast, cells = tmp_path / "fast.csv", tmp_path / "cells.csv"
-    cli._write_csv(str(fast), ["a", "b", "c"], values)
+    cli._write_csv(str(fast), ["a", "b", "c"], tuple(values.T))
     cli._write_csv(str(cells), ["a", "b", "c"], values.tolist())
     assert fast.read_bytes() == cells.read_bytes()
     assert fast.read_bytes() == b"a,b,c\n0,nan,inf\n-inf,1e-300,1e+300\n-1e-300,0.1,-2.5\n"
+    # an int column between float columns, as classify writes them
+    ints = np.array([-7, 0, 2**62], dtype=np.int64)
+    columns = (values[:, 0], ints, values[:, 1], values[:, 2])
+    cli._write_csv(str(fast), ["a", "i", "b", "c"], columns)
+    cli._write_csv(str(cells), ["a", "i", "b", "c"], zip(*(c.tolist() for c in columns)))
+    assert fast.read_bytes() == cells.read_bytes()
+    assert fast.read_bytes() == (b"a,i,b,c\n0,-7,nan,inf\n-inf,0,1e-300,1e+300\n"
+                                 b"-1e-300,4611686018427387904,0.1,-2.5\n")
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,13 @@ def test_threshold_validation():
         stability_threshold(BE, 0.0)
 
 
+@pytest.mark.parametrize("eps", (-1.0, math.nan, math.inf, 1e160, 1e200, 1e-160, 1e-200))
+def test_threshold_takes_eps_as_acparams_does(eps):
+    # eps as ACParams takes it: eps^2 and 1/eps^2 finite and > 0
+    with pytest.raises(ConfigurationError, match="eps must be > 0 with eps"):
+        stability_threshold(BE, eps)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(1e-3, 10.0))
 @example(0.1)
