@@ -3,7 +3,8 @@
 Commands
 --------
 reproduce  table1|table2|table3|table4|fig1-data|fig5-data; --check compares
-           computed cells to the embedded reference values (exit 4 on mismatch).
+           the written rows cell by cell with rows built the same way from the
+           embedded reference tables (exit 4 on mismatch).
 simulate   run a time stepper from an initial spec and write trajectory.csv
            with columns step,t,min,max,center,l2,sign; the last row is
            "settle,<first settled step or -1>,<limit sign>,,,,".
@@ -37,6 +38,7 @@ import json
 import math
 import os
 import sys
+from itertools import pairwise, zip_longest
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -198,78 +200,59 @@ def _read_spec(args, spec: str):
 # reproduce
 
 
-def _table_rows(kind: SchemeKind):
-    return [[ratio, *interval_sequence(kind, ratio, 4).entries] for ratio in reference.RATIOS]
+def _entry_names(kind: SchemeKind, count: int) -> list[str]:
+    """Names of interval_sequence(kind, ratio, count).entries: r1, r2, ...,
+    or r1, s1, r2, s2, ... for a two-stage DIRK scheme."""
+    families = ("r", "s") if kind.tag == "dirk" else ("r",)
+    return [f"{name}{i}" for i in range(1, count + 1) for name in families]
 
 
-def _interval_rows(kind: SchemeKind):
-    """fig-data rows: (ratio, interval index, lower, upper, limit sign)."""
-    rows = []
-    for ratio in reference.RATIOS:
-        ent = interval_sequence(kind, ratio, 4).entries
-        bounds = [-x for x in reversed(ent)] + [0.0] + list(ent)
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            # positive-side interval j (0-based from 0) settles at (-1)^j;
-            # mirrored intervals settle at the opposite sign
-            j = i - len(ent)
-            limit = (-1) ** j if j >= 0 else -((-1) ** (-j - 1))
-            rows.append([ratio, i, lo, hi, limit])
-    return rows
+def _intervals(kind: SchemeKind) -> dict:
+    """{ratio: its first 4 entries per family} over the ratios of reference.TABLE1-3."""
+    return {ratio: interval_sequence(kind, ratio, 4).entries for ratio in reference.RATIOS}
 
 
-def _threshold_rows(eps: float):
-    """(scheme, formula, dt_max) of every scheme's uniqueness threshold at eps."""
-    rows = []
-    for name in ("be", "cn", "modcn", "dirk2"):
-        th = stability_threshold(parse_scheme(name), eps)
-        rows.append([name, th.formula, th.dt_max])
-    return rows
+def _thresholds(eps: float) -> dict:
+    """{scheme: (formula, dt_max)} of every uniqueness threshold at eps; TABLE4's at eps = 1."""
+    ths = (stability_threshold(parse_scheme(name), eps) for name in ("be", "cn", "modcn", "dirk2"))
+    return {th.scheme.label: (th.formula, th.dt_max) for th in ths}
 
 
-def _table_cells(rows, table):
-    """Interval-table cells: each row's values against its ratio's printed row."""
-    for row in rows:
-        for i, (got, want) in enumerate(zip(row[1:], table[row[0]]), start=1):
-            yield f"ratio={row[0]:g} column {i}", got, want
+def _table_rows(table: dict):
+    """One row per key: the key, then its values."""
+    return [[key, *values] for key, values in table.items()]
 
 
-def _interval_cells(rows, table):
-    """fig-data cells per ratio: the positive upper endpoints as a row of the
-    printed table, and limit signs that alternate from interval to interval."""
-    per_ratio = len(rows) // len(reference.RATIOS)
-    for base in range(0, len(rows), per_ratio):
-        chunk = rows[base:base + per_ratio]
-        yield from _table_cells([[chunk[0][0], *(row[3] for row in chunk[per_ratio // 2:])]], table)
-        limits = [row[4] for row in chunk]
-        alternate = all(a != b for a, b in zip(limits, limits[1:]))
-        yield f"ratio={chunk[0][0]:g} limit signs alternate", alternate, True
+def _interval_rows(table: dict):
+    """fig-data rows (ratio, interval index, lower, upper, limit sign): each
+    ratio's entries mirrored about 0 bound the intervals; positive-side
+    interval j (0-based from 0) settles at (-1)^j, its mirror image at the
+    opposite sign."""
+    return [[ratio, i, lo, hi, (-1) ** abs(i - len(ent))] for ratio, ent in table.items()
+            for i, (lo, hi) in enumerate(pairwise([-x for x in reversed(ent)] + [0.0, *ent]))]
 
 
-def _threshold_cells(rows, table):
-    """table4 cells: each scheme's (formula, dt_max / eps^2) pair."""
-    for name, formula, factor in rows:
-        yield name, (formula, factor), table[name]
-
-
-_TABLE_HEADER = ["ratio", "r1", "r2", "r3", "r4"]
 _INTERVAL_HEADER = ["ratio", "interval", "lower", "upper", "limit"]
 
-# reproduce target -> (CSV header, row builder, its argument, reference cells, reference)
+# reproduce target -> (CSV header, layout, computed table, reference table);
+# both tables are {key: values}, and the layout turns either into CSV rows
 _TARGETS = {
-    "table1": (_TABLE_HEADER, _table_rows, CN, _table_cells, reference.TABLE1),
-    "table2": (_TABLE_HEADER, _table_rows, MODCN, _table_cells, reference.TABLE2),
-    "table3": (["ratio", "r1", "s1", "r2", "s2", "r3", "s3", "r4", "s4"],
-               _table_rows, DIRK2, _table_cells, reference.TABLE3),
-    "table4": (["scheme", "formula", "dt_max_over_eps2"],
-               _threshold_rows, 1.0, _threshold_cells, reference.TABLE4),
-    "fig1-data": (_INTERVAL_HEADER, _interval_rows, CN, _interval_cells, reference.TABLE1),
-    "fig5-data": (_INTERVAL_HEADER, _interval_rows, DIRK2, _interval_cells, reference.TABLE3),
+    "table1": (["ratio", *_entry_names(CN, 4)], _table_rows, lambda: _intervals(CN),
+               reference.TABLE1),
+    "table2": (["ratio", *_entry_names(MODCN, 4)], _table_rows, lambda: _intervals(MODCN),
+               reference.TABLE2),
+    "table3": (["ratio", *_entry_names(DIRK2, 4)], _table_rows, lambda: _intervals(DIRK2),
+               reference.TABLE3),
+    "table4": (["scheme", "formula", "dt_max_over_eps2"], _table_rows, lambda: _thresholds(1.0),
+               reference.TABLE4),
+    "fig1-data": (_INTERVAL_HEADER, _interval_rows, lambda: _intervals(CN), reference.TABLE1),
+    "fig5-data": (_INTERVAL_HEADER, _interval_rows, lambda: _intervals(DIRK2), reference.TABLE3),
 }
 
 
 def _agrees(got, want) -> bool:
-    """Printed numbers agree to reference.CHECK_TOL; any other cell must be equal."""
-    if isinstance(want, float):
+    """Numbers agree to reference.CHECK_TOL, inf only with inf; any other cell must be equal."""
+    if isinstance(want, float) and isinstance(got, float) and math.isfinite(want):
         return abs(got - want) <= reference.CHECK_TOL * max(1.0, abs(want))
     return got == want
 
@@ -277,14 +260,20 @@ def _agrees(got, want) -> bool:
 def cmd_reproduce(args) -> int:
     if args.id not in _TARGETS:
         raise ConfigurationError(f"unknown reproduce target {args.id!r}")
-    header, build, arg, cells, table = _TARGETS[args.id]
-    rows = build(arg)
+    header, layout, computed, table = _TARGETS[args.id]
+    rows = layout(computed())
     _emit(args.out or f"{args.id.replace('-', '_')}.csv", header, rows)
     if not args.check:
         return 0
-    bad = [cell for cell in cells(rows, table) if not _agrees(cell[1], cell[2])]
-    for where, got, want in bad:
-        print(f"{args.id} {where}: computed {got} != reference {want}", file=sys.stderr)
+    want = layout(table)
+    bad = [f"{args.id} row {i} ({_fmt(got_row[0])}) column {column}: "
+           f"computed {got} != reference {ref}"
+           for i, (got_row, want_row) in enumerate(zip(rows, want), start=1)
+           for column, got, ref in zip_longest(header, got_row, want_row) if not _agrees(got, ref)]
+    if len(rows) != len(want):
+        bad.append(f"{args.id}: {len(rows)} rows computed, {len(want)} in the reference")
+    for line in bad:
+        print(line, file=sys.stderr)
     if bad:
         print(f"check: {len(bad)} mismatch(es)", file=sys.stderr)
         return 4
@@ -320,12 +309,14 @@ def cmd_simulate(args) -> int:
 
 
 def _analyze_thresholds(args) -> int:
-    return _emit(args.out, ["scheme", "formula", "dt_max"], _threshold_rows(args.eps))
+    return _emit(args.out, ["scheme", "formula", "dt_max"], _table_rows(_thresholds(args.eps)))
 
 
 def _analyze_bifurcations(args) -> int:
     kind = parse_scheme(args.scheme)
-    # the enumeration solves for eps, so --dt alone needs none
+    # the enumeration solves for eps, so --dt takes none
+    if args.dt is not None and args.ratio is None and args.eps is not None:
+        raise ConfigurationError("--eps goes with --ratio; with --dt it is solved for")
     dt = args.dt if args.ratio is None and args.dt is not None else _resolve_params(args).dt
     points = enumerate_bifurcations(kind, args.c, dt, args.eps_min, max_k=args.max_k, dim=args.dim)
     rows = [[*bp.mode.k, ""][:2] + [bp.eps_sq, bp.eigenfunction, bp.note] for bp in points]
@@ -335,15 +326,9 @@ def _analyze_bifurcations(args) -> int:
 
 def _analyze_intervals(args) -> int:
     kind = parse_scheme(args.scheme)
-    seq = interval_sequence(kind, args.ratio, args.count)
-    rows = []
-    if kind.tag == "dirk":
-        for i, (r, s) in enumerate(zip(seq.r_values(), seq.s_values()), start=1):
-            rows.append([kind.label, args.ratio, f"r{i}", r])
-            rows.append([kind.label, args.ratio, f"s{i}", s])
-    else:
-        for i, r in enumerate(seq.entries, start=1):
-            rows.append([kind.label, args.ratio, f"r{i}", r])
+    entries = interval_sequence(kind, args.ratio, args.count).entries
+    rows = [[kind.label, args.ratio, name, x]
+            for name, x in zip(_entry_names(kind, args.count), entries)]
     return _emit(args.out, ["scheme", "ratio", "name", "value"], rows)
 
 

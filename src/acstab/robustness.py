@@ -186,16 +186,6 @@ class IntervalSequence:
     ratio: float
     entries: tuple[float, ...]
 
-    def r_values(self) -> tuple[float, ...]:
-        if self.scheme.tag == "dirk":
-            return self.entries[0::2]
-        return self.entries
-
-    def s_values(self) -> tuple[float, ...]:
-        if self.scheme.tag == "dirk":
-            return self.entries[1::2]
-        return ()
-
 
 def interval_sequence(kind: SchemeKind, ratio: float, count: int) -> IntervalSequence:
     """First `count` threshold magnitudes per family at the given ratio.

@@ -229,7 +229,7 @@ def test_forward_iteration_flips_at_the_tabulated_thresholds(kind, ratio):
     below = classify_constant_initial(kind, entries * (1 - 1e-7), p, max_steps=10_000).limit
     above = classify_constant_initial(kind, entries * (1 + 1e-7), p, max_steps=10_000).limit
     assert np.all(below != 0) and np.all(above == -below)
-    rows = [row for row in cli._interval_rows(kind) if row[0] == ratio]
+    rows = [row for row in cli._interval_rows(cli._intervals(kind)) if row[0] == ratio]
     mid = np.array([(lo + hi) / 2 for _, _, lo, hi, _ in rows])
     limits = classify_constant_initial(kind, mid, p, max_steps=10_000).limit
     assert limits.tolist() == [row[4] for row in rows]

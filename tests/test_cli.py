@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -69,18 +70,23 @@ def test_reproduce_check_mismatch_exits_4(target, table, key, corrupt, tmp_path,
     assert "mismatch" in capsys.readouterr().err
 
 
-def test_reproduce_check_flags_limits_that_fail_to_alternate(tmp_path, monkeypatch, capsys):
-    header, build, kind, cells, table = cli._TARGETS["fig1-data"]
+def test_reproduce_check_names_the_mismatched_cell(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(reference.TABLE1, 0.25, (2.236, 3.243, 9.9, 4.625))
+    assert _run("reproduce", "table1", "--check", "--out", str(tmp_path / "t.csv")) == 4
+    line, total = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"table1 row 4 \(0\.25\) column r3: computed 3\.996\d* != reference 9\.9", line)
+    assert total == "check: 1 mismatch(es)"
 
-    def rows(kind):
-        out = build(kind)
-        out[1][4] = out[0][4]
-        return out
 
-    monkeypatch.setitem(cli._TARGETS, "fig1-data", (header, rows, kind, cells, table))
-    assert _run("reproduce", "fig1-data", "--check", "--out", str(tmp_path / "f.csv")) == 4
-    err = capsys.readouterr().err
-    assert "limit signs alternate" in err and "1 mismatch" in err
+@pytest.mark.parametrize("target", ("table3", "fig5-data"))
+def test_reproduce_check_counts_a_missing_row(target, tmp_path, monkeypatch, capsys):
+    monkeypatch.delitem(reference.TABLE3, 0.5)
+    assert _run("reproduce", target, "--check", "--out", str(tmp_path / "t.csv")) == 4
+    rows = 5 if target == "table3" else 5 * 16  # fig5-data: 16 intervals per ratio
+    assert capsys.readouterr().err.splitlines() == [
+        f"{target}: {rows} rows computed, {rows - rows // 5} in the reference",
+        "check: 1 mismatch(es)",
+    ]
 
 
 def test_reproduce_deterministic(tmp_path):
@@ -194,6 +200,15 @@ def test_bifurcations_take_dt_or_ratio_not_both(tmp_path, capsys):
     assert _run("analyze", "bifurcations", "--scheme", "cn", "--c", "0", "--dt", "1",
                 "--ratio", "2", "--out", str(out)) == 2
     assert capsys.readouterr().err == "error: supply exactly one of --dt and --ratio\n"
+    assert not out.exists()
+
+
+def test_bifurcations_take_eps_only_with_ratio(tmp_path, capsys):
+    out = tmp_path / "bif.csv"
+    assert _run("analyze", "bifurcations", "--scheme", "cn", "--c", "0", "--dt", "1",
+                "--eps", "0.1", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--eps" in err and "--dt" in err
     assert not out.exists()
 
 

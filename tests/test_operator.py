@@ -129,14 +129,27 @@ def test_certificate_is_the_uniqueness_condition():
     assert not ShiftedLaplacian(g, 1.5, -0.3, d).certified  # b < 0
 
 
+@st.composite
+def certified_operators(draw):
+    """2D operators with b >= 0 and a = slack - min(d), the slack > 0 drawn
+    log-uniformly down to rounding sizes, where a + min(d) may round to 0."""
+    grid = make_grid(2, draw(st.sampled_from(_NS)))
+    b = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0, allow_subnormal=False)))
+    center = draw(st.floats(-300.0, 300.0, allow_subnormal=False))
+    spread = draw(st.floats(0.0, 300.0, allow_subnormal=False))
+    d = center + spread * np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+        -1.0, 1.0, grid.num_nodes)
+    a = 10.0 ** draw(st.floats(-16.0, 2.5)) - float(np.min(d))
+    return ShiftedLaplacian(grid, a, b, d)
+
+
 @settings(max_examples=200, deadline=None)
-@given(operators(dims=(2,)))
-def test_certified_mean_diagonal_operator_is_positive(drawn):
+@given(certified_operators())
+def test_certified_mean_diagonal_operator_is_positive(op):
     # on a certified operator (a + mean(d)) - b lam > 0 at every DCT-I
     # eigenvalue lam <= 0 of L, so the preconditioner's absolute value is the
     # operator itself; np.mean may round a few ulps below min(d), which only
     # matters when a + min(d) is within rounding of 0
-    op, _ = drawn
     assume(op.certified)
     lam = laplacian_eigenvalues(op.grid)
     assert np.max(lam) <= 0.0

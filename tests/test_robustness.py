@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acstab import reference
+from acstab import cli, reference
 import acstab.robustness as robustness
 import acstab.solvers as solvers
 from acstab.errors import AnalysisError, ConfigurationError
@@ -83,8 +83,11 @@ def test_dirk_table(ratio):
         assert _close(got, want)
     # r and s families interleave strictly
     assert all(a < b for a, b in zip(seq.entries, seq.entries[1:]))
-    assert seq.r_values() == seq.entries[0::2]
-    assert seq.s_values() == seq.entries[1::2]
+    # named as table3 and analyze intervals name them: r_i at the even
+    # positions, s_i at the odd
+    named = dict(zip(cli._entry_names(DIRK2, 4), seq.entries))
+    assert [named[f"r{i}"] for i in range(1, 5)] == list(seq.entries[0::2])
+    assert [named[f"s{i}"] for i in range(1, 5)] == list(seq.entries[1::2])
 
 
 def test_closed_forms_random():
@@ -116,7 +119,7 @@ def test_interval_entries_map_to_zero_then_onto_their_predecessors(kind, ratio):
     seq = interval_sequence(kind, ratio, 4)
     dt = ratio / kind.tableau.max_diag if kind.tag == "dirk" else 2.0 * ratio
     p = ACParams(1.0, dt)
-    families = (seq.r_values(), seq.s_values()) if kind.tag == "dirk" else (seq.entries,)
+    families = (seq.entries[0::2], seq.entries[1::2]) if kind.tag == "dirk" else (seq.entries,)
     for family in families:
         assert len(family) == 4
         for x, target in zip(family, (0.0, *family[:-1])):
