@@ -257,7 +257,8 @@ def classify_constant_initial(
     r is a float or a 1-D array of initial constants; an array is iterated
     as a whole, one selected-chain step (schemes._selected_images) per time
     step for the states still moving, and a float is its size-1 case.  Each
-    state's images are bit for bit the ones scalar_map marks selected.  A
+    image is the field stepper's own: the one scalar_map marks selected,
+    unless scalar_map merged it into a smaller image within MERGE_TOL.  A
     state stops once it settles; an unsettled exact fixed point (the image
     equals the value it came from) repeats at every later step, so its
     pattern is completed without further maps.  Raises AnalysisError naming
@@ -279,7 +280,7 @@ def classify_constant_initial(
     for k in range(1, max_steps + 1):
         if not live.size:
             break
-        prev, cur = cur, _selected_images(kind, cur, p)
+        prev, cur = cur, _selected_images(kind, cur, p)[0]
         finite = np.isfinite(cur)
         if np.count_nonzero(finite) < finite.size:
             raise AnalysisError(f"r = {r0[live[~finite][0]]:.9g} has no finite image at step {k}: "

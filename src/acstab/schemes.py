@@ -28,10 +28,9 @@ Each scheme's step is read forward once, ``_forward_stages``: its stages'
 terms, each from phi_n and the forces F of earlier stages, and the weights
 b combining all forces into phi_{n+1} (be/cn/modcn: one stage, phi_{n+1}).
 ``step`` walks it on fields, one Newton solve per stage started from the
-previous stage.  Constant fields stay constant, so ``_constant_images`` walks
-it once on a whole array of constants: every chain of cubic roots, with the
-one the field stepper takes marked.  ``scalar_map`` is its one-state case,
-and classify's ``_selected_images`` reads the marked column.
+previous stage.  Constant fields stay constant, and there each stage is a
+cubic: ``_selected_images`` walks the chain of its roots that the stepper
+takes on a whole array of constants, ``scalar_map`` every chain from one.
 """
 
 from __future__ import annotations
@@ -394,80 +393,60 @@ def _nearest(roots, x):
     return np.argmin(np.where(np.isnan(dist), np.inf, dist), axis=-1)
 
 
-def _constant_images(kind: SchemeKind, r: np.ndarray, p: ACParams):
-    """Every constant image of each constant state in the 1-D array r under one step.
+def _selected_images(kind: SchemeKind, r: np.ndarray, p: ACParams):
+    """(images, picks): the image the field stepper reaches from each constant
+    in the 1-D array r under one step (NaN where not finite), and picks[k] the
+    index (ascending) of the root it takes at stage k.
 
-    Walks the forward stages on constants, each stage a cubic per chain of
-    stage roots.  Every state starts as one chain, and a stage where some
-    cubic has several real roots branches every chain into three, one per
-    root, NaN past the real ones.  Returns (images, selected): images[i]
-    lists state i's images ascending with NaN after them, an image within
-    MERGE_TOL of the first of its run merged into it, and selected[i] is the
-    column the field stepper's chain reaches.  Its Newton iterate, started
-    from r and then from the previous stage as in step, picks the nearest
-    root at each stage; it runs only for the states with several images,
-    since one leaves no choice.
+    One cubic per state and stage.  Where it has several real roots, the
+    stepper's Newton iterate picks the nearest; it starts from r, then from
+    the previous stage's iterate, or from its root where it had only one.
     """
     stages, b = _forward_stages(kind, p)
-    # v0 and fs: each chain's state and stage forces; walked: each stage's roots, by
-    # state and chain; several: the states with more than one chain
-    v0, fs, walked, several = r, [], [], False
+    start, fs, picks = r, [], []
     with np.errstate(all="ignore"):
         for stage in stages:
-            roots = _cubic_roots(*constant_cubic(p, *stage(v0, fs, _no_lap)))[0]
-            second = roots[:, 1] == roots[:, 1]  # not NaN
-            branch = np.count_nonzero(second)
-            if branch:
-                several = several | second.reshape(r.size, -1).any(axis=1)
-                v0, fs, x = np.repeat(v0, 3), [np.repeat(f, 3) for f in fs], roots.ravel()
-            else:
-                x = roots[:, 0]
-            walked.append((roots.reshape(r.size, -1, 3), branch))
+            roots = _cubic_roots(*constant_cubic(p, *stage(r, fs, _no_lap)))[0]
+            several = np.flatnonzero(roots[:, 1] == roots[:, 1])  # a second real root
+            pick, guess, start = np.zeros(r.size, dtype=int), start[several], roots[:, 0].copy()
+            if several.size:
+                terms = stage(r[several], [f[several] for f in fs], _no_lap)
+                start[several] = _newton_each(*constant_residual(p, *terms), guess)[0]
+                pick[several] = _nearest(roots[several], start[several])
+            x = roots[np.arange(r.size), pick]
+            picks.append(pick)
             if b is not None:
                 fs.append(ac_force(0.0, x, p))
-        images = (x if b is None else _weighted(v0, b, fs, p.dt)).reshape(r.size, -1)
-        selected = np.zeros(r.size, dtype=int)
-        if images.shape[1] == 1:  # one chain per state
-            return images, selected
-        several = np.flatnonzero(several)
-        chain, start, fs = selected[several], r[several], []  # the stepper's chain
-        for stage, (roots, branch) in zip(stages, walked):
-            start = _newton_each(*constant_residual(p, *stage(r[several], fs, _no_lap)), start)[0]
-            roots = roots[several, chain]
-            pick = _nearest(roots, start)
-            if b is not None:
-                fs.append(ac_force(0.0, roots[np.arange(several.size), pick], p))
-            chain = chain * 3 + pick if branch else chain
-        # sort each of them, the stepper's image after the images equal to it (0.0 and
-        # -0.0 tie), and merge each run within MERGE_TOL into its first
-        cols = np.arange(images.shape[1]) + (np.arange(images.shape[1]) >= chain[:, None])
-        cols[:, -1] = chain
-        mine = images[several, chain]
-        rows = np.sort(images[several[:, None], cols], axis=1, kind="stable")
-        first, lead = np.ones(rows.shape, dtype=bool), rows[:, 0]
-        for j in range(1, rows.shape[1]):
-            first[:, j] = ~(np.abs(rows[:, j] - lead) <= MERGE_TOL)
-            lead = np.where(first[:, j], rows[:, j], lead)
-        images[several] = rows if first.all() else np.sort(np.where(first, rows, np.nan), axis=1)
-    selected[several] = (first & (rows <= mine[:, None])).sum(axis=1) - 1
-    return images, selected
+        return (x if b is None else _weighted(r, b, fs, p.dt)), picks
 
 
 def scalar_map(kind: SchemeKind, r: float, p: ACParams) -> list[tuple[float, bool]]:
-    """All constant images c of a constant state r under one step: the one-state
-    _constant_images, as (c, selected) pairs in ascending order.
+    """All constant images c of a constant state r under one step, as (c, selected)
+    pairs in ascending order; selected marks the chain _selected_images picks.
 
-    Raises AnalysisError when r has no finite image.
+    Walks every chain of stage roots on floats, one cubic per chain and stage.
+    An image within MERGE_TOL of the first of its run merges into it, the
+    stepper's after those equal to it (0.0 and -0.0 tie).  Raises
+    AnalysisError when r has no finite image.
     """
-    images, selected = _constant_images(kind, np.array([float(r)]), p)
-    if not np.isfinite(images[0]).any():
+    r = float(r)
+    stages, b = _forward_stages(kind, p)
+    picks = tuple(int(k[0]) for k in _selected_images(kind, np.array([r]), p)[1])
+    chains = [((), (), r)]  # per chain: its root indices, stage forces and last stage value
+    with np.errstate(all="ignore"):
+        for stage in stages:
+            chains = [(path + (j,), fs + (ac_force(0.0, x, p),), x) for path, fs, _ in chains
+                      for j, x in enumerate(_cubic_roots(*constant_cubic(p, *stage(r, fs, _no_lap)))[0])]
+        images = [(x if b is None else _weighted(r, b, fs, p.dt), path == picks)
+                  for path, fs, x in chains]
+    images = sorted(pair for pair in images if pair[0] == pair[0])  # NaN images dropped
+    if not np.isfinite([c for c, _ in images]).any():
         raise AnalysisError(f"r = {r!r} has no finite image: a stage cubic's coefficients "
                             "are not finite or its roots overflow")
-    return [(float(c), j == int(selected[0])) for j, c in enumerate(images[0]) if c == c]
-
-
-def _selected_images(kind: SchemeKind, r: np.ndarray, p: ACParams) -> np.ndarray:
-    """The image the field stepper reaches from each constant state in the 1-D
-    array r: _constant_images' selected column, NaN where a state has no finite image."""
-    images, selected = _constant_images(kind, r, p)
-    return images[:, 0] if images.shape[1] == 1 else images[np.arange(r.size), selected]
+    merged = images[:1]
+    for c, selected in images[1:]:
+        if abs(c - merged[-1][0]) <= MERGE_TOL:
+            merged[-1] = (merged[-1][0], merged[-1][1] or selected)
+        else:
+            merged.append((c, selected))
+    return merged

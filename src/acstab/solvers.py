@@ -152,12 +152,15 @@ def _linf(v: np.ndarray) -> float:
 
 
 def _refined_solve(solve, apply, rhs: np.ndarray) -> np.ndarray:
-    """solve(rhs), plus one refinement step if the true residual is too large."""
+    """solve(rhs), plus one refinement step if the true residual is too large;
+    LinAlgError where that residual is not finite, as it is for a non-finite x."""
     x = solve(rhs)
-    if not np.all(np.isfinite(x)):
+    with np.errstate(all="ignore"):
+        resid = rhs - apply(x)
+    rnorm = _linf(resid)
+    if not math.isfinite(rnorm):
         raise np.linalg.LinAlgError("singular or ill-conditioned Jacobian")
-    resid = rhs - apply(x)
-    if _linf(resid) > _LINEAR_RTOL * max(_linf(rhs), 1e-300):
+    if rnorm > _LINEAR_RTOL * max(_linf(rhs), 1e-300):
         x = x + solve(resid)
     return x
 
@@ -276,6 +279,7 @@ class ShiftedLaplacian:
         Stops within _KRYLOV_MAX_ITER iterations at the first x whose recursive
         residual is within max(_LINEAR_RTOL, rtol) of rhs, or whose Krylov
         space is invariant, and returns it only if its true residual is too.
+        Overflow raises no warning: a non-finite iterate fails both tests, a miss.
         """
         tol = max(_LINEAR_RTOL, rtol) * _linf(rhs)
         if tol == 0.0:
@@ -284,10 +288,11 @@ class ShiftedLaplacian:
         if precondition is None:
             return None
         method = _cg if self.certified else _minres
-        for x, r, invariant in islice(method(self, rhs, precondition, trapezoid_weights(self.grid)),
-                                      _KRYLOV_MAX_ITER):
-            if invariant or _linf(r) <= tol:
-                return x if _linf(rhs - self @ x) <= tol else None
+        iterates = method(self, rhs, precondition, trapezoid_weights(self.grid))
+        with np.errstate(all="ignore"):
+            for x, r, invariant in islice(iterates, _KRYLOV_MAX_ITER):
+                if invariant or _linf(r) <= tol:
+                    return x if _linf(rhs - self @ x) <= tol else None
         return None
 
 

@@ -1,10 +1,12 @@
 """Classification of constant initial states over arrays.
 
 classify_constant_initial walks a whole array of initial constants at once
-(schemes._selected_images, one step of the constant-image walk per time
-step).  These tests hold that walk, and scalar_map, its one-state case, to
-a float walk over every chain of stage roots kept here, bit for bit, and
-hold classify to the paper's robustness results: the limit flips at the
+(schemes._selected_images, one step along the field stepper's chain of stage
+roots per time step).  These tests hold that walk, and scalar_map's list of
+every image, to a float walk over every chain of stage roots kept here, bit
+for bit: the walk's image is the one scalar_map marks selected, except where
+scalar_map merges it within MERGE_TOL into a smaller image.  They hold
+classify to the paper's robustness results: the limit flips at the
 tabulated thresholds, backward Euler under its stability condition reaches
 sign(r), and every scheme is odd.
 """
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acstab import cli
+from acstab import cli, schemes
 from acstab.errors import AnalysisError, ConfigurationError
 from acstab.fields import ACParams, ac_force
 from acstab.reference import RATIOS
@@ -35,6 +37,7 @@ from acstab.schemes import (
     scalar_map,
 )
 from acstab.solvers import newton_solve, real_cubic_roots
+from acstab.stability import _ratio_dt
 
 SETTLE_TOL = 1e-3
 # dt / eps^2 per unit of ratio, as the CLI's --ratio reads it: ratio 1 is the
@@ -143,7 +146,7 @@ def test_array_classify_is_the_scalar_map_bit_for_bit(kind, eps, ratio, extra):
     # one step: every image and flag of every state, and the selected image, to the bit
     want = [_reference_scalar_map(kind, x, p) for x in r.tolist()]
     assert [_bits(scalar_map(kind, x, p)) for x in r.tolist()] == [_bits(w) for w in want]
-    images = _selected_images(kind, r, p)
+    images = _selected_images(kind, r, p)[0]
     assert [c.hex() for c in images.tolist()] == [_selected(w).hex() for w in want]
     # whole trajectories: the array, each state alone, and the reference loop agree
     max_steps = 40
@@ -167,21 +170,40 @@ def test_constant_images_are_the_reference_walk_on_a_grid(kind, ratio):
     got = [scalar_map(kind, x, p) for x in r.tolist()]
     assert all(isinstance(selected, bool) for pairs in got for _, selected in pairs)
     assert [_bits(g) for g in got] == [_bits(w) for w in want]
-    assert [c.hex() for c in _selected_images(kind, r, p).tolist()] == [
+    assert [c.hex() for c in _selected_images(kind, r, p)[0].tolist()] == [
         _selected(w).hex() for w in want]
 
 
 def test_images_within_merge_tol_come_out_merged():
     # one ulp of dt past CN's uniqueness threshold, constants just inside the
-    # fold have three images, two of them within MERGE_TOL; they are listed
-    # once, by their smaller value, in scalar_map and in the array walk
+    # fold have three images, two of them within MERGE_TOL; scalar_map lists
+    # them once, by their smaller value.  The array walk follows the stepper's
+    # own image: the larger of the two for r > 0, the smaller for r < 0
     p = ACParams(1.0, math.nextafter(2.0, 3.0))
     r = 6.367639324339367e-25 * (1 - 1e-5 * np.arange(50))
     r = np.concatenate([r, -r])
     maps = [_reference_scalar_map(CN, x, p) for x in r.tolist()]
     assert all(len(images) == 2 for images in maps)
     assert [_bits(scalar_map(CN, x, p)) for x in r.tolist()] == [_bits(m) for m in maps]
-    assert _selected_images(CN, r, p).tolist() == [_selected(m) for m in maps]
+    images, selected = _selected_images(CN, r, p)[0], np.array([_selected(m) for m in maps])
+    assert np.all(np.abs(images - selected) <= MERGE_TOL)
+    assert np.all(images[:50] != selected[:50]) and np.array_equal(images[50:], selected[50:])
+
+
+def test_classify_solves_one_cubic_per_state_and_stage(monkeypatch):
+    # above DIRK2's threshold some states have three stage-1 roots; the walk
+    # follows the stepper's chain only, so stage 2 still has a row per state
+    rows = []
+    cubic_roots = schemes._cubic_roots
+
+    def counted(*coeffs):
+        rows.append(max(np.size(c) for c in coeffs))
+        return cubic_roots(*coeffs)
+
+    monkeypatch.setattr(schemes, "_cubic_roots", counted)
+    p = ACParams(1.0, _ratio_dt(DIRK2, 2.0))
+    classify_constant_initial(DIRK2, np.linspace(-5.0, 5.0, 1000), p, max_steps=5)
+    assert rows and max(rows) <= 1000
 
 
 def test_array_classify_result_form():

@@ -235,9 +235,21 @@ def test_false_recursive_convergence_falls_back_to_lu(monkeypatch, certified):
     assert calls == [1] and _linf(rhs - op @ x) <= 1e-12 * _linf(rhs)
 
 
+def _near_underflow(a, b, d, seed=0):
+    """A 2D n = 3 operator with d near the bottom of the float range: the
+    preconditioner divides by |a + mean(d)| (2 (n - 1))^2 and overflows."""
+    return ShiftedLaplacian(make_grid(2, 3), a, b, np.asarray(d, dtype=float)), np.random.default_rng(seed)
+
+
+_SIGNS = (1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(operators(dims=(2,)), st.floats(-12.0, -1.0))
 @example((_helmholtz(33, 0.3), np.random.default_rng(0)), -12.0)
+@example(_near_underflow(0.0, 1.0, np.full(9, 1.86e-167), seed=1), -1.0)
+@example(_near_underflow(0.0, 1.0, np.multiply(_SIGNS, 1.86e-167)), -1.0)
+@example(_near_underflow(0.0, 0.0, np.full(9, 2.2250738585072014e-308)), -1.0)
 def test_krylov_runs_at_most_its_iteration_cap(drawn, log_rtol):
     op, rng = drawn
     name = "_cg" if op.certified else "_minres"
@@ -253,6 +265,13 @@ def test_krylov_runs_at_most_its_iteration_cap(drawn, log_rtol):
     with mock.patch.object(solvers, name, counted):
         op._krylov(rhs, 10.0 ** log_rtol)
     assert len(iterations) <= solvers._KRYLOV_MAX_ITER
+
+
+def test_solve_raises_where_its_true_residual_is_not_finite():
+    # sparse LU returns x of about 6e307, whose residual evaluates -b L x as 0 * inf
+    op, rng = _near_underflow(0.0, 0.0, np.full(9, 2.2250738585072014e-308))
+    with pytest.raises(np.linalg.LinAlgError, match="singular or ill-conditioned"):
+        op.solve(rng.standard_normal(9))
 
 
 @st.composite
