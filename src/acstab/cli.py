@@ -363,6 +363,8 @@ def _analyze_perturb(args) -> int:
     header = ["scheme", "c", "r", "k", "l", "gain0", "gain1", "gain2", "pole"]
     if kind.tag == "be":
         raise ConfigurationError("perturbation gains are defined for cn, modcn, dirk2")
+    if not (math.isfinite(args.c) and math.isfinite(args.r)):
+        raise ConfigurationError(f"--c and --r must be finite, got {args.c} and {args.r}")
     chains = preimage_constants(kind, args.c, p).chains if kind.tag == "dirk" else ()
     r, g = _branch_gains(kind, args.c, args.r, mode, p, chains)
     gains = [*g.gain, "", ""][:3]

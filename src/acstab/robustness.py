@@ -2,21 +2,21 @@
 
 Restricted to constant states, one implicit step is a polynomial relation
 between the previous value r and the next value c, so the preimages of c
-are roots of a cubic (or, for a two-stage DIRK scheme, of a short chain
-of cubics solved backward through the stages).  The magnitudes r_1 < r_2 <
+are roots of a cubic (or, for a DIRK scheme, of a short chain of cubics
+solved backward through the stages).  The magnitudes r_1 < r_2 <
 ... at which the preimage count of the steady states changes split the real
 line into intervals on which the computed trajectory from a constant
 initial state settles at +1 or -1 in an alternating pattern.  Each family
 starts at a positive constant preimage of 0 and continues through unique
-preimages; a two-stage DIRK scheme has two such preimages of 0, so a second
-family s_1 < s_2 < ... interleaves the first.
+preimages; DIRK2 has two such preimages of 0, so a second family
+s_1 < s_2 < ... interleaves the first.
 
 Every backward computation walks one description of the step read
 backward, ``_backward_links``: a chain of links from the result back to
 the start, each one equation between a later state x and an earlier state
 u, given as ``schemes.implicit_system`` terms in either side.  CN and MODCN
-are one implicit link, backward Euler one explicit link, and the two-stage
-DIRK scheme three links c -> phi_2 -> phi_1 -> r (the last explicit).  On
+are one implicit link, backward Euler one explicit link, and an s-stage
+DIRK scheme s + 1 links c -> phi_s -> ... -> phi_1 -> r (the last explicit).  On
 constants the walk gives ``preimage_constants`` (one cubic per implicit
 link), on fields ``preimage_field`` (one Newton solve per implicit link and
 continuation point), and on one Laplacian mode the gains below.
@@ -76,7 +76,7 @@ class PreimageSet:
     cubics holds the closed-form solves behind the roots, one per implicit
     link walked (none for backward Euler; the stage chain's cubics for
     DIRK).  chains pairs each root with its stage history, earliest first:
-    (r,) for the single-stage schemes and (r, phi_1, phi_2) for DIRK.  For
+    (r,) for the single-stage schemes and (r, phi_1, ..., phi_s) for DIRK.  For
     every scheme the chains are sorted by r, and chains whose r lies within
     MERGE_TOL of the previous kept one (a multiple root) are listed once.
     """
@@ -107,7 +107,10 @@ def _backward_links(kind: SchemeKind, p: ACParams):
     A link is one equation between a later state x and an earlier state u.
     bwd(x, lap_x) gives its implicit_system terms in u (lap_x = Lap(x), 0.0
     on constants), fwd(u) its terms in x on constants; a bwd with b = 0 is
-    explicit, u = s - k / a.  DIRK walks c -> phi_2 -> phi_1 -> r.
+    explicit, u = s - k / a.  DIRK takes phi_0 = r and b as a last, explicit
+    stage phi_{s+1} = c; link i, from c down to r, is stage equation i minus
+    stage equation i - 1 (which needs a_ij = a_{i-1,j} for every j < i - 1):
+    phi_i - dt a_ii F(phi_i) = phi_{i-1} + dt (a_{i,i-1} - a_{i-1,i-1}) F(phi_{i-1}).
     """
     dt = p.dt
     if kind.tag == "be":
@@ -117,26 +120,19 @@ def _backward_links(kind: SchemeKind, p: ACParams):
     if kind.tag != "dirk":
         return ((lambda u: _step_terms(kind, u, 0.0, p),
                  lambda x, lap_x: _backward_terms(kind, x, lap_x, p)),)
-    tab = kind.tableau
-    if tab.stages != 2:
-        raise ConfigurationError("backward stage elimination implemented for 2-stage tableaux")
-    (a11, _), (a21, a22) = tab.a
-    alpha, beta = a21 - a11, tab.b[1] - a22
-    if tab.b[0] != a21 or beta == 0.0 or alpha == 0.0:
+    # rows i = 0 (r), 1..s (the stages), s + 1 (c): rows[i][j] = a_ij for 1-based j, a_i0 = 0
+    rows = ((0.0,), *((0.0, *row) for row in kind.tableau.a), (0.0, *kind.tableau.b, 0.0))
+    if any(rows[i][:i - 1] != rows[i - 1][:i - 1] for i in range(2, len(rows))):
         raise ConfigurationError(
-            "tableau is not backward-triangular (needs b1 = a21 and nonzero a21 - a11, b2 - a22)"
-        )
-    return (
-        # c = phi_2 + dt beta F(phi_2)
-        (lambda u: (1.0, u + dt * beta * ac_force(0.0, u, p), 0.0),
-         lambda x, lap_x: (-1.0, x, dt * beta)),
-        # phi_2 - dt a22 F(phi_2) = phi_1 + dt alpha F(phi_1)
-        (lambda u: (1.0, u + dt * alpha * ac_force(0.0, u, p), dt * a22),
-         lambda x, lap_x: (-1.0, x - dt * a22 * ac_force(lap_x, x, p), dt * alpha)),
-        # phi_1 - dt a11 F(phi_1) = r
-        (lambda u: (1.0, u, dt * a11),
-         lambda x, lap_x: (-1.0, x, 0.0, -(dt * a11 * ac_force(lap_x, x, p)))),
-    )
+            "tableau is not readable backward: it needs a_ij = a_(i-1)j for j < i - 1")
+    return tuple(_dirk_link(dt * rows[i][i], dt * (rows[i][i - 1] - rows[i - 1][i - 1]), p)
+                 for i in range(len(rows) - 1, 0, -1))
+
+
+def _dirk_link(d: float, g: float, p: ACParams):
+    """(fwd, bwd) of x - d F(x) = u + g F(u), without F where its factor is 0 (0 * inf is NaN)."""
+    return (lambda u: (1.0, u + g * ac_force(0.0, u, p) if g else u, d),
+            lambda x, lap_x: (-1.0, x - d * ac_force(lap_x, x, p) if d else x, g))
 
 
 def _explicit(a, s, b, k=0.0, partner=None):
@@ -176,9 +172,9 @@ def preimage_constants(kind: SchemeKind, c: float, p: ACParams) -> PreimageSet:
 class IntervalSequence:
     """Threshold magnitudes splitting constant initial states by their limit.
 
-    entries is ascending: (r_1, ..., r_count) for the trapezoid schemes and
-    (r_1, s_1, ..., r_count, s_count) interleaved for a two-stage DIRK
-    scheme.  ratio is dt over the scheme's uniqueness threshold (see
+    entries is ascending: (r_1, ..., r_count) for one family, as for the
+    trapezoid schemes, and (r_1, s_1, ..., r_count, s_count) interleaved for
+    two, as for DIRK2.  ratio is dt over the scheme's uniqueness threshold (see
     stability._ratio_dt); the sequence depends on eps and dt only through it.
     """
 
@@ -191,18 +187,19 @@ def interval_sequence(kind: SchemeKind, ratio: float, count: int) -> IntervalSeq
     """First `count` threshold magnitudes per family at the given ratio.
 
     The step is taken at eps = 1 and dt = stability._ratio_dt(kind, ratio).
-    Each family starts at a positive constant preimage of 0 (CN and MODCN
-    have one, a two-stage DIRK scheme two), and each later entry is the
-    magnitude of the unique real preimage of its predecessor.  An
-    AnalysisError is raised where the families are not defined: another
-    number of positive preimages of 0, a preimage that is not unique, or
-    families that fail to interleave.
+    There is one family per implicit backward link (none for backward Euler,
+    a ConfigurationError), each starting at a positive constant preimage of
+    0; each later entry is the magnitude of the unique real preimage of its
+    predecessor.  An AnalysisError is raised where the families are not
+    defined: another number of positive preimages of 0, a preimage that is
+    not unique, or families that fail to interleave.
     """
-    p, families = ACParams(eps=1.0, dt=_ratio_dt(kind, ratio)), 2 if kind.tag == "dirk" else 1
+    p = ACParams(eps=1.0, dt=_ratio_dt(kind, ratio))
     if count < 1:
         raise ConfigurationError("count must be >= 1")
-    if kind.tag == "be":
-        raise ConfigurationError("backward Euler has a unique preimage everywhere; no sequence")
+    families = sum(bwd(0.0, 0.0)[2] != 0.0 for _fwd, bwd in _backward_links(kind, p))
+    if not families:
+        raise ConfigurationError(f"{kind.label} has a unique preimage everywhere; no sequence")
     rows = [[x] for x in preimage_constants(kind, 0.0, p).roots if x > MERGE_TOL]
     if len(rows) != families:
         raise AnalysisError(
@@ -317,7 +314,7 @@ class PerturbationGain:
 
     Perturbing the target by delta * mode moves the preimage branch through
     the constant r by delta * gain[-1] * mode to first order.  For the
-    trapezoid schemes gain is (B,); for the two-stage DIRK scheme it is
+    trapezoid schemes gain is (B,); for a two-stage DIRK scheme it is
     (B2, B1, B0) -- innermost stage outward, with c and r holding the stage
     constants (c2, c1).  pole means the linearization is singular there.
     """
@@ -336,8 +333,10 @@ def _chain_gains(kind, states, k: ModeIndex, p: ACParams) -> PerturbationGain:
     states holds the constants the walk passes, from the result to the start;
     link i joins x = states[i] to u = states[i + 1], and slopes are
     mode_slope's on mode k.  A vanishing bwd slope is a pole: from it on
-    every gain is nan.
+    every gain is nan.  Raises ConfigurationError for a state that is not finite.
     """
+    if not all(map(math.isfinite, states)):
+        raise ConfigurationError(f"constant states must be finite, got {states}")
     m = k.laplace_eigenvalue
     links = _backward_links(kind, p)
     gains: list[float] = []
@@ -370,9 +369,13 @@ def dirk_perturbation_gains(
     c2 and c1 are the constant stage states of the branch (outer combination
     stage and inner stage), e.g. taken from a preimage chain.  The walk's
     first fwd and last bwd sides are explicit (b = 0, slope +-1), so c and r
-    need not be known: c2 and c1 stand in for them.
+    need not be known: c2 and c1 stand in for them.  Any other number of
+    stages is a ConfigurationError.
     """
-    return _chain_gains(kind or DIRK2, (c2, c2, c1, c1), k, p)
+    kind = kind or DIRK2
+    if kind.tableau is None or kind.tableau.stages != 2:
+        raise ConfigurationError("dirk_perturbation_gains reads the chain of a two-stage tableau")
+    return _chain_gains(kind, (c2, c2, c1, c1), k, p)
 
 
 def preimage_field(

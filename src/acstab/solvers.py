@@ -33,7 +33,8 @@ once the recursive residual is within max(1e-12, rtol) of the right-hand
 side, rtol being solve's relative tolerance (1e-12 unless given).  They
 miss unless the true residual is within it too.  Every direct solve takes
 one round of iterative refinement when its true residual exceeds 1e-12
-relative to the right-hand side.
+relative to the right-hand side, and raises LinAlgError when it still
+exceeds 1e-8 after it (a nearly singular operator).
 
 Newton on a field solves inexactly (Dembo, Eisenstat and Steihaug): each
 iteration passes a forcing term eta_k to solve as its rtol, so CG and MINRES
@@ -89,6 +90,7 @@ __all__ = [
 
 _HALVING_LIMIT = 20
 _LINEAR_RTOL = 1e-12
+_REFINED_RTOL = 1e-8  # a direct solve still above this relative residual after refinement fails
 _KRYLOV_MAX_ITER = 60  # CG and MINRES alike
 _FORCING_MAX = 0.1  # eta_0 and the cap of every forcing term
 _FORCING_GAMMA = 0.9
@@ -107,8 +109,9 @@ class NewtonConfig:
     max_iter: int = 50
 
     def __post_init__(self) -> None:
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ConfigurationError("tol must be > 0 and max_iter >= 1")
+        if not (math.isfinite(self.tol) and self.tol > 0) or self.max_iter < 1:
+            raise ConfigurationError(f"tol must be finite and > 0 and max_iter >= 1, got "
+                                     f"tol {self.tol} and max_iter {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -153,15 +156,23 @@ def _linf(v: np.ndarray) -> float:
 
 def _refined_solve(solve, apply, rhs: np.ndarray) -> np.ndarray:
     """solve(rhs), plus one refinement step if the true residual is too large;
-    LinAlgError where that residual is not finite, as it is for a non-finite x."""
+    LinAlgError where that residual is not finite, as it is for a non-finite x,
+    or is still above _REFINED_RTOL of rhs after the refinement, as it is for
+    a nearly singular operator."""
     x = solve(rhs)
+    scale = max(_linf(rhs), 1e-300)
     with np.errstate(all="ignore"):
         resid = rhs - apply(x)
     rnorm = _linf(resid)
     if not math.isfinite(rnorm):
         raise np.linalg.LinAlgError("singular or ill-conditioned Jacobian")
-    if rnorm > _LINEAR_RTOL * max(_linf(rhs), 1e-300):
+    if rnorm > _LINEAR_RTOL * scale:
         x = x + solve(resid)
+        with np.errstate(all="ignore"):
+            rnorm = _linf(rhs - apply(x))
+        if not rnorm <= _REFINED_RTOL * scale:
+            raise np.linalg.LinAlgError(f"singular or ill-conditioned Jacobian: residual "
+                                        f"{rnorm:.3g} after refinement, rhs {scale:.3g}")
     return x
 
 

@@ -48,8 +48,11 @@ def bifurcation_epsilon_sq(kind: SchemeKind, c: float, dt: float, k: ModeIndex) 
     """eps^2 at which mode k's linearized coefficient vanishes at state c.
 
     Returns None when no bifurcation exists: whenever n'(c) >= 0, which is
-    1 - 3 c^2 <= 0, and always for the modified Crank-Nicolson scheme.
+    1 - 3 c^2 <= 0, and always for the modified Crank-Nicolson scheme.  A c
+    that is not finite is a ConfigurationError.
     """
+    if not math.isfinite(c):
+        raise ConfigurationError(f"c must be finite, got {c}")
     p = ACParams(1.0, dt)  # a and b of the step's terms do not depend on eps
     a, _, b, _, partner = _step_terms_at(kind, p, c)
     # the slope a + b m + (b / eps^2) n'(c) vanishes at eps^2 = -n'(c) / (D + m)
@@ -134,12 +137,14 @@ def enumerate_bifurcations(
 
     Sorted by decreasing eps_sq (the order in which uniqueness fails as eps
     shrinks), ties broken by the mode index.  Empty when the scheme never
-    bifurcates at state c.
+    bifurcates at state c.  eps_min must be finite and >= 0.
     """
     if dim not in (1, 2):
         raise ConfigurationError(f"dim must be 1 or 2, got {dim}")
     if max_k < 0:
         raise ConfigurationError("max_k must be >= 0")
+    if not (math.isfinite(eps_min) and eps_min >= 0.0):
+        raise ConfigurationError(f"eps_min must be finite and >= 0, got {eps_min}")
     comps = _mode_components(max_k)
     if dim == 1:
         modes = [ModeIndex((a,)) for a in comps]

@@ -221,6 +221,38 @@ def test_settle_tol_must_be_finite_and_nonnegative(tol, tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("tol", ("inf", "nan"))
+def test_newton_tol_must_be_finite_and_positive(tol, tmp_path, capsys):
+    # an infinite tol would accept every guess, a NaN one none
+    assert _run("simulate", "const:0.5", "--scheme", "be", "--eps", "0.1", "--dt", "0.01",
+                "--steps", "3", "--newton-tol", tol, "--out", str(tmp_path / "t.csv")) == 2
+    assert capsys.readouterr().err.startswith("error: tol must be finite and > 0")
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("flags", (("--c", "nan"), ("--c", "0", "--eps-min", "-1"),
+                                   ("--c", "0", "--eps-min", "nan")),
+                         ids=("c-nan", "eps-min-negative", "eps-min-nan"))
+def test_bifurcations_reject_nonfinite_inputs(flags, tmp_path, capsys):
+    out = tmp_path / "bif.csv"
+    assert _run("analyze", "bifurcations", "--scheme", "cn", "--dt", "1", *flags,
+                "--out", str(out)) == 2
+    assert re.fullmatch(r"error: (c|eps_min) must be finite( and >= 0)?, got \S+\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme, c, r", (("cn", "nan", "1"), ("cn", "0.5", "nan"),
+                                          ("dirk2", "0.5", "nan"), ("dirk2", "inf", "1")),
+                         ids=("cn-c-nan", "cn-r-nan", "dirk2-r-nan", "dirk2-c-inf"))
+def test_perturb_rejects_nonfinite_states(scheme, c, r, tmp_path, capsys):
+    out = tmp_path / "pg.csv"
+    assert _run("analyze", "perturb", "--scheme", scheme, "--c", c, "--r", r, "--k", "1",
+                "--eps", "0.1", "--dt", "0.01", "--out", str(out)) == 2
+    assert "must be finite, got" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dt_or_ratio_required(tmp_path):
     assert _run("preimage", "const:0", "--scheme", "cn", "--eps", "1",
                 "--out", str(tmp_path / "t.csv")) == 2

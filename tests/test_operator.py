@@ -274,6 +274,20 @@ def test_solve_raises_where_its_true_residual_is_not_finite():
         op.solve(rng.standard_normal(9))
 
 
+@pytest.mark.parametrize("d", (1.86e-167, 1e-20))
+def test_solve_raises_where_refinement_leaves_a_large_residual(d):
+    # a = 0, b = 1 and a tiny d: nearly singular, so sparse LU returns x of
+    # about 2e15 whose residual stays near |rhs| after refinement; Newton
+    # reports the failed solve instead of stepping by it
+    op, rng = _near_underflow(0.0, 1.0, np.full(9, d))
+    rhs = rng.standard_normal(9)
+    with pytest.raises(np.linalg.LinAlgError, match="residual .* after refinement"):
+        op.solve(rhs)
+    x, rep = solvers.newton_solve(lambda v: op @ v - rhs, lambda v: op, np.zeros(9))
+    assert not rep.converged and rep.iterations == 0
+    assert rep.message.startswith("linear solve failed: singular or ill-conditioned Jacobian")
+
+
 @st.composite
 def tridiagonal_systems(draw):
     """(ab, rhs): a tridiagonal system in solve_banded's (1, 1) layout.

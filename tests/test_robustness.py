@@ -55,6 +55,10 @@ def _close(got, want, tol=1e-3):
 
 # a backward-triangular tableau other than DIRK2's (a11 != a22, alpha != beta)
 _DIRK_ODD = SchemeKind("dirk", ButcherTableau(((0.3, 0.0), (0.5, 0.2)), (0.5, 0.5), (0.3, 0.7)))
+# Alexander's L-stable, stiffly accurate SDIRK2: b2 = a22, so the link c -> phi_2 is the identity
+_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
+_SDIRK2 = SchemeKind("dirk", ButcherTableau(((_GAMMA, 0.0), (1.0 - _GAMMA, _GAMMA)),
+                                            (1.0 - _GAMMA, _GAMMA), (_GAMMA, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +274,7 @@ def _forward_sides(kind, c, chain, p):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from((BE, CN, MODCN, DIRK2, _DIRK_ODD)),
+    st.sampled_from((BE, CN, MODCN, DIRK2, _DIRK_ODD, _SDIRK2)),
     st.floats(-3.0, 3.0, allow_nan=False),
     st.floats(0.05, 1.0),
     st.floats(1e-3, 2.0),
@@ -289,7 +293,8 @@ def test_preimage_chains_satisfy_the_forward_step(kind, c, eps, dt):
 
 
 @pytest.mark.parametrize(
-    "kind", (BE, CN, MODCN, DIRK2, _DIRK_ODD), ids=("be", "cn", "modcn", "dirk2", "dirk-odd")
+    "kind", (BE, CN, MODCN, DIRK2, _DIRK_ODD, _SDIRK2),
+    ids=("be", "cn", "modcn", "dirk2", "dirk-odd", "sdirk2")
 )
 def test_backward_link_sides_are_one_equation(kind):
     # fwd(u) at x and bwd(x) at u are the same residual, so slope ratios of
@@ -306,12 +311,86 @@ def test_backward_link_sides_are_one_equation(kind):
 
 def test_backward_links_reject_unreadable_tableaux():
     p = ACParams(0.3, 0.05)
-    three = ButcherTableau(((0.5, 0, 0), (0.25, 0.5, 0), (0.25, 0.25, 0.5)), (0.25, 0.25, 0.5),
-                           (0.5, 0.75, 1.0))
+    a31_not_a21 = ButcherTableau(((0.5, 0, 0), (0.25, 0.5, 0), (0.3, 0.25, 0.5)),
+                                 (0.3, 0.25, 0.45), (0.5, 0.75, 1.05))
     b1_not_a21 = ButcherTableau(((0.25, 0.0), (0.5, 0.25)), (0.4, 0.6), (0.25, 0.75))
-    for tab in (three, b1_not_a21):
-        with pytest.raises(ConfigurationError):
+    for tab in (a31_not_a21, b1_not_a21):
+        with pytest.raises(ConfigurationError, match="not readable backward"):
             preimage_constants(SchemeKind("dirk", tab), 0.5, p)
+
+
+@st.composite
+def readable_tableaux(draw):
+    """A DIRK scheme of 2 or 3 stages whose tableau _backward_links reads.
+
+    Diagonal entries are drawn in [0.1, 1], and so is each subdiagonal entry
+    a_(i,i-1) (b_s for the last row, b), unless it is drawn equal to
+    a_(i-1,i-1), which makes its link explicit; every other entry is set by
+    the condition a_ij = a_(i-1)j for j < i - 1.
+    """
+    s = draw(st.sampled_from((2, 3)))
+    rows = [[0.0] * s for _ in range(s + 1)]  # the stages, then b
+    for i in range(s + 1):
+        if i < s:
+            rows[i][i] = draw(st.floats(0.1, 1.0))
+        if i:
+            rows[i][:i - 1] = rows[i - 1][:i - 1]
+            rows[i][i - 1] = draw(st.just(rows[i - 1][i - 1]) | st.floats(0.1, 1.0))
+    return SchemeKind("dirk", ButcherTableau(rows[:s], rows[s], [sum(row) for row in rows[:s]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(readable_tableaux(), st.floats(-3.0, 3.0), st.floats(0.05, 1.0), st.floats(0.01, 0.9),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_links_read_off_a_tableau_are_its_step(kind, c, eps, ratio, x, u):
+    # each link's two sides are one equation, and every preimage chain maps
+    # forward onto c, within rounding of the largest state along it; below
+    # ratio 1 each forward stage has one well-conditioned root (at ratio 1 a
+    # stage cubic can have a triple root, whose image is good to 1e-5 only).
+    # Consecutive explicit links compose cubics, so a chain may reach 1e200,
+    # where the forward step's cubes overflow: those chains are not mapped.
+    p = ACParams(eps, robustness._ratio_dt(kind, ratio, eps))
+    links = _backward_links(kind, p)
+    assert len(links) == kind.tableau.stages + 1
+    for fwd, bwd in links:
+        in_x = constant_residual(p, *fwd(u))[0](x)
+        in_u = constant_residual(p, *bwd(x, 0.0))[0](u)
+        assert in_x == pytest.approx(in_u, rel=1e-12, abs=1e-12)
+    for chain in preimage_constants(kind, c, p).chains:
+        scale = max(1.0, *map(abs, chain))
+        if scale < 1e100:
+            images = [img for img, _selected in scalar_map(kind, chain[0], p)]
+            assert min(abs(img - c) for img in images) <= 1e-12 * scale
+
+
+def test_dirk_links_skip_f_where_its_factor_is_zero():
+    # F(1e120) overflows to -inf, and 0 * inf would make a link's state NaN
+    p = ACParams(0.1, 0.01)
+    (_, c_bwd), _, (r_fwd, _) = _backward_links(DIRK2, p)
+    assert c_bwd(1e120, 0.0)[1] == 1e120 and r_fwd(1e120)[1] == 1e120
+    (chain,) = preimage_constants(DIRK2, 1e120, p).chains
+    assert all(map(math.isfinite, chain))
+
+
+@pytest.mark.parametrize("ratio", (0.01, 0.1, 0.5))
+def test_sdirk2_has_one_threshold_family(ratio):
+    # one implicit link (the identity c -> phi_2 is explicit), so one family:
+    # its first entry maps to 0, each later one onto +- the entry before
+    seq = interval_sequence(_SDIRK2, ratio, 3)
+    p = ACParams(1.0, robustness._ratio_dt(_SDIRK2, ratio))
+    assert len(seq.entries) == 3
+    for x, target in zip(seq.entries, (0.0, *seq.entries[:-1])):
+        images = [c for c, _selected in scalar_map(_SDIRK2, x, p)]
+        assert min(abs(abs(c) - target) for c in images) <= 1e-12 * max(1.0, x)
+    if ratio == 0.1:
+        assert seq.entries == pytest.approx((4.850, 20.32, 637.6), rel=1e-3)
+
+
+def test_sdirk2_classify_flips_across_each_threshold():
+    p = ACParams(1.0, robustness._ratio_dt(_SDIRK2, 0.1))
+    for x in interval_sequence(_SDIRK2, 0.1, 3).entries:
+        below, above = classify_constant_initial(_SDIRK2, x * np.array([1 - 1e-7, 1 + 1e-7]), p).limit
+        assert below * above == -1
 
 
 def test_preimage_odd_symmetry():
@@ -491,7 +570,7 @@ def test_dirk_gain_identity_stages():
 
 
 @pytest.mark.parametrize(
-    "kind", (CN, MODCN, DIRK2, _DIRK_ODD), ids=("cn", "modcn", "dirk2", "dirk-odd")
+    "kind", (CN, MODCN, DIRK2, _DIRK_ODD, _SDIRK2), ids=("cn", "modcn", "dirk2", "dirk-odd", "sdirk2")
 )
 def test_gain_matches_measured_response(kind):
     # a one-point continuation at delta = 1e-5 measures each branch's
@@ -603,6 +682,38 @@ def test_preimage_field_dirk():
     assert rep.converged
     fwd, _ = step(DIRK2, phi_n, p)
     assert np.max(np.abs(fwd.values - target.values)) <= 1e-9
+
+
+def test_preimage_field_sdirk2_round_trips():
+    # every constant branch at c = 0.5, its explicit identity link included
+    grid = make_grid(1, 65)
+    p = ACParams(0.1, 0.01)
+    c = 0.5
+    chains = preimage_constants(_SDIRK2, c, p).chains
+    assert len(chains) == 3 and all(chain[2] == c for chain in chains)
+    for chain in chains:
+        g = dirk_perturbation_gains(chain[2], chain[1], ModeIndex((1.0,)), p, kind=_SDIRK2)
+        target, phi_n, rep = _mode_preimage(_SDIRK2, c, chain[0], g.gain[2], 1, p, grid, 0.1)
+        assert rep.converged
+        fwd, _ = step(_SDIRK2, phi_n, p)
+        assert np.max(np.abs(fwd.values - target.values)) <= 1e-10
+
+
+def test_dirk_gains_need_a_two_stage_tableau():
+    three = SchemeKind("dirk", ButcherTableau(((0.5, 0, 0), (0.25, 0.5, 0), (0.25, 0.25, 0.5)),
+                                              (0.25, 0.25, 0.5), (0.5, 0.75, 1.0)))
+    for kind in (three, CN):
+        with pytest.raises(ConfigurationError, match="two-stage"):
+            dirk_perturbation_gains(0.5, 0.2, ModeIndex((1.0,)), ACParams(0.3, 0.05), kind=kind)
+
+
+def test_gains_reject_states_that_are_not_finite():
+    p, mode = ACParams(0.3, 0.05), ModeIndex((1.0,))
+    for c, r in ((math.nan, 1.0), (0.5, math.inf)):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            perturbation_gain(CN, c, r, mode, p)
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            dirk_perturbation_gains(c, r, mode, p)
 
 
 def test_preimage_field_backward_euler_explicit():

@@ -43,6 +43,13 @@ def test_newton_config_validation():
         NewtonConfig(max_iter=0)
 
 
+@pytest.mark.parametrize("tol", (math.inf, math.nan))
+def test_newton_config_rejects_a_tol_that_is_not_finite(tol):
+    # inf would accept every guess as converged, nan none
+    with pytest.raises(ConfigurationError, match="tol must be finite and > 0"):
+        NewtonConfig(tol=tol)
+
+
 def test_fd_jacobian_identity_exact():
     u = np.array([0.3, -1.2, 2.0])
     jac = fd_jacobian(lambda v: v, u)
