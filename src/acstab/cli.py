@@ -23,7 +23,8 @@ Field specs use the grammar "const:<v>" or "const+mode:<v>,<delta>,<k[,l]>"
 The grid has --dim dimensions, else the mode's (2 with k and l), else 1; a
 mode whose dimension differs from --dim is an error.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 solver/analysis
+Exit codes: 0 success, 2 configuration or usage error (an output path that
+cannot be written included, checked before any work), 3 solver/analysis
 failure, 4 check mismatch.  A JSON file passed via --config supplies values
 for the command's flags (same names, lower_snake_case; true or false for a
 flag that takes no value); explicit flags win, and keys the command does not
@@ -99,6 +100,19 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.writelines(line % row for row in zip(*columns))
         else:
             writer.writerows([*map(_fmt, row)] for row in rows)
+
+
+def _writable(path: str) -> str:
+    """path, once a file there opens for writing; else a ConfigurationError.
+    A file that the check creates is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+    return path
 
 
 def _emit(path: str, header: list[str], rows) -> int:
@@ -261,8 +275,9 @@ def cmd_reproduce(args) -> int:
     if args.id not in _TARGETS:
         raise ConfigurationError(f"unknown reproduce target {args.id!r}")
     header, layout, computed, table = _TARGETS[args.id]
+    out = args.out or _writable(f"{args.id.replace('-', '_')}.csv")
     rows = layout(computed())
-    _emit(args.out or f"{args.id.replace('-', '_')}.csv", header, rows)
+    _emit(out, header, rows)
     if not args.check:
         return 0
     want = layout(table)
@@ -389,6 +404,9 @@ def _preimage_constant(kind, p, c: float, out: str) -> int:
 def _preimage_field(args, kind, p, target: ScalarField, c: float, delta: float,
                     mode: ModeIndex) -> int:
     grid = target.grid
+    out = args.out
+    stem, ext = os.path.splitext(out)
+    field_out = _writable(f"{stem}_field{ext or '.csv'}")
     hcfg = HomotopyConfig(delta_end=delta, delta_start=args.delta0, steps=args.steps)
     ncfg = NewtonConfig(args.newton_tol, args.newton_max_iter)
 
@@ -417,9 +435,6 @@ def _preimage_field(args, kind, p, target: ScalarField, c: float, delta: float,
 
     phi_n, rep = preimage_field(kind, target, seed, p, hcfg, ncfg)
 
-    out = args.out
-    stem, ext = os.path.splitext(out)
-    field_out = f"{stem}_field{ext or '.csv'}"
     _write_csv(field_out, [f"x{j}" for j in range(1, grid.dim + 1)] + ["value"],
                (*grid.node_coordinates().T, phi_n.values))
 
@@ -589,6 +604,8 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, flag) is None:
                 setattr(args, flag, default)
         _require(args, *args.cmd.required)
+        if args.out is not None:  # before any work; commands check paths they derive
+            _writable(args.out)
         return args.cmd.run(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

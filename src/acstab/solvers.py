@@ -28,13 +28,14 @@ its method from the operator itself:
 
 CG and MINRES start from x = 0, are preconditioned by the exact DCT-I solve
 of |(a + mean(d)) I - b L|, which is positive definite (absolute value
-preconditioning, Vecharynski and Knyazev), and stop within 60 iterations
-once the recursive residual is within max(1e-12, rtol) of the right-hand
-side, rtol being solve's relative tolerance (1e-12 unless given).  They
-miss unless the true residual is within it too.  Every direct solve takes
-one round of iterative refinement when its true residual exceeds 1e-12
-relative to the right-hand side, and raises LinAlgError when it still
-exceeds 1e-8 after it (a nearly singular operator).
+preconditioning, Vecharynski and Knyazev) and costs four products with the
+cached DCT-I matrices of fields.dct1 and one division per iteration, and
+stop within 60 iterations once the recursive residual is within max(1e-12,
+rtol) of the right-hand side, rtol being solve's relative tolerance (1e-12
+unless given).  They miss unless the true residual is within it too.  Every
+direct solve takes one round of iterative refinement when its true residual
+exceeds 1e-12 relative to the right-hand side, and raises LinAlgError when
+it still exceeds 1e-8 after it (a nearly singular operator).
 
 Newton on a field solves inexactly (Dembo, Eisenstat and Steihaug): each
 iteration passes a forcing term eta_k to solve as its rtol, so CG and MINRES

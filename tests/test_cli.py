@@ -609,6 +609,66 @@ def test_config_file_missing(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# output paths are checked before any work
+
+_WRITING = {
+    "simulate": ("simulate", "const+mode:0.5,0.1,1,2", "--scheme", "cn", "--eps", "0.1",
+                 "--dt", "0.01"),
+    "preimage": ("preimage", "const+mode:0.984375,0.5,1", "--scheme", "cn", "--root", "0",
+                 "--eps", "0.1", "--dt", "0.01"),
+    "analyze": ("analyze", "thresholds", "--eps", "0.1"),
+    "reproduce": ("reproduce", "table1"),
+}
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every computation the commands of _WRITING start fail the test."""
+    def work(*args, **kwargs):
+        raise AssertionError("computed before the output paths were checked")
+
+    for name in ("simulate", "preimage_constants", "preimage_field", "interval_sequence",
+                 "stability_threshold"):
+        monkeypatch.setattr(cli, name, work)
+
+
+@pytest.mark.parametrize("command", _WRITING)
+@pytest.mark.parametrize("where, reason", (("missing/x.csv", "No such file or directory"),
+                                           ("", "Is a directory")))
+def test_an_unwritable_out_exits_2_before_any_work(command, where, reason, tmp_path, capsys,
+                                                   no_work):
+    out = tmp_path / where
+    assert _run(*_WRITING[command], "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_an_unwritable_preimage_field_csv_exits_2_before_any_work(tmp_path, capsys, no_work):
+    (tmp_path / "p_field.csv").mkdir()
+    out = tmp_path / "p.csv"
+    assert _run(*_WRITING["preimage"], "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {tmp_path / 'p_field.csv'}: "
+                                       "Is a directory\n")
+    assert not out.exists()
+
+
+def test_an_unwritable_default_reproduce_out_exits_2(tmp_path, capsys, monkeypatch, no_work):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig1_data.csv").mkdir()
+    assert _run("reproduce", "fig1-data") == 2
+    assert capsys.readouterr().err == "error: cannot write fig1_data.csv: Is a directory\n"
+
+
+def test_the_check_leaves_an_existing_out_as_it_was_until_the_csv_is_written(tmp_path):
+    out = tmp_path / "t.csv"
+    out.write_text("old contents\n" * 100)
+    assert _run("analyze", "thresholds", "--eps", "-1", "--out", str(out)) == 2
+    assert out.read_text() == "old contents\n" * 100
+    assert _run(*_WRITING["analyze"], "--out", str(out)) == 0
+    assert len(_rows(out)) == 5 and _rows(out)[0] == ["scheme", "formula", "dt_max"]
+
+
+# ---------------------------------------------------------------------------
 # each command takes the flags its code reads, and no other
 
 _FLAGS_READ = {

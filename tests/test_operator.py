@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import islice
 from types import SimpleNamespace
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import acstab
+import acstab.fields as fields
 from acstab.fields import (
     ModeIndex,
     dct1,
@@ -119,6 +121,61 @@ def test_laplacian_is_diagonal_in_dct1_basis(dim, n, seed):
     lam = laplacian_eigenvalues(g)
     expansion = dct1(lam * dct1(x.reshape(lam.shape))).ravel() / (2 * (n - 1)) ** dim
     assert _linf(laplacian_matrix(g) @ x - expansion) <= 1e-12 * _linf(lam) * _linf(x)
+
+
+def _mirror_fft_dct1(arr):
+    """dct1 as the real FFT of the mirror extension along each axis: an oracle."""
+    out = np.asarray(arr, dtype=float)
+    for axis in range(out.ndim):
+        inner = (slice(None),) * axis + (slice(-2, 0, -1),)
+        out = np.fft.rfft(np.concatenate((out, out[inner]), axis=axis), axis=axis).real
+    return out
+
+
+def _check_dct1(x):
+    """dct1(x) is the oracle's, and dct1 twice is (2 (m - 1)) per axis of length
+    m times x, each to 1e-13 n ||x|| with n the longest axis."""
+    bound = 1e-13 * max(x.shape) * _linf(x)
+    assert _linf(dct1(x) - _mirror_fft_dct1(x)) <= bound
+    scale = np.prod([2.0 * (m - 1) for m in x.shape])
+    assert _linf(dct1(dct1(x)) / scale - x) <= bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((3, 4, 5, 17, 33, 65, 129)), st.sampled_from((1, 2)),
+       st.integers(0, 2**32 - 1), st.floats(-100.0, 100.0))
+def test_dct1_is_the_fft_of_the_mirror_and_its_own_inverse(n, dim, seed, log_scale):
+    _check_dct1(10.0 ** log_scale * np.random.default_rng(seed).standard_normal((n,) * dim))
+
+
+@pytest.mark.parametrize("shape", ((3, 5), (5, 3)))
+def test_dct1_of_a_non_square_array(shape):
+    _check_dct1(np.random.default_rng(5).standard_normal(shape))
+
+
+def test_dct1_matrix_is_read_only_and_built_once_per_length():
+    build = fields._dct1_matrix
+    build.cache_clear()
+    for _ in range(3):
+        dct1(np.ones(23))
+        dct1(np.ones((23, 23)))
+    assert build.cache_info().misses == 1
+    with pytest.raises(ValueError):
+        build(23)[0, 0] = 0.0
+
+
+def test_cg_iterations_on_a_smooth_certified_operator():
+    # a CN Jacobian about 0.5 + 0.1 cos(pi x) cos(2 pi y) at eps = 0.1, dt = 0.01:
+    # the preconditioned CG reaches the 1e-12 residual bound in 9 iterations,
+    # as it did with the FFT form of dct1
+    g = make_grid(2, 65)
+    v = 0.5 + 0.1 * eval_mode(ModeIndex((1.0, 2.0)), g).values
+    op = ShiftedLaplacian(g, 1.0, 0.005, 0.5 * (3.0 * v * v - 1.0))
+    assert op.certified
+    rhs = np.random.default_rng(0).standard_normal(g.num_nodes)
+    iterates = solvers._cg(op, rhs, op._preconditioner(), trapezoid_weights(g))
+    residuals = [_linf(r) for _x, r, _ in islice(iterates, 20)]
+    assert next(i for i, r in enumerate(residuals, 1) if r <= 1e-12 * _linf(rhs)) == 9
 
 
 def test_certificate_is_the_uniqueness_condition():
