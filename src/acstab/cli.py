@@ -67,6 +67,7 @@ from .schemes import (
     DIRK2,
     MODCN,
     SchemeKind,
+    _stage_failure,
     parse_scheme,
     scalar_map,
     simulate,
@@ -438,7 +439,7 @@ def _preimage_field(args, kind, p, target: ScalarField, c: float, delta: float,
     _write_csv(field_out, [f"x{j}" for j in range(1, grid.dim + 1)] + ["value"],
                (*grid.node_coordinates().T, phi_n.values))
 
-    fwd, _rep2 = step(kind, phi_n, p, ncfg)
+    fwd, fwd_rep = step(kind, phi_n, p, ncfg)
     fwd_resid = float(np.max(np.abs(fwd.values - target.values)))
     _write_csv(out, [
         "scheme", "c", "delta", "k", "l", "seed_root", "gain",
@@ -449,10 +450,14 @@ def _preimage_field(args, kind, p, target: ScalarField, c: float, delta: float,
         rep.residual, fwd_resid,
     ]])
     print(f"wrote {out} and {field_out}")
+    code = 0
     if not rep.converged:
         print(f"continuation stalled at delta = {rep.delta}: {rep.message}", file=sys.stderr)
-        return 3
-    return 0
+        code = 3
+    if not fwd_rep.success:
+        print(f"forward check step {_stage_failure(kind, fwd_rep)}", file=sys.stderr)
+        code = 3
+    return code
 
 
 def cmd_preimage(args) -> int:

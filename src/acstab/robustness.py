@@ -430,7 +430,11 @@ def preimage_field(
                         f"backward link {i} of {len(links)} did not converge "
                         f"({report.message}, residual {report.residual:.3g})"))
             walked.append(x)
-        return walked, report
+        # march_deltas extrapolates lists and only warm-starts tuples.  On 2D
+        # grids extrapolation follows a branch into folds that warm starts
+        # jump across, and each failed attempt there costs Krylov misses and
+        # sparse LU, so 2D states go as tuples.
+        return (walked if grid.dim == 1 else tuple(walked)), report
 
     state, report = march_deltas(solve_at, delta_schedule(hcfg), hcfg.adaptive)
     return ScalarField(grid, seed.values if state is None else state[-1]), report

@@ -327,6 +327,14 @@ def _settled_sign(s: StepSummary, settle_tol: float) -> int:
     return 0
 
 
+def _stage_failure(kind: SchemeKind, rep: StepReport) -> str:
+    """'did not converge at stage i of s (message, residual r)' for a failed step."""
+    bad = rep.stage_reports[-1]
+    return (f"did not converge at stage {len(rep.stage_reports)} of "
+            f"{kind.tableau.stages if kind.tableau else 1} "
+            f"({bad.message}, residual {bad.residual:.3g})")
+
+
 def simulate(
     kind: SchemeKind,
     phi0: ScalarField,
@@ -356,13 +364,8 @@ def simulate(
     for i in range(1, steps + 1):
         u_new, rep = step(kind, u, p, cfg)
         if not rep.success:
-            bad = rep.stage_reports[-1]
-            return Trajectory(
-                tuple(summaries), bool(limit), settle_step, limit,
-                failure=f"step {i} did not converge at stage {len(rep.stage_reports)} of "
-                f"{kind.tableau.stages if kind.tableau else 1} "
-                f"({bad.message}, residual {bad.residual:.3g})",
-            )
+            return Trajectory(tuple(summaries), bool(limit), settle_step, limit,
+                              failure=f"step {i} {_stage_failure(kind, rep)}")
         u = u_new
         bits = u.values.tobytes()
         if bits in recent:  # copies of summaries already tested for settling

@@ -48,6 +48,11 @@ below 1e-12.  A step that fails to halve the residual makes the rest of that
 Newton solve exact (eta = 1e-12): a loose solve near an indefinite or nearly
 singular Jacobian could otherwise stall it short of its tolerance.
 
+Continuation in a parameter delta (march_deltas, under homotopy_path and
+robustness.preimage_field) is predictor-corrector: each point's Newton solve
+starts from an extrapolation of the last converged states, which costs no
+solve, and falls back to the last converged state where that fails.
+
 SciPy loads on the first field solve that needs it, not on import: the
 analyses of constant states never load it.  The module attributes scipy
 (with scipy.linalg) and spla (scipy.sparse.linalg) are imported on first
@@ -570,15 +575,42 @@ def _geometric_mid(a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def march_deltas(solve_at: Callable, schedule: Sequence[float], adaptive: bool):
-    """Drive solve_at(delta, state) -> (state, NewtonReport) along a schedule.
+def _combine(weights: Sequence[float], states: Sequence):
+    """sum(w * s) over states that are floats, arrays, or lists of arrays
+    (combined entry by entry)."""
+    if isinstance(states[0], list):
+        return [_combine(weights, parts) for parts in zip(*states)]
+    return sum(w * s for w, s in zip(weights, states))
 
-    Warm-starts each solve from the previous state.  On failure, inserts
-    geometric midpoints between the last good delta and the failed target
-    (at most 20 insertions overall) before giving up.  Returns the final
-    state and the last report, with report.delta set to the delta of the
-    state actually returned.
+
+def _predict(path: Sequence[tuple[float, object]], t: float):
+    """Lagrange extrapolation to t through the last three (delta, state) pairs
+    of path (a secant while it holds two), or None where it holds fewer or its
+    states are tuples."""
+    if len(path) < 2 or isinstance(path[-1][1], tuple):
+        return None
+    nodes, states = zip(*path[-3:])
+    weights = [math.prod((t - dm) / (dj - dm) for m, dm in enumerate(nodes) if m != j)
+               for j, dj in enumerate(nodes)]
+    return _combine(weights, states)
+
+
+def march_deltas(solve_at: Callable, schedule: Sequence[float], adaptive: bool):
+    """Drive solve_at(delta, guess) -> (state, NewtonReport) along a schedule.
+
+    Predictor-corrector continuation (Allgower and Georg, ch. 2): each solve
+    starts from the Lagrange extrapolation of the last three converged
+    (delta, state) pairs, a secant while only two exist, and from the last
+    converged state (the warm start; None before the first) otherwise.  States
+    that are floats, arrays or lists of arrays are extrapolated, entry by
+    entry; tuples are only warm-started.  A predicted attempt that fails is
+    retried once from the warm start.  A warm-started failure inserts
+    geometric midpoints between the last good delta and the failed target (at
+    most 20 insertions overall) before giving up.  Returns the final state and
+    the last report, with report.delta set to the delta of the state actually
+    returned.
     """
+    path: list[tuple[float, object]] = []  # the last three converged (delta, state)
     state = None
     last_good: float | None = None
     report = NewtonReport(0, 0.0, True, (0.0,))
@@ -587,9 +619,15 @@ def march_deltas(solve_at: Callable, schedule: Sequence[float], adaptive: bool):
         pending = [target]
         while pending:
             t = pending[-1]
-            new_state, report = solve_at(t, state)
+            guess = _predict(path, t)
+            if guess is not None:
+                new_state, report = solve_at(t, guess)
+            if guess is None or not report.converged:
+                new_state, report = solve_at(t, state)
             if report.converged:
                 state, last_good = new_state, t
+                # a schedule may repeat a delta; extrapolation needs distinct ones
+                path = [*(q for q in path[-2:] if q[0] != t), (t, state)]
                 pending.pop()
                 continue
             if not adaptive or budget == 0 or last_good is None:
@@ -600,7 +638,7 @@ def march_deltas(solve_at: Callable, schedule: Sequence[float], adaptive: bool):
 
 
 def homotopy_path(problem, seed, cfg: HomotopyConfig, newton_cfg: NewtonConfig | None = None):
-    """March a Newton solve along the delta schedule, warm-starting each solve.
+    """March a Newton solve along the delta schedule (march_deltas), from the seed.
 
     problem(delta) must return a (residual, jacobian) pair for that delta.
     With steps=1 and delta_start == delta_end this reduces to a single

@@ -496,6 +496,28 @@ def test_preimage_field_stall_names_the_backward_link(tmp_path, capsys):
         "(max iterations reached, residual ")
 
 
+def test_preimage_field_failed_forward_check_exits_3(tmp_path, capsys, monkeypatch):
+    # the preimage converges, but the forward step that checks it does not:
+    # both CSVs are still written, and the command says which stage missed
+    def failing_step(kind, phi, p, cfg=None):
+        first = acstab.NewtonReport(2, 1e-12, True, (1e-3, 1e-12))
+        second = acstab.NewtonReport(50, 2.5e-7, False, (1e-3, 2.5e-7), "max iterations reached")
+        return phi, acstab.StepReport((first, second))
+
+    monkeypatch.setattr(cli, "step", failing_step)
+    out = tmp_path / "pre.csv"
+    code = _run(
+        "preimage", "const+mode:0.5,0.1,1", "--scheme", "dirk2", "--root", "0",
+        "--eps", "0.1", "--dt", "0.01", "--n", "33", "--out", str(out),
+    )
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "forward check step did not converge at stage 2 of 2 "
+        "(max iterations reached, residual 2.5e-07)\n")
+    assert dict(zip(*_rows(out)))["converged"] == "1"
+    assert len(_rows(tmp_path / "pre_field.csv")) == 1 + 33
+
+
 def test_preimage_field_2d_dirk2_middle_chain_converges(tmp_path):
     # the middle chain's backward stages have indefinite, nearly singular
     # Jacobians: Newton steps solved only to the forcing term stall near a

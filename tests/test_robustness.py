@@ -642,6 +642,28 @@ def _mode_preimage(kind, c, root, gain, k, p, grid, delta_end):
     return target, phi_n, rep
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from((CN, MODCN, DIRK2)),
+    c=st.floats(-0.9, 0.9),
+    delta=st.floats(0.02, 0.3),
+    k=st.sampled_from((1, 2, 3)),
+    pick=st.integers(0, 4),
+)
+def test_field_preimage_round_trips(kind, c, delta, k, pick):
+    # wherever the continuation reaches the target's delta, one forward step
+    # from the preimage lands on the target
+    grid = make_grid(1, 65)
+    p = ACParams(0.1, 0.01)
+    roots = preimage_constants(kind, c, p).roots
+    target, phi_n, rep = _mode_preimage(kind, c, roots[pick % len(roots)], 0.0, k, p, grid, delta)
+    if rep.converged:
+        assert rep.delta == delta
+        fwd, fwd_rep = step(kind, phi_n, p)
+        assert fwd_rep.success
+        assert np.max(np.abs(fwd.values - target.values)) <= 1e-8
+
+
 def test_preimage_field_trapezoid():
     grid = make_grid(1, 257)
     p = ACParams(0.1, 0.01)

@@ -26,6 +26,7 @@ from acstab.solvers import (
     CubicRoots,
     HomotopyConfig,
     NewtonConfig,
+    NewtonReport,
     ShiftedLaplacian,
     delta_schedule,
     fd_jacobian,
@@ -477,8 +478,6 @@ def test_homotopy_adaptive_rescues_large_jump():
 
 
 def test_march_deltas_reports_progress():
-    from acstab.solvers import NewtonReport
-
     def solve_at(delta, state):
         ok = delta <= 0.3
         return delta, NewtonReport(1, 0.0 if ok else 1.0, ok, (0.0,))
@@ -487,6 +486,109 @@ def test_march_deltas_reports_progress():
     assert not rep.converged
     assert rep.delta == 0.2
     assert state == 0.2
+
+
+def _quadratic_path(delta):
+    # the solution 1 + delta + delta^2 is quadratic in delta; cubed, the
+    # residual needs Newton iterations from any other guess
+    q = 1.0 + delta + delta * delta
+
+    def residual(u):
+        return (u - q) ** 3 + (u - q)
+
+    def jacobian(u):
+        return 3.0 * (u - q) ** 2 + 1.0
+
+    return residual, jacobian
+
+
+def test_march_deltas_predicts_a_quadratic_path_exactly():
+    iterations = []
+
+    def solve_at(delta, guess):
+        x, rep = newton_solve(*_quadratic_path(delta), 1.0 if guess is None else guess)
+        iterations.append(rep.iterations)
+        return x, rep
+
+    state, rep = march_deltas(solve_at, [0.1 * i for i in range(1, 11)], adaptive=True)
+    assert rep.converged and rep.delta == pytest.approx(1.0)
+    assert len(iterations) == 10  # one attempt per point
+    assert min(iterations[:3]) > 0
+    assert iterations[3:] == [0] * 7  # the quadratic through three points is exact
+
+
+def _recording(accept):
+    """solve_at(delta, guess) -> (delta, report) that converges where
+    accept(delta, guess) holds, and the list of calls it records."""
+    calls = []
+
+    def solve_at(delta, guess):
+        calls.append((delta, guess))
+        ok = accept(delta, guess)
+        return delta, NewtonReport(1, 0.0 if ok else 1.0, ok, (0.0,))
+
+    return solve_at, calls
+
+
+def test_march_deltas_retries_a_failed_prediction_from_the_warm_start():
+    # states are the deltas themselves, so a warm start is the last delta and
+    # a secant or quadratic prediction is the new one
+    solve_at, calls = _recording(lambda delta, guess: guess is None or guess < delta)
+    state, rep = march_deltas(solve_at, [1.0, 2.0, 3.0, 4.0], adaptive=True)
+    assert rep.converged and state == 4.0
+    assert calls == [(1.0, None), (2.0, 1.0),
+                     (3.0, pytest.approx(3.0)), (3.0, 2.0),
+                     (4.0, pytest.approx(4.0)), (4.0, 3.0)]  # no midpoint
+
+
+def test_march_deltas_extrapolates_over_distinct_deltas_only():
+    # a geometric schedule between two nearby doubles repeats values
+    cfg = HomotopyConfig(delta_end=1.0 + 4 * math.ulp(1.0), delta_start=1.0, steps=8)
+    assert len(set(delta_schedule(cfg))) < 9
+    x, rep = homotopy_path(_cbrt_problem, 0.9, cfg)
+    assert rep.converged and x == pytest.approx(1.0)
+
+
+def test_march_deltas_warm_starts_tuple_states():
+    solve_at, calls = _recording(lambda delta, guess: True)
+
+    def as_tuple(delta, guess):
+        _, rep = solve_at(delta, guess)
+        return (delta,), rep
+
+    march_deltas(as_tuple, [1.0, 2.0, 3.0], adaptive=True)
+    assert calls == [(1.0, None), (2.0, (1.0,)), (3.0, (2.0,))]
+
+
+def _array_problem(delta):
+    grid = make_grid(1, 5)
+    s = np.linspace(-1.0, 2.0, 5)
+
+    def residual(v):
+        return v * v * v + v - delta * s
+
+    def jacobian(v):
+        return ShiftedLaplacian(grid, 1.0, 0.0, 3.0 * v * v)
+
+    return residual, jacobian
+
+
+def test_homotopy_path_steps_one_is_one_newton_solve_on_arrays():
+    seed = np.zeros(5)
+    cfg = HomotopyConfig(delta_end=2.0, delta_start=2.0, steps=1)
+    x, rep = homotopy_path(_array_problem, seed, cfg)
+    y, _ = newton_solve(*_array_problem(2.0), seed)
+    assert rep.converged
+    assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("seed", (0.5, np.full(5, 0.5)), ids=("float", "array"))
+def test_homotopy_path_predicts_on_float_and_array_unknowns(seed):
+    cfg = HomotopyConfig(delta_end=8.0, delta_start=0.125, steps=32)
+    problem = _cbrt_problem if np.isscalar(seed) else _array_problem
+    x, rep = homotopy_path(problem, seed, cfg)
+    assert rep.converged and rep.delta == 8.0
+    assert np.max(np.abs(problem(8.0)[0](x))) <= 1e-10
 
 
 def test_cubic_roots_residual_bound():
