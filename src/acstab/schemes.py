@@ -28,9 +28,14 @@ Each scheme's step is read forward once, ``_forward_stages``: its stages'
 terms, each from phi_n and the forces F of earlier stages, and the weights
 b combining all forces into phi_{n+1} (be/cn/modcn: one stage, phi_{n+1}).
 ``step`` walks it on fields, one Newton solve per stage started from the
-previous stage.  Constant fields stay constant, and there each stage is a
-cubic: ``_selected_images`` walks the chain of its roots that the stepper
-takes on a whole array of constants, ``scalar_map`` every chain from one.
+previous stage, and reads each DIRK stage's force off the equation it just
+solved, F(phi_i) = (phi_i - s_i) / (dt a_ii): evaluated afresh, Lap(phi_i)
+would scale the stage's Newton error by about dt a_ii 4 dim / h^2, so settled
+states would keep moving by roundoff.  Constant fields stay constant, and
+there each stage is a cubic: ``_selected_images`` walks the chain of its
+roots that the stepper takes on a whole array of constants, ``scalar_map``
+every chain from one.  Their stage values are closed-form roots and Lap
+vanishes, so they evaluate F(x) itself.
 """
 
 from __future__ import annotations
@@ -211,9 +216,9 @@ def _forward_stages(kind: SchemeKind, p: ACParams):
     stage(v0, fs, lap) gives implicit_system's terms in the next stage from
     phi_n = v0 and the forces fs = (F(phi_1), ...) of the stages solved
     before it; lap(x) is Lap(x): a matrix product on fields, 0.0 on
-    constants.  DIRK stage i solves
-    phi_i - dt a_ii F(phi_i) = phi_n + dt sum_{j<i} a_ij F(phi_j), and b
-    combines the stages into phi_{n+1} = phi_n + dt sum_i b_i F(phi_i).
+    constants.  DIRK stage i has terms (1, s_i, dt a_ii) and solves
+    phi_i - s_i = dt a_ii F(phi_i), s_i = phi_n + dt sum_{j<i} a_ij F(phi_j),
+    and b combines the stages into phi_{n+1} = phi_n + dt sum_i b_i F(phi_i).
     be/cn/modcn are one stage whose value is phi_{n+1}; their b is None.
     """
     if kind.tag != "dirk":
@@ -236,20 +241,28 @@ def step(kind: SchemeKind, phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | 
 
     One Newton solve per stage, each started from the previous stage (the
     first from phi_n); a failed stage ends the step with its iterate.
+
+    A DIRK stage's force is read off the equation it was solved with,
+    (phi_i - s_i) / (dt a_ii), which is F(phi_i) up to the stage's residual
+    over dt a_ii (module docstring).  A stage whose guess already meets the
+    tolerance adds a force of exactly 0, so a settled state repeats exactly
+    and simulate stops stepping it.
     """
     grid = phi_n.grid
     lap = laplacian_matrix(grid)
     v0 = phi_n.values
     stages, b = _forward_stages(kind, p)
     x, fs, reports = v0, [], []
-    for terms in stages:
-        residual, jacobian = implicit_system(grid, p, *terms(v0, fs, lap.__matmul__))
+    for stage in stages:
+        terms = stage(v0, fs, lap.__matmul__)
+        residual, jacobian = implicit_system(grid, p, *terms)
         x, rep = newton_solve(residual, jacobian, x, cfg)
         reports.append(rep)
         if not rep.converged:
             return ScalarField(grid, x), StepReport(tuple(reports))
         if b is not None:
-            fs.append(ac_force(lap @ x, x, p))
+            _, s, dt_aii = terms  # the stage equation x - s = dt a_ii F(x)
+            fs.append((x - s) / dt_aii)
     if b is not None:
         x = _weighted(v0, b, fs, p.dt)
     return ScalarField(grid, x), StepReport(tuple(reports))

@@ -26,6 +26,7 @@ from acstab.schemes import (
     DIRK2,
     MODCN,
     SchemeKind,
+    StepReport,
     StepSummary,
     _settled_sign,
     _step_terms,
@@ -43,6 +44,13 @@ ALL = (BE, CN, MODCN, DIRK2)
 _DIRK_ODD = SchemeKind("dirk", ButcherTableau(((0.3, 0.0), (0.5, 0.2)), (0.5, 0.5), (0.3, 0.7)))
 # the same stages with unequal weights b, so the order of b against the stages shows
 _DIRK_SKEW = SchemeKind("dirk", ButcherTableau(((0.3, 0.0), (0.5, 0.2)), (0.3, 0.7), (0.3, 0.7)))
+# Alexander's two-stage SDIRK: b is the last row of a (stiffly accurate)
+_GAMMA = 1.0 - math.sqrt(0.5)
+_SDIRK2 = SchemeKind("dirk", ButcherTableau(((_GAMMA, 0.0), (1.0 - _GAMMA, _GAMMA)),
+                                            (1.0 - _GAMMA, _GAMMA), (_GAMMA, 1.0)))
+# three stages that robustness reads backward: a31 = a21, b1 = a31, b2 = a32
+_DIRK3 = SchemeKind("dirk", ButcherTableau(((0.4, 0.0, 0.0), (0.3, 0.25, 0.0), (0.3, 0.35, 0.3)),
+                                           (0.3, 0.35, 0.35), (0.4, 0.55, 0.95)))
 
 
 def test_parse_scheme():
@@ -292,6 +300,58 @@ def test_step_matches_the_scheme_definitions(kind, dim, n, eps, frac, data):
     assert np.max(np.abs(out.values - want)) <= 1e-12 * scale
 
 
+def _step_with_stages(kind, phi, p):
+    """step's (field, report) and the value of each stage it solved."""
+    solve, stages = schemes.newton_solve, []
+
+    def recording(*args):
+        x, rep = solve(*args)
+        stages.append(x)
+        return x, rep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schemes, "newton_solve", recording)
+        out, rep = step(kind, phi, p)
+    return out, rep, stages
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((DIRK2, _SDIRK2, _DIRK3)),
+    st.sampled_from((1, 2)),
+    st.integers(3, 9),
+    st.floats(0.2, 1.0),
+    st.floats(0.05, 0.9),
+    st.data(),
+)
+def test_dirk_step_combines_the_stage_forces(kind, dim, n, eps, frac, data):
+    # step reads stage i's force off its equation phi_i - s_i = dt a_ii F(phi_i),
+    # as (phi_i - s_i) / (dt a_ii): that is F(phi_i) plus the equation's residual
+    # r_i over dt a_ii, so the result is phi_n + dt sum b_i F(phi_i) up to
+    # sum (b_i / a_ii) r_i, and the roundoff of adding up the terms of F
+    tab = kind.tableau
+    p = ACParams(eps, frac * eps * eps / tab.max_diag)  # one solution per stage
+    g = make_grid(dim, n)
+    v0 = np.array(data.draw(st.lists(
+        st.floats(-1.5, 1.5), min_size=g.num_nodes, max_size=g.num_nodes)))
+    out, rep, stages = _step_with_stages(kind, ScalarField(g, v0), p)
+    assert rep.success and len(stages) == tab.stages
+    lap = laplacian_matrix(g)
+    want = v0 + sum(p.dt * b * ac_force(lap @ x, x, p) for b, x in zip(tab.b, stages))
+    bound = sum(abs(b / tab.a[i][i]) * r.residual
+                for i, (b, r) in enumerate(zip(tab.b, rep.stage_reports)))
+    # roundoff: 64 ulps of the largest term, |phi_n| or dt |b_i| (|Lap phi_i| + |n(phi_i)| / eps^2)
+    terms = [np.abs(v0)] + [p.dt * abs(b) * (np.abs(lap @ x) + np.abs(x ** 3 - x) / p.eps2)
+                            for b, x in zip(tab.b, stages)]
+    slack = 64 * np.finfo(float).eps * max(np.max(t) for t in terms)
+    assert np.max(np.abs(out.values - want)) <= bound + slack
+    if kind is _SDIRK2:
+        # stiffly accurate: phi_n + dt sum b_i F_i is the last stage's own sum,
+        # so the result is that stage within a few ulps of the states involved
+        scale = max(np.max(np.abs(x)) for x in (v0, *stages))
+        assert np.max(np.abs(out.values - stages[-1])) <= 4 * np.spacing(scale)
+
+
 def _self_convergence_order(kind, dts, ref_dt):
     g = make_grid(1, 33)
     phi0 = ScalarField(g, 0.2 + 0.3 * np.cos(np.pi * g.axis()))
@@ -382,12 +442,12 @@ def test_simulate_rejects_a_settle_tol_that_is_not_finite_and_nonnegative():
 
 
 def _simulate_by_stepping(kind, phi0, steps, p, settle_tol, cfg=None):
-    """simulate's result from a plain loop of step calls, plus every state's values."""
+    """simulate's result from a plain loop of schemes.step calls, plus every state's values."""
     states, summaries, failure = [phi0.values], [], None
     u = phi0
     for i in range(steps + 1):
         if i:
-            u, rep = step(kind, u, p, cfg)
+            u, rep = schemes.step(kind, u, p, cfg)
             if not rep.success:
                 bad = rep.stage_reports[-1]
                 stages = kind.tableau.stages if kind.tableau else 1
@@ -426,7 +486,7 @@ def _first_repeat(states):
 @st.composite
 def _runs(draw):
     """(kind, phi0, steps, p, settle_tol, cfg) on small grids, with constants at and
-    near the exact fixed points and 2-cycles the schemes reach, and runs that fail."""
+    near the exact fixed points the schemes reach, and runs that fail."""
     kind = draw(st.sampled_from(ALL))
     dim = draw(st.sampled_from((1, 2)))
     g = make_grid(dim, draw(st.integers(3, 17) if dim == 1 else st.integers(3, 6)))
@@ -443,16 +503,16 @@ def _runs(draw):
     return kind, ScalarField(g, values), draw(st.integers(0, 40)), p, settle_tol, cfg
 
 
-# DIRK2's 2-cycle from 31 (states 10 and 12 equal): 1D runs cut before and at it, a 2D one past it
-_CYCLE = [(DIRK2, constant_field(make_grid(dim, 5), 31.0), steps, ACParams(0.1, 0.01), 1e-3, None)
-          for dim, steps in ((1, 11), (1, 12), (2, 13))]
+# DIRK2's fixed point from 31 (states 10 and 11 equal): 1D runs cut before and at it, a 2D one past it
+_REPEAT = [(DIRK2, constant_field(make_grid(dim, 5), 31.0), steps, ACParams(0.1, 0.01), 1e-3, None)
+           for dim, steps in ((1, 10), (1, 11), (2, 13))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_runs())
-@example(_CYCLE[0])
-@example(_CYCLE[1])
-@example(_CYCLE[2])
+@example(_REPEAT[0])
+@example(_REPEAT[1])
+@example(_REPEAT[2])
 def test_simulate_is_a_plain_step_loop(run):
     # the early exit on a repeated state changes no summary, settling or failure
     kind, phi0, steps, p, settle_tol, cfg = run
@@ -460,14 +520,22 @@ def test_simulate_is_a_plain_step_loop(run):
     assert _same(_fields(traj), _simulate_by_stepping(kind, phi0, steps, p, settle_tol, cfg)[0])
 
 
-@pytest.mark.parametrize("kind,value,period", [(BE, 1.9931, 1), (DIRK2, 31.0, 2)],
-                         ids=("be", "dirk2"))
-def test_simulate_stops_stepping_at_the_first_repeat(kind, value, period, monkeypatch):
+# (kind, value, delta, repeat_by): the 1D field const+mode:value,delta,1 on n = 257 repeats
+# exactly by step repeat_by.  A DIRK stage whose guess already solves it adds a
+# force of exactly 0, so the settled DIRK2 fields reach fixed points.
+@pytest.mark.parametrize("kind,value,delta,repeat_by", [
+    (BE, 1.9931, 0.0, 30),
+    (DIRK2, 31.0, 0.0, 15),
+    (DIRK2, 5.074, 0.1, 15),
+    (DIRK2, 0.5, 0.1, 15),
+    (DIRK2, -0.5, 0.1, 15),
+], ids=("be", "dirk2", "dirk2_mode_5.074", "dirk2_mode_0.5", "dirk2_mode_-0.5"))
+def test_simulate_stops_stepping_at_the_first_repeat(kind, value, delta, repeat_by, monkeypatch):
     g, p, steps = make_grid(1, 257), ACParams(0.1, 0.01), 200
-    phi0 = constant_field(g, value)
+    phi0 = ScalarField(g, value + delta * eval_mode(ModeIndex((1,)), g).values)
     want, states = _simulate_by_stepping(kind, phi0, steps, p, 1e-3)
-    repeat, got_period = _first_repeat(states)
-    assert got_period == period and repeat < 30
+    repeat, period = _first_repeat(states)
+    assert period == 1 and repeat <= repeat_by
     calls = []
 
     def counting(*args, **kwargs):
@@ -477,4 +545,27 @@ def test_simulate_stops_stepping_at_the_first_repeat(kind, value, period, monkey
     monkeypatch.setattr(schemes, "step", counting)
     traj = simulate(kind, phi0, steps, p)
     assert len(calls) == repeat
+    assert _same(_fields(traj), want)
+
+
+def test_simulate_copies_a_two_cycle(monkeypatch):
+    # no scheme was seen to reach an exact 2-cycle, so a stand-in step sends
+    # every state to a except a itself, which goes to b: the states run
+    # phi0, a, b, a, ..., and state 3 repeats state 1
+    g, p = make_grid(1, 9), ACParams(0.1, 0.01)
+    a = ScalarField(g, 0.5 + 0.1 * eval_mode(ModeIndex((1,)), g).values)
+    b = constant_field(g, 1.0 - 1e-4)  # settled at settle_tol 1e-3, a is not
+    calls = []
+
+    def alternating(kind, u, p, cfg=None):
+        calls.append(1)
+        return (b if u.values.tobytes() == a.values.tobytes() else a), StepReport(())
+
+    monkeypatch.setattr(schemes, "step", alternating)
+    phi0 = constant_field(g, 0.0)
+    want = _simulate_by_stepping(DIRK2, phi0, 20, p, 1e-3)[0]
+    calls.clear()
+    traj = simulate(DIRK2, phi0, 20, p)
+    assert len(calls) == 3
+    assert traj.settle_step == 2 and len(traj.summaries) == 21
     assert _same(_fields(traj), want)
