@@ -30,8 +30,8 @@ b combining all forces into phi_{n+1} (be/cn/modcn: one stage, phi_{n+1}).
 ``step`` walks it on fields, one Newton solve per stage started from the
 previous stage, and reads each DIRK stage's force off the equation it just
 solved, F(phi_i) = (phi_i - s_i) / (dt a_ii): evaluated afresh, Lap(phi_i)
-would scale the stage's Newton error by about dt a_ii 4 dim / h^2, so settled
-states would keep moving by roundoff.  Constant fields stay constant, and
+would scale the stage's Newton error by about dt a_ii 4 dim / h^2, so states
+whose stages are already solved would keep moving by roundoff.  Constant fields stay constant, and
 there each stage is a cubic: ``_selected_images`` walks the chain of its
 roots that the stepper takes on a whole array of constants, ``scalar_map``
 every chain from one.  Their stage values are closed-form roots and Lap
@@ -243,10 +243,12 @@ def step(kind: SchemeKind, phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | 
     first from phi_n); a failed stage ends the step with its iterate.
 
     A DIRK stage's force is read off the equation it was solved with,
-    (phi_i - s_i) / (dt a_ii), which is F(phi_i) up to the stage's residual
+    a (phi_i - s_i) / (dt a_ii), which is F(phi_i) up to the stage's residual
     over dt a_ii (module docstring).  A stage whose guess already meets the
-    tolerance adds a force of exactly 0, so a settled state repeats exactly
-    and simulate stops stepping it.
+    tolerance adds a force of exactly 0.  So, as with be, any state whose
+    first-stage residual |dt a_11 F(phi_n)| is within the Newton tolerance
+    maps to itself, whether it has settled or only moves slowly, and
+    simulate stops stepping it.
     """
     grid = phi_n.grid
     lap = laplacian_matrix(grid)
@@ -261,8 +263,8 @@ def step(kind: SchemeKind, phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | 
         if not rep.converged:
             return ScalarField(grid, x), StepReport(tuple(reports))
         if b is not None:
-            _, s, dt_aii = terms  # the stage equation x - s = dt a_ii F(x)
-            fs.append((x - s) / dt_aii)
+            a, s, dt_aii = terms  # the stage equation a (x - s) = dt a_ii F(x)
+            fs.append(a * (x - s) / dt_aii)
     if b is not None:
         x = _weighted(v0, b, fs, p.dt)
     return ScalarField(grid, x), StepReport(tuple(reports))
