@@ -395,9 +395,15 @@ def field_mean(u: ScalarField) -> float:
 
 
 def field_l2(u: ScalarField) -> float:
-    """Trapezoid-weighted L2 norm."""
-    w = trapezoid_weights(u.grid)
-    return math.sqrt(float(w @ (u.values * u.values)))
+    """Trapezoid-weighted L2 norm; as m ||v / m|| with m = max |v| where the
+    plain sum of squares overflows, or underflows to 0 on a nonzero field."""
+    w, v = trapezoid_weights(u.grid), u.values
+    with np.errstate(over="ignore"):
+        total = float(w @ (v * v))
+    if math.isfinite(total) and (total > 0.0 or not v.any()):
+        return math.sqrt(total)
+    m = float(np.abs(v).max())
+    return m * math.sqrt(float(w @ ((v / m) * (v / m))))
 
 
 def center_value(u: ScalarField) -> float:

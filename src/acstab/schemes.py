@@ -31,16 +31,21 @@ b combining all forces into phi_{n+1} (be/cn/modcn: one stage, phi_{n+1}).
 previous stage, and reads each DIRK stage's force off the equation it just
 solved, F(phi_i) = (phi_i - s_i) / (dt a_ii): evaluated afresh, Lap(phi_i)
 would scale the stage's Newton error by about dt a_ii 4 dim / h^2, so states
-whose stages are already solved would keep moving by roundoff.  Constant fields stay constant, and
-there each stage is a cubic: ``_selected_images`` walks the chain of its
-roots that the stepper takes on a whole array of constants, ``scalar_map``
-every chain from one.  Their stage values are closed-form roots and Lap
-vanishes, so they evaluate F(x) itself.
+whose stages are already solved would keep moving by roundoff.
+
+Constant fields stay constant: Lap maps them to exactly 0, so each stage is
+the scalar equation of ``constant_residual``, a cubic.  ``step`` walks a
+constant field on its float with the same Newton iteration, guess,
+tolerance and iteration cap, and returns the constant field of the result.
+``_selected_images`` walks the chain of stage roots that the stepper takes
+on a whole array of constants, ``scalar_map`` every chain from one; their
+stage values are closed-form roots, so they evaluate F(x) itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -242,6 +247,10 @@ def step(kind: SchemeKind, phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | 
     One Newton solve per stage, each started from the previous stage (the
     first from phi_n); a failed stage ends the step with its iterate.
 
+    A constant field, all of whose nodes have the same bits (0.0 next to
+    -0.0 is a field), steps as its constant: each stage solves
+    constant_residual's equation by newton_solve's float case.
+
     A DIRK stage's force is read off the equation it was solved with,
     a (phi_i - s_i) / (dt a_ii), which is F(phi_i) up to the stage's residual
     over dt a_ii (module docstring).  A stage whose guess already meets the
@@ -250,24 +259,36 @@ def step(kind: SchemeKind, phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | 
     maps to itself, whether it has settled or only moves slowly, and
     simulate stops stepping it.
     """
-    grid = phi_n.grid
+    grid, v0 = phi_n.grid, phi_n.values
+    bits = v0.view(np.int64)
+    if (bits == bits[0]).all():
+        x, reports = _walk(kind, float(v0[0]), p, cfg, _no_lap, partial(constant_residual, p))
+        return ScalarField(grid, np.full(v0.size, x)), StepReport(reports)
     lap = laplacian_matrix(grid)
-    v0 = phi_n.values
+    x, reports = _walk(kind, v0, p, cfg, lap.__matmul__, partial(implicit_system, grid, p))
+    return ScalarField(grid, x), StepReport(reports)
+
+
+def _walk(kind: SchemeKind, v0, p: ACParams, cfg: NewtonConfig | None, lap, system):
+    """step's stage walk from v0, a node array or a float: (value, reports).
+    lap(x) is Lap(x), system(*terms) a stage's (residual, jacobian).  Stage
+    terms that overflow warn of nothing: Newton reports the residual at its
+    guess as not finite."""
     stages, b = _forward_stages(kind, p)
     x, fs, reports = v0, [], []
     for stage in stages:
-        terms = stage(v0, fs, lap.__matmul__)
-        residual, jacobian = implicit_system(grid, p, *terms)
-        x, rep = newton_solve(residual, jacobian, x, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = stage(v0, fs, lap)
+        x, rep = newton_solve(*system(*terms), x, cfg)
         reports.append(rep)
         if not rep.converged:
-            return ScalarField(grid, x), StepReport(tuple(reports))
+            return x, tuple(reports)
         if b is not None:
             a, s, dt_aii = terms  # the stage equation a (x - s) = dt a_ii F(x)
             fs.append(a * (x - s) / dt_aii)
     if b is not None:
         x = _weighted(v0, b, fs, p.dt)
-    return ScalarField(grid, x), StepReport(tuple(reports))
+    return x, tuple(reports)
 
 
 @dataclass(frozen=True)

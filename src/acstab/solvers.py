@@ -390,33 +390,36 @@ def _newton_core(residual, jacobian, x0: np.ndarray, cfg: NewtonConfig):
     """Newton on a flat array unknown with a ShiftedLaplacian Jacobian; one
     inf-norm decides convergence for the whole array.  Each step is solved
     to the forcing term eta (see the module docstring); once a step fails to
-    halve the residual, every later one is solved exactly."""
-    x = x0
-    r = np.asarray(residual(x), dtype=float)
-    rnorm = _linf(r)
-    history = [rnorm]
-    if not math.isfinite(rnorm):
-        return x0, NewtonReport(0, rnorm, False, tuple(history), "residual not finite at guess")
-    if rnorm <= cfg.tol:
-        return x, NewtonReport(0, rnorm, True, tuple(history))
-    eta, stalled = _FORCING_MAX, False
-    for it in range(1, cfg.max_iter + 1):
-        try:
-            step = jacobian(x).solve(-r, eta)
-        except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
-            return x, NewtonReport(it - 1, rnorm, False, tuple(history), f"linear solve failed: {exc}")
-        x_new = x + step
-        r_new = np.asarray(residual(x_new), dtype=float)
-        rn_new = _linf(r_new)
-        if not (math.isfinite(rn_new) and math.isfinite(_linf(x_new))):
-            return x, NewtonReport(it - 1, rnorm, False, tuple(history), "iterate diverged")
-        x, r, rnorm = x_new, r_new, rn_new
-        history.append(rnorm)
+    halve the residual, every later one is solved exactly.  A residual that
+    overflows is reported by its norm, inf or NaN, not by a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x0
+        r = np.asarray(residual(x), dtype=float)
+        rnorm = _linf(r)
+        history = [rnorm]
+        if not math.isfinite(rnorm):
+            return x0, NewtonReport(0, rnorm, False, tuple(history), "residual not finite at guess")
         if rnorm <= cfg.tol:
-            return x, NewtonReport(it, rnorm, True, tuple(history))
-        stalled = stalled or rnorm > 0.5 * history[-2]
-        eta = _LINEAR_RTOL if stalled else _forcing(rnorm, history[-2], cfg.tol)
-    return x, NewtonReport(cfg.max_iter, rnorm, False, tuple(history), "max iterations reached")
+            return x, NewtonReport(0, rnorm, True, tuple(history))
+        eta, stalled = _FORCING_MAX, False
+        for it in range(1, cfg.max_iter + 1):
+            try:
+                step = jacobian(x).solve(-r, eta)
+            except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
+                return x, NewtonReport(it - 1, rnorm, False, tuple(history),
+                                       f"linear solve failed: {exc}")
+            x_new = x + step
+            r_new = np.asarray(residual(x_new), dtype=float)
+            rn_new = _linf(r_new)
+            if not (math.isfinite(rn_new) and math.isfinite(_linf(x_new))):
+                return x, NewtonReport(it - 1, rnorm, False, tuple(history), "iterate diverged")
+            x, r, rnorm = x_new, r_new, rn_new
+            history.append(rnorm)
+            if rnorm <= cfg.tol:
+                return x, NewtonReport(it, rnorm, True, tuple(history))
+            stalled = stalled or rnorm > 0.5 * history[-2]
+            eta = _LINEAR_RTOL if stalled else _forcing(rnorm, history[-2], cfg.tol)
+        return x, NewtonReport(cfg.max_iter, rnorm, False, tuple(history), "max iterations reached")
 
 
 # How each entry of _newton_each ended, and the report message of each.

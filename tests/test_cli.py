@@ -141,6 +141,19 @@ def test_simulate_failure_names_stage_and_residual(tmp_path, capsys):
         "step 2 did not converge at stage 1 of 1 (max iterations reached, residual ")
 
 
+def test_simulate_overflow_at_the_guess_is_one_failure_line(tmp_path):
+    # the cubic of 1e200 overflows: the step fails at its guess, and no numpy
+    # warning joins the failure line on stderr
+    out = tmp_path / "traj.csv"
+    run = subprocess.run([sys.executable, "-m", "acstab.cli", "simulate", "const+mode:1e200,1e199,1",
+                          "--scheme", "cn", "--eps", "0.1", "--dt", "0.01", "--out", str(out)],
+                         capture_output=True, text=True)
+    assert run.returncode == 3
+    assert run.stderr == ("step 1 did not converge at stage 1 of 1 "
+                          "(residual not finite at guess, residual inf)\n")
+    assert _rows(out)[1][5] == "1.41774469e+200"  # l2 of the initial field
+
+
 def test_simulate_requires_scheme(tmp_path):
     assert _run("simulate", "const:1", "--dt", "0.01", "--eps", "0.1",
                 "--out", str(tmp_path / "t.csv")) == 2
@@ -858,6 +871,9 @@ _CONSTANT_COMMANDS = (
      "--ratio", "0.5"),
     *(("reproduce", target, "--check") for target in REPRODUCE_IDS),
     ("preimage", "const:0.5", "--scheme", "dirk2", "--ratio", "2"),
+    # a constant field steps as its constant
+    ("simulate", "const:31", "--scheme", "dirk2", "--eps", "0.1", "--dt", "0.01"),
+    ("simulate", "const:0.5", "--scheme", "cn", "--dim", "2", "--eps", "0.1", "--dt", "0.01"),
 )
 
 _SCIPY_PROBE = """

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from acstab.fields import (
     field_mean,
     laplacian_matrix,
     make_grid,
+    trapezoid_weights,
 )
 
 
@@ -182,6 +184,19 @@ def test_butcher_tableau():
 def test_butcher_tableau_rejects_explicit_stages():
     with pytest.raises(ConfigurationError):
         ButcherTableau(a=((0.0, 0.0), (0.5, 0.5)), b=(0.5, 0.5), c=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+@pytest.mark.parametrize("c", (1e200, -1e200, 1e-200))
+def test_field_l2_of_fields_far_from_one(c, dim):
+    # the plain sum of squares overflows (1e400) or underflows (1e-400)
+    g = make_grid(dim, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = field_l2(constant_field(g, c))
+    want = abs(c) * math.sqrt(float(np.sum(trapezoid_weights(g))))  # sqrt(2) |c| in 1D
+    assert abs(got - want) <= 1e-15 * want
+    assert field_l2(constant_field(g, 0.0)) == 0.0
 
 
 def test_field_statistics():

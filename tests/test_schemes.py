@@ -37,7 +37,7 @@ from acstab.schemes import (
     simulate,
     step,
 )
-from acstab.solvers import NewtonConfig, fd_jacobian, real_cubic_roots
+from acstab.solvers import NewtonConfig, fd_jacobian, newton_solve, real_cubic_roots
 
 ALL = (BE, CN, MODCN, DIRK2)
 # a backward-triangular tableau other than DIRK2's (a11 != a22, alpha != beta)
@@ -231,6 +231,11 @@ def _newton(residual, jacobian, x, tol):
     return x
 
 
+def _unique_dt_over_eps2(kind):
+    """The scheme's uniqueness threshold dt / eps^2: below it each stage has one solution."""
+    return {"be": 1.0, "cn": 2.0, "modcn": 2.0}.get(kind.tag) or 1.0 / kind.tableau.max_diag
+
+
 def _step_by_definition(kind, v0, g, p, tol):
     """One step from each scheme's definition, stage by stage, each stage
     started from the one before and solved to residual tol; be/cn/modcn
@@ -282,9 +287,7 @@ def _step_by_definition(kind, v0, g, p, tol):
 )
 def test_step_matches_the_scheme_definitions(kind, dim, n, eps, frac, data):
     # dt is frac of the scheme's uniqueness threshold, so each stage has one solution
-    factor = {"be": 1.0, "cn": 2.0, "modcn": 2.0}.get(kind.tag)
-    factor = factor or 1.0 / kind.tableau.max_diag
-    p = ACParams(eps, frac * factor * eps * eps)
+    p = ACParams(eps, frac * _unique_dt_over_eps2(kind) * eps * eps)
     g = make_grid(dim, n)
     v0 = np.array(data.draw(st.lists(
         st.floats(-1.5, 1.5), min_size=g.num_nodes, max_size=g.num_nodes)))
@@ -301,12 +304,13 @@ def test_step_matches_the_scheme_definitions(kind, dim, n, eps, frac, data):
 
 
 def _step_with_stages(kind, phi, p):
-    """step's (field, report) and the value of each stage it solved."""
+    """step's (field, report) and the value of each stage it solved, as node
+    arrays: on a constant field step solves each stage on the constant's float."""
     solve, stages = schemes.newton_solve, []
 
     def recording(*args):
         x, rep = solve(*args)
-        stages.append(x)
+        stages.append(np.broadcast_to(x, phi.values.shape))
         return x, rep
 
     with pytest.MonkeyPatch.context() as mp:
@@ -350,6 +354,105 @@ def test_dirk_step_combines_the_stage_forces(kind, dim, n, eps, frac, data):
         # so the result is that stage within a few ulps of the states involved
         scale = max(np.max(np.abs(x)) for x in (v0, *stages))
         assert np.max(np.abs(out.values - stages[-1])) <= 4 * np.spacing(scale)
+
+
+@st.composite
+def _constant_steps(draw):
+    """(kind, grid, r, p): |r| log-uniform in [1e-3, 1e3] of either sign, 1D or 2D
+    grids of 3 to 65 nodes per axis, and dt below the scheme's uniqueness threshold."""
+    kind = draw(st.sampled_from(ALL + (_SDIRK2, _DIRK3)))
+    g = make_grid(draw(st.sampled_from((1, 2))), draw(st.integers(3, 65)))
+    r = draw(st.sampled_from((1.0, -1.0))) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    eps = draw(st.floats(0.1, 1.0))
+    p = ACParams(eps, draw(st.floats(0.05, 0.95)) * _unique_dt_over_eps2(kind) * eps * eps)
+    return kind, g, r, p
+
+
+def _field_walk(kind, v0, g, p, cfg):
+    """step's stage walk on the node array v0, as step solves a field that is not
+    constant: implicit_system and newton_solve per stage, each from the stage
+    before, and DIRK forces read off the stage equations.  (values, reports)."""
+    lap = laplacian_matrix(g)
+    stages, b = schemes._forward_stages(kind, p)
+    x, fs, reports = v0, [], []
+    for stage in stages:
+        terms = stage(v0, fs, lap.__matmul__)
+        x, rep = newton_solve(*implicit_system(g, p, *terms), x, cfg)
+        reports.append(rep)
+        if not rep.converged:
+            return x, reports
+        if b is not None:
+            a, s, dt_aii = terms
+            fs.append(a * (x - s) / dt_aii)
+    return (x if b is None else sum((p.dt * w * f for w, f in zip(b, fs)), v0)), reports
+
+
+def _first_stage_scale(kind, r, p):
+    """The largest term of the first stage's equation at the constant r."""
+    terms = schemes._forward_stages(kind, p)[0][0](r, [], lambda x: 0.0)
+    (a, s, b), k = terms[:3], (terms[3] if len(terms) > 3 else 0.0)  # DIRK stages have no k
+    return max(abs(a * r), abs(a * s), b / p.eps2 * abs(r) ** 3, abs(k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_constant_steps())
+@example((BE, make_grid(1, 5), 0.0, ACParams(0.1, 0.005)))
+@example((DIRK2, make_grid(2, 3), -0.0, ACParams(0.1, 0.01)))
+def test_a_constant_field_steps_as_its_constant(drawn):
+    # step solves each stage of a constant field on its float, the walk on the
+    # node array is the reference.  Newton stops at 1e-12 of the first stage's
+    # largest term (1e-10 at least), far above both walks' roundoff floors, so
+    # both take the same iterations to the same root.  The reference's linear
+    # solves round: in 1D within a few ulps, in 2D its CG steps go through DCT-I
+    # products of order n.  Bound: 32 ulps (1D), 4 n ulps (2D) of the larger of
+    # |r| and the result (seen over 2,000 random draws: 11 and 2.1 n).
+    kind, g, r, p = drawn
+    cfg = NewtonConfig(tol=max(1e-10, 1e-12 * _first_stage_scale(kind, r, p)))
+    out, rep = step(kind, constant_field(g, r), p, cfg)
+    want, reports = _field_walk(kind, np.full(g.num_nodes, r), g, p, cfg)
+    assert ([(q.converged, q.iterations, q.message) for q in rep.stage_reports]
+            == [(q.converged, q.iterations, q.message) for q in reports])
+    assert rep.success
+    ulps = 32 if g.dim == 1 else 4 * g.n
+    scale = max(abs(r), np.max(np.abs(want)))
+    assert np.max(np.abs(out.values - want)) <= ulps * np.spacing(scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_constant_steps(), st.integers(1, 30))
+def test_simulate_keeps_a_constant_field_constant(drawn, steps):
+    # every state simulate steps to from a constant field is constant to the bit,
+    # also after a step that fails
+    kind, g, r, p = drawn
+    states = []
+
+    def recording(*args):
+        u, rep = step(*args)
+        states.append(u.values)
+        return u, rep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schemes, "step", recording)
+        traj = simulate(kind, constant_field(g, r), steps, p)
+    assert states
+    for v in states:
+        bits = v.view(np.int64)
+        assert (bits == bits[0]).all()
+    assert all(s.vmin == s.vmax == s.center for s in traj.summaries)
+
+
+def test_only_a_field_of_one_bit_pattern_steps_as_a_constant(monkeypatch):
+    # 0.0 and -0.0 are equal but have different bits: a mix of them is a field
+    systems = []
+    field_system = schemes.implicit_system
+    monkeypatch.setattr(schemes, "implicit_system",
+                        lambda *args: systems.append(1) or field_system(*args))
+    g, p = make_grid(1, 5), ACParams(0.1, 0.01)
+    for values, calls in (([-0.0] * 5, 0), ([0.0, -0.0, 0.0, 0.0, 0.0], 1)):
+        systems.clear()
+        out, rep = step(CN, ScalarField(g, values), p)
+        assert rep.success and len(systems) == calls
+        assert out.values.tobytes() == np.array(values).tobytes()
 
 
 def _self_convergence_order(kind, dts, ref_dt):
