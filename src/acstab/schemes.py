@@ -249,7 +249,8 @@ def step(kind: SchemeKind, phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | 
 
     A constant field, all of whose nodes have the same bits (0.0 next to
     -0.0 is a field), steps as its constant: each stage solves
-    constant_residual's equation by newton_solve's float case.
+    constant_residual's equation by newton_solve on the float, the same
+    Newton loop that a field's stages run.
 
     A DIRK stage's force is read off the equation it was solved with,
     a (phi_i - s_i) / (dt a_ii), which is F(phi_i) up to the stage's residual

@@ -1,13 +1,12 @@
 """Newton's method, parameter continuation, and real roots of cubics.
 
-newton_solve takes one of two kinds of unknown.  A flat numpy array
-has a ShiftedLaplacian Jacobian: its Newton step is that operator's solve and
-one inf-norm decides convergence.  A float is the size-1 case of Newton on
-independent scalar equations, one per array entry (_newton_each): each step
-divides the residual by the derivative, and each entry stops on its own.
-classify runs that loop on whole arrays of constants, with the real roots of
-their cubics from the closed form _cubic_roots, which real_cubic_roots runs
-on floats.
+newton_solve runs one Newton loop on either of two kinds of unknown.  A flat
+numpy array has a ShiftedLaplacian Jacobian: its Newton step is that
+operator's solve and one inf-norm decides convergence.  A float has a float
+derivative: its step divides the residual by it.  classify takes that float
+step on each entry of whole arrays of constants at once (_newton_each), each
+entry stopping on its own, with the real roots of their cubics from the
+closed form _cubic_roots, which real_cubic_roots runs on floats.
 
 Every step equation of the steppers and of their backward problems is
 a (v - s) - b L v + (b / eps^2) n(v) + k = 0 with L the Neumann Laplacian
@@ -106,15 +105,18 @@ _FORCING_GAMMA = 0.9
 class NewtonConfig:
     """Newton iteration controls: the residual tolerance and the iteration cap.
 
-    They apply alike to both kinds of unknown newton_solve takes: a float,
+    They apply alike to both kinds of unknown newton_solve takes (a float,
     whose derivative is a float, and a flat array, whose Jacobian is a
-    ShiftedLaplacian.  The residual is measured by abs or the inf-norm.
+    ShiftedLaplacian) and to each entry of _newton_each.  The residual is
+    measured by abs or the inf-norm.
     """
 
     tol: float = 1e-10
     max_iter: int = 50
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise ConfigurationError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not (math.isfinite(self.tol) and self.tol > 0) or self.max_iter < 1:
             raise ConfigurationError(f"tol must be finite and > 0 and max_iter >= 1, got "
                                      f"tol {self.tol} and max_iter {self.max_iter}")
@@ -386,95 +388,35 @@ def _forcing(rnorm: float, previous: float, tol: float) -> float:
     return max(_LINEAR_RTOL, min(_FORCING_MAX, eta))
 
 
-def _newton_core(residual, jacobian, x0: np.ndarray, cfg: NewtonConfig):
-    """Newton on a flat array unknown with a ShiftedLaplacian Jacobian; one
-    inf-norm decides convergence for the whole array.  Each step is solved
-    to the forcing term eta (see the module docstring); once a step fails to
-    halve the residual, every later one is solved exactly.  A residual that
-    overflows is reported by its norm, inf or NaN, not by a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = x0
-        r = np.asarray(residual(x), dtype=float)
-        rnorm = _linf(r)
-        history = [rnorm]
-        if not math.isfinite(rnorm):
-            return x0, NewtonReport(0, rnorm, False, tuple(history), "residual not finite at guess")
-        if rnorm <= cfg.tol:
-            return x, NewtonReport(0, rnorm, True, tuple(history))
-        eta, stalled = _FORCING_MAX, False
-        for it in range(1, cfg.max_iter + 1):
-            try:
-                step = jacobian(x).solve(-r, eta)
-            except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
-                return x, NewtonReport(it - 1, rnorm, False, tuple(history),
-                                       f"linear solve failed: {exc}")
-            x_new = x + step
-            r_new = np.asarray(residual(x_new), dtype=float)
-            rn_new = _linf(r_new)
-            if not (math.isfinite(rn_new) and math.isfinite(_linf(x_new))):
-                return x, NewtonReport(it - 1, rnorm, False, tuple(history), "iterate diverged")
-            x, r, rnorm = x_new, r_new, rn_new
-            history.append(rnorm)
-            if rnorm <= cfg.tol:
-                return x, NewtonReport(it, rnorm, True, tuple(history))
-            stalled = stalled or rnorm > 0.5 * history[-2]
-            eta = _LINEAR_RTOL if stalled else _forcing(rnorm, history[-2], cfg.tol)
-        return x, NewtonReport(cfg.max_iter, rnorm, False, tuple(history), "max iterations reached")
-
-
-# How each entry of _newton_each ended, and the report message of each.
-_CONVERGED, _BAD_GUESS, _BAD_DERIVATIVE, _DIVERGED, _MAX_ITER = range(5)
-_OUTCOME = (
-    "",
-    "residual not finite at guess",
-    "linear solve failed: zero or non-finite derivative, or overflowing step",
-    "iterate diverged",
-    "max iterations reached",
-)
-
-
 def _newton_each(residual, derivative, guess: np.ndarray, cfg: NewtonConfig | None = None):
-    """Newton's method on independent scalar equations, one per entry of guess.
+    """Newton's method on independent scalar equations, one per entry of guess,
+    for classify's root picks (schemes._selected_images).
 
     residual(x) and derivative(x) are evaluated elementwise on the 1-D array
-    x.  Each entry stops on its own: at |residual| <= cfg.tol, at the
-    iteration cap, or on a failed step (zero or non-finite derivative,
-    overflowing step, non-finite new iterate or residual), keeping its last
-    finite iterate.  An entry that stopped is carried along unchanged.
-
-    Returns (x, iterations, residual, outcome, history): per entry the last
-    iterate, the steps taken, |residual| at x and how it ended (an index
-    into _OUTCOME), plus the |residual| arrays after each sweep, starting
-    at the guess.
+    x.  Each entry steps as newton_solve steps a float and stops on its own:
+    at |residual| <= cfg.tol, at the iteration cap, or on a failed step,
+    keeping its last finite iterate.  An entry that stopped is carried along
+    unchanged.  Returns (x, |residual| at x) per entry.
     """
     cfg = cfg or NewtonConfig()
     with np.errstate(all="ignore"):
         x = np.array(guess, dtype=float)
         r = np.broadcast_to(np.asarray(residual(x), dtype=float), x.shape)
         rn = np.abs(r)
-        history = [rn]
-        outcome = np.where(np.isfinite(rn), _MAX_ITER, _BAD_GUESS)  # _CONVERGED set at the end
-        iterations = np.zeros(x.shape, dtype=int)
         run = np.isfinite(rn) & (rn > cfg.tol)
         for _ in range(cfg.max_iter):
             if not np.count_nonzero(run):
                 break
             d = derivative(x)
             step = -r / d
-            steps = np.isfinite(step * d)  # step and derivative finite: inf * 0 is NaN
             x_new = x + step
             r_new = np.asarray(residual(x_new), dtype=float)
             rn_new = np.abs(r_new)
-            ok = run & steps & np.isfinite(rn_new) & np.isfinite(x_new)
-            if np.count_nonzero(ok) < np.count_nonzero(run):
-                outcome[run & ~steps] = _BAD_DERIVATIVE
-                outcome[run & steps & ~ok] = _DIVERGED
+            # a finite step and derivative (inf * 0 is NaN), new iterate and residual
+            ok = run & np.isfinite(step * d) & np.isfinite(rn_new) & np.isfinite(x_new)
             x, r, rn = np.where(ok, x_new, x), np.where(ok, r_new, r), np.where(ok, rn_new, rn)
-            history.append(rn)
-            iterations += ok
             run = ok & (rn > cfg.tol)
-        outcome[rn <= cfg.tol] = _CONVERGED
-    return x, iterations, rn, outcome, history
+    return x, rn
 
 
 def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
@@ -483,22 +425,21 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
     Parameters
     ----------
     residual, jacobian:
-        Functions of the unknown, for one of two kinds of unknown.  A float
-        unknown is the size-1 case of _newton_each: residual and jacobian
-        (its derivative) are called on a 1-element array, each step divides
-        the residual by the derivative, and a zero or non-finite derivative
-        ends the solve as a failed linear solve.  A flat-array unknown has a
-        ShiftedLaplacian Jacobian, whose solve picks a tridiagonal solve
-        (1D), preconditioned CG (2D, certified positive definite) or
-        preconditioned MINRES (every other 2D operator) from the operator
-        itself, with sparse LU where a Krylov solve misses; any other
-        Jacobian raises.  CG and MINRES solve
-        each Newton step only to the Eisenstat-Walker forcing term eta_k
-        times the residual (module docstring): 0.1 at first, then
-        0.9 (r_k / r_{k-1})^2 raised to 0.5 tol / r_k, capped at 0.1 and no
-        smaller than 1e-12; once a step fails to halve the residual, 1e-12
-        for the rest of the solve.  The stopping rule is cfg.tol on the
-        residual whatever the forcing.
+        Functions of the unknown, for one of two kinds of unknown, chosen by
+        the guess.  A float unknown has a float derivative as its jacobian:
+        each step is -residual / derivative, and a zero or non-finite
+        derivative, or a step that overflows, ends the solve as a failed
+        linear solve.  A flat-array unknown has a ShiftedLaplacian Jacobian,
+        whose solve picks a tridiagonal solve (1D), preconditioned CG (2D,
+        certified positive definite) or preconditioned MINRES (every other
+        2D operator) from the operator itself, with sparse LU where a Krylov
+        solve misses; any other Jacobian raises.  CG and MINRES solve each
+        Newton step only to the Eisenstat-Walker forcing term eta_k times the
+        residual (module docstring): 0.1 at first, then 0.9 (r_k / r_{k-1})^2
+        raised to 0.5 tol / r_k, capped at 0.1 and no smaller than 1e-12;
+        once a step fails to halve the residual, 1e-12 for the rest of the
+        solve.  The stopping rule is cfg.tol on the residual's abs or
+        inf-norm whatever the forcing.
     guess:
         float or flat ndarray; the solution has the same kind.
     cfg:
@@ -507,15 +448,51 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
     Returns
     -------
     (solution, NewtonReport).  Non-convergence is reported, not raised; the
-    returned iterate is the last finite one.
+    returned iterate is the last finite one.  A residual that overflows is
+    reported by its norm, inf or NaN, not by a warning.
     """
     cfg = cfg or NewtonConfig()
-    if not np.isscalar(guess):
-        return _newton_core(residual, jacobian, np.array(guess, dtype=float), cfg)
-    x, iterations, rn, outcome, history = _newton_each(residual, jacobian, np.array([guess]), cfg)
-    its, why = int(iterations[0]), int(outcome[0])
-    return float(x[0]), NewtonReport(its, float(rn[0]), why == _CONVERGED,
-                                     tuple(float(h[0]) for h in history[:its + 1]), _OUTCOME[why])
+    scalar = np.isscalar(guess)
+    x = np.float64(guess) if scalar else np.array(guess, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = np.asarray(residual(x), dtype=float)
+        rnorm = _linf(r)
+        history = [rnorm]
+        iterations, eta, stalled = 0, _FORCING_MAX, False
+        if not math.isfinite(rnorm):
+            message, cap = "residual not finite at guess", 0
+        elif rnorm <= cfg.tol:
+            message, cap = "", 0
+        else:
+            message, cap = "max iterations reached", cfg.max_iter
+        for it in range(1, cap + 1):  # a loop that runs to the cap keeps message
+            try:
+                if scalar:
+                    d = jacobian(x)
+                    step = -r / d
+                    if not math.isfinite(step * d):  # inf * 0 is NaN
+                        raise np.linalg.LinAlgError("zero or non-finite derivative, "
+                                                    "or overflowing step")
+                else:
+                    step = jacobian(x).solve(-r, eta)
+            except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
+                message = f"linear solve failed: {exc}"
+                break
+            x_new = x + step
+            r_new = np.asarray(residual(x_new), dtype=float)
+            rn_new = _linf(r_new)
+            if not (math.isfinite(rn_new) and math.isfinite(_linf(x_new))):
+                message = "iterate diverged"
+                break
+            x, r, rnorm, iterations = x_new, r_new, rn_new, it
+            history.append(rnorm)
+            if rnorm <= cfg.tol:
+                message = ""
+                break
+            stalled = stalled or rnorm > 0.5 * history[-2]
+            eta = _LINEAR_RTOL if stalled else _forcing(rnorm, history[-2], cfg.tol)
+    report = NewtonReport(iterations, rnorm, not message, tuple(history), message)
+    return (float(x) if scalar else x), report
 
 
 def fd_jacobian(residual, u, h_fd: float | None = None) -> np.ndarray:
@@ -552,6 +529,8 @@ class HomotopyConfig:
     adaptive: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.steps, (int, np.integer)):
+            raise ConfigurationError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
         if not (math.isfinite(self.delta_start) and math.isfinite(self.delta_end)):

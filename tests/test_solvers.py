@@ -10,12 +10,24 @@ from hypothesis import strategies as st
 
 from acstab import solvers
 from acstab.errors import AnalysisError, ConfigurationError
-from acstab.fields import ACParams, DIRK2_TABLEAU, ScalarField, constant_field, laplacian_matrix, make_grid
+from acstab.fields import (
+    ACParams,
+    ButcherTableau,
+    DIRK2_TABLEAU,
+    ScalarField,
+    constant_field,
+    laplacian_matrix,
+    make_grid,
+)
 from acstab.schemes import (
     BE,
     CN,
+    DIRK2,
     MODCN,
+    SchemeKind,
+    _forward_stages,
     _nearest,
+    _no_lap,
     _step_terms,
     constant_cubic,
     constant_residual,
@@ -42,6 +54,22 @@ def test_newton_config_validation():
         NewtonConfig(tol=0.0)
     with pytest.raises(ConfigurationError):
         NewtonConfig(max_iter=0)
+    assert NewtonConfig(max_iter=np.int64(3)).max_iter == 3
+
+
+@pytest.mark.parametrize("max_iter", (2.5, 2.0, math.inf, "2"))
+def test_newton_config_rejects_a_max_iter_that_is_not_an_integer(max_iter):
+    # newton_solve would fail on it with a bare TypeError from range()
+    with pytest.raises(ConfigurationError, match="max_iter must be an integer"):
+        NewtonConfig(max_iter=max_iter)
+
+
+@pytest.mark.parametrize("steps", (2.5, 2.0, math.inf, "2"))
+def test_homotopy_config_rejects_steps_that_are_not_an_integer(steps):
+    # delta_schedule would fail on it with a bare TypeError from range()
+    with pytest.raises(ConfigurationError, match="steps must be an integer"):
+        HomotopyConfig(delta_end=1.0, steps=steps)
+    assert delta_schedule(HomotopyConfig(delta_end=1.0, steps=np.int64(2)))[-1] == 1.0
 
 
 @pytest.mark.parametrize("tol", (math.inf, math.nan))
@@ -119,49 +147,90 @@ def test_newton_scalar_bad_derivative_reported(deriv):
 
 
 def _reference_newton(f, fp, x, tol=1e-10, max_iter=50):
-    """(x, iterations, |residual|, converged, history) by Newton on one float,
-    as the float loop ran before floats became the size-1 case of arrays."""
+    """(x, iterations, |residual|, converged, history, message) by Newton on
+    one Python float: the float loop newton_solve runs, and each entry of
+    _newton_each."""
     rn = abs(f(x))
     history = [rn]
-    if not math.isfinite(rn) or rn <= tol:
-        return x, 0, rn, rn <= tol, history
+    if not math.isfinite(rn):
+        return x, 0, rn, False, tuple(history), "residual not finite at guess"
+    if rn <= tol:
+        return x, 0, rn, True, tuple(history), ""
     for it in range(1, max_iter + 1):
         d = fp(x)
         step = -f(x) / d if d != 0.0 and math.isfinite(d) else math.nan
         if not math.isfinite(step):
-            return x, it - 1, rn, False, history
+            return (x, it - 1, rn, False, tuple(history),
+                    "linear solve failed: zero or non-finite derivative, or overflowing step")
         x_new = x + step
         rn_new = abs(f(x_new))
         if not (math.isfinite(rn_new) and math.isfinite(x_new)):
-            return x, it - 1, rn, False, history
+            return x, it - 1, rn, False, tuple(history), "iterate diverged"
         x, rn = x_new, rn_new
         history.append(rn)
         if rn <= tol:
-            return x, it, rn, True, history
-    return x, max_iter, rn, False, history
+            return x, it, rn, True, tuple(history), ""
+    return x, max_iter, rn, False, tuple(history), "max iterations reached"
+
+
+def _assert_float_loop(f, fp, guess, x_each, rn_each):
+    # newton_solve on the float, report and all, and _newton_each's entry
+    # (x_each, rn_each) from the same guess are the reference loop's
+    want = _reference_newton(f, fp, guess)
+    assert (x_each, rn_each) == (want[0], want[2])
+    assert newton_solve(f, fp, guess) == (want[0], NewtonReport(*want[1:]))
+
+
+_GAMMA = 1.0 - math.sqrt(0.5)
+# Alexander's two-stage SDIRK: b is the last row of a (stiffly accurate)
+_SDIRK2 = SchemeKind("dirk", ButcherTableau(((_GAMMA, 0.0), (1.0 - _GAMMA, _GAMMA)),
+                                            (1.0 - _GAMMA, _GAMMA), (_GAMMA, 1.0)))
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    st.sampled_from(("be", "cn", "modcn")),
+    st.sampled_from((BE, CN, MODCN, DIRK2, _SDIRK2)),
     st.floats(0.05, 2.0),
     st.floats(1e-3, 10.0),
     st.lists(st.one_of(st.floats(-300.0, 300.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8),
 )
-def test_newton_each_entry_is_the_float_loop(tag, eps, dt, rs):
-    # each entry of an array of constant step equations, and each one alone
-    # as a float unknown, iterates exactly as the float loop does
+def test_newton_each_entry_is_the_float_loop(kind, eps, dt, rs):
+    # each stage equation of a step from an array of constants, and each
+    # entry's alone as a float unknown, iterates exactly as the float loop
+    # does; a DIRK stage starts from the stage before it, as in step
     p = ACParams(eps, dt)
-    kind = {"be": BE, "cn": CN, "modcn": MODCN}[tag]
+    stages, b = _forward_stages(kind, p)
     rs = np.array(rs)
-    terms = _step_terms(kind, rs, 0.0, p)
-    x, iterations, rn, _, _ = solvers._newton_each(*constant_residual(p, *terms), rs)
-    for j, r in enumerate(rs.tolist()):
-        one = constant_residual(p, *_step_terms(kind, r, 0.0, p))
-        want = _reference_newton(*one, r)
-        assert (x[j], iterations[j], rn[j]) == want[:3]
-        got, rep = newton_solve(*one, r)
-        assert (got, rep.iterations, rep.residual, rep.converged, list(rep.history)) == want
+    guess, fs = rs, []
+    for stage in stages:
+        terms = stage(rs, fs, _no_lap)
+        x, rn = solvers._newton_each(*constant_residual(p, *terms), guess)
+        for j, r in enumerate(rs.tolist()):
+            one = constant_residual(p, *stage(r, [f[j] for f in fs], _no_lap))
+            _assert_float_loop(*one, float(guess[j]), x[j], rn[j])
+        if b is not None:  # a DIRK stage's force, as step reads it
+            a, s, dt_aii = terms
+            fs.append(a * (x - s) / dt_aii)
+        guess = x
+
+
+@pytest.mark.parametrize(("r", "guess", "ending"), (
+    (0.5, 0.5, ""),
+    (1e200, 1e200, "residual not finite at guess"),  # r^3 overflows
+    # f'(0) = 1 + (3 0^2 - 1) = 0
+    (0.5, 0.0, "linear solve failed: zero or non-finite derivative, or overflowing step"),
+    # f' is 6.7e-16 at 2^-26, and the step of 1.5e115 makes x^3 overflow
+    (1e100, 2.0**-26, "iterate diverged"),
+    (1e100, 1e100, "max iterations reached"),  # Newton on x^3 shrinks x by 2/3 a step
+), ids=("converged", "residual-not-finite", "failed-step", "diverged", "max-iterations"))
+def test_the_float_loop_ends_as_the_reference(r, guess, ending):
+    # every way the loop can end, each reached by be's stage equation at
+    # eps = dt = 1, x - r + (x^3 - x) = 0, from the guess shown
+    p = ACParams(1.0, 1.0)
+    one = constant_residual(p, *_step_terms(BE, r, 0.0, p))
+    x, rn = solvers._newton_each(*one, np.array([guess]))
+    _assert_float_loop(*one, guess, x[0], rn[0])
+    assert newton_solve(*one, guess)[1].message == ending
 
 
 def test_newton_banded_path_matches_dense_solution(monkeypatch):
