@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of counts."""
+
+from numbers import Integral
 
 
 class ConfigurationError(ValueError):
@@ -12,3 +14,12 @@ class AnalysisError(RuntimeError):
     single real root; if a requested parameter regime violates that, the
     computation cannot continue meaningfully.
     """
+
+
+def _check_count(name: str, value, least: int | None = None) -> None:
+    """ConfigurationError unless value is a Python or numpy integer, and at
+    least `least` where given: counts feed range(), and 2.0 is no count."""
+    if not isinstance(value, Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigurationError(f"{name} must be >= {least}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AnalysisError, ConfigurationError
+from .errors import AnalysisError, ConfigurationError, _check_count
 from .fields import ACParams, ModeIndex, ScalarField, _cubic, ac_force, field_mean, laplacian_matrix
 from .schemes import DIRK2, MERGE_TOL, SchemeKind, _selected_images, _sign, _step_terms
 from .schemes import _check_settle_tol, constant_cubic, implicit_system, mode_slope
@@ -195,8 +195,7 @@ def interval_sequence(kind: SchemeKind, ratio: float, count: int) -> IntervalSeq
     not unique, or families that fail to interleave.
     """
     p = ACParams(eps=1.0, dt=_ratio_dt(kind, ratio))
-    if count < 1:
-        raise ConfigurationError("count must be >= 1")
+    _check_count("count", count, 1)
     families = sum(bwd(0.0, 0.0)[2] != 0.0 for _fwd, bwd in _backward_links(kind, p))
     if not families:
         raise ConfigurationError(f"{kind.label} has a unique preimage everywhere; no sequence")
@@ -262,8 +261,7 @@ def classify_constant_initial(
     the initial state and the step when an image is not finite: its cubic
     coefficients are not finite, or its closed-form roots overflow.
     """
-    if max_steps < 1:
-        raise ConfigurationError("max_steps must be >= 1")
+    _check_count("max_steps", max_steps, 1)
     _check_settle_tol(settle_tol)
     r0 = np.array(r, dtype=float, ndmin=1)
     if r0.ndim != 1:
@@ -436,5 +434,5 @@ def preimage_field(
         # sparse LU, so 2D states go as tuples.
         return (walked if grid.dim == 1 else tuple(walked)), report
 
-    state, report = march_deltas(solve_at, delta_schedule(hcfg), hcfg.adaptive)
+    state, report = march_deltas(solve_at, delta_schedule(hcfg), True)
     return ScalarField(grid, seed.values if state is None else state[-1]), report

@@ -17,12 +17,13 @@ unknown v:
     a (v - s) - b Lap(v) + (b / eps^2) n(v) + k = 0,
 
 with n(v) = v^3 - v, or (v + w)(v^2 + w^2) / 2 for MODCN's partner state w.
-``implicit_system`` builds its residual and ShiftedLaplacian Jacobian; each
-caller only chooses (a, s, b, k, w).  On constants the equation is the cubic
-``constant_cubic`` (with scalar residual ``constant_residual``).
-``mode_slope`` is the equation's Jacobian on one Laplacian eigenmode at a
-constant; every linearization in ``robustness`` and ``stability`` is built
-from it.
+``implicit_system`` builds its residual and Jacobian, the only place the
+equation is written: on a grid the Jacobian is a ShiftedLaplacian, and with
+no grid (constants, where Lap vanishes) it is the derivative; each caller
+only chooses (a, s, b, k, w).  On constants the equation is the cubic
+``constant_cubic``.  ``mode_slope`` is the equation's Jacobian on one
+Laplacian eigenmode at a constant; every linearization in ``robustness`` and
+``stability`` is built from it.
 
 Each scheme's step is read forward once, ``_forward_stages``: its stages'
 terms, each from phi_n and the forces F of earlier stages, and the weights
@@ -34,7 +35,7 @@ would scale the stage's Newton error by about dt a_ii 4 dim / h^2, so states
 whose stages are already solved would keep moving by roundoff.
 
 Constant fields stay constant: Lap maps them to exactly 0, so each stage is
-the scalar equation of ``constant_residual``, a cubic.  ``step`` walks a
+``implicit_system``'s equation without a grid, a cubic.  ``step`` walks a
 constant field on its float with the same Newton iteration, guess,
 tolerance and iteration cap, and returns the constant field of the result.
 ``_selected_images`` walks the chain of stage roots that the stepper takes
@@ -45,11 +46,10 @@ stage values are closed-form roots, so they evaluate F(x) itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
-from .errors import AnalysisError, ConfigurationError
+from .errors import AnalysisError, ConfigurationError, _check_count
 from .fields import (
     ACParams,
     ButcherTableau,
@@ -83,7 +83,6 @@ __all__ = [
     "StepSummary",
     "Trajectory",
     "implicit_system",
-    "constant_residual",
     "mode_slope",
     "constant_cubic",
     "step",
@@ -148,18 +147,27 @@ def implicit_system(grid, p: ACParams, a, s, b, k=0.0, partner=None):
 
     n(v) = v^3 - v, or (v + w)(v^2 + w^2) / 2 with w = partner (MODCN's
     averaged nonlinearity).  s, k and partner are scalars or node arrays.
-    The Jacobian is the ShiftedLaplacian a I - b L + diag((b / eps^2) n'(v)).
+    On a grid v is a node array and the Jacobian is the ShiftedLaplacian
+    a I - b L + diag((b / eps^2) n'(v)).  With grid None, Lap(v) is 0.0: v is
+    a constant, a float or an array of independent constants, and the
+    Jacobian is the derivative a + (b / eps^2) n'(v), per entry.
     """
-    lap = laplacian_matrix(grid)
+    lap = _no_lap if grid is None else laplacian_matrix(grid).__matmul__
     g = b * (1.0 / p.eps2)
 
     def residual(v):
-        return a * (v - s) - b * (lap @ v) + g * _nonlinearity(v, partner) + k
+        return a * (v - s) - b * lap(v) + g * _nonlinearity(v, partner) + k
 
     def jacobian(v):
+        if grid is None:
+            return a + g * _nonlinearity_slope(v, partner)
         return ShiftedLaplacian(grid, a, b, g * _nonlinearity_slope(v, partner))
 
     return residual, jacobian
+
+
+def _no_lap(x) -> float:
+    return 0.0
 
 
 def _nonlinearity(v, w):
@@ -170,23 +178,11 @@ def _nonlinearity_slope(v, w):
     return 3.0 * v * v - 1.0 if w is None else 0.5 * (3.0 * v * v + 2.0 * v * w + w * w)
 
 
-def constant_residual(p: ACParams, a, s, b, k=0.0, partner=None):
-    """(f, f') of implicit_system's equation on constants, where Lap vanishes."""
-    g = b * (1.0 / p.eps2)
-
-    def f(x):
-        return a * (x - s) + g * _nonlinearity(x, partner) + k
-
-    def fp(x):
-        return a + g * _nonlinearity_slope(x, partner)
-
-    return f, fp
-
-
 def mode_slope(p: ACParams, a, s, b, k=0.0, partner=None):
     """slope(x, m): Jacobian of implicit_system's equation at the constant x on
-    the mode -Lap u = m u, i.e. f'(x) + b m with f' from constant_residual."""
-    fp = constant_residual(p, a, s, b, k, partner)[1]
+    the mode -Lap u = m u, i.e. f'(x) + b m with f' the derivative of
+    implicit_system(None, ...)."""
+    fp = implicit_system(None, p, a, s, b, k, partner)[1]
     return lambda x, m=0.0: fp(x) + b * m
 
 
@@ -249,8 +245,8 @@ def step(kind: SchemeKind, phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | 
 
     A constant field, all of whose nodes have the same bits (0.0 next to
     -0.0 is a field), steps as its constant: each stage solves
-    constant_residual's equation by newton_solve on the float, the same
-    Newton loop that a field's stages run.
+    implicit_system's equation without a grid by newton_solve on the float,
+    the same Newton loop that a field's stages run.
 
     A DIRK stage's force is read off the equation it was solved with,
     a (phi_i - s_i) / (dt a_ii), which is F(phi_i) up to the stage's residual
@@ -263,24 +259,24 @@ def step(kind: SchemeKind, phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | 
     grid, v0 = phi_n.grid, phi_n.values
     bits = v0.view(np.int64)
     if (bits == bits[0]).all():
-        x, reports = _walk(kind, float(v0[0]), p, cfg, _no_lap, partial(constant_residual, p))
+        x, reports = _walk(kind, float(v0[0]), p, cfg, None)
         return ScalarField(grid, np.full(v0.size, x)), StepReport(reports)
-    lap = laplacian_matrix(grid)
-    x, reports = _walk(kind, v0, p, cfg, lap.__matmul__, partial(implicit_system, grid, p))
+    x, reports = _walk(kind, v0, p, cfg, grid)
     return ScalarField(grid, x), StepReport(reports)
 
 
-def _walk(kind: SchemeKind, v0, p: ACParams, cfg: NewtonConfig | None, lap, system):
-    """step's stage walk from v0, a node array or a float: (value, reports).
-    lap(x) is Lap(x), system(*terms) a stage's (residual, jacobian).  Stage
-    terms that overflow warn of nothing: Newton reports the residual at its
-    guess as not finite."""
+def _walk(kind: SchemeKind, v0, p: ACParams, cfg: NewtonConfig | None, grid):
+    """step's stage walk from v0, a node array on grid or, with grid None, a
+    float: (value, reports).  Each stage solves implicit_system(grid, ...)'s
+    equation.  Stage terms that overflow warn of nothing: Newton reports the
+    residual at its guess as not finite."""
+    lap = _no_lap if grid is None else laplacian_matrix(grid).__matmul__
     stages, b = _forward_stages(kind, p)
     x, fs, reports = v0, [], []
     for stage in stages:
         with np.errstate(over="ignore", invalid="ignore"):
             terms = stage(v0, fs, lap)
-        x, rep = newton_solve(*system(*terms), x, cfg)
+        x, rep = newton_solve(*implicit_system(grid, p, *terms), x, cfg)
         reports.append(rep)
         if not rep.converged:
             return x, tuple(reports)
@@ -390,8 +386,7 @@ def simulate(
     of the run has period 1 or 2, and each remaining summary is the one
     `period` steps back, with the same bits as stepping on would give.
     """
-    if steps < 0:
-        raise ConfigurationError("steps must be >= 0")
+    _check_count("steps", steps, 0)
     _check_settle_tol(settle_tol)
     u = phi0
     summaries = [_summarize(0, 0.0, u)]
@@ -422,10 +417,6 @@ def simulate(
 # Scalar restriction: constant fields map to constant fields.
 
 
-def _no_lap(x) -> float:
-    return 0.0
-
-
 def _nearest(roots, x):
     """Index of the entry of roots nearest x, the first on ties; NaN entries
     never.  Per row for a 2-D roots and a 1-D x."""
@@ -451,7 +442,7 @@ def _selected_images(kind: SchemeKind, r: np.ndarray, p: ACParams):
             pick, guess, start = np.zeros(r.size, dtype=int), start[several], roots[:, 0].copy()
             if several.size:
                 terms = stage(r[several], [f[several] for f in fs], _no_lap)
-                start[several] = _newton_each(*constant_residual(p, *terms), guess)[0]
+                start[several] = _newton_each(*implicit_system(None, p, *terms), guess)[0]
                 pick[several] = _nearest(roots[several], start[several])
             x = roots[np.arange(r.size), pick]
             picks.append(pick)

@@ -69,7 +69,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import AnalysisError, ConfigurationError
+from .errors import AnalysisError, ConfigurationError, _check_count
 from .fields import (
     GridSpec,
     dct1,
@@ -107,16 +107,15 @@ class NewtonConfig:
 
     They apply alike to both kinds of unknown newton_solve takes (a float,
     whose derivative is a float, and a flat array, whose Jacobian is a
-    ShiftedLaplacian) and to each entry of _newton_each.  The residual is
-    measured by abs or the inf-norm.
+    ShiftedLaplacian); _newton_each runs each entry under the defaults.
+    max_iter is an integer.  The residual is measured by abs or the inf-norm.
     """
 
     tol: float = 1e-10
     max_iter: int = 50
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_iter, (int, np.integer)):
-            raise ConfigurationError(f"max_iter must be an integer, got {self.max_iter!r}")
+        _check_count("max_iter", self.max_iter)
         if not (math.isfinite(self.tol) and self.tol > 0) or self.max_iter < 1:
             raise ConfigurationError(f"tol must be finite and > 0 and max_iter >= 1, got "
                                      f"tol {self.tol} and max_iter {self.max_iter}")
@@ -388,17 +387,17 @@ def _forcing(rnorm: float, previous: float, tol: float) -> float:
     return max(_LINEAR_RTOL, min(_FORCING_MAX, eta))
 
 
-def _newton_each(residual, derivative, guess: np.ndarray, cfg: NewtonConfig | None = None):
+def _newton_each(residual, derivative, guess: np.ndarray):
     """Newton's method on independent scalar equations, one per entry of guess,
     for classify's root picks (schemes._selected_images).
 
     residual(x) and derivative(x) are evaluated elementwise on the 1-D array
-    x.  Each entry steps as newton_solve steps a float and stops on its own:
-    at |residual| <= cfg.tol, at the iteration cap, or on a failed step,
+    x.  Each entry steps as newton_solve steps a float with the default
+    NewtonConfig, and stops on its own at its tol, its cap or a failed step,
     keeping its last finite iterate.  An entry that stopped is carried along
     unchanged.  Returns (x, |residual| at x) per entry.
     """
-    cfg = cfg or NewtonConfig()
+    cfg = NewtonConfig()
     with np.errstate(all="ignore"):
         x = np.array(guess, dtype=float)
         r = np.broadcast_to(np.asarray(residual(x), dtype=float), x.shape)
@@ -518,21 +517,17 @@ def fd_jacobian(residual, u, h_fd: float | None = None) -> np.ndarray:
 class HomotopyConfig:
     """Continuation schedule from delta_start to delta_end.
 
-    steps counts schedule increments (geometric when the endpoints share a
-    sign, linear otherwise).  With adaptive=True a failed Newton solve
-    retries on geometrically bisected sub-increments, up to 20 insertions.
+    steps, an integer, counts schedule increments (geometric when the
+    endpoints share a sign, linear otherwise).  march_deltas retries a failed
+    Newton solve on geometrically bisected sub-increments, up to 20 insertions.
     """
 
     delta_end: float
     delta_start: float = 1e-3
     steps: int = 32
-    adaptive: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.steps, (int, np.integer)):
-            raise ConfigurationError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 1:
-            raise ConfigurationError("steps must be >= 1")
+        _check_count("steps", self.steps, 1)
         if not (math.isfinite(self.delta_start) and math.isfinite(self.delta_end)):
             raise ConfigurationError("delta_start and delta_end must be finite")
 
@@ -637,7 +632,7 @@ def homotopy_path(problem, seed, cfg: HomotopyConfig, newton_cfg: NewtonConfig |
         start = seed if state is None else state
         return newton_solve(residual, jacobian, start, ncfg)
 
-    state, report = march_deltas(solve_at, delta_schedule(cfg), cfg.adaptive)
+    state, report = march_deltas(solve_at, delta_schedule(cfg), True)
     if state is None:
         state = seed
     return state, report

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _check_count
 from .fields import ACParams, ModeIndex, _eps_sq
 from .schemes import BE, CN, SchemeKind, _step_terms, mode_slope
 
@@ -141,8 +141,7 @@ def enumerate_bifurcations(
     """
     if dim not in (1, 2):
         raise ConfigurationError(f"dim must be 1 or 2, got {dim}")
-    if max_k < 0:
-        raise ConfigurationError("max_k must be >= 0")
+    _check_count("max_k", max_k, 0)
     if not (math.isfinite(eps_min) and eps_min >= 0.0):
         raise ConfigurationError(f"eps_min must be finite and >= 0, got {eps_min}")
     comps = _mode_components(max_k)

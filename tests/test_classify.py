@@ -33,7 +33,7 @@ from acstab.schemes import (
     _selected_images,
     _weighted,
     constant_cubic,
-    constant_residual,
+    implicit_system,
     scalar_map,
 )
 from acstab.solvers import newton_solve, real_cubic_roots
@@ -61,7 +61,7 @@ def _reference_scalar_map(kind, r, p):
             roots = real_cubic_roots(*constant_cubic(p, *terms)).real_roots
             pick = -1
             if start is not None:
-                start = newton_solve(*constant_residual(p, *terms), start)[0]
+                start = newton_solve(*implicit_system(None, p, *terms), start)[0]
                 pick = min(range(len(roots)), key=lambda j: abs(roots[j] - start))
             for j, x in enumerate(roots):
                 grown.append((fs + (ac_force(0.0, x, p),) if b else fs, x,

@@ -1,7 +1,8 @@
-"""Properties of the one implicit-stage kernel and its restriction to constants.
+"""Properties of the one implicit-stage kernel on grids and on constants.
 
 implicit_system is a (v - s) - b Lap(v) + (b / eps^2) n(v) + k = 0 with
-n(v) = v^3 - v, or (v + w)(v^2 + w^2) / 2 with a partner state w.  Its
+n(v) = v^3 - v, or (v + w)(v^2 + w^2) / 2 with a partner state w; with grid
+None it is the same equation on constants, where Lap vanishes.  Its
 linearization at a constant on one Laplacian eigenmode is mode_slope.
 """
 
@@ -17,7 +18,6 @@ from acstab.schemes import (
     MODCN,
     _step_terms,
     constant_cubic,
-    constant_residual,
     implicit_system,
     mode_slope,
 )
@@ -68,7 +68,7 @@ def test_jacobian_matches_fd(kernel, seed):
 def test_field_residual_on_constants_is_constant_residual(kernel, x):
     grid, p, a, s, b, k, partner = kernel
     residual, _ = implicit_system(grid, p, a, s, b, k, partner)
-    f, _ = constant_residual(p, a, s, b, k, partner)
+    f, _ = implicit_system(None, p, a, s, b, k, partner)
     scale = abs(a) * (abs(x) + abs(s)) + abs(b) / p.eps2 * (abs(x) + abs(partner or 0.0)) ** 3 + abs(k)
     assert np.max(np.abs(residual(np.full(grid.num_nodes, x)) - f(x))) <= 1e-13 * scale
 
@@ -77,7 +77,8 @@ def test_field_residual_on_constants_is_constant_residual(kernel, x):
 @pytest.mark.parametrize("kind", (BE, CN, MODCN), ids=lambda k: k.tag)
 def test_field_step_residual_on_constants_is_constant_residual_exactly(kind, n):
     # The 1D Laplacian of a constant is exactly 0, and one cube n(v) serves
-    # node arrays and floats, so the two residuals agree to the bit
+    # node arrays and floats, so the two residuals agree to the bit, and the
+    # derivative on constants is the ShiftedLaplacian's diagonal shift a + d
     grid = make_grid(1, n)
     lap = laplacian_matrix(grid)
     rng = np.random.default_rng(n)
@@ -85,16 +86,18 @@ def test_field_step_residual_on_constants_is_constant_residual_exactly(kind, n):
         p = ACParams(rng.uniform(0.01, 2.0), 10.0 ** rng.uniform(-3.0, 1.0))
         r, x = rng.uniform(-40.0, 40.0, 2)
         v0 = np.full(n, r)
-        residual, _ = implicit_system(grid, p, *_step_terms(kind, v0, lap @ v0, p))
-        f, _ = constant_residual(p, *_step_terms(kind, r, 0.0, p))
+        residual, jacobian = implicit_system(grid, p, *_step_terms(kind, v0, lap @ v0, p))
+        f, fp = implicit_system(None, p, *_step_terms(kind, r, 0.0, p))
         assert np.array_equal(residual(np.full(n, x)), np.full(n, f(x)))
+        op = jacobian(np.full(n, x))
+        assert np.array_equal(op.a + op.d, np.full(n, fp(x)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(kernels())
 def test_constant_cubic_roots_zero_constant_residual(kernel):
     _, p, a, s, b, k, partner = kernel
-    f, _ = constant_residual(p, a, s, b, k, partner)
+    f, _ = implicit_system(None, p, a, s, b, k, partner)
     g = abs(b) / p.eps2
     w = 0.0 if partner is None else abs(partner)
     roots = real_cubic_roots(*constant_cubic(p, a, s, b, k, partner)).real_roots

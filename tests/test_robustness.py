@@ -38,7 +38,6 @@ from acstab.schemes import (
     MERGE_TOL,
     MODCN,
     SchemeKind,
-    constant_residual,
     implicit_system,
     scalar_map,
     step,
@@ -304,8 +303,8 @@ def test_backward_link_sides_are_one_equation(kind):
     for _ in range(20):
         x, u = rng.uniform(-3, 3, 2)
         for fwd, bwd in _backward_links(kind, p):
-            in_x = constant_residual(p, *fwd(u))[0](x)
-            in_u = constant_residual(p, *bwd(x, 0.0))[0](u)
+            in_x = implicit_system(None, p, *fwd(u))[0](x)
+            in_u = implicit_system(None, p, *bwd(x, 0.0))[0](u)
             assert in_x == pytest.approx(in_u, rel=1e-12, abs=1e-12)
 
 
@@ -353,8 +352,8 @@ def test_links_read_off_a_tableau_are_its_step(kind, c, eps, ratio, x, u):
     links = _backward_links(kind, p)
     assert len(links) == kind.tableau.stages + 1
     for fwd, bwd in links:
-        in_x = constant_residual(p, *fwd(u))[0](x)
-        in_u = constant_residual(p, *bwd(x, 0.0))[0](u)
+        in_x = implicit_system(None, p, *fwd(u))[0](x)
+        in_u = implicit_system(None, p, *bwd(x, 0.0))[0](u)
         assert in_x == pytest.approx(in_u, rel=1e-12, abs=1e-12)
     for chain in preimage_constants(kind, c, p).chains:
         scale = max(1.0, *map(abs, chain))

@@ -30,10 +30,11 @@ from acstab.schemes import (
     _no_lap,
     _step_terms,
     constant_cubic,
-    constant_residual,
     implicit_system,
+    simulate,
     step,
 )
+from acstab.robustness import classify_constant_initial, interval_sequence
 from acstab.solvers import (
     CubicRoots,
     HomotopyConfig,
@@ -47,6 +48,7 @@ from acstab.solvers import (
     newton_solve,
     real_cubic_roots,
 )
+from acstab.stability import enumerate_bifurcations
 
 
 def test_newton_config_validation():
@@ -70,6 +72,26 @@ def test_homotopy_config_rejects_steps_that_are_not_an_integer(steps):
     with pytest.raises(ConfigurationError, match="steps must be an integer"):
         HomotopyConfig(delta_end=1.0, steps=steps)
     assert delta_schedule(HomotopyConfig(delta_end=1.0, steps=np.int64(2)))[-1] == 1.0
+
+
+_COUNTS = {  # name: (least, call with that count)
+    "steps": (0, lambda n: simulate(CN, constant_field(make_grid(1, 5), 0.5), n, ACParams(0.1, 0.01))),
+    "max_steps": (1, lambda n: classify_constant_initial(CN, 0.5, ACParams(1.0, 0.5), max_steps=n)),
+    "count": (1, lambda n: interval_sequence(CN, 0.5, n)),
+    "max_k": (0, lambda n: enumerate_bifurcations(CN, 0.0, 1.0, 0.02, max_k=n)),
+}
+
+
+@pytest.mark.parametrize("name", _COUNTS)
+def test_counts_that_are_not_integers_are_configuration_errors(name):
+    # each would otherwise fail with a bare TypeError from range(); a count
+    # below its least keeps its range message, and a numpy integer is a count
+    least, call = _COUNTS[name]
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be an integer, got 2\.5$"):
+        call(2.5)
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be >= {least}$"):
+        call(least - 1)
+    call(np.int64(least + 1))
 
 
 @pytest.mark.parametrize("tol", (math.inf, math.nan))
@@ -204,9 +226,9 @@ def test_newton_each_entry_is_the_float_loop(kind, eps, dt, rs):
     guess, fs = rs, []
     for stage in stages:
         terms = stage(rs, fs, _no_lap)
-        x, rn = solvers._newton_each(*constant_residual(p, *terms), guess)
+        x, rn = solvers._newton_each(*implicit_system(None, p, *terms), guess)
         for j, r in enumerate(rs.tolist()):
-            one = constant_residual(p, *stage(r, [f[j] for f in fs], _no_lap))
+            one = implicit_system(None, p, *stage(r, [f[j] for f in fs], _no_lap))
             _assert_float_loop(*one, float(guess[j]), x[j], rn[j])
         if b is not None:  # a DIRK stage's force, as step reads it
             a, s, dt_aii = terms
@@ -227,7 +249,7 @@ def test_the_float_loop_ends_as_the_reference(r, guess, ending):
     # every way the loop can end, each reached by be's stage equation at
     # eps = dt = 1, x - r + (x^3 - x) = 0, from the guess shown
     p = ACParams(1.0, 1.0)
-    one = constant_residual(p, *_step_terms(BE, r, 0.0, p))
+    one = implicit_system(None, p, *_step_terms(BE, r, 0.0, p))
     x, rn = solvers._newton_each(*one, np.array([guess]))
     _assert_float_loop(*one, guess, x[0], rn[0])
     assert newton_solve(*one, guess)[1].message == ending
@@ -535,13 +557,17 @@ def test_homotopy_constant_path_equals_direct_newton():
 
 def test_homotopy_adaptive_rescues_large_jump():
     ncfg = NewtonConfig(max_iter=8)
-    hard = HomotopyConfig(delta_end=8.0, delta_start=0.125, steps=1, adaptive=False)
-    x, rep = homotopy_path(_cbrt_problem, 0.5, hard, ncfg)
+    cfg = HomotopyConfig(delta_end=8.0, delta_start=0.125, steps=1)
+
+    def solve_at(delta, state):
+        return newton_solve(*_cbrt_problem(delta), 0.5 if state is None else state, ncfg)
+
+    # the same path without bisection fails on its one jump
+    x, rep = march_deltas(solve_at, delta_schedule(cfg), adaptive=False)
     assert not rep.converged
     assert rep.delta == 0.125  # last good delta is the start of the path
 
-    rescued = HomotopyConfig(delta_end=8.0, delta_start=0.125, steps=1, adaptive=True)
-    x, rep = homotopy_path(_cbrt_problem, 0.5, rescued, ncfg)
+    x, rep = homotopy_path(_cbrt_problem, 0.5, cfg, ncfg)
     assert rep.converged
     assert x == pytest.approx(2.0, abs=1e-9)
 
@@ -694,7 +720,7 @@ def test_scalar_newton_picks_the_root_of_the_constant_field_solve(tag, eps, dt, 
         kind = {"be": BE, "cn": CN, "modcn": MODCN}[tag]
         terms = _step_terms(kind, r, 0.0, p)
         x_field = step(kind, constant_field(grid, r), p)[0].values
-    x_scalar, _ = newton_solve(*constant_residual(p, *terms), r)
+    x_scalar, _ = newton_solve(*implicit_system(None, p, *terms), r)
     roots = real_cubic_roots(*constant_cubic(p, *terms)).real_roots
     assert isinstance(x_scalar, float)
     assert {_nearest(roots, x) for x in x_field} == {_nearest(roots, x_scalar)}
