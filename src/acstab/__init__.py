@@ -14,121 +14,16 @@ See the `acstab` command-line tool for reproducible CSV output.
 """
 
 from .errors import AnalysisError, ConfigurationError
-from .fields import (
-    ACParams,
-    ButcherTableau,
-    DIRK2_TABLEAU,
-    GridSpec,
-    ModeIndex,
-    ScalarField,
-    apply_laplacian,
-    center_value,
-    constant_field,
-    eval_mode,
-    field_l2,
-    field_mean,
-    laplacian_matrix,
-    make_grid,
-    trapezoid_weights,
-)
-from .solvers import (
-    CubicRoots,
-    HomotopyConfig,
-    NewtonConfig,
-    NewtonReport,
-    delta_schedule,
-    homotopy_path,
-    newton_solve,
-    real_cubic_roots,
-)
-from .schemes import (
-    BE,
-    CN,
-    DIRK2,
-    MODCN,
-    SchemeKind,
-    StepReport,
-    StepSummary,
-    Trajectory,
-    parse_scheme,
-    scalar_map,
-    simulate,
-    step,
-)
-from .stability import (
-    BifurcationPoint,
-    StabilityThreshold,
-    bifurcation_epsilon_sq,
-    enumerate_bifurcations,
-    stability_threshold,
-)
-from .robustness import (
-    ClassificationResult,
-    IntervalSequence,
-    PerturbationGain,
-    PreimageSet,
-    classify_constant_initial,
-    dirk_perturbation_gains,
-    interval_sequence,
-    perturbation_gain,
-    preimage_constants,
-    preimage_field,
-)
+from .fields import *
+from .solvers import *
+from .schemes import *
+from .stability import *
+from .robustness import *
+from . import fields, robustness, schemes, solvers, stability
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisError",
-    "ConfigurationError",
-    "ACParams",
-    "ButcherTableau",
-    "DIRK2_TABLEAU",
-    "GridSpec",
-    "ModeIndex",
-    "ScalarField",
-    "apply_laplacian",
-    "center_value",
-    "constant_field",
-    "eval_mode",
-    "field_l2",
-    "field_mean",
-    "laplacian_matrix",
-    "make_grid",
-    "trapezoid_weights",
-    "CubicRoots",
-    "HomotopyConfig",
-    "NewtonConfig",
-    "NewtonReport",
-    "delta_schedule",
-    "homotopy_path",
-    "newton_solve",
-    "real_cubic_roots",
-    "BE",
-    "CN",
-    "DIRK2",
-    "MODCN",
-    "SchemeKind",
-    "StepReport",
-    "StepSummary",
-    "Trajectory",
-    "parse_scheme",
-    "scalar_map",
-    "simulate",
-    "step",
-    "BifurcationPoint",
-    "StabilityThreshold",
-    "bifurcation_epsilon_sq",
-    "enumerate_bifurcations",
-    "stability_threshold",
-    "ClassificationResult",
-    "IntervalSequence",
-    "PerturbationGain",
-    "PreimageSet",
-    "classify_constant_initial",
-    "dirk_perturbation_gains",
-    "interval_sequence",
-    "perturbation_gain",
-    "preimage_constants",
-    "preimage_field",
-    "__version__",
-]
+# each module's __all__ is its share of the package's public names
+__all__ = ["AnalysisError", "ConfigurationError",
+           *fields.__all__, *solvers.__all__, *schemes.__all__, *stability.__all__,
+           *robustness.__all__, "__version__"]

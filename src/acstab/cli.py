@@ -67,6 +67,7 @@ from .schemes import (
     DIRK2,
     MODCN,
     SchemeKind,
+    _BY_NAME,
     _stage_failure,
     parse_scheme,
     scalar_map,
@@ -127,8 +128,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill in None-valued flags from the --config JSON file, if any.
 
     Each value is read as its flag's command-line text would be, through the
-    flag's type and choices; a value they reject is a ConfigurationError
-    naming its key.
+    flag's type and choices; a value they reject, or that is no JSON string
+    or number, is a ConfigurationError naming its key.
     """
     path = getattr(args, "config", None)
     if not path:
@@ -149,9 +150,12 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             if not isinstance(val, bool):
                 raise ConfigurationError(f"config key {key!r}: expected true or false, got {val!r}")
             val = action.const if val else None
-        else:  # the value is read as command-line text
+        else:  # the value is read as command-line text, which null, true or a list is not
             read = action.type or str
+            text = isinstance(val, (str, int, float)) and not isinstance(val, bool)
             try:
+                if not (text or action.choices):  # a flag with choices names them instead
+                    raise ValueError
                 val = read(str(val))
             except ValueError:
                 raise ConfigurationError(
@@ -229,7 +233,7 @@ def _intervals(kind: SchemeKind) -> dict:
 
 def _thresholds(eps: float) -> dict:
     """{scheme: (formula, dt_max)} of every uniqueness threshold at eps; TABLE4's at eps = 1."""
-    ths = (stability_threshold(parse_scheme(name), eps) for name in ("be", "cn", "modcn", "dirk2"))
+    ths = (stability_threshold(kind, eps) for kind in _BY_NAME.values())
     return {th.scheme.label: (th.formula, th.dt_max) for th in ths}
 
 
@@ -465,6 +469,9 @@ def cmd_preimage(args) -> int:
     p = _resolve_params(args)
     target, c, delta, mode = _read_spec(args, args.target)
     if mode is None:
+        # no continuation or Newton solve runs here, but their flags are checked as for a field
+        HomotopyConfig(delta_end=0.0, delta_start=args.delta0, steps=args.steps)
+        NewtonConfig(args.newton_tol, args.newton_max_iter)
         return _preimage_constant(kind, p, c, args.out)
     return _preimage_field(args, kind, p, target, c, delta, mode)
 
@@ -475,7 +482,7 @@ def cmd_preimage(args) -> int:
 # Every flag a command may take, by dest: argparse keywords, with help text
 # that build_parser completes from the command's default.
 _FLAGS = {
-    "scheme": {"choices": ["be", "cn", "modcn", "dirk2"], "help": "time stepper"},
+    "scheme": {"choices": list(_BY_NAME), "help": "time stepper"},
     "eps": {"type": float, "help": "interface width parameter"},
     "dt": {"type": float, "help": "time step (exclusive with --ratio)"},
     "ratio": {"type": float, "help": "dt as a multiple of the scheme's uniqueness threshold"},

@@ -40,8 +40,6 @@ __all__ = [
     "make_grid",
     "constant_field",
     "laplacian_matrix",
-    "laplacian_eigenvalues",
-    "dct1",
     "apply_laplacian",
     "eval_mode",
     "trapezoid_weights",

@@ -388,7 +388,9 @@ def preimage_field(
 
     The target is split as constant mean plus delta * shape with
     delta = hcfg.delta_end, and the scheme's backward links are walked from
-    it under continuation from delta_start up to the full perturbation.
+    it under continuation from delta_start up to the full perturbation
+    (march_deltas), each point's links started from the path extrapolated
+    to it on 1D grids and from the last converged point on 2D grids.
     The seed (typically r + delta * B * mode, with r a constant preimage and
     B its gain) starts the earliest unknown; DIRK's intermediate stages
     start from the constant preimage chain whose r is nearest the seed's
@@ -428,11 +430,10 @@ def preimage_field(
                         f"backward link {i} of {len(links)} did not converge "
                         f"({report.message}, residual {report.residual:.3g})"))
             walked.append(x)
-        # march_deltas extrapolates lists and only warm-starts tuples.  On 2D
-        # grids extrapolation follows a branch into folds that warm starts
-        # jump across, and each failed attempt there costs Krylov misses and
-        # sparse LU, so 2D states go as tuples.
-        return (walked if grid.dim == 1 else tuple(walked)), report
+        return walked, report
 
-    state, report = march_deltas(solve_at, delta_schedule(hcfg), True)
+    # predicted starts on 1D grids only: on 2D grids extrapolation follows a
+    # branch into folds that warm starts jump across, and each failed attempt
+    # there costs Krylov misses and sparse LU
+    state, report = march_deltas(solve_at, delta_schedule(hcfg), grid.dim == 1)
     return ScalarField(grid, seed.values if state is None else state[-1]), report

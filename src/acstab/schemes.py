@@ -82,9 +82,6 @@ __all__ = [
     "StepReport",
     "StepSummary",
     "Trajectory",
-    "implicit_system",
-    "mode_slope",
-    "constant_cubic",
     "step",
     "simulate",
     "scalar_map",

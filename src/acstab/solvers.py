@@ -48,9 +48,10 @@ Newton solve exact (eta = 1e-12): a loose solve near an indefinite or nearly
 singular Jacobian could otherwise stall it short of its tolerance.
 
 Continuation in a parameter delta (march_deltas, under homotopy_path and
-robustness.preimage_field) is predictor-corrector: each point's Newton solve
-starts from an extrapolation of the last converged states, which costs no
-solve, and falls back to the last converged state where that fails.
+robustness.preimage_field) bisects a failed increment.  Its caller chooses
+the start of each point's Newton solve: predictor-corrector, from an
+extrapolation of the last converged states (which costs no solve), falling
+back to the last converged state where that fails; or that warm start alone.
 
 SciPy loads on the first field solve that needs it, not on import: the
 analyses of constant states never load it.  The module attributes scipy
@@ -84,7 +85,6 @@ if TYPE_CHECKING:
 __all__ = [
     "NewtonConfig",
     "NewtonReport",
-    "ShiftedLaplacian",
     "HomotopyConfig",
     "CubicRoots",
     "newton_solve",
@@ -562,9 +562,8 @@ def _combine(weights: Sequence[float], states: Sequence):
 
 def _predict(path: Sequence[tuple[float, object]], t: float):
     """Lagrange extrapolation to t through the last three (delta, state) pairs
-    of path (a secant while it holds two), or None where it holds fewer or its
-    states are tuples."""
-    if len(path) < 2 or isinstance(path[-1][1], tuple):
+    of path (a secant while it holds two), or None where it holds fewer."""
+    if len(path) < 2:
         return None
     nodes, states = zip(*path[-3:])
     weights = [math.prod((t - dm) / (dj - dm) for m, dm in enumerate(nodes) if m != j)
@@ -572,20 +571,20 @@ def _predict(path: Sequence[tuple[float, object]], t: float):
     return _combine(weights, states)
 
 
-def march_deltas(solve_at: Callable, schedule: Sequence[float], adaptive: bool):
+def march_deltas(solve_at: Callable, schedule: Sequence[float], predict: bool):
     """Drive solve_at(delta, guess) -> (state, NewtonReport) along a schedule.
 
-    Predictor-corrector continuation (Allgower and Georg, ch. 2): each solve
-    starts from the Lagrange extrapolation of the last three converged
-    (delta, state) pairs, a secant while only two exist, and from the last
-    converged state (the warm start; None before the first) otherwise.  States
-    that are floats, arrays or lists of arrays are extrapolated, entry by
-    entry; tuples are only warm-started.  A predicted attempt that fails is
-    retried once from the warm start.  A warm-started failure inserts
-    geometric midpoints between the last good delta and the failed target (at
-    most 20 insertions overall) before giving up.  Returns the final state and
-    the last report, with report.delta set to the delta of the state actually
-    returned.
+    With predict, continuation is predictor-corrector (Allgower and Georg,
+    ch. 2): each solve starts from the Lagrange extrapolation of the last
+    three converged (delta, state) pairs, a secant while only two exist, and
+    from the last converged state (the warm start; None before the first)
+    otherwise.  States that are floats, arrays or lists of arrays are
+    extrapolated, entry by entry.  A predicted attempt that fails is retried
+    once from the warm start.  Without predict every solve starts from the
+    warm start.  A warm-started failure inserts geometric midpoints between
+    the last good delta and the failed target (at most 20 insertions overall)
+    before giving up.  Returns the final state and the last report, with
+    report.delta set to the delta of the state actually returned.
     """
     path: list[tuple[float, object]] = []  # the last three converged (delta, state)
     state = None
@@ -596,7 +595,7 @@ def march_deltas(solve_at: Callable, schedule: Sequence[float], adaptive: bool):
         pending = [target]
         while pending:
             t = pending[-1]
-            guess = _predict(path, t)
+            guess = _predict(path, t) if predict else None
             if guess is not None:
                 new_state, report = solve_at(t, guess)
             if guess is None or not report.converged:
@@ -607,7 +606,7 @@ def march_deltas(solve_at: Callable, schedule: Sequence[float], adaptive: bool):
                 path = [*(q for q in path[-2:] if q[0] != t), (t, state)]
                 pending.pop()
                 continue
-            if not adaptive or budget == 0 or last_good is None:
+            if budget == 0 or last_good is None:
                 return state, replace(report, delta=last_good)
             budget -= 1
             pending.append(_geometric_mid(last_good, t))

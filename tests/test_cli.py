@@ -271,6 +271,20 @@ def test_dt_or_ratio_required(tmp_path):
                 "--out", str(tmp_path / "t.csv")) == 2
 
 
+@pytest.mark.parametrize("flags", (("--newton-max-iter", "0"), ("--newton-tol", "-1"),
+                                   ("--steps", "0"), ("--delta0", "inf")),
+                         ids=("newton-max-iter", "newton-tol", "steps", "delta0"))
+def test_preimage_checks_its_flags_on_constant_and_field_targets_alike(flags, tmp_path, capsys):
+    errs = []
+    for target in ("const:0", "const+mode:0.984375,0.5,1"):
+        out = tmp_path / "p.csv"
+        assert _run("preimage", target, "--scheme", "cn", "--eps", "1", "--dt", "1", "--root", "0",
+                    *flags, "--out", str(out)) == 2
+        assert not out.exists()
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and errs[0].startswith("error: ")
+
+
 def test_bad_field_spec(tmp_path):
     base = ("--scheme", "cn", "--eps", "0.1", "--dt", "0.01",
             "--out", str(tmp_path / "t.csv"))
@@ -582,6 +596,16 @@ def test_config_value_its_flag_rejects_exits_2(values, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", (None, True, ["a", 1]), ids=("null", "true", "list"))
+def test_config_value_that_is_no_string_or_number_exits_2(value, tmp_path, capsys, monkeypatch):
+    # str() would give each a text, and --out a file named by it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"out": value, "eps": 1}))
+    assert _run("analyze", "thresholds", "--config", "c.json") == 2
+    assert capsys.readouterr().err.startswith("error: config key 'out': invalid ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json"]
+
+
 def test_config_values_are_read_as_the_command_line_reads_them(tmp_path, capsys, monkeypatch):
     # numbers given as JSON strings take their flag's type, as on the command line
     cfg = tmp_path / "cfg.json"
@@ -761,6 +785,13 @@ def test_the_package_exports_exactly_its_public_names():
     assert len(acstab.__all__) == len(set(acstab.__all__)) == 53
     assert set(acstab.__all__) == _PUBLIC_NAMES
     assert all(hasattr(acstab, name) for name in acstab.__all__)
+
+
+def test_the_package_exports_each_modules_public_names_once():
+    modules = (acstab.fields, acstab.solvers, acstab.schemes, acstab.stability, acstab.robustness)
+    names = [name for module in modules for name in module.__all__]
+    assert acstab.__all__ == ["AnalysisError", "ConfigurationError", *names, "__version__"]
+    assert len(set(acstab.__all__)) == len(acstab.__all__)
 
 
 @pytest.mark.parametrize("argv", [

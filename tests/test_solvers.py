@@ -562,22 +562,27 @@ def test_homotopy_adaptive_rescues_large_jump():
     def solve_at(delta, state):
         return newton_solve(*_cbrt_problem(delta), 0.5 if state is None else state, ncfg)
 
-    # the same path without bisection fails on its one jump
-    x, rep = march_deltas(solve_at, delta_schedule(cfg), adaptive=False)
-    assert not rep.converged
-    assert rep.delta == 0.125  # last good delta is the start of the path
+    attempts = []
 
-    x, rep = homotopy_path(_cbrt_problem, 0.5, cfg, ncfg)
+    def counted(delta, state):
+        attempts.append(delta)
+        return solve_at(delta, state)
+
+    x, rep = march_deltas(counted, delta_schedule(cfg), True)
     assert rep.converged
     assert x == pytest.approx(2.0, abs=1e-9)
+    # the one jump failed and was bisected: more attempts than schedule points
+    assert len(attempts) > len(delta_schedule(cfg))
+    assert (x, rep) == homotopy_path(_cbrt_problem, 0.5, cfg, ncfg)
 
 
 def test_march_deltas_reports_progress():
+    # every delta above 0.2 fails, so bisection exhausts its budget
     def solve_at(delta, state):
-        ok = delta <= 0.3
+        ok = delta <= 0.2
         return delta, NewtonReport(1, 0.0 if ok else 1.0, ok, (0.0,))
 
-    state, rep = march_deltas(solve_at, [0.1, 0.2, 0.9], adaptive=False)
+    state, rep = march_deltas(solve_at, [0.1, 0.2, 0.9], False)
     assert not rep.converged
     assert rep.delta == 0.2
     assert state == 0.2
@@ -605,7 +610,7 @@ def test_march_deltas_predicts_a_quadratic_path_exactly():
         iterations.append(rep.iterations)
         return x, rep
 
-    state, rep = march_deltas(solve_at, [0.1 * i for i in range(1, 11)], adaptive=True)
+    state, rep = march_deltas(solve_at, [0.1 * i for i in range(1, 11)], predict=True)
     assert rep.converged and rep.delta == pytest.approx(1.0)
     assert len(iterations) == 10  # one attempt per point
     assert min(iterations[:3]) > 0
@@ -629,7 +634,7 @@ def test_march_deltas_retries_a_failed_prediction_from_the_warm_start():
     # states are the deltas themselves, so a warm start is the last delta and
     # a secant or quadratic prediction is the new one
     solve_at, calls = _recording(lambda delta, guess: guess is None or guess < delta)
-    state, rep = march_deltas(solve_at, [1.0, 2.0, 3.0, 4.0], adaptive=True)
+    state, rep = march_deltas(solve_at, [1.0, 2.0, 3.0, 4.0], predict=True)
     assert rep.converged and state == 4.0
     assert calls == [(1.0, None), (2.0, 1.0),
                      (3.0, pytest.approx(3.0)), (3.0, 2.0),
@@ -644,15 +649,10 @@ def test_march_deltas_extrapolates_over_distinct_deltas_only():
     assert rep.converged and x == pytest.approx(1.0)
 
 
-def test_march_deltas_warm_starts_tuple_states():
+def test_march_deltas_without_predict_warm_starts():
     solve_at, calls = _recording(lambda delta, guess: True)
-
-    def as_tuple(delta, guess):
-        _, rep = solve_at(delta, guess)
-        return (delta,), rep
-
-    march_deltas(as_tuple, [1.0, 2.0, 3.0], adaptive=True)
-    assert calls == [(1.0, None), (2.0, (1.0,)), (3.0, (2.0,))]
+    march_deltas(solve_at, [1.0, 2.0, 3.0], predict=False)
+    assert calls == [(1.0, None), (2.0, 1.0), (3.0, 2.0)]
 
 
 def _array_problem(delta):
