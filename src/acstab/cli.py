@@ -154,12 +154,13 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             read = action.type or str
             text = isinstance(val, (str, int, float)) and not isinstance(val, bool)
             try:
-                if not (text or action.choices):  # a flag with choices names them instead
+                if not text:
                     raise ValueError
                 val = read(str(val))
             except ValueError:
+                shown = repr(val) if text else json.dumps(val)  # as the file spells it
                 raise ConfigurationError(
-                    f"config key {key!r}: invalid {read.__name__} value {val!r}") from None
+                    f"config key {key!r}: invalid {read.__name__} value {shown}") from None
         if action.choices is not None and val not in action.choices:
             raise ConfigurationError(f"config key {key!r}: invalid choice {val!r} "
                                      f"(choose from {', '.join(map(str, action.choices))})")
@@ -395,8 +396,14 @@ def _analyze_perturb(args) -> int:
 # preimage
 
 
-def _preimage_constant(kind, p, c: float, out: str) -> int:
+def _check_root(root: int | None, roots) -> None:
+    if root is not None and not 0 <= root < len(roots):
+        raise ConfigurationError(f"--root must be in [0, {len(roots) - 1}]")
+
+
+def _preimage_constant(kind, p, c: float, index: int | None, out: str) -> int:
     ps = preimage_constants(kind, c, p)
+    _check_root(index, ps.roots)  # every root is listed all the same
     rows = []
     for root in ps.roots:
         images = scalar_map(kind, root, p)
@@ -415,23 +422,16 @@ def _preimage_field(args, kind, p, target: ScalarField, c: float, delta: float,
     hcfg = HomotopyConfig(delta_end=delta, delta_start=args.delta0, steps=args.steps)
     ncfg = NewtonConfig(args.newton_tol, args.newton_max_iter)
 
+    ps = preimage_constants(kind, c, p)  # one root for backward Euler
+    if args.root is None and len(ps.roots) > 1:
+        raise ConfigurationError("constant part has multiple preimages "
+                                 f"{[round(r, 6) for r in ps.roots]}; pick one with --root INDEX")
+    _check_root(args.root, ps.roots)
     if kind.tag == "be":
         seed = target
         seed_root, gain = "", ""
     else:
-        ps = preimage_constants(kind, c, p)
-        roots = ps.roots
-        idx = args.root
-        if idx is None:
-            if len(roots) > 1:
-                raise ConfigurationError(
-                    "constant part has multiple preimages "
-                    f"{[round(r, 6) for r in roots]}; pick one with --root INDEX"
-                )
-            idx = 0
-        if not (0 <= idx < len(roots)):
-            raise ConfigurationError(f"--root must be in [0, {len(roots) - 1}]")
-        seed_root = roots[idx]
+        seed_root = ps.roots[args.root or 0]
         _, g = _branch_gains(kind, c, seed_root, mode, p, ps.chains)
         if g.pole:
             raise AnalysisError("perturbation gain has a pole; no regular branch to follow")
@@ -472,7 +472,7 @@ def cmd_preimage(args) -> int:
         # no continuation or Newton solve runs here, but their flags are checked as for a field
         HomotopyConfig(delta_end=0.0, delta_start=args.delta0, steps=args.steps)
         NewtonConfig(args.newton_tol, args.newton_max_iter)
-        return _preimage_constant(kind, p, c, args.out)
+        return _preimage_constant(kind, p, c, args.root, args.out)
     return _preimage_field(args, kind, p, target, c, delta, mode)
 
 

@@ -401,7 +401,6 @@ def preimage_field(
     message naming the backward link that failed, and returns the last good
     iterate (the seed if none).
     """
-    ncfg = ncfg or NewtonConfig()
     grid = phi_next.grid
     lap = laplacian_matrix(grid)
     links = _backward_links(kind, p)
@@ -415,11 +414,13 @@ def preimage_field(
         r_seed = field_mean(seed)
         chain = min(preimage_constants(kind, c, p).chains, key=lambda ch: abs(ch[0] - r_seed))
         starts = [np.full(grid.num_nodes, x) for x in reversed(chain[1:])] + starts
+    starts = np.vstack(starts)  # a state has one row per link: the earlier state it solves for
 
     def solve_at(delta, state):
         x = c + delta * shape
         walked, report = [], NewtonReport(0, 0.0, True, (0.0,))  # kept if every link is explicit
-        for i, ((_fwd, bwd), start) in enumerate(zip(links, state or starts), start=1):
+        rows = starts if state is None else state
+        for i, ((_fwd, bwd), start) in enumerate(zip(links, rows), start=1):
             terms = bwd(x, lap @ x)
             if terms[2] == 0.0:
                 x = _explicit(*terms)
@@ -430,7 +431,7 @@ def preimage_field(
                         f"backward link {i} of {len(links)} did not converge "
                         f"({report.message}, residual {report.residual:.3g})"))
             walked.append(x)
-        return walked, report
+        return np.array(walked), report
 
     # predicted starts on 1D grids only: on 2D grids extrapolation follows a
     # branch into folds that warm starts jump across, and each failed attempt

@@ -1,63 +1,20 @@
 """Newton's method, parameter continuation, and real roots of cubics.
 
-newton_solve runs one Newton loop on either of two kinds of unknown.  A flat
-numpy array has a ShiftedLaplacian Jacobian: its Newton step is that
-operator's solve and one inf-norm decides convergence.  A float has a float
-derivative: its step divides the residual by it.  classify takes that float
-step on each entry of whole arrays of constants at once (_newton_each), each
-entry stopping on its own, with the real roots of their cubics from the
-closed form _cubic_roots, which real_cubic_roots runs on floats.
+Each rule is stated once, in the docstring of the function that applies it:
 
-Every step equation of the steppers and of their backward problems is
-a (v - s) - b L v + (b / eps^2) n(v) + k = 0 with L the Neumann Laplacian
-(schemes.implicit_system), so every Newton Jacobian of a field has the form
-a I - b L + diag(d) and is returned as a ShiftedLaplacian, whose solve picks
-its method from the operator itself:
-
-* 1D: a direct tridiagonal solve, LAPACK ``gtsv`` called directly (the
-  routine scipy.linalg.solve_banded((1, 1), ...) wraps, without its
-  per-call argument checks);
-* 2D with b >= 0 and a + min(d) > 0 (the operator is then symmetric positive
-  definite in the trapezoid inner product, the step's uniqueness condition):
-  conjugate gradients in that inner product;
-* every other 2D operator (self-adjoint in that inner product for any b,
-  but possibly indefinite): MINRES in it (Paige and Saunders);
-* where CG or MINRES misses: a sparse LU factorization, ordered for the
-  symmetric 5-point pattern.
-
-CG and MINRES start from x = 0, are preconditioned by the exact DCT-I solve
-of |(a + mean(d)) I - b L|, which is positive definite (absolute value
-preconditioning, Vecharynski and Knyazev) and costs four products with the
-cached DCT-I matrices of fields.dct1 and one division per iteration, and
-stop within 60 iterations once the recursive residual is within max(1e-12,
-rtol) of the right-hand side, rtol being solve's relative tolerance (1e-12
-unless given).  They miss unless the true residual is within it too.  Every
-direct solve takes one round of iterative refinement when its true residual
-exceeds 1e-12 relative to the right-hand side, and raises LinAlgError when
-it still exceeds 1e-8 after it (a nearly singular operator).
-
-Newton on a field solves inexactly (Dembo, Eisenstat and Steihaug): each
-iteration passes a forcing term eta_k to solve as its rtol, so CG and MINRES
-stop once the linear residual is eta_k times the Newton residual, while the
-1D and LU solves stay exact and ignore it.  eta_k is Eisenstat and Walker's
-choice 2, eta_k = 0.9 (r_k / r_{k-1})^2 with r the residual inf-norm,
-starting from eta_0 = 0.1.  It is raised to 0.5 tol / r_k (Kelley: no solve
-below what Newton's stopping rule needs), then capped at 0.1, and never goes
-below 1e-12.  A step that fails to halve the residual makes the rest of that
-Newton solve exact (eta = 1e-12): a loose solve near an indefinite or nearly
-singular Jacobian could otherwise stall it short of its tolerance.
-
-Continuation in a parameter delta (march_deltas, under homotopy_path and
-robustness.preimage_field) bisects a failed increment.  Its caller chooses
-the start of each point's Newton solve: predictor-corrector, from an
-extrapolation of the last converged states (which costs no solve), falling
-back to the last converged state where that fails; or that warm start alone.
-
-SciPy loads on the first field solve that needs it, not on import: the
-analyses of constant states never load it.  The module attributes scipy
-(with scipy.linalg) and spla (scipy.sparse.linalg) are imported on first
-access and then kept as globals; the solves read them when they run, so a
-patched solvers.spla.splu is the one they call.
+* newton_solve: one Newton loop on a float unknown (a float derivative) or a
+  flat array (a ShiftedLaplacian Jacobian a I - b L + diag(d), the form of
+  every schemes.implicit_system), its stopping rule and its inexact solves;
+  _forcing: the forcing term; _newton_each: the float loop on array entries.
+* ShiftedLaplacian.solve: the linear method, by grid and operator; _krylov,
+  _cg, _minres and _preconditioner: the iterative solves; _refined_solve:
+  the refinement and failure test of the direct solves.
+* march_deltas: continuation in a parameter delta, bisection and prediction,
+  under homotopy_path and robustness.preimage_field.
+* _cubic_roots: closed-form real roots of cubics, on floats (real_cubic_roots)
+  and on arrays (classify's constant walks).
+* __getattr__: SciPy loads on the first field solve that needs it, not on
+  import, so the analyses of constant states never load it.
 """
 
 from __future__ import annotations
@@ -139,7 +96,9 @@ class NewtonReport:
 
 
 def __getattr__(name: str):
-    """scipy and spla: imported on first access, then kept as module globals."""
+    """scipy (with scipy.linalg) and spla (scipy.sparse.linalg): imported on
+    first access, then kept as module globals.  The solves read them through
+    _scipy when they run, so a patched solvers.spla.splu is the one they call."""
     if name == "scipy":
         import scipy.linalg
 
@@ -222,9 +181,7 @@ class ShiftedLaplacian:
     """The linear operator a I - b L + diag(d) on a grid, L = laplacian_matrix(grid).
 
     a and b are scalars and d holds one value per node.  Supports `op @ x`,
-    tosparse(), todense() and solve(rhs, rtol), which runs gtsv in 1D and, in
-    2D, CG when certified and MINRES otherwise, with sparse LU where either
-    misses (module docstring).
+    tosparse(), todense() and solve(rhs, rtol).
     """
 
     grid: GridSpec
@@ -250,10 +207,17 @@ class ShiftedLaplacian:
         return self.tosparse().toarray()
 
     def solve(self, rhs: np.ndarray, rtol: float = _LINEAR_RTOL) -> np.ndarray:
-        """x with self @ x = rhs (see the module docstring for the method).
+        """x with self @ x = rhs, by a method picked from the operator:
+
+        * 1D: a direct tridiagonal solve (_tridiagonal_solve);
+        * 2D and certified (symmetric positive definite in the trapezoid
+          inner product): preconditioned conjugate gradients;
+        * every other 2D operator (self-adjoint in that inner product, but
+          possibly indefinite): preconditioned MINRES (Paige and Saunders);
+        * where CG or MINRES misses (_krylov): a sparse LU factorization.
 
         CG and MINRES stop at a true residual within max(1e-12, rtol) of rhs;
-        the 1D and LU solves are exact whatever rtol is.
+        the direct solves are exact whatever rtol is (_refined_solve).
         """
         if self.grid.dim == 1:
             ab = self._band()
@@ -273,8 +237,9 @@ class ShiftedLaplacian:
         return ab
 
     def _preconditioner(self):
-        """The exact DCT-I solve of |(a + mean(d)) I - b L|, which is positive
-        definite and self-adjoint in the trapezoid inner product; None when it is
+        """The exact DCT-I solve of |(a + mean(d)) I - b L| (absolute value
+        preconditioning, Vecharynski and Knyazev), which is positive definite
+        and self-adjoint in the trapezoid inner product; None when it is
         singular.  On a certified operator it is (a + mean(d)) I - b L itself,
         since b >= 0 and L's eigenvalues are <= 0.
         """
@@ -381,8 +346,9 @@ def _minres(op: ShiftedLaplacian, rhs: np.ndarray, precondition, w: np.ndarray):
 
 def _forcing(rnorm: float, previous: float, tol: float) -> float:
     """Eisenstat and Walker's choice 2 forcing term after a step that took the
-    residual from previous to rnorm: raised to 0.5 tol / rnorm, then capped
-    at _FORCING_MAX and floored at _LINEAR_RTOL."""
+    residual from previous to rnorm, 0.9 (rnorm / previous)^2: raised to
+    0.5 tol / rnorm (Kelley: no solve below what Newton's stopping rule
+    needs), then capped at _FORCING_MAX and floored at _LINEAR_RTOL."""
     eta = max(_FORCING_GAMMA * (rnorm / previous) ** 2, 0.5 * tol / rnorm)
     return max(_LINEAR_RTOL, min(_FORCING_MAX, eta))
 
@@ -429,15 +395,13 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
         each step is -residual / derivative, and a zero or non-finite
         derivative, or a step that overflows, ends the solve as a failed
         linear solve.  A flat-array unknown has a ShiftedLaplacian Jacobian,
-        whose solve picks a tridiagonal solve (1D), preconditioned CG (2D,
-        certified positive definite) or preconditioned MINRES (every other
-        2D operator) from the operator itself, with sparse LU where a Krylov
-        solve misses; any other Jacobian raises.  CG and MINRES solve each
-        Newton step only to the Eisenstat-Walker forcing term eta_k times the
-        residual (module docstring): 0.1 at first, then 0.9 (r_k / r_{k-1})^2
-        raised to 0.5 tol / r_k, capped at 0.1 and no smaller than 1e-12;
-        once a step fails to halve the residual, 1e-12 for the rest of the
-        solve.  The stopping rule is cfg.tol on the residual's abs or
+        whose solve picks the linear method (ShiftedLaplacian.solve); any
+        other Jacobian raises.  Its steps are solved inexactly (Dembo,
+        Eisenstat and Steihaug), to a relative residual eta_k: 0.1 at first,
+        then _forcing's term, and 1e-12 for the rest of the solve once a step
+        fails to halve the residual (a loose solve near an indefinite or
+        nearly singular Jacobian could otherwise stall Newton short of its
+        tolerance).  The stopping rule is cfg.tol on the residual's abs or
         inf-norm whatever the forcing.
     guess:
         float or flat ndarray; the solution has the same kind.
@@ -494,15 +458,14 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
     return (float(x) if scalar else x), report
 
 
-def fd_jacobian(residual, u, h_fd: float | None = None) -> np.ndarray:
+def fd_jacobian(residual, u) -> np.ndarray:
     """Dense central-difference Jacobian of residual at the flat array u (testing utility)."""
     base = np.asarray(u, dtype=float)
     f = lambda v: np.asarray(residual(v), dtype=float)
     m = base.size
-    h = h_fd if h_fd is not None else 1e-6 * (1.0 + _linf(base))
-    # snap to a power of two so u +- h and the difference quotient carry no
-    # representation error of their own
-    h = 2.0 ** round(math.log2(h))
+    # a step of 1e-6 (1 + |u|), snapped to a power of two so u +- h and the
+    # difference quotient carry no representation error of their own
+    h = 2.0 ** round(math.log2(1e-6 * (1.0 + _linf(base))))
     jac = np.empty((m, m))
     for j in range(m):
         up = base.copy()
@@ -552,14 +515,6 @@ def _geometric_mid(a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def _combine(weights: Sequence[float], states: Sequence):
-    """sum(w * s) over states that are floats, arrays, or lists of arrays
-    (combined entry by entry)."""
-    if isinstance(states[0], list):
-        return [_combine(weights, parts) for parts in zip(*states)]
-    return sum(w * s for w, s in zip(weights, states))
-
-
 def _predict(path: Sequence[tuple[float, object]], t: float):
     """Lagrange extrapolation to t through the last three (delta, state) pairs
     of path (a secant while it holds two), or None where it holds fewer."""
@@ -568,7 +523,7 @@ def _predict(path: Sequence[tuple[float, object]], t: float):
     nodes, states = zip(*path[-3:])
     weights = [math.prod((t - dm) / (dj - dm) for m, dm in enumerate(nodes) if m != j)
                for j, dj in enumerate(nodes)]
-    return _combine(weights, states)
+    return sum(w * s for w, s in zip(weights, states))
 
 
 def march_deltas(solve_at: Callable, schedule: Sequence[float], predict: bool):
@@ -578,8 +533,8 @@ def march_deltas(solve_at: Callable, schedule: Sequence[float], predict: bool):
     ch. 2): each solve starts from the Lagrange extrapolation of the last
     three converged (delta, state) pairs, a secant while only two exist, and
     from the last converged state (the warm start; None before the first)
-    otherwise.  States that are floats, arrays or lists of arrays are
-    extrapolated, entry by entry.  A predicted attempt that fails is retried
+    otherwise.  States are floats or arrays of any shape, extrapolated
+    entry by entry.  A predicted attempt that fails is retried
     once from the warm start.  Without predict every solve starts from the
     warm start.  A warm-started failure inserts geometric midpoints between
     the last good delta and the failed target (at most 20 insertions overall)
@@ -624,12 +579,10 @@ def homotopy_path(problem, seed, cfg: HomotopyConfig, newton_cfg: NewtonConfig |
     the report carries converged=False and delta = last good value, and the
     returned solution is the last good iterate (the seed if none).
     """
-    ncfg = newton_cfg or NewtonConfig()
-
     def solve_at(delta, state):
         residual, jacobian = problem(delta)
         start = seed if state is None else state
-        return newton_solve(residual, jacobian, start, ncfg)
+        return newton_solve(residual, jacobian, start, newton_cfg)
 
     state, report = march_deltas(solve_at, delta_schedule(cfg), True)
     if state is None:
@@ -645,13 +598,10 @@ class CubicRoots:
     or -1 (one real root); the sign is zeroed when the discriminant is
     below 1e-12 relative to its own terms, a decision made on the exact
     sum of the terms (math.fsum) wherever a plain sum could change it.
-    discriminant is the sum of the terms, exact only where that decision
-    needed it.
     """
 
     real_roots: tuple[float, ...]
     discriminant_sign: int
-    discriminant: float
 
 
 def _cube(v: float) -> float:
@@ -755,14 +705,14 @@ def _cubic_roots(a3, a2, a1, a0):
     """Real roots of a3 x^3 + a2 x^2 + a1 x + a0, a3 != 0, by real_cubic_roots' method.
 
     Each coefficient is a float or a 1-D array, the arrays of one length n.
-    With an array among them, returns (roots, sign, disc) per entry: roots
-    of shape (n, 3), each row ascending with NaN after its real roots, and
-    sign and disc as in CubicRoots; a row whose coefficients are not finite,
-    whose discriminant overflows, or whose Cardano square root rounds to a
-    negative argument is all NaN.  With floats only, roots is the ascending
-    tuple of real roots (empty or NaN for such a cubic) and sign and disc
-    are numbers.  Both run the same arithmetic, so every entry gets the
-    bits it would get alone.
+    With an array among them, returns (roots, sign) per entry: roots of
+    shape (n, 3), each row ascending with NaN after its real roots, and sign
+    the discriminant sign of CubicRoots; a row whose coefficients are not
+    finite, whose discriminant overflows, or whose Cardano square root rounds
+    to a negative argument is all NaN.  With floats only, roots is the
+    ascending tuple of real roots (empty or NaN for such a cubic) and sign a
+    number.  Both run the same arithmetic, so every entry gets the bits it
+    would get alone.
     """
     arrays = isinstance(a0, np.ndarray) or isinstance(a1, np.ndarray) or isinstance(a2, np.ndarray)
     with np.errstate(all="ignore"):
@@ -796,7 +746,7 @@ def _cubic_roots(a3, a2, a1, a0):
             branch = _trig if three else _cardano if one else _double if finite else None
             cols = branch(p, q, b, c) if branch else []
             roots = sorted(float(_polish(t + shift, a3, a2, a1, a0)) for t in cols)
-            return tuple(roots), int(three) - int(one), float(disc)
+            return tuple(roots), int(three) - int(one)
         t = np.full((disc.size, 3), np.nan)
         branches = [(three, _trig), (one, _cardano)]
         if np.count_nonzero(three) + np.count_nonzero(one) < disc.size:
@@ -809,7 +759,7 @@ def _cubic_roots(a3, a2, a1, a0):
         a3, a2, a1, a0, shift = (np.reshape(a, (-1, 1)) if isinstance(a, np.ndarray) else a
                                  for a in (a3, a2, a1, a0, shift))
         x = _polish(t + shift, a3, a2, a1, a0)
-    return np.sort(x, axis=1, kind="stable"), three * 1 - one, disc
+    return np.sort(x, axis=1, kind="stable"), three * 1 - one
 
 
 def real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> CubicRoots:
@@ -825,8 +775,8 @@ def real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> CubicRoots:
     """
     if a3 == 0.0:
         raise ConfigurationError("leading coefficient must be nonzero")
-    roots, sign, disc = _cubic_roots(float(a3), float(a2), float(a1), float(a0))
+    roots, sign = _cubic_roots(float(a3), float(a2), float(a1), float(a0))
     if not (roots and all(map(math.isfinite, roots))):
         raise AnalysisError(f"cubic ({a3!r}, {a2!r}, {a1!r}, {a0!r}) has no finite closed-form "
                             "roots: a coefficient is not finite, or the closed form overflows")
-    return CubicRoots(roots, sign, disc)
+    return CubicRoots(roots, sign)

@@ -501,6 +501,19 @@ def test_preimage_field_root_out_of_range(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("target", ("const:0.5", "const+mode:0.5,0.1,1"), ids=("constant", "field"))
+@pytest.mark.parametrize("scheme, last", (("cn", 2), ("be", 0)), ids=("cn", "be"))
+def test_preimage_checks_root_on_every_target(scheme, last, target, tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    argv = ("preimage", target, "--scheme", scheme, "--eps", "0.1", "--dt", "0.01")
+    assert _run(*argv, "--root", str(last + 1), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: --root must be in [0, {last}]\n"
+    assert list(tmp_path.iterdir()) == []
+    if target.startswith("const:"):  # a constant target lists every root whatever --root picks
+        assert _run(*argv, "--root", "0", "--out", str(out)) == 0
+        assert len(_rows(out)) == 1 + last + 1
+
+
 def test_preimage_field_stall_exits_3(tmp_path, capsys):
     code = _run(
         "preimage", "const+mode:0.984375,0.5,1", "--scheme", "cn", "--root", "0",
@@ -583,26 +596,39 @@ def test_config_flags_override_file(tmp_path):
     assert [r[2] for r in _rows(out)[1:]] == ["r1", "r2", "r3"]
 
 
-@pytest.mark.parametrize("values", ({"steps": 2.5}, {"n": "many"}, {"eps": "small"},
-                                    {"dim": 3}, {"scheme": "rk4"}, {"n": True}),
-                         ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()))
-def test_config_value_its_flag_rejects_exits_2(values, tmp_path, capsys):
+@pytest.mark.parametrize("values, message", [
+    ({"steps": 2.5}, "invalid int value 2.5"),
+    ({"n": "many"}, "invalid int value 'many'"),
+    ({"eps": "small"}, "invalid float value 'small'"),
+    ({"dim": 3}, "invalid choice 3 (choose from 1, 2)"),
+    ({"scheme": "rk4"}, "invalid choice 'rk4' (choose from be, cn, modcn, dirk2)"),
+    ({"n": True}, "invalid int value true"),
+], ids=("steps=2.5", "n=many", "eps=small", "dim=3", "scheme=rk4", "n=True"))
+def test_config_value_its_flag_rejects_exits_2(values, message, tmp_path, capsys):
+    # a JSON string or number is named as Python writes it, any other value as JSON does
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scheme": "be", "eps": 0.1, "dt": 0.01, "steps": 1, **values}))
     out = tmp_path / "sim.csv"
     assert _run("simulate", "const:0.5", "--config", str(cfg), "--out", str(out)) == 2
     (key,) = values
-    assert capsys.readouterr().err.startswith(f"error: config key {key!r}: invalid ")
+    assert capsys.readouterr().err == f"error: config key {key!r}: {message}\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", (None, True, ["a", 1]), ids=("null", "true", "list"))
-def test_config_value_that_is_no_string_or_number_exits_2(value, tmp_path, capsys, monkeypatch):
-    # str() would give each a text, and --out a file named by it
+@pytest.mark.parametrize("value, shown", ((None, "null"), (True, "true"), (["a", 1], '["a", 1]')),
+                         ids=("null", "true", "list"))
+def test_config_value_that_is_no_string_or_number_exits_2(value, shown, tmp_path, capsys,
+                                                          monkeypatch):
+    # str() would give each a text, and --out a file named by it; the message
+    # spells the value as the file does
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.json").write_text(json.dumps({"out": value, "eps": 1}))
     assert _run("analyze", "thresholds", "--config", "c.json") == 2
-    assert capsys.readouterr().err.startswith("error: config key 'out': invalid ")
+    assert capsys.readouterr().err == f"error: config key 'out': invalid str value {shown}\n"
+    # a flag with choices names the value too, not its choices
+    (tmp_path / "c.json").write_text(json.dumps({"scheme": value, "ratio": 0.5}))
+    assert _run("analyze", "intervals", "--config", "c.json") == 2
+    assert capsys.readouterr().err == f"error: config key 'scheme': invalid str value {shown}\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json"]
 
 

@@ -455,7 +455,7 @@ def _assert_cubic_roots_match_reference(coeffs):
     (rounding makes Cardano's square root negative), the row is all NaN and
     real_cubic_roots raises."""
     columns = [np.array(c) for c in zip(*coeffs)]
-    roots, sign, _ = solvers._cubic_roots(*columns)
+    roots, sign = solvers._cubic_roots(*columns)
     for row, got_roots, got_sign in zip(coeffs, roots, sign.tolist()):
         try:
             want_roots, want_sign = _reference_cubic_roots(*row)
@@ -653,6 +653,36 @@ def test_march_deltas_without_predict_warm_starts():
     solve_at, calls = _recording(lambda delta, guess: True)
     march_deltas(solve_at, [1.0, 2.0, 3.0], predict=False)
     assert calls == [(1.0, None), (2.0, 1.0), (3.0, 2.0)]
+
+
+def test_march_deltas_predicts_each_row_of_a_stacked_state_as_alone():
+    # preimage_field marches one row per backward link in one array: each
+    # row's predicted starts and solutions must be the bits it gets when it
+    # is marched alone
+    grid = make_grid(1, 5)
+    targets = np.array([np.linspace(-1.0, 2.0, 5), np.linspace(3.0, 0.5, 5)])
+
+    def solve_row(i, delta, start, seen):
+        start = np.zeros(5) if start is None else start
+        seen[i].append(start.tobytes())
+        return newton_solve(lambda v: v * v * v + v - delta * targets[i],
+                            lambda v: ShiftedLaplacian(grid, 1.0, 0.0, 3.0 * v * v), start)
+
+    stacked_seen, alone_seen = ([], []), ([], [])
+
+    def solve_stacked(delta, state):
+        solved = [solve_row(i, delta, None if state is None else state[i], stacked_seen)
+                  for i in range(len(targets))]
+        return np.array([x for x, _ in solved]), solved[-1][1]
+
+    schedule = [0.25 * i for i in range(1, 9)]
+    stacked, rep = march_deltas(solve_stacked, schedule, True)
+    assert rep.converged and stacked.shape == targets.shape
+    for i, row in enumerate(stacked):
+        alone, alone_rep = march_deltas(lambda d, g: solve_row(i, d, g, alone_seen), schedule, True)
+        assert alone_rep.converged
+        assert row.tobytes() == alone.tobytes()
+    assert stacked_seen == alone_seen and len(stacked_seen[0]) == len(schedule)
 
 
 def _array_problem(delta):
