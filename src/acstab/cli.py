@@ -55,7 +55,7 @@ from .fields import (
     make_grid,
 )
 from .robustness import (
-    dirk_perturbation_gains,
+    dirk_perturbation_gains,  # unused here, kept for perfbench/layertrace.py, which patches it
     interval_sequence,
     classify_constant_initial,
     perturbation_gain,
@@ -366,17 +366,6 @@ def _analyze_classify(args) -> int:
                  (res.initial, res.limit, res.settle_step, res.flips))
 
 
-def _branch_gains(kind: SchemeKind, c: float, r: float, mode: ModeIndex, p: ACParams, chains):
-    """(root, gains) of the constant preimage branch of c through r on mode.
-
-    For dirk the branch is the stage chain of `chains` whose root is nearest r.
-    """
-    if kind.tag != "dirk":
-        return r, perturbation_gain(kind, c, r, mode, p)
-    chain = min(chains, key=lambda ch: abs(ch[0] - r))
-    return chain[0], dirk_perturbation_gains(chain[2], chain[1], mode, p, kind=kind)
-
-
 def _analyze_perturb(args) -> int:
     kind = parse_scheme(args.scheme)
     p = _resolve_params(args)
@@ -386,10 +375,9 @@ def _analyze_perturb(args) -> int:
         raise ConfigurationError("perturbation gains are defined for cn, modcn, dirk2")
     if not (math.isfinite(args.c) and math.isfinite(args.r)):
         raise ConfigurationError(f"--c and --r must be finite, got {args.c} and {args.r}")
-    chains = preimage_constants(kind, args.c, p).chains if kind.tag == "dirk" else ()
-    r, g = _branch_gains(kind, args.c, args.r, mode, p, chains)
+    g = perturbation_gain(kind, args.c, args.r, mode, p)
     gains = [*g.gain, "", ""][:3]
-    return _emit(args.out, header, [[kind.label, args.c, r, *[*mode.k, ""][:2], *gains, int(g.pole)]])
+    return _emit(args.out, header, [[kind.label, g.c, g.r, *[*mode.k, ""][:2], *gains, int(g.pole)]])
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +393,10 @@ def _preimage_constant(kind, p, c: float, index: int | None, out: str) -> int:
     ps = preimage_constants(kind, c, p)
     _check_root(index, ps.roots)  # every root is listed all the same
     rows = []
-    for root in ps.roots:
+    for root, cub in zip_longest(ps.roots, ps.cubics):  # no cubics for backward Euler
         images = scalar_map(kind, root, p)
         fwd_err = min(abs(img - c) for img, _sel in images)
-        disc = ps.cubics[0].discriminant_sign if ps.cubics else ""
-        rows.append([kind.label, c, root, disc, fwd_err])
+        rows.append([kind.label, c, root, cub.discriminant_sign if cub else "", fwd_err])
     return _emit(out, ["scheme", "c", "root", "disc_sign", "forward_error"], rows)
 
 
@@ -431,11 +418,10 @@ def _preimage_field(args, kind, p, target: ScalarField, c: float, delta: float,
         seed = target
         seed_root, gain = "", ""
     else:
-        seed_root = ps.roots[args.root or 0]
-        _, g = _branch_gains(kind, c, seed_root, mode, p, ps.chains)
+        g = perturbation_gain(kind, c, ps.roots[args.root or 0], mode, p)
         if g.pole:
             raise AnalysisError("perturbation gain has a pole; no regular branch to follow")
-        gain = g.gain[-1]
+        seed_root, gain = g.r, g.gain[-1]
         seed = ScalarField(grid, seed_root + args.delta0 * gain * eval_mode(mode, grid).values)
 
     phi_n, rep = preimage_field(kind, target, seed, p, hcfg, ncfg)

@@ -73,12 +73,11 @@ __all__ = [
 class PreimageSet:
     """Constant states r that one step maps to the constant c.
 
-    cubics holds the closed-form solves behind the roots, one per implicit
-    link walked (none for backward Euler; the stage chain's cubics for
-    DIRK).  chains pairs each root with its stage history, earliest first:
-    (r,) for the single-stage schemes and (r, phi_1, ..., phi_s) for DIRK.  For
-    every scheme the chains are sorted by r, and chains whose r lies within
-    MERGE_TOL of the previous kept one (a multiple root) are listed once.
+    chains pairs each root with its stage history, earliest first: (r,) for
+    the single-stage schemes and (r, phi_1, ..., phi_s) for DIRK; cubics[i]
+    is the last cubic chain i was solved from (none for backward Euler).  The
+    chains are sorted by r, and chains whose r lies within MERGE_TOL of the
+    previous kept one (a multiple root) are listed once.
     """
 
     scheme: SchemeKind
@@ -148,24 +147,28 @@ def preimage_constants(kind: SchemeKind, c: float, p: ACParams) -> PreimageSet:
     cubic.  Backward Euler thus has one preimage, always; the trapezoid
     schemes solve one cubic and DIRK the stage chain's cubics.
     """
-    walks: list[tuple[float, ...]] = [(c,)]
-    cubics: list[CubicRoots] = []
+    walks: list[tuple[tuple[float, ...], CubicRoots | None]] = [((c,), None)]
     for _fwd, bwd in _backward_links(kind, p):
         grown = []
-        for walk in walks:
+        for walk, cub in walks:
             terms = bwd(walk[-1], 0.0)
             if terms[2] == 0.0:
-                grown.append(walk + (_explicit(*terms),))
+                grown.append((walk + (_explicit(*terms),), cub))
                 continue
             cub = real_cubic_roots(*constant_cubic(p, *terms))
-            cubics.append(cub)
-            grown += [walk + (u,) for u in cub.real_roots]
+            grown += [(walk + (u,), cub) for u in cub.real_roots]
         walks = grown
-    chains: list[tuple[float, ...]] = []
-    for ch in sorted((tuple(reversed(w[1:])) for w in walks), key=lambda ch: ch[0]):
-        if not chains or abs(ch[0] - chains[-1][0]) > MERGE_TOL:
-            chains.append(ch)
+    chains, cubics = [], []
+    for walk, cub in sorted(walks, key=lambda wc: wc[0][-1]):
+        if not chains or abs(walk[-1] - chains[-1][0]) > MERGE_TOL:
+            chains.append(tuple(reversed(walk[1:])))
+            cubics += [cub] if cub else []  # no cubic where every link is explicit
     return PreimageSet(kind, c, tuple(ch[0] for ch in chains), tuple(cubics), tuple(chains))
+
+
+def _chain_through(kind: SchemeKind, c: float, r: float, p: ACParams) -> tuple[float, ...]:
+    """The chain of preimage_constants(kind, c, p) whose root is nearest r, the first on ties."""
+    return min(preimage_constants(kind, c, p).chains, key=lambda ch: abs(ch[0] - r))
 
 
 @dataclass(frozen=True)
@@ -310,11 +313,12 @@ def classify_constant_initial(
 class PerturbationGain:
     """First-order response of a preimage branch to a target-mode perturbation.
 
-    Perturbing the target by delta * mode moves the preimage branch through
-    the constant r by delta * gain[-1] * mode to first order.  For the
-    trapezoid schemes gain is (B,); for a two-stage DIRK scheme it is
-    (B2, B1, B0) -- innermost stage outward, with c and r holding the stage
-    constants (c2, c1).  pole means the linearization is singular there.
+    Perturbing the target c by delta * mode moves the preimage branch
+    through the constant r by delta * gain[-1] * mode to first order.  gain
+    has one entry per backward link, from the result to the start: (B,) for
+    CN and MODCN, (B_s, ..., B_0) for an s-stage DIRK scheme.  c is the
+    target and r the branch's root, except from dirk_perturbation_gains:
+    its stage constants (c2, c1).  pole means the linearization is singular.
     """
 
     scheme: SchemeKind
@@ -351,29 +355,30 @@ def _chain_gains(kind, states, k: ModeIndex, p: ACParams) -> PerturbationGain:
 def perturbation_gain(
     kind: SchemeKind, c: float, r: float, k: ModeIndex, p: ACParams
 ) -> PerturbationGain:
-    """Gain B of the preimage branch through r for target c + delta*mode(k)."""
-    if kind.tag not in ("cn", "modcn"):
-        raise ConfigurationError(
-            "single gain defined for the trapezoid schemes; use dirk_perturbation_gains"
-        )
-    return _chain_gains(kind, (c, r), k, p)
+    """Gains of the preimage branch through r for target c + delta*mode(k).
+
+    For DIRK the branch is the chain of preimage_constants(kind, c, p) whose
+    root is nearest r, the first on ties, and the result's r is that root.
+    Backward Euler (no implicit link) and a c or r that is not finite raise
+    ConfigurationError.
+    """
+    if kind.tag == "be":
+        raise ConfigurationError("backward Euler has no implicit backward link, so no gain")
+    states = (c, r)
+    if kind.tag == "dirk" and all(map(math.isfinite, states)):  # _chain_gains rejects the rest
+        states = (c, *reversed(_chain_through(kind, c, r, p)))
+    return _chain_gains(kind, states, k, p)
 
 
-def dirk_perturbation_gains(
-    c2: float, c1: float, k: ModeIndex, p: ACParams, kind: SchemeKind | None = None
-) -> PerturbationGain:
-    """Stage gains (B2, B1, B0) of a two-stage DIRK scheme (default DIRK2).
+def dirk_perturbation_gains(c2: float, c1: float, k: ModeIndex, p: ACParams) -> PerturbationGain:
+    """Stage gains (B2, B1, B0) of DIRK2 from its stage constants alone.
 
     c2 and c1 are the constant stage states of the branch (outer combination
     stage and inner stage), e.g. taken from a preimage chain.  The walk's
-    first fwd and last bwd sides are explicit (b = 0, slope +-1), so c and r
-    need not be known: c2 and c1 stand in for them.  Any other number of
-    stages is a ConfigurationError.
+    first fwd and last bwd sides are explicit (b = 0, slope +-1), so c2 and
+    c1 can stand in for c and r: the gains are perturbation_gain's, bit for bit.
     """
-    kind = kind or DIRK2
-    if kind.tableau is None or kind.tableau.stages != 2:
-        raise ConfigurationError("dirk_perturbation_gains reads the chain of a two-stage tableau")
-    return _chain_gains(kind, (c2, c2, c1, c1), k, p)
+    return _chain_gains(DIRK2, (c2, c2, c1, c1), k, p)
 
 
 def preimage_field(
@@ -411,8 +416,7 @@ def preimage_field(
         shape = np.zeros(grid.num_nodes)
     starts = [seed.values]
     if len(links) > 1:
-        r_seed = field_mean(seed)
-        chain = min(preimage_constants(kind, c, p).chains, key=lambda ch: abs(ch[0] - r_seed))
+        chain = _chain_through(kind, c, field_mean(seed), p)
         starts = [np.full(grid.num_nodes, x) for x in reversed(chain[1:])] + starts
     starts = np.vstack(starts)  # a state has one row per link: the earlier state it solves for
 

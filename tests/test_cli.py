@@ -465,6 +465,13 @@ def test_preimage_constants_dirk(tmp_path):
     assert float(rows[1][2]) == pytest.approx(-22.70664935808294, rel=1e-8)
 
 
+def test_preimage_constants_dirk_disc_sign_is_each_rows_cubic(tmp_path):
+    out = tmp_path / "pre.csv"
+    assert _run("preimage", "const:0.5", "--scheme", "dirk2", "--eps", "0.1",
+                "--dt", "0.01", "--out", str(out)) == 0
+    assert [row[3] for row in _rows(out)[1:]] == ["-1", "1", "1", "1", "-1"]
+
+
 def test_preimage_field(tmp_path):
     out = tmp_path / "pre.csv"
     code = _run(

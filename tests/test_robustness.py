@@ -58,6 +58,9 @@ _DIRK_ODD = SchemeKind("dirk", ButcherTableau(((0.3, 0.0), (0.5, 0.2)), (0.5, 0.
 _GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 _SDIRK2 = SchemeKind("dirk", ButcherTableau(((_GAMMA, 0.0), (1.0 - _GAMMA, _GAMMA)),
                                             (1.0 - _GAMMA, _GAMMA), (_GAMMA, 1.0)))
+# a three-stage tableau that reads backward (a_31 = a_21)
+_DIRK3 = SchemeKind("dirk", ButcherTableau(((0.5, 0, 0), (0.25, 0.5, 0), (0.25, 0.25, 0.5)),
+                                           (0.25, 0.25, 0.5), (0.5, 0.75, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +212,17 @@ def test_preimage_trapezoid_examples():
         assert abs(got - want) <= 1e-9
     assert ps1.cubics[0].discriminant_sign == 0
     assert ps1.cubics[0].real_roots == (ps1.roots[0], ps1.roots[1], ps1.roots[1])
+
+
+def test_preimage_cubics_follow_their_chains():
+    # cubics[i] is the cubic chain i's innermost implicit link was solved from
+    p = ACParams(0.1, 0.01)
+    ps = preimage_constants(DIRK2, 0.5, p)
+    assert [cub.discriminant_sign for cub in ps.cubics] == [-1, 1, 1, 1, -1]
+    assert all(chain[1] in cub.real_roots for chain, cub in zip(ps.chains, ps.cubics, strict=True))
+    (cub,) = set(preimage_constants(CN, 0.5, p).cubics)
+    assert len(cub.real_roots) == 3
+    assert preimage_constants(BE, 0.5, p).cubics == ()
 
 
 def test_preimage_dirk_examples():
@@ -544,10 +558,10 @@ def test_gain_pole_flag():
     assert g.pole and math.isnan(g.gain[0])
 
 
-def test_gain_requires_trapezoid():
+def test_gain_rejects_backward_euler():
     p = ACParams(0.1, 0.01)
-    with pytest.raises(ConfigurationError):
-        perturbation_gain(DIRK2, 0.0, 1.0, ModeIndex((1.0,)), p)
+    with pytest.raises(ConfigurationError, match="backward Euler"):
+        perturbation_gain(BE, 0.0, 1.0, ModeIndex((1.0,)), p)
 
 
 def test_dirk_gain_example():
@@ -569,7 +583,8 @@ def test_dirk_gain_identity_stages():
 
 
 @pytest.mark.parametrize(
-    "kind", (CN, MODCN, DIRK2, _DIRK_ODD, _SDIRK2), ids=("cn", "modcn", "dirk2", "dirk-odd", "sdirk2")
+    "kind", (CN, MODCN, DIRK2, _DIRK_ODD, _SDIRK2, _DIRK3),
+    ids=("cn", "modcn", "dirk2", "dirk-odd", "sdirk2", "dirk3"),
 )
 def test_gain_matches_measured_response(kind):
     # a one-point continuation at delta = 1e-5 measures each branch's
@@ -581,16 +596,37 @@ def test_gain_matches_measured_response(kind):
     target = ScalarField(grid, c + delta * mode)
     hcfg = HomotopyConfig(delta_end=delta, delta_start=delta, steps=1)
     ps = preimage_constants(kind, c, p)
-    for i, r in enumerate(ps.roots):
-        if kind.tag == "dirk":
-            g = dirk_perturbation_gains(ps.chains[i][2], ps.chains[i][1], k, p, kind=kind)
-        else:
-            g = perturbation_gain(kind, c, r, k, p)
+    for chain in ps.chains:
+        r = chain[0]
+        g = perturbation_gain(kind, c, r, k, p)
+        assert (g.c, g.r) == (c, r) and len(g.gain) == len(chain)
         seed = ScalarField(grid, r + delta * g.gain[-1] * mode)
         phi_n, rep = preimage_field(kind, target, seed, p, hcfg)
         assert rep.converged
         response = np.sum(w * (phi_n.values - r) * mode) / np.sum(w * mode * mode) / delta
         assert g.gain[-1] == pytest.approx(response, rel=1e-4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from((DIRK2, _SDIRK2, _DIRK_ODD)),
+    eps=st.floats(0.05, 1.0),
+    dt=st.floats(0.001, 1.0),
+    c=st.floats(-3.0, 3.0),
+    k=st.lists(st.integers(0, 4), min_size=1, max_size=2),
+)
+def test_dirk_chain_gains_are_the_stage_constant_gains(kind, eps, dt, c, k):
+    # the walk's first fwd and last bwd sides are explicit, so the stage
+    # constants stand in for c and r to the bit, as dirk_perturbation_gains does
+    p, mode = ACParams(eps, dt), ModeIndex(tuple(map(float, k)))
+    for chain in preimage_constants(kind, c, p).chains:
+        got = perturbation_gain(kind, c, chain[0], mode, p)
+        want = robustness._chain_gains(kind, (chain[2], chain[2], chain[1], chain[1]), mode, p)
+        assert got.r == chain[0] and got.pole == want.pole
+        assert [b.hex() for b in got.gain] == [b.hex() for b in want.gain]
+        if kind is DIRK2:
+            short = dirk_perturbation_gains(chain[2], chain[1], mode, p)
+            assert [b.hex() for b in short.gain] == [b.hex() for b in got.gain]
 
 
 def test_gain_linear_system_residual():
@@ -713,26 +749,23 @@ def test_preimage_field_sdirk2_round_trips():
     chains = preimage_constants(_SDIRK2, c, p).chains
     assert len(chains) == 3 and all(chain[2] == c for chain in chains)
     for chain in chains:
-        g = dirk_perturbation_gains(chain[2], chain[1], ModeIndex((1.0,)), p, kind=_SDIRK2)
+        g = perturbation_gain(_SDIRK2, c, chain[0], ModeIndex((1.0,)), p)
         target, phi_n, rep = _mode_preimage(_SDIRK2, c, chain[0], g.gain[2], 1, p, grid, 0.1)
         assert rep.converged
         fwd, _ = step(_SDIRK2, phi_n, p)
         assert np.max(np.abs(fwd.values - target.values)) <= 1e-10
 
 
-def test_dirk_gains_need_a_two_stage_tableau():
-    three = SchemeKind("dirk", ButcherTableau(((0.5, 0, 0), (0.25, 0.5, 0), (0.25, 0.25, 0.5)),
-                                              (0.25, 0.25, 0.5), (0.5, 0.75, 1.0)))
-    for kind in (three, CN):
-        with pytest.raises(ConfigurationError, match="two-stage"):
-            dirk_perturbation_gains(0.5, 0.2, ModeIndex((1.0,)), ACParams(0.3, 0.05), kind=kind)
+def test_gains_reject_states_that_are_not_finite(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cubic was solved for a state that is not finite")
 
-
-def test_gains_reject_states_that_are_not_finite():
+    monkeypatch.setattr(robustness, "real_cubic_roots", refuse)
     p, mode = ACParams(0.3, 0.05), ModeIndex((1.0,))
     for c, r in ((math.nan, 1.0), (0.5, math.inf)):
-        with pytest.raises(ConfigurationError, match="must be finite"):
-            perturbation_gain(CN, c, r, mode, p)
+        for kind in (CN, DIRK2, _DIRK3):
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                perturbation_gain(kind, c, r, mode, p)
         with pytest.raises(ConfigurationError, match="must be finite"):
             dirk_perturbation_gains(c, r, mode, p)
 
