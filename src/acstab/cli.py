@@ -68,6 +68,7 @@ from .schemes import (
     MODCN,
     SchemeKind,
     _BY_NAME,
+    _SETTLE_TOL,
     _stage_failure,
     parse_scheme,
     scalar_map,
@@ -371,10 +372,6 @@ def _analyze_perturb(args) -> int:
     p = _resolve_params(args)
     mode = ModeIndex((args.k,) if args.l is None else (args.k, args.l))
     header = ["scheme", "c", "r", "k", "l", "gain0", "gain1", "gain2", "pole"]
-    if kind.tag == "be":
-        raise ConfigurationError("perturbation gains are defined for cn, modcn, dirk2")
-    if not (math.isfinite(args.c) and math.isfinite(args.r)):
-        raise ConfigurationError(f"--c and --r must be finite, got {args.c} and {args.r}")
     g = perturbation_gain(kind, args.c, args.r, mode, p)
     gains = [*g.gain, "", ""][:3]
     return _emit(args.out, header, [[kind.label, g.c, g.r, *[*mode.k, ""][:2], *gains, int(g.pole)]])
@@ -531,7 +528,7 @@ _COMMANDS = {
     "simulate": _Command(
         cmd_simulate, "run a time stepper and record a trajectory",
         ("initial", f"initial data, {_SPEC_HELP}"),
-        {**_STEP, **_GRID, "steps": 100, "settle_tol": 1e-3, **_NEWTON, "out": "trajectory.csv"},
+        {**_STEP, **_GRID, "steps": 100, "settle_tol": _SETTLE_TOL, **_NEWTON, "out": "trajectory.csv"},
         ("scheme",)),
     "analyze thresholds": _Command(
         _analyze_thresholds, "every scheme's uniqueness threshold on dt at eps", None,

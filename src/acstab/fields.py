@@ -171,8 +171,15 @@ class ModeIndex:
 
     @property
     def laplace_eigenvalue(self) -> float:
-        """Continuum value sum_i (k_i pi)^2 (the mode satisfies -Lap u = m u)."""
-        return float(sum((v * math.pi) ** 2 for v in self.k))
+        """Continuum value sum_i (k_i pi)^2 (the mode satisfies -Lap u = m u);
+        ConfigurationError naming the mode where that sum is not finite."""
+        try:
+            m = float(sum((v * math.pi) ** 2 for v in self.k))
+        except OverflowError:  # float ** raises where * would give inf
+            m = math.inf
+        if not math.isfinite(m):
+            raise ConfigurationError(f"mode {self.describe()} has no finite Laplace eigenvalue")
+        return m
 
     def describe(self) -> str:
         parts = []
@@ -183,24 +190,23 @@ class ModeIndex:
 
 @dataclass(frozen=True)
 class ButcherTableau:
-    """Lower-triangular Runge-Kutta coefficients (a, b, c) with s stages.
+    """Lower-triangular Runge-Kutta coefficients (a, b) with s stages.
 
-    Every diagonal entry a_ii must be nonzero: each stage is implicit.
+    Every diagonal entry a_ii must be nonzero: each stage is implicit.  The
+    Allen-Cahn equation is autonomous, so no stage reads the nodes c.
     """
 
     a: tuple[tuple[float, ...], ...]
     b: tuple[float, ...]
-    c: tuple[float, ...]
 
     def __post_init__(self) -> None:
         a = tuple(tuple(float(v) for v in row) for row in self.a)
         b = tuple(float(v) for v in self.b)
-        c = tuple(float(v) for v in self.c)
         s = len(a)
         if s == 0 or any(len(row) != s for row in a):
             raise ConfigurationError("a must be a nonempty square matrix")
-        if len(b) != s or len(c) != s:
-            raise ConfigurationError("b and c must have one entry per stage")
+        if len(b) != s:
+            raise ConfigurationError("b must have one entry per stage")
         for i, row in enumerate(a):
             if any(row[j] != 0.0 for j in range(i + 1, s)):
                 raise ConfigurationError("a must be lower triangular")
@@ -208,7 +214,6 @@ class ButcherTableau:
             raise ConfigurationError("every diagonal entry must be nonzero (no explicit stages)")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
 
     @property
     def stages(self) -> int:
@@ -223,7 +228,6 @@ class ButcherTableau:
 DIRK2_TABLEAU = ButcherTableau(
     a=((0.25, 0.0), (0.5, 0.25)),
     b=(0.5, 0.5),
-    c=(0.25, 0.75),
 )
 
 

@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import AnalysisError, ConfigurationError, _check_count
 from .fields import ACParams, ModeIndex, ScalarField, _cubic, ac_force, field_mean, laplacian_matrix
-from .schemes import DIRK2, MERGE_TOL, SchemeKind, _selected_images, _sign, _step_terms
-from .schemes import _check_settle_tol, constant_cubic, implicit_system, mode_slope
+from .schemes import _SETTLE_TOL, DIRK2, MERGE_TOL, SchemeKind, _selected_images, _sign, _step_terms
+from .schemes import constant_cubic, implicit_system, mode_slope
 from .schemes import scalar_map  # unused here, kept for perfbench/layertrace.py, which patches it
 from .solvers import (
     CubicRoots,
@@ -223,52 +223,46 @@ def interval_sequence(kind: SchemeKind, ratio: float, count: int) -> IntervalSeq
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    """Limits of the computed trajectories from constant initial states.
+    """Limits of the trajectories from a 1-D array of constant initial states.
 
-    For one float initial state: pattern records sign(c_k) from c_0 =
-    initial up to the settle step, or for all max_steps steps when the state
-    never settles (0 for states within 1e-9 of 0); settle_step is the first
-    step with |c_k - limit| <= settle_tol for a limit of +1 or -1 (None and
-    limit 0 if max_steps ran out first); flips counts the sign changes along
-    pattern, zeros skipped.
-
-    For a 1-D array of initial states every field is an array with one entry
-    per state: pattern has shape (states, max_steps + 1) with 0 after a
-    state's settle step, and settle_step is -1 where a state never settled.
+    Every field has one entry per state.  pattern, of shape (states,
+    max_steps + 1), records sign(c_k) from c_0 = initial (0 within 1e-9 of 0)
+    up to the state's settle step and 0 after it; settle_step is the first
+    step with |c_k - limit| <= schemes._SETTLE_TOL for a limit of +1 or -1,
+    or -1 and limit 0 where max_steps ran out first; flips counts the sign
+    changes along pattern, zeros skipped.
     """
 
-    initial: float | np.ndarray
-    pattern: tuple[int, ...] | np.ndarray
-    settle_step: int | None | np.ndarray
-    limit: int | np.ndarray
-    flips: int | np.ndarray
+    initial: np.ndarray
+    pattern: np.ndarray
+    settle_step: np.ndarray
+    limit: np.ndarray
+    flips: np.ndarray
 
 
 def classify_constant_initial(
     kind: SchemeKind,
-    r,
+    r: np.ndarray,
     p: ACParams,
     max_steps: int = 400,
-    settle_tol: float = 1e-3,
 ) -> ClassificationResult:
-    """Iterate the selected scalar branch from r and report the settling sign.
+    """Iterate the selected scalar branch from each constant in the 1-D array r.
 
-    r is a float or a 1-D array of initial constants; an array is iterated
-    as a whole, one selected-chain step (schemes._selected_images) per time
-    step for the states still moving, and a float is its size-1 case.  Each
-    image is the field stepper's own: the one scalar_map marks selected,
-    unless scalar_map merged it into a smaller image within MERGE_TOL.  A
-    state stops once it settles; an unsettled exact fixed point (the image
-    equals the value it came from) repeats at every later step, so its
-    pattern is completed without further maps.  Raises AnalysisError naming
+    The array is iterated as a whole, one selected-chain step
+    (schemes._selected_images) per time step for the states still moving.
+    Each image is the field stepper's own: the one scalar_map marks
+    selected, unless scalar_map merged it into a smaller image within
+    MERGE_TOL.  A state stops once it settles; an unsettled exact fixed point
+    (the image equals the value it came from) repeats at every later step,
+    so its pattern is completed without further maps.  Raises
+    ConfigurationError when r is not a 1-D array, and AnalysisError naming
     the initial state and the step when an image is not finite: its cubic
     coefficients are not finite, or its closed-form roots overflow.
     """
     _check_count("max_steps", max_steps, 1)
-    _check_settle_tol(settle_tol)
-    r0 = np.array(r, dtype=float, ndmin=1)
-    if r0.ndim != 1:
-        raise ConfigurationError("initial states must be a float or a 1-D array")
+    if np.ndim(r) != 1:
+        raise ConfigurationError("initial states must be a 1-D array")
+    r0 = np.array(r, dtype=float)
     n = r0.size
     pattern = np.zeros((n, max_steps + 1), dtype=np.int8, order="F")  # step k writes column k
     pattern[:, 0] = _sign(r0)
@@ -288,12 +282,12 @@ def classify_constant_initial(
         fl += sign * last < 0
         last = np.where(sign, sign, last)
         # | |c| - 1 | is |c - 1| for c >= 0 and |c + 1| for c < 0, rounding included
-        settled = np.abs(np.abs(cur) - 1) <= settle_tol
+        settled = np.abs(np.abs(cur) - 1) <= _SETTLE_TOL
         done = settled | (cur == prev)
         if not np.count_nonzero(done):
             continue
         flips[live[done]] = fl[done]
-        up = abs(cur[settled] - 1) <= settle_tol  # +1 is tested first
+        up = abs(cur[settled] - 1) <= _SETTLE_TOL  # +1 is tested first
         settle_step[live[settled]] = k
         limit[live[settled]] = np.where(up, 1, -1)
         fixed = done & ~settled  # an exact fixed point repeats its sign
@@ -301,11 +295,6 @@ def classify_constant_initial(
         keep = ~done
         live, cur, last, fl = live[keep], cur[keep], last[keep], fl[keep]
     flips[live] = fl
-    if np.ndim(r) == 0:
-        steps = settle_step[0] if settle_step[0] >= 0 else max_steps
-        return ClassificationResult(float(r), tuple(pattern[0, :steps + 1].tolist()),
-                                    None if settle_step[0] < 0 else int(settle_step[0]),
-                                    int(limit[0]), int(flips[0]))
     return ClassificationResult(r0, pattern, settle_step, limit, flips)
 
 

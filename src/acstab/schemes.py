@@ -88,6 +88,7 @@ __all__ = [
 ]
 
 MERGE_TOL = 1e-8  # absolute dedupe tolerance for coincident scalar images and preimages
+_SETTLE_TOL = 1e-3  # distance to +-1 that counts as settled: simulate's default, classify's always
 
 
 @dataclass(frozen=True)
@@ -340,11 +341,6 @@ def _summarize(idx: int, t: float, u: ScalarField) -> StepSummary:
     return StepSummary(idx, t, float(v.min()), float(v.max()), center_value(u), field_l2(u))
 
 
-def _check_settle_tol(settle_tol: float) -> None:
-    if not (np.isfinite(settle_tol) and settle_tol >= 0.0):
-        raise ConfigurationError(f"settle_tol must be finite and >= 0, got {settle_tol}")
-
-
 def _settled_sign(s: StepSummary, settle_tol: float) -> int:
     """+1 or -1 when max |v - c| <= settle_tol for that constant c, else 0.
 
@@ -370,7 +366,7 @@ def simulate(
     phi0: ScalarField,
     steps: int,
     p: ACParams,
-    settle_tol: float = 1e-3,
+    settle_tol: float = _SETTLE_TOL,
     cfg: NewtonConfig | None = None,
 ) -> Trajectory:
     """Run `steps` time steps and record per-step summaries.
@@ -384,7 +380,8 @@ def simulate(
     `period` steps back, with the same bits as stepping on would give.
     """
     _check_count("steps", steps, 0)
-    _check_settle_tol(settle_tol)
+    if not (np.isfinite(settle_tol) and settle_tol >= 0.0):
+        raise ConfigurationError(f"settle_tol must be finite and >= 0, got {settle_tol}")
     u = phi0
     summaries = [_summarize(0, 0.0, u)]
     limit = _settled_sign(summaries[0], settle_tol)

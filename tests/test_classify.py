@@ -125,7 +125,8 @@ def _special_states(kind, ratio):
 
 
 def _row(res, j):
-    """Sample j of an array result, in the float result's form."""
+    """Sample j of a result as (pattern up to the settle step, settle step or
+    None, limit, flips), the form _oracle gives."""
     settle = int(res.settle_step[j])
     steps = settle if settle >= 0 else res.pattern.shape[1] - 1
     return (tuple(res.pattern[j, :steps + 1].tolist()), None if settle < 0 else settle,
@@ -153,11 +154,10 @@ def test_array_classify_is_the_scalar_map_bit_for_bit(kind, eps, ratio, extra):
     res = classify_constant_initial(kind, r, p, max_steps=max_steps)
     for j, x in enumerate(r.tolist()):
         pattern, settle, limit = _oracle(kind, x, p, max_steps)
-        alone = classify_constant_initial(kind, x, p, max_steps=max_steps)
-        assert _row(res, j) == (alone.pattern, alone.settle_step, alone.limit, alone.flips)
-        assert (alone.pattern, alone.settle_step, alone.limit, alone.flips) == (
-            pattern, settle, limit, _flips(pattern))
-        assert alone.initial == x and res.initial[j] == x
+        alone = classify_constant_initial(kind, np.array([x]), p, max_steps=max_steps)
+        assert _row(res, j) == _row(alone, 0)
+        assert _row(alone, 0) == (pattern, settle, limit, _flips(pattern))
+        assert alone.initial[0] == x and res.initial[j] == x
 
 
 @pytest.mark.parametrize("ratio", (0.5, 1.5, 3.0, 10.0, 50.0))
@@ -214,14 +214,9 @@ def test_array_classify_result_form():
     assert res.settle_step.tolist() == [1, 3, -1] and res.limit.tolist() == [-1, 1, 0]
     assert res.flips.tolist() == [1, 0, 0]
     assert res.pattern[2].tolist() == [0] * 31  # the fixed point 0 repeats
-    with pytest.raises(ConfigurationError):
-        classify_constant_initial(CN, np.zeros((2, 2)), p)
-
-
-@pytest.mark.parametrize("tol", (math.nan, -1.0, math.inf))
-def test_classify_rejects_a_settle_tol_that_is_not_finite_and_nonnegative(tol):
-    with pytest.raises(ConfigurationError, match=r"settle_tol must be finite and >= 0"):
-        classify_constant_initial(CN, np.array([0.5, 2.0]), ACParams(1.0, 1.0), settle_tol=tol)
+    for r in (0.5, np.float64(0.5), np.zeros((2, 2))):
+        with pytest.raises(ConfigurationError, match=r"^initial states must be a 1-D array$"):
+            classify_constant_initial(CN, r, p)
 
 
 @pytest.mark.parametrize("r", (math.nan, math.inf, 1e200))

@@ -266,6 +266,22 @@ def test_perturb_rejects_nonfinite_states(scheme, c, r, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, mode", (
+    (("analyze", "perturb", "--scheme", "cn", "--c", "0.5", "--r", "-1.8", "--k", "5e153"),
+     "cos(5e+153*pi*x1)"),
+    # each (k pi)^2 is finite, their sum is not
+    (("analyze", "perturb", "--scheme", "cn", "--c", "0.5", "--r", "-1.8", "--k", "4e153",
+      "--l", "4e153"), "cos(4e+153*pi*x1)*cos(4e+153*pi*x2)"),
+    (("preimage", "const+mode:0.5,0.1,1,1e200", "--scheme", "cn", "--root", "0"),
+     "cos(1*pi*x1)*cos(1e+200*pi*x2)"),
+), ids=("perturb-k", "perturb-k-l", "preimage"))
+def test_a_mode_whose_eigenvalue_overflows_is_a_usage_error(argv, mode, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert _run(*argv, "--eps", "0.1", "--dt", "0.01", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: mode {mode} has no finite Laplace eigenvalue\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dt_or_ratio_required(tmp_path):
     assert _run("preimage", "const:0", "--scheme", "cn", "--eps", "1",
                 "--out", str(tmp_path / "t.csv")) == 2

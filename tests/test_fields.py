@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -176,14 +177,18 @@ def test_butcher_tableau():
     assert DIRK2_TABLEAU.stages == 2
     assert DIRK2_TABLEAU.max_diag == 0.25
     with pytest.raises(ConfigurationError):
-        ButcherTableau(a=((0.25, 0.5), (0.5, 0.25)), b=(0.5, 0.5), c=(0.25, 0.75))
+        ButcherTableau(a=((0.25, 0.5), (0.5, 0.25)), b=(0.5, 0.5))
     with pytest.raises(ConfigurationError):
-        ButcherTableau(a=((0.0,),), b=(1.0,), c=(0.0,))  # explicit-only
+        ButcherTableau(a=((0.0,),), b=(1.0,))  # explicit-only
+    with pytest.raises(ConfigurationError, match="^b must have one entry per stage$"):
+        ButcherTableau(a=((0.25, 0.0), (0.5, 0.25)), b=(1.0,))
+    # the equation is autonomous: no stage reads nodes c, so the tableau has none
+    assert [f.name for f in dataclasses.fields(ButcherTableau)] == ["a", "b"]
 
 
 def test_butcher_tableau_rejects_explicit_stages():
     with pytest.raises(ConfigurationError):
-        ButcherTableau(a=((0.0, 0.0), (0.5, 0.5)), b=(0.5, 0.5), c=(0.0, 1.0))
+        ButcherTableau(a=((0.0, 0.0), (0.5, 0.5)), b=(0.5, 0.5))
 
 
 @pytest.mark.parametrize("dim", (1, 2))

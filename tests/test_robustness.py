@@ -53,14 +53,14 @@ def _close(got, want, tol=1e-3):
 
 
 # a backward-triangular tableau other than DIRK2's (a11 != a22, alpha != beta)
-_DIRK_ODD = SchemeKind("dirk", ButcherTableau(((0.3, 0.0), (0.5, 0.2)), (0.5, 0.5), (0.3, 0.7)))
+_DIRK_ODD = SchemeKind("dirk", ButcherTableau(((0.3, 0.0), (0.5, 0.2)), (0.5, 0.5)))
 # Alexander's L-stable, stiffly accurate SDIRK2: b2 = a22, so the link c -> phi_2 is the identity
 _GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 _SDIRK2 = SchemeKind("dirk", ButcherTableau(((_GAMMA, 0.0), (1.0 - _GAMMA, _GAMMA)),
-                                            (1.0 - _GAMMA, _GAMMA), (_GAMMA, 1.0)))
+                                            (1.0 - _GAMMA, _GAMMA)))
 # a three-stage tableau that reads backward (a_31 = a_21)
 _DIRK3 = SchemeKind("dirk", ButcherTableau(((0.5, 0, 0), (0.25, 0.5, 0), (0.25, 0.25, 0.5)),
-                                           (0.25, 0.25, 0.5), (0.5, 0.75, 1.0)))
+                                           (0.25, 0.25, 0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +325,8 @@ def test_backward_link_sides_are_one_equation(kind):
 def test_backward_links_reject_unreadable_tableaux():
     p = ACParams(0.3, 0.05)
     a31_not_a21 = ButcherTableau(((0.5, 0, 0), (0.25, 0.5, 0), (0.3, 0.25, 0.5)),
-                                 (0.3, 0.25, 0.45), (0.5, 0.75, 1.05))
-    b1_not_a21 = ButcherTableau(((0.25, 0.0), (0.5, 0.25)), (0.4, 0.6), (0.25, 0.75))
+                                 (0.3, 0.25, 0.45))
+    b1_not_a21 = ButcherTableau(((0.25, 0.0), (0.5, 0.25)), (0.4, 0.6))
     for tab in (a31_not_a21, b1_not_a21):
         with pytest.raises(ConfigurationError, match="not readable backward"):
             preimage_constants(SchemeKind("dirk", tab), 0.5, p)
@@ -349,7 +349,7 @@ def readable_tableaux(draw):
         if i:
             rows[i][:i - 1] = rows[i - 1][:i - 1]
             rows[i][i - 1] = draw(st.just(rows[i - 1][i - 1]) | st.floats(0.1, 1.0))
-    return SchemeKind("dirk", ButcherTableau(rows[:s], rows[s], [sum(row) for row in rows[:s]]))
+    return SchemeKind("dirk", ButcherTableau(rows[:s], rows[s]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -440,14 +440,14 @@ def test_sign_rule_trapezoid():
 
 def test_classify_examples():
     p = ACParams(1.0, 1.0)  # trapezoid ratio 0.5
-    res = classify_constant_initial(CN, 2.0, p)
-    assert res.pattern[:2] == (1, -1)
-    assert res.limit == -1 and res.flips == 1 and res.settle_step == 1
-    res = classify_constant_initial(CN, 0.5, p)
-    assert all(s == 1 for s in res.pattern)
-    assert res.limit == 1 and res.flips == 0
-    res = classify_constant_initial(CN, 5.074, p)
-    assert res.flips == 9 and res.limit == -1 and res.settle_step == 11
+    res = classify_constant_initial(CN, np.array([2.0]), p)
+    assert res.pattern[0, :2].tolist() == [1, -1]
+    assert res.limit[0] == -1 and res.flips[0] == 1 and res.settle_step[0] == 1
+    res = classify_constant_initial(CN, np.array([0.5]), p)
+    assert res.settle_step[0] >= 0 and all(res.pattern[0, :res.settle_step[0] + 1] == 1)
+    assert res.limit[0] == 1 and res.flips[0] == 0
+    res = classify_constant_initial(CN, np.array([5.074]), p)
+    assert res.flips[0] == 9 and res.limit[0] == -1 and res.settle_step[0] == 11
     # that initial state sits between the 9th and 10th thresholds
     entries = interval_sequence(CN, 0.5, 10).entries
     assert entries[8] < 5.074 < entries[9]
@@ -455,11 +455,11 @@ def test_classify_examples():
 
 def test_classify_dirk_ladder():
     p = ACParams(0.1, 0.01)  # DIRK ratio 0.25
-    res = classify_constant_initial(DIRK2, 95.72, p)
-    assert res.pattern[:5] == (1, 1, 1, 1, 1)
-    assert res.pattern[5] == -1
-    assert res.flips == 1 and res.limit == -1
-    assert res.settle_step is not None and res.settle_step <= 10
+    res = classify_constant_initial(DIRK2, np.array([95.72]), p)
+    assert res.pattern[0, :5].tolist() == [1, 1, 1, 1, 1]
+    assert res.pattern[0, 5] == -1
+    assert res.flips[0] == 1 and res.limit[0] == -1
+    assert 0 <= res.settle_step[0] <= 10
     # replay the ladder; step 5 is the first state near -1
     cur, vals = 95.72, [95.72]
     for _ in range(6):
@@ -477,7 +477,7 @@ def test_classify_dirk_ladder():
 
 def test_classify_validation():
     with pytest.raises(ConfigurationError):
-        classify_constant_initial(CN, 1.0, ACParams(1.0, 1.0), max_steps=0)
+        classify_constant_initial(CN, np.array([1.0]), ACParams(1.0, 1.0), max_steps=0)
 
 
 @pytest.mark.parametrize("r", (-300.0, -150.0, 150.0, 300.0))
@@ -485,10 +485,10 @@ def test_classify_where_scalar_newton_misses_tolerance(r):
     # CN at eps = 1, dt = 4: at these amplitudes the scalar Newton iterate
     # misses its absolute tolerance; its nearest exact root still picks the
     # branch, which flips sign every step without settling
-    res = classify_constant_initial(CN, r, ACParams(1.0, 4.0), max_steps=20)
+    res = classify_constant_initial(CN, np.array([r]), ACParams(1.0, 4.0), max_steps=20)
     sign = 1 if r > 0 else -1
-    assert res.pattern == tuple(sign * (-1) ** i for i in range(21))
-    assert res.limit == 0 and res.settle_step is None
+    assert res.pattern[0].tolist() == [sign * (-1) ** i for i in range(21)]
+    assert res.limit[0] == 0 and res.settle_step[0] == -1
 
 
 @pytest.mark.parametrize("kind", (BE, CN, MODCN, DIRK2), ids=lambda k: k.tag)
@@ -502,9 +502,9 @@ def test_classify_stops_mapping_at_an_exact_fixed_point(kind, monkeypatch):
         return selected_images(*args)
 
     monkeypatch.setattr(robustness, "_selected_images", counting)
-    res = classify_constant_initial(kind, 0.0, ACParams(1.0, 0.5))
-    assert res.pattern == (0,) * 401
-    assert res.settle_step is None and res.limit == 0
+    res = classify_constant_initial(kind, np.array([0.0]), ACParams(1.0, 0.5))
+    assert res.pattern[0].tolist() == [0] * 401
+    assert res.settle_step[0] == -1 and res.limit[0] == 0
     assert len(calls) == 1
 
 
@@ -518,8 +518,8 @@ def test_scalar_path_never_reaches_lapack(monkeypatch):
     for kind in (BE, CN, MODCN, DIRK2):
         for r in (-150.0, 0.3, 5.074):
             assert sum(selected for _, selected in scalar_map(kind, r, p)) == 1
-    res = classify_constant_initial(CN, 5.074, ACParams(1.0, 1.0))
-    assert res.limit == -1 and res.settle_step == 11
+    res = classify_constant_initial(CN, np.array([5.074]), ACParams(1.0, 1.0))
+    assert res.limit[0] == -1 and res.settle_step[0] == 11
 
 
 # ---------------------------------------------------------------------------

@@ -41,16 +41,16 @@ from acstab.solvers import NewtonConfig, fd_jacobian, newton_solve, real_cubic_r
 
 ALL = (BE, CN, MODCN, DIRK2)
 # a backward-triangular tableau other than DIRK2's (a11 != a22, alpha != beta)
-_DIRK_ODD = SchemeKind("dirk", ButcherTableau(((0.3, 0.0), (0.5, 0.2)), (0.5, 0.5), (0.3, 0.7)))
+_DIRK_ODD = SchemeKind("dirk", ButcherTableau(((0.3, 0.0), (0.5, 0.2)), (0.5, 0.5)))
 # the same stages with unequal weights b, so the order of b against the stages shows
-_DIRK_SKEW = SchemeKind("dirk", ButcherTableau(((0.3, 0.0), (0.5, 0.2)), (0.3, 0.7), (0.3, 0.7)))
+_DIRK_SKEW = SchemeKind("dirk", ButcherTableau(((0.3, 0.0), (0.5, 0.2)), (0.3, 0.7)))
 # Alexander's two-stage SDIRK: b is the last row of a (stiffly accurate)
 _GAMMA = 1.0 - math.sqrt(0.5)
 _SDIRK2 = SchemeKind("dirk", ButcherTableau(((_GAMMA, 0.0), (1.0 - _GAMMA, _GAMMA)),
-                                            (1.0 - _GAMMA, _GAMMA), (_GAMMA, 1.0)))
+                                            (1.0 - _GAMMA, _GAMMA)))
 # three stages that robustness reads backward: a31 = a21, b1 = a31, b2 = a32
 _DIRK3 = SchemeKind("dirk", ButcherTableau(((0.4, 0.0, 0.0), (0.3, 0.25, 0.0), (0.3, 0.35, 0.3)),
-                                           (0.3, 0.35, 0.35), (0.4, 0.55, 0.95)))
+                                           (0.3, 0.35, 0.35)))
 
 
 def test_parse_scheme():

@@ -76,7 +76,7 @@ def test_homotopy_config_rejects_steps_that_are_not_an_integer(steps):
 
 _COUNTS = {  # name: (least, call with that count)
     "steps": (0, lambda n: simulate(CN, constant_field(make_grid(1, 5), 0.5), n, ACParams(0.1, 0.01))),
-    "max_steps": (1, lambda n: classify_constant_initial(CN, 0.5, ACParams(1.0, 0.5), max_steps=n)),
+    "max_steps": (1, lambda n: classify_constant_initial(CN, np.array([0.5]), ACParams(1.0, 0.5), max_steps=n)),
     "count": (1, lambda n: interval_sequence(CN, 0.5, n)),
     "max_k": (0, lambda n: enumerate_bifurcations(CN, 0.0, 1.0, 0.02, max_k=n)),
 }
@@ -206,7 +206,7 @@ def _assert_float_loop(f, fp, guess, x_each, rn_each):
 _GAMMA = 1.0 - math.sqrt(0.5)
 # Alexander's two-stage SDIRK: b is the last row of a (stiffly accurate)
 _SDIRK2 = SchemeKind("dirk", ButcherTableau(((_GAMMA, 0.0), (1.0 - _GAMMA, _GAMMA)),
-                                            (1.0 - _GAMMA, _GAMMA), (_GAMMA, 1.0)))
+                                            (1.0 - _GAMMA, _GAMMA)))
 
 
 @settings(max_examples=50, deadline=None)

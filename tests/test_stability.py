@@ -76,7 +76,7 @@ def test_ratio_one_is_the_threshold(eps):
 
 def test_threshold_of_another_dirk_tableau():
     # implicit midpoint: one stage, a_11 = 1/2, so the threshold is CN's
-    midpoint = SchemeKind("dirk", ButcherTableau(((0.5,),), (1.0,), (0.5,)))
+    midpoint = SchemeKind("dirk", ButcherTableau(((0.5,),), (1.0,)))
     for eps in (1e-3, 0.05, 0.1, 0.3, 1.0, 1.7):
         dt_max = stability_threshold(midpoint, eps).dt_max
         assert dt_max == eps * eps / 0.5 == stability_threshold(CN, eps).dt_max
@@ -114,7 +114,7 @@ def test_modcn_never_bifurcates(c, dt, k):
 
 def test_dirk_stage_a_one_reduces_to_be():
     # the one-stage tableau a = ((1,),) is backward Euler
-    one_stage = SchemeKind("dirk", ButcherTableau(((1.0,),), (1.0,), (1.0,)))
+    one_stage = SchemeKind("dirk", ButcherTableau(((1.0,),), (1.0,)))
     rng = np.random.default_rng(23)
     for _ in range(50):
         c = rng.uniform(-2, 2)
