@@ -123,15 +123,15 @@ def _eps_sq(eps: float) -> float:
 @dataclass(frozen=True)
 class ACParams:
     """Interface-width parameter eps and time step dt: eps as _eps_sq takes
-    it, dt finite and positive."""
+    it, dt > 0 with dt and 1/dt finite, as the steps divide by dt."""
 
     eps: float
     dt: float
 
     def __post_init__(self) -> None:
         _eps_sq(self.eps)
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ConfigurationError(f"dt must be finite and > 0, got {self.dt}")
+        if not (0.0 < self.dt < math.inf and 1.0 / self.dt < math.inf):
+            raise ConfigurationError(f"dt must be > 0 with dt and 1/dt finite, got {self.dt}")
 
     @property
     def eps2(self) -> float:

@@ -399,9 +399,13 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
         other Jacobian raises.  Its steps are solved inexactly (Dembo,
         Eisenstat and Steihaug), to a relative residual eta_k: 0.1 at first,
         then _forcing's term, and 1e-12 for the rest of the solve once a step
-        fails to halve the residual (a loose solve near an indefinite or
-        nearly singular Jacobian could otherwise stall Newton short of its
-        tolerance).  The stopping rule is cfg.tol on the residual's abs or
+        on an uncertified Jacobian (ShiftedLaplacian.certified false) fails
+        to halve the residual: a loose solve near an indefinite or nearly
+        singular Jacobian could otherwise stall Newton short of its
+        tolerance.  A certified Jacobian is positive definite, so a step on
+        it that fails to halve the residual comes from the nonlinearity (a
+        guess far from the root), not from a loose solve, and keeps its
+        forcing term.  The stopping rule is cfg.tol on the residual's abs or
         inf-norm whatever the forcing.
     guess:
         float or flat ndarray; the solution has the same kind.
@@ -437,7 +441,8 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
                         raise np.linalg.LinAlgError("zero or non-finite derivative, "
                                                     "or overflowing step")
                 else:
-                    step = jacobian(x).solve(-r, eta)
+                    op = jacobian(x)
+                    step = op.solve(-r, eta)
             except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
                 message = f"linear solve failed: {exc}"
                 break
@@ -452,8 +457,9 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
             if rnorm <= cfg.tol:
                 message = ""
                 break
-            stalled = stalled or rnorm > 0.5 * history[-2]
-            eta = _LINEAR_RTOL if stalled else _forcing(rnorm, history[-2], cfg.tol)
+            if not scalar:
+                stalled = stalled or (rnorm > 0.5 * history[-2] and not op.certified)
+                eta = _LINEAR_RTOL if stalled else _forcing(rnorm, history[-2], cfg.tol)
     report = NewtonReport(iterations, rnorm, not message, tuple(history), message)
     return (float(x) if scalar else x), report
 

@@ -198,6 +198,23 @@ def test_eps_whose_square_is_not_a_double_exits_2(command, step, eps, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, dt", (
+    (("analyze", "perturb", "--scheme", "cn", "--c", "0.5", "--r", "-1.8", "--k", "1",
+      "--eps", "0.1", "--dt", "1e-320"), 1e-320),
+    (("simulate", "const:0.5", "--scheme", "cn", "--eps", "0.1", "--dt", "1e-320"), 1e-320),
+    (("preimage", "const:0.5", "--scheme", "cn", "--eps", "0.1", "--dt", "1e-320"), 1e-320),
+    # dt = 2 eps^2 ratio for CN
+    (("analyze", "classify", "--scheme", "cn", "--ratio", "1e-320", "--eps", "1",
+      "--rmin", "-1", "--rmax", "1"), 2e-320),
+), ids=("perturb", "simulate", "preimage", "classify"))
+def test_a_subnormal_dt_whose_reciprocal_overflows_exits_2(argv, dt, tmp_path, capsys):
+    # 1/dt is inf: the steps would read a false pole or a NaN residual
+    out = tmp_path / "o.csv"
+    assert _run(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: dt must be > 0 with dt and 1/dt finite, got {dt}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("eps", ("1e160", "1e200", "1e-160", "1e-200"))
 def test_thresholds_take_eps_as_acparams_does(eps, tmp_path, capsys):
     # dt_max = eps^2 / h would be inf, 0 or subnormal here

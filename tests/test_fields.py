@@ -51,6 +51,9 @@ def test_params_validation():
         ACParams(eps=0.0, dt=0.1)
     with pytest.raises(ConfigurationError):
         ACParams(eps=0.1, dt=-1.0)
+    with pytest.raises(ConfigurationError):
+        ACParams(eps=0.1, dt=1e-320)  # 1/dt overflows
+    assert ACParams(eps=0.1, dt=1e-308).dt == 1e-308  # subnormal, but 1/dt is finite
     assert ACParams(eps=0.1, dt=0.1).eps2 == pytest.approx(0.01)
 
 

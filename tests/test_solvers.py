@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from acstab import solvers
@@ -14,8 +14,10 @@ from acstab.fields import (
     ACParams,
     ButcherTableau,
     DIRK2_TABLEAU,
+    ModeIndex,
     ScalarField,
     constant_field,
+    eval_mode,
     laplacian_matrix,
     make_grid,
 )
@@ -285,23 +287,49 @@ def test_newton_banded_path_matches_dense_solution(monkeypatch):
     assert np.max(np.abs(x - y)) <= 1e-10
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.sampled_from((5, 9, 17)), st.sampled_from((1.0, -1.0)), st.floats(1e-3, 0.09),
-       st.floats(-1.5, 1.5), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
-def test_2d_newton_converges_to_tol_under_forcing(n, a, b, c, spread, seed):
-    # a root u made to order: k puts it on a (v - s) - b L v + b (v^3 - v) + k = 0.
-    # a = 1 gives certified Jacobians (CG), a = -1 uncertified ones (MINRES),
-    # each solved to the forcing term of its Newton iteration
+       st.floats(-1.5, 1.5), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1),
+       st.sampled_from(("near", "s", "far")))
+def test_2d_newton_converges_to_tol_under_forcing(n, a, b, c, spread, seed, start):
+    # a root u made to order: k puts it on a (v - s) - b L v + g (v^3 - v) + k = 0,
+    # s = 0, g = b / eps^2.  a = 1 gives certified Jacobians (CG), a = -1
+    # uncertified ones (MINRES), each solved to the forcing term of its Newton
+    # iteration.  Newton starts 0.05 from u, or on certified Jacobians far
+    # from it: from s, or up to 1 from u, at g = 0.9, nearly as stiff as
+    # certification allows, where first steps often fail to halve the
+    # residual.  (Undamped Newton on indefinite Jacobians need not converge
+    # from far.)
+    assume(start == "near" or a > 0.0)
     rng = np.random.default_rng(seed)
     grid = make_grid(2, n)
-    p = ACParams(1.0, 1.0)
+    p = ACParams(1.0, 1.0) if start == "near" else ACParams(math.sqrt(b / 0.9), 1.0)
     u = c + spread * rng.uniform(-1.0, 1.0, grid.num_nodes)
     k = -implicit_system(grid, p, a, 0.0, b)[0](u)
     residual, jacobian = implicit_system(grid, p, a, 0.0, b, k)
-    assert jacobian(u).certified == (a > 0.0)
-    x, rep = newton_solve(residual, jacobian, u + 0.05 * rng.uniform(-1.0, 1.0, grid.num_nodes))
+    if start == "s":
+        guess = np.zeros(grid.num_nodes)
+    else:
+        amplitude = 0.05 if start == "near" else rng.uniform(0.0, 1.0)
+        guess = u + amplitude * rng.uniform(-1.0, 1.0, grid.num_nodes)
+    assert jacobian(u).certified == jacobian(guess).certified == (a > 0.0)
+    x, rep = newton_solve(residual, jacobian, guess)
     assert rep.converged and rep.residual <= NewtonConfig().tol
     assert np.max(np.abs(residual(x))) == rep.residual
+
+
+def _forcing_terms(h):
+    # Eisenstat-Walker choice 2 from 0.1, raised to 0.5 tol / r_k, within [1e-12, 0.1]
+    return [max(1e-12, min(0.1, max(0.9 * (b / a) ** 2, 0.5e-10 / b))) for a, b in zip(h, h[1:])]
+
+
+def _three_times_too_large(jacobian):
+    # takes a third of each Newton step, so the residual falls by about a third only
+    def too_large(v):
+        op = jacobian(v)
+        return ShiftedLaplacian(op.grid, 3.0 * op.a, 3.0 * op.b, 3.0 * op.d)
+
+    return too_large
 
 
 def test_forcing_terms_and_the_stall_rule(monkeypatch):
@@ -315,20 +343,56 @@ def test_forcing_terms_and_the_stall_rule(monkeypatch):
     x, rep = newton_solve(residual, jacobian, s + 0.5)
     h = rep.history
     assert rep.converged and all(b <= 0.5 * a for a, b in zip(h, h[1:]))
-    # Eisenstat-Walker choice 2 from 0.1, raised to 0.5 tol / r_k, within [1e-12, 0.1]
-    want = [max(1e-12, min(0.1, max(0.9 * (b / a) ** 2, 0.5e-10 / b))) for a, b in zip(h, h[1:])]
+    want = _forcing_terms(h)
     assert rtols == [0.1, *want[:-1]] and min(rtols) < 0.1
 
-    # a Jacobian three times too large takes a third of each Newton step, so
-    # the residual falls by a third only: every step after the first is exact
+    # on a certified Jacobian a step that fails to halve the residual is no
+    # sign of a loose solve: every step keeps its forcing term
     rtols.clear()
+    assert jacobian(s).certified
+    x, rep = newton_solve(residual, _three_times_too_large(jacobian), s + 0.5,
+                          NewtonConfig(max_iter=5))
+    h = rep.history
+    assert len(h) == 6 and all(b > 0.5 * a for a, b in zip(h, h[1:]))
+    assert rtols == [0.1, *_forcing_terms(h)[:-1]]
 
-    def too_large(v):
-        op = jacobian(v)
-        return ShiftedLaplacian(grid, 3.0 * op.a, 3.0 * op.b, 3.0 * op.d)
-
-    x, rep = newton_solve(residual, too_large, s + 0.5, NewtonConfig(max_iter=5))
+    # on an uncertified one the first step fails to halve, so every later solve is exact
+    rtols.clear()
+    rng = np.random.default_rng(6)
+    u = rng.uniform(-1.0, 1.0, grid.num_nodes)
+    k = -implicit_system(grid, ACParams(1.0, 1.0), -1.0, 0.0, 0.05)[0](u)
+    residual, jacobian = implicit_system(grid, ACParams(1.0, 1.0), -1.0, 0.0, 0.05, k)
+    assert not jacobian(u).certified
+    guess = u + 0.05 * rng.uniform(-1.0, 1.0, grid.num_nodes)
+    x, rep = newton_solve(residual, _three_times_too_large(jacobian), guess,
+                          NewtonConfig(max_iter=5))
+    h = rep.history
+    assert len(h) == 6 and h[1] > 0.5 * h[0]
     assert rtols == [0.1] + [1e-12] * 4
+
+
+@pytest.mark.parametrize("kind", (BE, CN), ids=("be", "cn"))
+def test_a_first_2d_step_that_fails_to_halve_keeps_its_forcing(kind, monkeypatch):
+    # the first step of const+mode:0.5,0.1,1,2 at the benchmark's grid, eps and
+    # dt: Newton's first step from phi_n fails to halve the residual because
+    # the cubic is far from its root, on certified Jacobians throughout
+    grid = make_grid(2, 65)
+    phi = ScalarField(grid, 0.5 + 0.1 * eval_mode(ModeIndex((1.0, 2.0)), grid).values)
+    p = ACParams(0.1, 0.01)
+    solve = ShiftedLaplacian.solve
+    calls = []
+    monkeypatch.setattr(ShiftedLaplacian, "solve", lambda op, rhs, rtol=1e-12:
+                        calls.append((op.certified, rtol)) or solve(op, rhs, rtol))
+    out, rep = step(kind, phi, p)
+    h = rep.stage_reports[0].history
+    assert rep.success and h[1] > 0.5 * h[0]
+    assert calls and all(certified and rtol > 1e-12 for certified, rtol in calls)
+
+    # the same step with every solve exact
+    monkeypatch.setattr(ShiftedLaplacian, "solve", lambda op, rhs, rtol=1e-12: solve(op, rhs))
+    exact, rep = step(kind, phi, p)
+    assert rep.success
+    assert np.max(np.abs(out.values - exact.values)) <= 1e-10
 
 
 @pytest.mark.parametrize("matrix", (np.eye, sp.identity), ids=("dense", "sparse"))
