@@ -45,7 +45,7 @@ stage values are closed-form roots, so they evaluate F(x) itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -397,7 +397,8 @@ def simulate(
         if bits in recent:  # copies of summaries already tested for settling
             period = recent.index(bits) + 1
             for j in range(i, steps + 1):
-                summaries.append(replace(summaries[-period], step=j, time=j * p.dt))
+                s = summaries[-period]
+                summaries.append(StepSummary(j, j * p.dt, s.vmin, s.vmax, s.center, s.l2))
             break
         recent = (bits, recent[0])
         summaries.append(_summarize(i, i * p.dt, u))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice, repeat
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -76,6 +76,9 @@ class NewtonConfig:
         if not (math.isfinite(self.tol) and self.tol > 0) or self.max_iter < 1:
             raise ConfigurationError(f"tol must be finite and > 0 and max_iter >= 1, got "
                                      f"tol {self.tol} and max_iter {self.max_iter}")
+
+
+_DEFAULT_NEWTON = NewtonConfig()
 
 
 @dataclass(frozen=True)
@@ -363,7 +366,7 @@ def _newton_each(residual, derivative, guess: np.ndarray):
     keeping its last finite iterate.  An entry that stopped is carried along
     unchanged.  Returns (x, |residual| at x) per entry.
     """
-    cfg = NewtonConfig()
+    cfg = _DEFAULT_NEWTON
     with np.errstate(all="ignore"):
         x = np.array(guess, dtype=float)
         r = np.broadcast_to(np.asarray(residual(x), dtype=float), x.shape)
@@ -408,7 +411,9 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
         forcing term.  The stopping rule is cfg.tol on the residual's abs or
         inf-norm whatever the forcing.
     guess:
-        float or flat ndarray; the solution has the same kind.
+        float or flat ndarray; the solution has the same kind.  A float is
+        carried as np.float64, as is its residual, so residual and jacobian
+        see numpy's overflow rules: inf or NaN, not OverflowError.
     cfg:
         NewtonConfig; defaults to tol=1e-10, max_iter=50.
 
@@ -418,12 +423,15 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
     returned iterate is the last finite one.  A residual that overflows is
     reported by its norm, inf or NaN, not by a warning.
     """
-    cfg = cfg or NewtonConfig()
+    cfg = cfg or _DEFAULT_NEWTON
     scalar = np.isscalar(guess)
-    x = np.float64(guess) if scalar else np.array(guess, dtype=float)
+    if scalar:
+        x, value, norm = np.float64(guess), np.float64, lambda v: abs(float(v))
+    else:
+        x, value, norm = np.array(guess, dtype=float), partial(np.asarray, dtype=float), _linf
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        r = np.asarray(residual(x), dtype=float)
-        rnorm = _linf(r)
+        r = value(residual(x))
+        rnorm = norm(r)
         history = [rnorm]
         iterations, eta, stalled = 0, _FORCING_MAX, False
         if not math.isfinite(rnorm):
@@ -447,9 +455,9 @@ def newton_solve(residual, jacobian, guess, cfg: NewtonConfig | None = None):
                 message = f"linear solve failed: {exc}"
                 break
             x_new = x + step
-            r_new = np.asarray(residual(x_new), dtype=float)
-            rn_new = _linf(r_new)
-            if not (math.isfinite(rn_new) and math.isfinite(_linf(x_new))):
+            r_new = value(residual(x_new))
+            rn_new = norm(r_new)
+            if not (math.isfinite(rn_new) and math.isfinite(norm(x_new))):
                 message = "iterate diverged"
                 break
             x, r, rnorm, iterations = x_new, r_new, rn_new, it

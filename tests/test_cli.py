@@ -141,6 +141,26 @@ def test_simulate_failure_names_stage_and_residual(tmp_path, capsys):
         "step 2 did not converge at stage 1 of 1 (max iterations reached, residual ")
 
 
+@pytest.mark.parametrize("scheme, r, failed_step, residual", (
+    ("cn", "31", 5, "2.33e-10"),
+    ("cn", "-35", 1, "4.66e-10"),
+    ("cn", "40", 1, "9.31e-10"),
+    ("modcn", "35", 1, "2.01e-10"),
+    ("modcn", "-40", 3, "1.66e-10"),
+))
+def test_large_constants_that_stall_on_roundoff(scheme, r, failed_step, residual, tmp_path, capsys):
+    # ROADMAP item 5's defect, pinned until a scale-aware stop converges
+    # these steps: at |r| ~ 31-40 the residual's terms |v|^3 / eps^2 ~ 1.5e6
+    # put its roundoff floor above the absolute Newton tolerance 1e-10
+    out = tmp_path / "traj.csv"
+    assert _run("simulate", f"const:{r}", "--scheme", scheme, "--eps", "0.1", "--dt", "0.01",
+                "--out", str(out)) == 3
+    assert capsys.readouterr().err == (f"step {failed_step} did not converge at stage 1 of 1 "
+                                       f"(max iterations reached, residual {residual})\n")
+    # the header, the steps before the failed one and the settle row
+    assert len(_rows(out)) == failed_step + 2
+
+
 def test_simulate_overflow_at_the_guess_is_one_failure_line(tmp_path):
     # the cubic of 1e200 overflows: the step fails at its guess, and no numpy
     # warning joins the failure line on stderr

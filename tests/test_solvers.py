@@ -203,6 +203,13 @@ def _assert_float_loop(f, fp, guess, x_each, rn_each):
     want = _reference_newton(f, fp, guess)
     assert (x_each, rn_each) == (want[0], want[2])
     assert newton_solve(f, fp, guess) == (want[0], NewtonReport(*want[1:]))
+    # from an np.float64 guess too, bit for bit, with the solution, residual
+    # and history handed back as Python floats, not numpy scalars
+    x, rep = newton_solve(f, fp, np.float64(guess))
+    assert np.float64(x).tobytes() == np.float64(want[0]).tobytes()
+    assert rep == NewtonReport(*want[1:])
+    assert type(x) is float and type(rep.residual) is float
+    assert all(type(h) is float for h in rep.history)
 
 
 _GAMMA = 1.0 - math.sqrt(0.5)
