@@ -21,14 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "GridSpec",
@@ -231,29 +227,98 @@ DIRK2_TABLEAU = ButcherTableau(
 )
 
 
+class _Laplacian:
+    """laplacian_matrix(grid): the operator as one coefficient row per node
+    offset, in ascending column order: (-1, 0, 1) in 1D, (-n, -1, 0, 1, n)
+    in 2D.  rows[k, j] is the coefficient of node j in row j - offsets[k]
+    (0 where that row has no such term): the layout of scipy's dia_matrix,
+    and reversed, of solve_banded's (1, 1) band.  Every coefficient is one
+    of three: c = 1 / h^2 for a neighbour, 2 c for the neighbour that a
+    boundary row reads twice (its mirror ghost), and -2 dim c on the
+    diagonal.
+    """
+
+    def __init__(self, grid: GridSpec) -> None:
+        n, h2 = grid.n, grid.h * grid.h
+        self.grid = grid
+        self._c, self._c2, self._d = 1.0 / h2, 2.0 / h2, -2.0 * grid.dim / h2
+        below = np.full(n, self._c)  # 1D offset -1: coefficient of node j in row j + 1
+        below[-2:] = self._c2, 0.0
+        above = below[::-1]  # 1D offset +1: coefficient of node j in row j - 1
+        if grid.dim == 1:
+            self.offsets = (-1, 0, 1)
+            rows = np.stack([below, np.full(n, self._d), above])
+        else:
+            self.offsets = (-n, -1, 0, 1, n)
+            rows = np.empty((5, n, n))
+            rows[0], rows[1], rows[2] = below[:, None], below, self._d
+            rows[3], rows[4] = above, above[:, None]
+            rows = rows.reshape(5, n * n)
+        rows.setflags(write=False)
+        self.rows = rows
+        self._zeros = np.zeros(grid.num_nodes)  # each row's sum starts here
+        self._zeros.setflags(write=False)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """L x, each row summed as csr_matvec sums it: from +0.0, adding its
+        terms in ascending column order, so the bits are the CSR product's
+        (-0.0 included).  A term a row lacks is never formed, or is +0.0,
+        which leaves a sum that starts at +0.0 unchanged."""
+        x = np.asarray(x, dtype=float)
+        n, c, c2 = self.grid.n, self._c, self._c2
+        if self.grid.dim == 1:  # rows times x end to end between +0.0 pads: one window per offset
+            b = np.empty(3 * n + 2)
+            b[0] = b[-1] = 0.0
+            np.multiply(self.rows, x, out=b[1:-1].reshape(3, n))
+            y = self._zeros + b[:n]
+            y += b[n + 1:2 * n + 1]
+            y += b[2 * n + 2:]
+            return y
+        # 2D: each offset's terms are a flat shift of w = c x (of its copy v
+        # for -1 and +1), but for the 2 c terms of the boundary rows, formed
+        # on their own, and v's +0.0 where a shift wraps to the next grid row
+        w = c * x
+        y = np.empty_like(x)
+        x2, w2, y2 = x.reshape(n, n), w.reshape(n, n), y.reshape(n, n)
+        y2[0] = 0.0  # offset -n
+        np.add(self._zeros[2 * n:], w[:-2 * n], out=y[n:-n])
+        np.add(self._zeros[:n], c2 * x2[-2], out=y2[-1])
+        v = w.copy()  # offsets -1 and +1
+        v2 = v.reshape(n, n)
+        v2[:, -1] = 0.0
+        np.multiply(x2[:, -2], c2, out=v2[:, -2])
+        y[1:] += v[:-1]
+        y += self._d * x
+        v2[:, -2:] = w2[:, -2:]
+        v2[:, 0] = 0.0
+        np.multiply(x2[:, 1], c2, out=v2[:, 1])
+        y[:-1] += v[1:]
+        y[n:-n] += w[2 * n:]  # offset +n
+        y2[0] += c2 * x2[1]
+        return y
+
+    def tosparse(self):
+        """The same operator as a scipy.sparse CSR matrix, built from rows
+        (scipy.sparse is imported here, on the first call)."""
+        import scipy.sparse as sp
+
+        size = self.grid.num_nodes
+        return sp.diags([r[:size + k] if k < 0 else r[k:] for k, r in zip(self.offsets, self.rows)],
+                        self.offsets, format="csr")
+
+
 @lru_cache(maxsize=None)
-def laplacian_matrix(grid: GridSpec) -> sp.csr_matrix:
-    """Sparse discrete Laplacian with mirror-ghost Neumann boundary rows.
+def laplacian_matrix(grid: GridSpec) -> _Laplacian:
+    """Discrete Laplacian with mirror-ghost Neumann boundary rows.
 
     1D rows: (u_{j-1} - 2 u_j + u_{j+1}) / h^2 in the interior and
     2 (u_1 - u_0) / h^2 at the boundary (ghost u_{-1} := u_1).  In 2D the
-    operator is the Kronecker sum of two 1D copies.  The matrix is cached
-    per grid and must be treated as read-only.  scipy.sparse is imported
-    on the first call, so only the commands that build one load it.
+    operator is the Kronecker sum of two 1D copies.  Returned as a numpy
+    operator (_Laplacian) that supports `L @ x` on a flat node array, keeps
+    its coefficients in rows, and gives the scipy.sparse CSR matrix by
+    tosparse().  Cached per grid and read-only; building it imports no SciPy.
     """
-    import scipy.sparse as sp
-
-    n, h = grid.n, grid.h
-    main = np.full(n, -2.0)
-    off = np.ones(n - 1)
-    lap1 = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    lap1[0, 1] = 2.0
-    lap1[n - 1, n - 2] = 2.0
-    lap1 = (lap1 / (h * h)).tocsr()
-    if grid.dim == 1:
-        return lap1
-    eye = sp.identity(n, format="csr")
-    return (sp.kron(lap1, eye) + sp.kron(eye, lap1)).tocsr()
+    return _Laplacian(grid)
 
 
 @lru_cache(maxsize=None)
@@ -322,10 +387,11 @@ def apply_laplacian(u: ScalarField) -> ScalarField:
     Computed as per-axis stencil sweeps (mirror-ghost reflection at the
     boundary), so constants are annihilated exactly — the weights cancel in
     floating point — and separable eigenmodes are reproduced with
-    O(h^2)-accurate eigenvalues.  The matching matrix form used for
-    Jacobians is laplacian_matrix.  The stencil stays beside it because the
-    matrix form does not cancel: on the constant 3.7 it leaves 5.7e-14 in
-    2D at n = 17 (9.1e-13 at n = 65), where the stencil leaves exactly 0.
+    O(h^2)-accurate eigenvalues.  The matching operator, which the steps'
+    residuals and Jacobians use, is laplacian_matrix: a row-by-row product
+    with the same coefficients.  The stencil stays beside it because that
+    product does not cancel: on the constant 3.7 it leaves 5.7e-14 in 2D at
+    n = 17 (9.1e-13 at n = 65), where the stencil leaves exactly 0.
     """
     g = u.grid
     h2 = g.h * g.h

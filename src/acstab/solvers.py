@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 from itertools import islice, repeat
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -167,24 +167,15 @@ def _tridiagonal_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=None)
-def _laplacian_band(grid: GridSpec) -> np.ndarray:
-    """The 1D laplacian_matrix(grid) in solve_banded's (1, 1) layout; read-only."""
-    lap = laplacian_matrix(grid)
-    band = np.zeros((3, grid.n))
-    band[0, 1:] = lap.diagonal(1)
-    band[1] = lap.diagonal()
-    band[2, :-1] = lap.diagonal(-1)
-    band.setflags(write=False)
-    return band
-
-
 @dataclass(frozen=True, eq=False)
 class ShiftedLaplacian:
     """The linear operator a I - b L + diag(d) on a grid, L = laplacian_matrix(grid).
 
     a and b are scalars and d holds one value per node.  Supports `op @ x`,
-    tosparse(), todense() and solve(rhs, rtol).
+    tosparse(), todense() and solve(rhs, rtol), each through L's numpy
+    product or coefficient rows.  SciPy loads only for tosparse() and
+    todense() (scipy.sparse), and in solve for a 1D system (scipy.linalg's
+    gtsv) or a 2D sparse LU fallback.
     """
 
     grid: GridSpec
@@ -204,7 +195,7 @@ class ShiftedLaplacian:
     def tosparse(self) -> sp.csr_matrix:
         import scipy.sparse as sp
 
-        return (sp.diags(self.a + self.d) - self.b * laplacian_matrix(self.grid)).tocsr()
+        return (sp.diags(self.a + self.d) - self.b * laplacian_matrix(self.grid).tosparse()).tocsr()
 
     def todense(self) -> np.ndarray:
         return self.tosparse().toarray()
@@ -234,8 +225,9 @@ class ShiftedLaplacian:
         return _refined_solve(lu.solve, self.__matmul__, rhs)
 
     def _band(self) -> np.ndarray:
-        """The tridiagonal 1D operator in solve_banded's (1, 1) layout."""
-        ab = -self.b * _laplacian_band(self.grid)
+        """The tridiagonal 1D operator in solve_banded's (1, 1) layout: L's
+        rows, offsets (1, 0, -1) from the top."""
+        ab = -self.b * laplacian_matrix(self.grid).rows[::-1]
         ab[1] = (self.a + ab[1]) + self.d
         return ab
 

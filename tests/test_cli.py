@@ -977,7 +977,7 @@ def test_parser_built_once_and_reused(tmp_path, monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# SciPy loads only for field work
+# SciPy loads only for 1D field solves (scipy.linalg) and sparse LU fallbacks
 
 _CONSTANT_COMMANDS = (
     ("analyze", "classify", "--scheme", "dirk2", "--ratio", "0.5", "--rmin", "-3", "--rmax", "3"),
@@ -1009,14 +1009,30 @@ print(json.dumps(loaded))
 
 
 def test_scipy_loads_only_for_field_work(tmp_path):
-    simulate = ("simulate", "const+mode:0.5,0.1,1", "--scheme", "cn", "--eps", "0.1",
-                "--dt", "0.01", "--n", "17", "--steps", "2")
-    argvs = [[*argv, "--out", str(tmp_path / "o.csv")] for argv in (*_CONSTANT_COMMANDS, simulate)]
+    # the 2D commands run first, in the same process, so the 1D simulate is
+    # the first to load anything; at n = 17 every Krylov solve converges, so
+    # no sparse LU runs
+    field_2d = (
+        ("simulate", "const+mode:0.5,0.1,1,2", "--scheme", "cn", "--eps", "0.1",
+         "--dt", "0.01", "--n", "17", "--steps", "2"),
+        ("preimage", "const+mode:0.5,0.2,2,1", "--scheme", "cn", "--root", "0", "--eps", "0.1",
+         "--dt", "0.01", "--n", "17"),
+        ("preimage", "const+mode:0.5,0.2,2,1", "--scheme", "dirk2", "--root", "2", "--eps", "0.1",
+         "--dt", "0.01", "--steps", "4", "--n", "17"),
+    )
+    simulate_1d = ("simulate", "const+mode:0.5,0.1,1", "--scheme", "cn", "--eps", "0.1",
+                   "--dt", "0.01", "--n", "17", "--steps", "2")
+    argvs = [[*argv, "--out", str(tmp_path / "o.csv")]
+             for argv in (*_CONSTANT_COMMANDS, *field_2d, simulate_1d)]
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
                          capture_output=True, text=True, check=True)
     loaded = json.loads(out.stdout.splitlines()[-1])
     assert len(loaded) == 2 + len(argvs)
-    *constant, (what, code, modules) = loaded
-    assert constant == [[w, 0, []] for w, _, _ in constant]
+    *scipy_free, (what, code, modules) = loaded
+    assert scipy_free == [[w, 0, []] for w, _, _ in scipy_free]
+    assert [w for w, _, _ in scipy_free[-3:]] == ["simulate const+mode:0.5,0.1,1,2",
+                                                  "preimage const+mode:0.5,0.2,2,1",
+                                                  "preimage const+mode:0.5,0.2,2,1"]
+    # a 1D field solve calls LAPACK gtsv through scipy.linalg, and builds no CSR
     assert what == "simulate const+mode:0.5,0.1,1" and code == 0
-    assert "scipy.linalg" in modules and "scipy.sparse" in modules
+    assert "scipy.linalg" in modules and "scipy.sparse" not in modules

@@ -70,7 +70,7 @@ def _helmholtz(n, amplitude):
 def test_operator_matches_sparse_and_solves_to_tolerance(drawn):
     op, rng = drawn
     x = rng.standard_normal(op.grid.num_nodes)
-    lap_norm = _linf(laplacian_matrix(op.grid).data)
+    lap_norm = _linf(laplacian_matrix(op.grid).tosparse().data)
     scale = (abs(op.a) + 4.0 * op.grid.dim * abs(op.b) * lap_norm + _linf(op.d)) * _linf(x)
     assert _linf(op @ x - op.tosparse() @ x) <= 1e-13 * scale
 
@@ -121,6 +121,67 @@ def test_laplacian_is_diagonal_in_dct1_basis(dim, n, seed):
     lam = laplacian_eigenvalues(g)
     expansion = dct1(lam * dct1(x.reshape(lam.shape))).ravel() / (2 * (n - 1)) ** dim
     assert _linf(laplacian_matrix(g) @ x - expansion) <= 1e-12 * _linf(lam) * _linf(x)
+
+
+def _kron_sum_csr(g):
+    """The Laplacian as scipy.sparse assembles it: the 1D rows by diags plus
+    the two mirrored boundary entries, scaled by 1 / h^2, and in 2D the
+    Kronecker sum of two 1D copies.  The oracle of laplacian_matrix's rows."""
+    import scipy.sparse as sp
+
+    n, h = g.n, g.h
+    lap1 = sp.diags([np.ones(n - 1), np.full(n, -2.0), np.ones(n - 1)], [-1, 0, 1], format="lil")
+    lap1[0, 1] = 2.0
+    lap1[n - 1, n - 2] = 2.0
+    lap1 = (lap1 / (h * h)).tocsr()
+    if g.dim == 1:
+        return lap1
+    eye = sp.identity(n, format="csr")
+    return (sp.kron(lap1, eye) + sp.kron(eye, lap1)).tocsr()
+
+
+@st.composite
+def laplacian_inputs(draw):
+    """A grid (1D n = 3..257, 2D n = 3..129) and node values: magnitudes
+    1e-5..1e5 of either sign with some signed zeros, only signed zeros, or
+    one constant."""
+    dim = draw(st.sampled_from((1, 2)))
+    g = make_grid(dim, draw(st.integers(3, 257 if dim == 1 else 129)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signs = rng.choice((-1.0, 1.0), g.num_nodes)
+    kind = draw(st.sampled_from(("mixed", "zeros", "constant")))
+    if kind == "constant":
+        x = np.full(g.num_nodes, draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** rng.uniform(-5.0, 5.0))
+    else:
+        x = signs * 10.0 ** rng.uniform(-5.0, 5.0, g.num_nodes)
+        x[rng.random(g.num_nodes) < (1.0 if kind == "zeros" else 0.2)] = 0.0
+        x *= np.where(rng.random(g.num_nodes) < 0.5, -1.0, 1.0)  # -0.0 where x is 0
+    return g, x, rng
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laplacian_inputs())
+@example((make_grid(1, 257), np.linspace(-1e5, 1e5, 257), np.random.default_rng(0)))
+@example((make_grid(2, 129), np.full(129 * 129, -0.0), np.random.default_rng(0)))
+def test_laplacian_product_is_the_csr_product_bit_for_bit(drawn):
+    g, x, rng = drawn
+    lap = laplacian_matrix(g)
+    csr, oracle = lap.tosparse(), _kron_sum_csr(g)
+    assert np.array_equal(_bits(lap @ x), _bits(csr @ x))
+    assert np.array_equal(csr.indptr, oracle.indptr)
+    assert np.array_equal(csr.indices, oracle.indices)
+    assert np.array_equal(_bits(csr.data), _bits(oracle.data))
+    if g.dim == 1:
+        # the band solve reads the CSR's diagonals, as a, b and d shift them
+        a, b, d = rng.uniform(-300.0, 300.0), rng.uniform(-2.0, 2.0), rng.uniform(-300.0, 300.0, g.n)
+        ab = ShiftedLaplacian(g, a, b, d)._band()
+        assert np.array_equal(_bits(ab[0, 1:]), _bits(-b * csr.diagonal(1)))
+        assert np.array_equal(_bits(ab[1]), _bits((a + -b * csr.diagonal()) + d))
+        assert np.array_equal(_bits(ab[2, :-1]), _bits(-b * csr.diagonal(-1)))
 
 
 def _mirror_fft_dct1(arr):

@@ -240,7 +240,7 @@ def _step_by_definition(kind, v0, g, p, tol):
     """One step from each scheme's definition, stage by stage, each stage
     started from the one before and solved to residual tol; be/cn/modcn
     equations divided by dt, and their tolerance with them."""
-    lap = laplacian_matrix(g).toarray()
+    lap = laplacian_matrix(g).tosparse().toarray()
     eye = np.eye(v0.size)
     ie2, dt = 1.0 / p.eps2, p.dt
 

@@ -201,7 +201,7 @@ def test_discrete_operator_singular_at_bifurcation():
         m = g.num_nodes
         A = (
             sp.identity(m) / dt
-            - laplacian_matrix(g)
+            - laplacian_matrix(g).tosparse()
             + sp.identity(m) * ((3 * c**2 - 1) / eps_sq)
         )
         v = eval_mode(mode, g).values
