@@ -220,7 +220,8 @@ class ButcherTableau:
         return max(self.a[i][i] for i in range(self.stages))
 
 
-#: Two-stage, second-order, L-stable tableau used by the bundled DIRK scheme.
+#: Two-stage, second-order tableau used by the bundled DIRK scheme: A-stable,
+#: not L-stable (R(z) = ((1 + z/4) / (1 - z/4))^2, so R(-inf) = 1).
 DIRK2_TABLEAU = ButcherTableau(
     a=((0.25, 0.0), (0.5, 0.25)),
     b=(0.5, 0.5),

@@ -8,7 +8,8 @@ All schemes advance phi_t = F(phi) with F(phi) = Lap(phi) - (phi^3 - phi) / eps^
   (phi1 + phi0)(phi1^2 + phi0^2)/4 with the expansive term -phi0/eps^2 kept
   explicit; its next step is unique for every time step;
 * ``dirk``   diagonally implicit Runge-Kutta from a supplied tableau
-  (the bundled two-stage tableau is second order and L-stable).
+  (the bundled two-stage tableau is second order and A-stable, not
+  L-stable: its stability function tends to 1 as z -> -infinity).
 
 Every implicit solve in the package -- each scheme's step, each DIRK stage,
 and the backward problems of ``robustness`` -- is one equation in the

@@ -231,17 +231,16 @@ class ShiftedLaplacian:
         ab[1] = (self.a + ab[1]) + self.d
         return ab
 
-    def _preconditioner(self):
-        """The exact DCT-I solve of |(a + mean(d)) I - b L| (absolute value
-        preconditioning, Vecharynski and Knyazev), which is positive definite
-        and self-adjoint in the trapezoid inner product; None when it is
-        singular.  On a certified operator it is (a + mean(d)) I - b L itself,
-        since b >= 0 and L's eigenvalues are <= 0.
+    def _preconditioner(self, m: float):
+        """The exact DCT-I solve of |M|, M = (a + m) I - b L with m = mean(d)
+        (absolute value preconditioning, Vecharynski and Knyazev), which is
+        positive definite and self-adjoint in the trapezoid inner product; None
+        when it is singular.  On a certified operator it is M itself, since
+        b >= 0 and L's eigenvalues are <= 0.
         """
         g = self.grid
         shape = (g.n,) * g.dim
-        shift = self.a + float(np.mean(self.d))
-        mean = shift - self.b * laplacian_eigenvalues(g)
+        mean = (self.a + m) - self.b * laplacian_eigenvalues(g)
         denom = np.abs(mean) * float(2 * (g.n - 1)) ** g.dim
         if not denom.all():
             return None
@@ -254,19 +253,24 @@ class ShiftedLaplacian:
     def _krylov(self, rhs: np.ndarray, rtol: float = _LINEAR_RTOL) -> np.ndarray | None:
         """CG on a certified operator, MINRES on any other; None on a miss.
 
-        Stops within _KRYLOV_MAX_ITER iterations at the first x whose recursive
-        residual is within max(_LINEAR_RTOL, rtol) of rhs, or whose Krylov
-        space is invariant, and returns it only if its true residual is too.
-        Overflow raises no warning: a non-finite iterate fails both tests, a miss.
+        CG takes the operator as M + diag(d - m), M = (a + m) I - b L the
+        preconditioner's, m = mean(d), and applies L only in the test of the
+        true residual.  Stops within _KRYLOV_MAX_ITER iterations at the first x
+        whose recursive residual is within max(_LINEAR_RTOL, rtol) of rhs, or
+        whose Krylov space is invariant, and returns it only if its true
+        residual is too.  Overflow raises no warning: a non-finite iterate
+        fails both tests, a miss.
         """
         tol = max(_LINEAR_RTOL, rtol) * _linf(rhs)
         if tol == 0.0:
             return np.zeros_like(rhs)
-        precondition = self._preconditioner()
+        m = float(np.mean(self.d))
+        precondition = self._preconditioner(m)
         if precondition is None:
             return None
-        method = _cg if self.certified else _minres
-        iterates = method(self, rhs, precondition, trapezoid_weights(self.grid))
+        w = trapezoid_weights(self.grid)
+        iterates = (_cg(self.d - m, rhs, precondition, w) if self.certified
+                    else _minres(self, rhs, precondition, w))
         with np.errstate(all="ignore"):
             for x, r, invariant in islice(iterates, _KRYLOV_MAX_ITER):
                 if invariant or _linf(r) <= tol:
@@ -274,20 +278,21 @@ class ShiftedLaplacian:
         return None
 
 
-def _cg(op: ShiftedLaplacian, rhs: np.ndarray, precondition, w: np.ndarray):
-    """Preconditioned CG on op x = rhs in the inner product with weights w:
-    yields (x, recursive residual, False) at each iteration from x = 0, and
-    ends where positivity is lost to roundoff or underflow."""
+def _cg(deviation: np.ndarray, rhs: np.ndarray, precondition, w: np.ndarray):
+    """Preconditioned CG on (M + diag(deviation)) x = rhs in the inner product
+    with weights w, M the operator that precondition inverts: yields (x,
+    recursive residual, False) at each iteration from x = 0, and ends where
+    positivity is lost to roundoff or underflow.
+
+    Each direction p = z + beta p_old has M z = r, so M p = r + beta M p_old
+    is carried beside p and the operator's product is M p + deviation p: no
+    iteration applies the Laplacian."""
     x = np.zeros_like(rhs)
-    r = rhs
-    p = np.zeros_like(rhs)
-    rz = 1.0
+    r = mp = rhs
+    p = precondition(rhs)
+    rz = float(w @ (r * p))
     while True:
-        z = precondition(r)
-        rz_new = float(w @ (r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-        ap = op @ p
+        ap = mp + deviation * p
         pap = float(w @ (p * ap))
         if not (rz > 0.0 and pap > 0.0):
             return
@@ -295,6 +300,10 @@ def _cg(op: ShiftedLaplacian, rhs: np.ndarray, precondition, w: np.ndarray):
         x = x + alpha * p
         r = r - alpha * ap
         yield x, r, False
+        z = precondition(r)
+        rz_old, rz = rz, float(w @ (r * z))
+        beta = rz / rz_old
+        p, mp = z + beta * p, r + beta * mp
 
 
 def _minres(op: ShiftedLaplacian, rhs: np.ndarray, precondition, w: np.ndarray):

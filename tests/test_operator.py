@@ -225,18 +225,40 @@ def test_dct1_matrix_is_read_only_and_built_once_per_length():
         build(23)[0, 0] = 0.0
 
 
-def test_cg_iterations_on_a_smooth_certified_operator():
-    # a CN Jacobian about 0.5 + 0.1 cos(pi x) cos(2 pi y) at eps = 0.1, dt = 0.01:
-    # the preconditioned CG reaches the 1e-12 residual bound in 9 iterations,
-    # as it did with the FFT form of dct1
+def _smooth_certified_operator():
+    """A CN Jacobian about 0.5 + 0.1 cos(pi x) cos(2 pi y) at eps = 0.1, dt = 0.01."""
     g = make_grid(2, 65)
     v = 0.5 + 0.1 * eval_mode(ModeIndex((1.0, 2.0)), g).values
-    op = ShiftedLaplacian(g, 1.0, 0.005, 0.5 * (3.0 * v * v - 1.0))
+    return ShiftedLaplacian(g, 1.0, 0.005, 0.5 * (3.0 * v * v - 1.0))
+
+
+def test_cg_iterations_on_a_smooth_certified_operator():
+    # the preconditioned CG reaches the 1e-12 residual bound in 9 iterations,
+    # as it did with the FFT form of dct1
+    op = _smooth_certified_operator()
+    g = op.grid
     assert op.certified
     rhs = np.random.default_rng(0).standard_normal(g.num_nodes)
-    iterates = solvers._cg(op, rhs, op._preconditioner(), trapezoid_weights(g))
+    m = float(np.mean(op.d))
+    iterates = solvers._cg(op.d - m, rhs, op._preconditioner(m), trapezoid_weights(g))
     residuals = [_linf(r) for _x, r, _ in islice(iterates, 20)]
     assert next(i for i, r in enumerate(residuals, 1) if r <= 1e-12 * _linf(rhs)) == 9
+
+
+def test_certified_solve_applies_the_laplacian_once(monkeypatch):
+    # CG carries M p beside each direction p, M the preconditioner's operator,
+    # so its 9 iterations on this operator apply no Laplacian: the one
+    # product is _krylov's true-residual test
+    op = _smooth_certified_operator()
+    rhs = np.random.default_rng(0).standard_normal(op.grid.num_nodes)
+    calls = []
+    matmul = fields._Laplacian.__matmul__
+    monkeypatch.setattr(fields._Laplacian, "__matmul__",
+                        lambda lap, x: calls.append(1) or matmul(lap, x))
+    x = op.solve(rhs)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert _linf(rhs - op @ x) <= 1e-12 * _linf(rhs)
 
 
 def test_certificate_is_the_uniqueness_condition():
