@@ -236,66 +236,50 @@ class _Laplacian:
     and reversed, of solve_banded's (1, 1) band.  Every coefficient is one
     of three: c = 1 / h^2 for a neighbour, 2 c for the neighbour that a
     boundary row reads twice (its mirror ghost), and -2 dim c on the
-    diagonal.
+    diagonal.  `@` applies it as differences of neighbouring values.
     """
 
     def __init__(self, grid: GridSpec) -> None:
         n, h2 = grid.n, grid.h * grid.h
         self.grid = grid
-        self._c, self._c2, self._d = 1.0 / h2, 2.0 / h2, -2.0 * grid.dim / h2
+        self._c = 1.0 / h2
         below = np.full(n, self._c)  # 1D offset -1: coefficient of node j in row j + 1
-        below[-2:] = self._c2, 0.0
+        below[-2:] = 2.0 / h2, 0.0
         above = below[::-1]  # 1D offset +1: coefficient of node j in row j - 1
+        diagonal = -2.0 * grid.dim / h2
         if grid.dim == 1:
             self.offsets = (-1, 0, 1)
-            rows = np.stack([below, np.full(n, self._d), above])
+            rows = np.stack([below, np.full(n, diagonal), above])
         else:
             self.offsets = (-n, -1, 0, 1, n)
             rows = np.empty((5, n, n))
-            rows[0], rows[1], rows[2] = below[:, None], below, self._d
+            rows[0], rows[1], rows[2] = below[:, None], below, diagonal
             rows[3], rows[4] = above, above[:, None]
             rows = rows.reshape(5, n * n)
         rows.setflags(write=False)
         self.rows = rows
-        self._zeros = np.zeros(grid.num_nodes)  # each row's sum starts here
-        self._zeros.setflags(write=False)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """L x, each row summed as csr_matvec sums it: from +0.0, adding its
-        terms in ascending column order, so the bits are the CSR product's
-        (-0.0 included).  A term a row lacks is never formed, or is +0.0,
-        which leaves a sum that starts at +0.0 unchanged."""
+        """L x as c times sums of neighbour differences: (x_{j+1} - x_j) -
+        (x_j - x_{j-1}) inside a grid row, and twice the one difference a
+        boundary node has, taken as (neighbour - node), per axis.  Each
+        difference of a constant is +0.0, so L maps every finite constant
+        to +0.0 exactly."""
         x = np.asarray(x, dtype=float)
-        n, c, c2 = self.grid.n, self._c, self._c2
-        if self.grid.dim == 1:  # rows times x end to end between +0.0 pads: one window per offset
-            b = np.empty(3 * n + 2)
-            b[0] = b[-1] = 0.0
-            np.multiply(self.rows, x, out=b[1:-1].reshape(3, n))
-            y = self._zeros + b[:n]
-            y += b[n + 1:2 * n + 1]
-            y += b[2 * n + 2:]
-            return y
-        # 2D: each offset's terms are a flat shift of w = c x (of its copy v
-        # for -1 and +1), but for the 2 c terms of the boundary rows, formed
-        # on their own, and v's +0.0 where a shift wraps to the next grid row
-        w = c * x
+        n = self.grid.n
         y = np.empty_like(x)
-        x2, w2, y2 = x.reshape(n, n), w.reshape(n, n), y.reshape(n, n)
-        y2[0] = 0.0  # offset -n
-        np.add(self._zeros[2 * n:], w[:-2 * n], out=y[n:-n])
-        np.add(self._zeros[:n], c2 * x2[-2], out=y2[-1])
-        v = w.copy()  # offsets -1 and +1
-        v2 = v.reshape(n, n)
-        v2[:, -1] = 0.0
-        np.multiply(x2[:, -2], c2, out=v2[:, -2])
-        y[1:] += v[:-1]
-        y += self._d * x
-        v2[:, -2:] = w2[:, -2:]
-        v2[:, 0] = 0.0
-        np.multiply(x2[:, 1], c2, out=v2[:, 1])
-        y[:-1] += v[1:]
-        y[n:-n] += w[2 * n:]  # offset +n
-        y2[0] += c2 * x2[1]
+        d = x[1:] - x[:-1]  # along grid rows; the entries that wrap are overwritten
+        np.subtract(d[1:], d[:-1], out=y[1:-1])
+        y[::n] = d[::n] + d[::n]
+        e = x[n - 2::n] - x[n - 1::n]
+        y[n - 1::n] = e + e
+        if self.grid.dim == 2:  # the same along columns: shifts by n
+            d = x[n:] - x[:-n]
+            y[n:-n] += d[n:] - d[:-n]
+            y[:n] += d[:n] + d[:n]
+            e = x[-2 * n:-n] - x[-n:]
+            y[-n:] += e + e
+        y *= self._c
         return y
 
     def tosparse(self):
@@ -315,9 +299,10 @@ def laplacian_matrix(grid: GridSpec) -> _Laplacian:
     1D rows: (u_{j-1} - 2 u_j + u_{j+1}) / h^2 in the interior and
     2 (u_1 - u_0) / h^2 at the boundary (ghost u_{-1} := u_1).  In 2D the
     operator is the Kronecker sum of two 1D copies.  Returned as a numpy
-    operator (_Laplacian) that supports `L @ x` on a flat node array, keeps
-    its coefficients in rows, and gives the scipy.sparse CSR matrix by
-    tosparse().  Cached per grid and read-only; building it imports no SciPy.
+    operator (_Laplacian): `L @ x` on a flat node array sums differences of
+    neighbouring values, so it is exactly +0.0 on every finite constant;
+    rows keeps the coefficients, and tosparse() gives the scipy.sparse CSR
+    matrix.  Cached per grid and read-only; building it imports no SciPy.
     """
     return _Laplacian(grid)
 
@@ -372,35 +357,11 @@ def dct1(arr: np.ndarray) -> np.ndarray:
     return _dct1_matrix(out.shape[0]) @ out @ _dct1_matrix(out.shape[1]).T
 
 
-def _second_difference(arr: np.ndarray, axis: int, h2: float) -> np.ndarray:
-    pad = [(0, 0)] * arr.ndim
-    pad[axis] = (1, 1)
-    p = np.pad(arr, pad, mode="reflect")
-    lo = tuple(slice(0, -2) if ax == axis else slice(None) for ax in range(arr.ndim))
-    mid = tuple(slice(1, -1) if ax == axis else slice(None) for ax in range(arr.ndim))
-    hi = tuple(slice(2, None) if ax == axis else slice(None) for ax in range(arr.ndim))
-    return (p[lo] - 2.0 * p[mid] + p[hi]) / h2
-
-
 def apply_laplacian(u: ScalarField) -> ScalarField:
-    """Apply the zero-flux Laplacian to a field.
-
-    Computed as per-axis stencil sweeps (mirror-ghost reflection at the
-    boundary), so constants are annihilated exactly — the weights cancel in
-    floating point — and separable eigenmodes are reproduced with
-    O(h^2)-accurate eigenvalues.  The matching operator, which the steps'
-    residuals and Jacobians use, is laplacian_matrix: a row-by-row product
-    with the same coefficients.  The stencil stays beside it because that
-    product does not cancel: on the constant 3.7 it leaves 5.7e-14 in 2D at
-    n = 17 (9.1e-13 at n = 65), where the stencil leaves exactly 0.
-    """
-    g = u.grid
-    h2 = g.h * g.h
-    if g.dim == 1:
-        return ScalarField(g, _second_difference(u.values, 0, h2))
-    arr = u.values.reshape(g.n, g.n)
-    out = _second_difference(arr, 0, h2) + _second_difference(arr, 1, h2)
-    return ScalarField(g, out.ravel())
+    """The zero-flux Laplacian of a field: laplacian_matrix(u.grid) @ u.values,
+    the product the steps' residuals use.  Exactly 0 on constants; separable
+    eigenmodes come back with O(h^2)-accurate eigenvalues."""
+    return ScalarField(u.grid, laplacian_matrix(u.grid) @ u.values)
 
 
 def eval_mode(k: ModeIndex, grid: GridSpec) -> ScalarField:
@@ -443,9 +404,10 @@ def ac_force(lap_v, v, p: ACParams):
 def trapezoid_weights(grid: GridSpec) -> np.ndarray:
     """Trapezoid quadrature weights per node (flat, row-major); read-only.
 
-    Weighted sums of `apply_laplacian` outputs telescope to exactly zero,
-    which is the discrete analogue of the zero-flux compatibility identity
-    int Lap(u) dx = 0.
+    Weighted sums of Laplacian outputs, w @ (laplacian_matrix(grid) @ x),
+    are zero in exact arithmetic: the discrete analogue of the zero-flux
+    compatibility identity int Lap(u) dx = 0.  In floating point they leave
+    roundoff, of order eps times the weighted sum of |x| / h^2.
     """
     w1 = np.full(grid.n, grid.h)
     w1[0] = w1[-1] = grid.h / 2.0

@@ -144,14 +144,14 @@ def _kron_sum_csr(g):
 def laplacian_inputs(draw):
     """A grid (1D n = 3..257, 2D n = 3..129) and node values: magnitudes
     1e-5..1e5 of either sign with some signed zeros, only signed zeros, or
-    one constant."""
+    one constant from the whole finite range."""
     dim = draw(st.sampled_from((1, 2)))
     g = make_grid(dim, draw(st.integers(3, 257 if dim == 1 else 129)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     signs = rng.choice((-1.0, 1.0), g.num_nodes)
     kind = draw(st.sampled_from(("mixed", "zeros", "constant")))
     if kind == "constant":
-        x = np.full(g.num_nodes, draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** rng.uniform(-5.0, 5.0))
+        x = np.full(g.num_nodes, draw(st.floats(allow_nan=False, allow_infinity=False)))
     else:
         x = signs * 10.0 ** rng.uniform(-5.0, 5.0, g.num_nodes)
         x[rng.random(g.num_nodes) < (1.0 if kind == "zeros" else 0.2)] = 0.0
@@ -163,15 +163,31 @@ def _bits(v):
     return np.asarray(v, dtype=float).view(np.int64)
 
 
+def _constant_examples(test):
+    """@example the constants at the ends of the float range, in 1D and 2D."""
+    for g in (make_grid(1, 257), make_grid(2, 129)):
+        for value in (1e308, -1e308, 5e-324, -5e-324, -0.0):
+            test = example((g, np.full(g.num_nodes, value), np.random.default_rng(0)))(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
 @given(laplacian_inputs())
 @example((make_grid(1, 257), np.linspace(-1e5, 1e5, 257), np.random.default_rng(0)))
-@example((make_grid(2, 129), np.full(129 * 129, -0.0), np.random.default_rng(0)))
-def test_laplacian_product_is_the_csr_product_bit_for_bit(drawn):
+@_constant_examples
+def test_laplacian_product_is_zero_on_constants_and_near_the_csr_product(drawn):
+    # L @ x is +0.0 (no sign bit) on every finite constant, where the CSR
+    # product S @ x may leave roundoff, or overflow; elsewhere each row is
+    # within 4 eps of |S| @ |x| of S @ x (seen over 3,000 draws: 3.0 eps)
     g, x, rng = drawn
     lap = laplacian_matrix(g)
     csr, oracle = lap.tosparse(), _kron_sum_csr(g)
-    assert np.array_equal(_bits(lap @ x), _bits(csr @ x))
+    y = lap @ x
+    if np.all(_bits(x) == _bits(x)[0]):
+        assert not _bits(y).any()
+    else:
+        bound = 4.0 * np.finfo(float).eps * (abs(csr) @ np.abs(x))
+        assert np.all(np.abs(y - csr @ x) <= bound)
     assert np.array_equal(csr.indptr, oracle.indptr)
     assert np.array_equal(csr.indices, oracle.indices)
     assert np.array_equal(_bits(csr.data), _bits(oracle.data))

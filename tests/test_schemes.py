@@ -398,20 +398,10 @@ def _first_stage_scale(kind, r, p):
 @given(_constant_steps())
 @example((BE, make_grid(1, 5), 0.0, ACParams(0.1, 0.005)))
 @example((DIRK2, make_grid(2, 3), -0.0, ACParams(0.1, 0.01)))
+# the float walk's 8th Newton residual is 9.92e-11, just under its tolerance
+# 1e-10, so any roundoff that L leaves on the constant takes the field walk a 9th
+@example((CN, make_grid(2, 53), 2.5638457639254084, ACParams(0.41015625, 0.11565685272216797)))
 def test_a_constant_field_steps_as_its_constant(drawn):
-    _assert_steps_as_its_constant(drawn)
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 29: the 2D Laplacian leaves 4.5e-13 on this constant, so the "
-    "field walk's 8th Newton residual is 1.0002e-10, above the tolerance 1e-10, "
-    "and it takes 9 iterations where the float walk takes 8"))
-def test_a_constant_field_steps_as_its_constant_where_the_laplacian_leaves_roundoff():
-    _assert_steps_as_its_constant(
-        (CN, make_grid(2, 53), 2.5638457639254084, ACParams(0.41015625, 0.11565685272216797)))
-
-
-def _assert_steps_as_its_constant(drawn):
     # step solves each stage of a constant field on its float, the walk on the
     # node array is the reference.  Newton stops at 1e-12 of the first stage's
     # largest term (1e-10 at least), far above both walks' roundoff floors, so
