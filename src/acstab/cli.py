@@ -411,10 +411,8 @@ def _preimage_field(args, kind, p, target: ScalarField, c: float, delta: float,
         raise ConfigurationError("constant part has multiple preimages "
                                  f"{[round(r, 6) for r in ps.roots]}; pick one with --root INDEX")
     _check_root(args.root, ps.roots)
-    if kind.tag == "be":
-        seed = target
-        seed_root, gain = "", ""
-    else:
+    seed, seed_root, gain = target, "", ""  # every link explicit (no cubic): nothing to seed
+    if ps.cubics:
         g = perturbation_gain(kind, c, ps.roots[args.root or 0], mode, p)
         if g.pole:
             raise AnalysisError("perturbation gain has a pole; no regular branch to follow")

@@ -188,8 +188,8 @@ class ModeIndex:
 class ButcherTableau:
     """Lower-triangular Runge-Kutta coefficients (a, b) with s stages.
 
-    Every diagonal entry a_ii must be nonzero: each stage is implicit.  The
-    Allen-Cahn equation is autonomous, so no stage reads the nodes c.
+    A stage with a_ii = 0 is explicit; at least one stage must be implicit.
+    The Allen-Cahn equation is autonomous, so no stage reads the nodes c.
     """
 
     a: tuple[tuple[float, ...], ...]
@@ -206,8 +206,8 @@ class ButcherTableau:
         for i, row in enumerate(a):
             if any(row[j] != 0.0 for j in range(i + 1, s)):
                 raise ConfigurationError("a must be lower triangular")
-        if any(a[i][i] == 0.0 for i in range(s)):
-            raise ConfigurationError("every diagonal entry must be nonzero (no explicit stages)")
+        if all(a[i][i] == 0.0 for i in range(s)):
+            raise ConfigurationError("some diagonal entry must be nonzero (an implicit stage)")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -392,12 +392,9 @@ def _cubic(v):
     return v * v * v - v
 
 
-def ac_force(lap_v, v, p: ACParams):
-    """F(v) = Lap(v) - (v^3 - v) / eps^2 given lap_v = Lap(v) (0.0 on constants).
-
-    v is a node array or a scalar; the result has its type.
-    """
-    return lap_v - (1.0 / p.eps2) * _cubic(v)
+def _minus_force(lap_v, v, p: ACParams):
+    """G(v) = -F(v) = (v^3 - v) / eps^2 - Lap(v), lap_v = Lap(v) (0.0 on constants)."""
+    return (1.0 / p.eps2) * _cubic(v) - lap_v
 
 
 @lru_cache(maxsize=None)

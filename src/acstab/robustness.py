@@ -14,9 +14,10 @@ s_1 < s_2 < ... interleaves the first.
 Every backward computation walks one description of the step read
 backward, ``_backward_links``: a chain of links from the result back to
 the start, each one equation between a later state x and an earlier state
-u, given as ``schemes.implicit_system`` terms in either side.  CN and MODCN
-are one implicit link, backward Euler one explicit link, and an s-stage
-DIRK scheme s + 1 links c -> phi_s -> ... -> phi_1 -> r (the last explicit).  On
+u, given as ``schemes.implicit_system`` terms in either side.  A tableau's
+links, c -> phi_s -> ... -> phi_1 -> r without the identities, are one
+implicit link for CN, one explicit for backward Euler and three for DIRK2
+(the last explicit); MODCN has one implicit link of its own.  On
 constants the walk gives ``preimage_constants`` (one cubic per implicit
 link), on fields ``preimage_field`` (one Newton solve per implicit link and
 continuation point), and on one Laplacian mode the gains below.
@@ -38,9 +39,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AnalysisError, ConfigurationError, _check_count
-from .fields import ACParams, ModeIndex, ScalarField, _cubic, ac_force, field_mean, laplacian_matrix
-from .schemes import _SETTLE_TOL, DIRK2, MERGE_TOL, SchemeKind, _selected_images, _sign, _step_terms
-from .schemes import constant_cubic, implicit_system, mode_slope
+from .fields import ACParams, ModeIndex, ScalarField, _minus_force, field_mean, laplacian_matrix
+from .schemes import _SETTLE_TOL, DIRK2, MERGE_TOL, SchemeKind, _explicit
+from .schemes import _selected_images, _sign, _step_terms, constant_cubic, implicit_system, mode_slope
 from .schemes import scalar_map  # unused here, kept for perfbench/layertrace.py, which patches it
 from .solvers import (
     CubicRoots,
@@ -73,11 +74,12 @@ __all__ = [
 class PreimageSet:
     """Constant states r that one step maps to the constant c.
 
-    chains pairs each root with its stage history, earliest first: (r,) for
-    the single-stage schemes and (r, phi_1, ..., phi_s) for DIRK; cubics[i]
-    is the last cubic chain i was solved from (none for backward Euler).  The
-    chains are sorted by r, and chains whose r lies within MERGE_TOL of the
-    previous kept one (a multiple root) are listed once.
+    chains pairs each root with its stage history, earliest first, a state
+    per backward link: (r,) for be, cn and modcn, (r, phi_1, phi_2) for
+    DIRK2; cubics[i] is the last cubic chain i was solved from (none for
+    backward Euler, whose one link is explicit).  The chains are sorted by
+    r, and chains whose r lies within MERGE_TOL of the previous kept one (a
+    multiple root) are listed once.
     """
 
     scheme: SchemeKind
@@ -87,56 +89,36 @@ class PreimageSet:
     chains: tuple[tuple[float, ...], ...]
 
 
-def _backward_terms(kind: SchemeKind, v, lap_v, p: ACParams):
-    """implicit_system's (a, s, b, k, partner) in the previous state u of one
-    cn/modcn step that ends at v; lap_v is Lap(v), 0.0 on constants.  CN's
-    step equation is symmetric in its two states, so its terms are the
-    forward ones from v with a negated."""
-    if kind.tag == "cn":
-        a, *rest = _step_terms(kind, v, lap_v, p)
-        return (-a, *rest)
-    # modcn: the explicit -u/eps^2 joins the shift
-    idt, ie2 = 1.0 / p.dt, 1.0 / p.eps2
-    return -idt - ie2, 0.0, 0.5, idt * v - 0.5 * lap_v, v
-
-
 def _backward_links(kind: SchemeKind, p: ACParams):
     """One step read backward: links (fwd, bwd) from the result to the start.
 
-    A link is one equation between a later state x and an earlier state u.
-    bwd(x, lap_x) gives its implicit_system terms in u (lap_x = Lap(x), 0.0
-    on constants), fwd(u) its terms in x on constants; a bwd with b = 0 is
-    explicit, u = s - k / a.  DIRK takes phi_0 = r and b as a last, explicit
-    stage phi_{s+1} = c; link i, from c down to r, is stage equation i minus
-    stage equation i - 1 (which needs a_ij = a_{i-1,j} for every j < i - 1):
+    A link is one equation between a later state x and an earlier state u,
+    divided by dt as the stages are.  bwd(x, lap_x) gives its implicit_system
+    terms in u (lap_x = Lap(x), 0.0 on constants), fwd(u) its terms in x on
+    constants; a bwd with b = 0 is explicit, u = s - k / a.  A tableau takes
+    phi_0 = r and b as a last, explicit stage phi_{s+1} = c; link i, from c
+    down to r, is stage equation i minus stage equation i - 1 (which needs
+    a_ij = a_{i-1,j} for every j < i - 1), unless both coefficients vanish:
     phi_i - dt a_ii F(phi_i) = phi_{i-1} + dt (a_{i,i-1} - a_{i-1,i-1}) F(phi_{i-1}).
     """
-    dt = p.dt
-    if kind.tag == "be":
-        # x - dt F(x) = u; k in this form gives u = c + dt (c^3 - c) / eps^2 to the bit on constants
-        return ((lambda u: (1.0, u, dt),
-                 lambda x, lap_x: (-1.0, x, 0.0, dt * _cubic(x) / p.eps2 - dt * lap_x)),)
-    if kind.tag != "dirk":
+    idt = 1.0 / p.dt
+    if kind.tag == "modcn":  # the explicit -u/eps^2 joins the shift
         return ((lambda u: _step_terms(kind, u, 0.0, p),
-                 lambda x, lap_x: _backward_terms(kind, x, lap_x, p)),)
+                 lambda x, lap_x: (-idt - 1.0 / p.eps2, 0.0, 0.5, idt * x - 0.5 * lap_x, x)),)
     # rows i = 0 (r), 1..s (the stages), s + 1 (c): rows[i][j] = a_ij for 1-based j, a_i0 = 0
-    rows = ((0.0,), *((0.0, *row) for row in kind.tableau.a), (0.0, *kind.tableau.b, 0.0))
+    tab = kind._rk
+    rows = ((0.0,), *((0.0, *row) for row in tab.a), (0.0, *tab.b, 0.0))
     if any(rows[i][:i - 1] != rows[i - 1][:i - 1] for i in range(2, len(rows))):
         raise ConfigurationError(
             "tableau is not readable backward: it needs a_ij = a_(i-1)j for j < i - 1")
-    return tuple(_dirk_link(dt * rows[i][i], dt * (rows[i][i - 1] - rows[i - 1][i - 1]), p)
-                 for i in range(len(rows) - 1, 0, -1))
+    pairs = ((rows[i][i], rows[i][i - 1] - rows[i - 1][i - 1]) for i in range(len(rows) - 1, 0, -1))
+    return tuple(_rk_link(d, g, idt, p) for d, g in pairs if d or g)
 
 
-def _dirk_link(d: float, g: float, p: ACParams):
-    """(fwd, bwd) of x - d F(x) = u + g F(u), without F where its factor is 0 (0 * inf is NaN)."""
-    return (lambda u: (1.0, u + g * ac_force(0.0, u, p) if g else u, d),
-            lambda x, lap_x: (-1.0, x - d * ac_force(lap_x, x, p) if d else x, g))
-
-
-def _explicit(a, s, b, k=0.0, partner=None):
-    """u solving a (u - s) + k = 0: a link whose bwd has b = 0."""
-    return s - k / a
+def _rk_link(d: float, g: float, idt: float, p: ACParams):
+    """(fwd, bwd) of (x - u) / dt = d F(x) + g F(u); no G where its factor is 0 (0 * inf is NaN)."""
+    return (lambda u: (idt, u, d, g * _minus_force(0.0, u, p) if g else 0.0),
+            lambda x, lap_x: (-idt, x, g, d * _minus_force(lap_x, x, p) if d else 0.0))
 
 
 def preimage_constants(kind: SchemeKind, c: float, p: ACParams) -> PreimageSet:
@@ -305,7 +287,7 @@ class PerturbationGain:
     Perturbing the target c by delta * mode moves the preimage branch
     through the constant r by delta * gain[-1] * mode to first order.  gain
     has one entry per backward link, from the result to the start: (B,) for
-    CN and MODCN, (B_s, ..., B_0) for an s-stage DIRK scheme.  c is the
+    CN and MODCN, (B_2, B_1, B_0) for DIRK2.  c is the
     target and r the branch's root, except from dirk_perturbation_gains:
     its stage constants (c2, c1).  pole means the linearization is singular.
     """
@@ -346,15 +328,17 @@ def perturbation_gain(
 ) -> PerturbationGain:
     """Gains of the preimage branch through r for target c + delta*mode(k).
 
-    For DIRK the branch is the chain of preimage_constants(kind, c, p) whose
-    root is nearest r, the first on ties, and the result's r is that root.
-    Backward Euler (no implicit link) and a c or r that is not finite raise
-    ConfigurationError.
+    With several backward links (DIRK) the branch is the chain of
+    preimage_constants(kind, c, p) whose root is nearest r, the first on
+    ties, and the result's r is that root.  No implicit backward link
+    (backward Euler, or a chain of its steps) and a c or r that is not
+    finite raise ConfigurationError.
     """
-    if kind.tag == "be":
+    links = _backward_links(kind, p)
+    if not any(bwd(0.0, 0.0)[2] for _fwd, bwd in links):  # each link a BE step x - dt d F(x) = u
         raise ConfigurationError("backward Euler has no implicit backward link, so no gain")
     states = (c, r)
-    if kind.tag == "dirk" and all(map(math.isfinite, states)):  # _chain_gains rejects the rest
+    if len(links) > 1 and all(map(math.isfinite, states)):  # _chain_gains rejects the rest
         states = (c, *reversed(_chain_through(kind, c, r, p)))
     return _chain_gains(kind, states, k, p)
 
@@ -364,7 +348,7 @@ def dirk_perturbation_gains(c2: float, c1: float, k: ModeIndex, p: ACParams) -> 
 
     c2 and c1 are the constant stage states of the branch (outer combination
     stage and inner stage), e.g. taken from a preimage chain.  The walk's
-    first fwd and last bwd sides are explicit (b = 0, slope +-1), so c2 and
+    first fwd and last bwd sides are explicit (b = 0, slope +-1/dt), so c2 and
     c1 can stand in for c and r: the gains are perturbation_gain's, bit for bit.
     """
     return _chain_gains(DIRK2, (c2, c2, c1, c1), k, p)

@@ -2,16 +2,17 @@
 
 All schemes advance phi_t = F(phi) with F(phi) = Lap(phi) - (phi^3 - phi) / eps^2:
 
-* ``be``     backward Euler, first order;
-* ``cn``     Crank-Nicolson (trapezoid), second order;
+* ``be``     backward Euler, first order: the tableau ((1,),), (1,);
+* ``cn``     Crank-Nicolson (trapezoid), second order: the tableau
+  ((0, 0), (1/2, 1/2)), (1/2, 1/2), whose first stage is explicit;
 * ``modcn``  a modified Crank-Nicolson whose nonlinearity is averaged as
   (phi1 + phi0)(phi1^2 + phi0^2)/4 with the expansive term -phi0/eps^2 kept
-  explicit; its next step is unique for every time step;
+  explicit (no Runge-Kutta method); its step is unique for every time step;
 * ``dirk``   diagonally implicit Runge-Kutta from a supplied tableau
   (the bundled two-stage tableau is second order and A-stable, not
   L-stable: its stability function tends to 1 as z -> -infinity).
 
-Every implicit solve in the package -- each scheme's step, each DIRK stage,
+Every implicit solve in the package -- each scheme's step, each stage,
 and the backward problems of ``robustness`` -- is one equation in the
 unknown v:
 
@@ -26,14 +27,13 @@ only chooses (a, s, b, k, w).  On constants the equation is the cubic
 Laplacian eigenmode at a constant; every linearization in ``robustness`` and
 ``stability`` is built from it.
 
-Each scheme's step is read forward once, ``_forward_stages``: its stages'
-terms, each from phi_n and the forces F of earlier stages, and the weights
-b combining all forces into phi_{n+1} (be/cn/modcn: one stage, phi_{n+1}).
-``step`` walks it on fields, one Newton solve per stage started from the
-previous stage, and reads each DIRK stage's force off the equation it just
-solved, F(phi_i) = (phi_i - s_i) / (dt a_ii): evaluated afresh, Lap(phi_i)
-would scale the stage's Newton error by about dt a_ii 4 dim / h^2, so states
-whose stages are already solved would keep moving by roundoff.
+Each scheme's step is read forward once, ``_forward_stages``.  ``step``
+walks its stages on fields, one Newton solve per implicit stage started
+from the previous stage, and reads each implicit stage's G = -F off the
+equation it just solved: evaluated afresh, Lap(phi_i) would scale the
+stage's Newton error by about dt a_ii 4 dim / h^2, so states whose stages
+are already solved would keep moving by roundoff.  An explicit stage's G is
+evaluated.
 
 Constant fields stay constant: Lap maps them to exactly 0, so each stage is
 ``implicit_system``'s equation without a grid, a cubic.  ``step`` walks a
@@ -41,12 +41,13 @@ constant field on its float with the same Newton iteration, guess,
 tolerance and iteration cap, and returns the constant field of the result.
 ``_selected_images`` walks the chain of stage roots that the stepper takes
 on a whole array of constants, ``scalar_map`` every chain from one; their
-stage values are closed-form roots, so they evaluate F(x) itself.
+stage values are closed-form roots, so they evaluate G(x) itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -57,7 +58,7 @@ from .fields import (
     DIRK2_TABLEAU,
     ScalarField,
     _cubic,
-    ac_force,
+    _minus_force,
     center_value,
     field_l2,
     laplacian_matrix,
@@ -109,10 +110,17 @@ class SchemeKind:
 
     @property
     def label(self) -> str:
-        if self.tag == "dirk":
-            return f"dirk{self.tableau.stages}"
-        return self.tag
+        return f"dirk{self.tableau.stages}" if self.tableau else self.tag
 
+    @property
+    def _rk(self) -> ButcherTableau | None:
+        """The step's Runge-Kutta tableau: dirk's own, be's and cn's; None for modcn."""
+        return self.tableau or _TABLEAUX.get(self.tag)
+
+
+# backward Euler and the trapezoid rule (an EDIRK), both stiffly accurate
+_TABLEAUX = {"be": ButcherTableau(((1.0,),), (1.0,)),
+             "cn": ButcherTableau(((0.0, 0.0), (0.5, 0.5)), (0.5, 0.5))}
 
 BE = SchemeKind("be")
 CN = SchemeKind("cn")
@@ -146,6 +154,8 @@ def implicit_system(grid, p: ACParams, a, s, b, k=0.0, partner=None):
 
     n(v) = v^3 - v, or (v + w)(v^2 + w^2) / 2 with w = partner (MODCN's
     averaged nonlinearity).  s, k and partner are scalars or node arrays.
+    Every caller passes its equation divided by dt (a = +-1/dt): residuals are
+    in units of F, and one Newton tolerance means the same everywhere.
     On a grid v is a node array and the Jacobian is the ShiftedLaplacian
     a I - b L + diag((b / eps^2) n'(v)).  With grid None, Lap(v) is 0.0: v is
     a constant, a float or an array of independent constants, and the
@@ -195,51 +205,43 @@ def constant_cubic(p: ACParams, a, s, b, k=0.0, partner=None) -> tuple[float, fl
 
 
 def _step_terms(kind: SchemeKind, v0, lap_v0, p: ACParams):
-    """implicit_system's (a, s, b, k, partner) for one be/cn/modcn step from v0.
-
-    lap_v0 is Lap(v0): 0.0 on constants.
-    """
-    idt, ie2 = 1.0 / p.dt, 1.0 / p.eps2
-    if kind.tag == "be":
-        return idt, v0, 1.0, 0.0, None
-    if kind.tag == "cn":
-        return idt, v0, 0.5, -0.5 * lap_v0 + 0.5 * ie2 * _cubic(v0), None
-    if kind.tag == "modcn":
-        # the expansive -v0/eps^2 stays explicit
-        return idt, v0, 0.5, -0.5 * lap_v0 - ie2 * v0, v0
-    raise ConfigurationError("a dirk step is a chain of stages; see _forward_stages")
+    """implicit_system's (a, s, b, k, partner) for a be, cn or modcn step from v0:
+    its last stage, after explicit ones at phi_n; lap_v0 = Lap(v0), 0.0 on constants."""
+    if kind.tableau and any(map(any, kind.tableau.a[:-1])):
+        raise ConfigurationError("a dirk step is a chain of stages; see _forward_stages")
+    *early, last = _forward_stages(kind, p)[0]
+    return last(v0, [_minus_force(lap_v0, v0, p)] * len(early), lambda x: lap_v0)
 
 
 def _forward_stages(kind: SchemeKind, p: ACParams):
     """One step read forward: (stages, b).
 
-    stage(v0, fs, lap) gives implicit_system's terms in the next stage from
-    phi_n = v0 and the forces fs = (F(phi_1), ...) of the stages solved
-    before it; lap(x) is Lap(x): a matrix product on fields, 0.0 on
-    constants.  DIRK stage i has terms (1, s_i, dt a_ii) and solves
-    phi_i - s_i = dt a_ii F(phi_i), s_i = phi_n + dt sum_{j<i} a_ij F(phi_j),
-    and b combines the stages into phi_{n+1} = phi_n + dt sum_i b_i F(phi_i).
-    be/cn/modcn are one stage whose value is phi_{n+1}; their b is None.
+    stage(v0, gs, lap) gives implicit_system's terms in the next stage from
+    phi_n = v0 and gs = (G(phi_1), ...), G = -F, of the stages before it;
+    lap(x) is Lap(x): a matrix product on fields, 0.0 on constants.  Stage i
+    of a tableau has terms (1/dt, phi_n, a_ii, sum_{j<i} a_ij G_j): its
+    equation phi_i - phi_n = dt sum_{j<=i} a_ij F(phi_j) divided by dt, and
+    explicit where a_ii = 0.  b combines the stages into phi_{n+1} = phi_n -
+    dt sum_i b_i G_i; it is None where phi_{n+1} is the last stage (modcn's
+    one stage, and a stiffly accurate tableau: b its last row, as for be, cn).
     """
-    if kind.tag != "dirk":
-        return (lambda v0, fs, lap: _step_terms(kind, v0, lap(v0), p),), None
-    tab, dt = kind.tableau, p.dt
-    stages = tuple(
-        lambda v0, fs, lap, i=i: (1.0, _weighted(v0, tab.a[i][:i], fs, dt), dt * tab.a[i][i])
-        for i in range(tab.stages)
-    )
-    return stages, tab.b
+    tab, idt = kind._rk, 1.0 / p.dt
+    if kind.tag == "modcn":  # the expansive -v0/eps^2 stays explicit
+        return (lambda v0, gs, lap: (idt, v0, 0.5, -0.5 * lap(v0) - (1.0 / p.eps2) * v0, v0),), None
+    stages = tuple(lambda v0, gs, lap, d=row[i], w=row[:i]: (idt, v0, d, sum(map(mul, w, gs), 0.0))
+                   for i, row in enumerate(tab.a))
+    return stages, (None if tab.b == tab.a[-1] else tab.b)
 
 
-def _weighted(v0, weights, fs, dt: float):
-    """v0 + dt sum_j weights_j fs_j, added in order."""
-    return sum((dt * w * f for w, f in zip(weights, fs)), v0)
+def _explicit(a, s, b, k=0.0, partner=None):
+    """x solving a (x - s) + k = 0: a stage or link whose terms have b = 0."""
+    return s - k / a
 
 
 def step(kind: SchemeKind, phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | None = None):
     """Advance one time step with the given scheme; returns (field, StepReport).
 
-    One Newton solve per stage, each started from the previous stage (the
+    One Newton solve per implicit stage, each from the stage before (the
     first from phi_n); a failed stage ends the step with its iterate.
 
     A constant field, all of whose nodes have the same bits (0.0 next to
@@ -247,13 +249,13 @@ def step(kind: SchemeKind, phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | 
     implicit_system's equation without a grid by newton_solve on the float,
     the same Newton loop that a field's stages run.
 
-    A DIRK stage's force is read off the equation it was solved with,
-    a (phi_i - s_i) / (dt a_ii), which is F(phi_i) up to the stage's residual
-    over dt a_ii (module docstring).  A stage whose guess already meets the
-    tolerance adds a force of exactly 0.  So, as with be, any state whose
-    first-stage residual |dt a_11 F(phi_n)| is within the Newton tolerance
-    maps to itself, whether it has settled or only moves slowly, and
-    simulate stops stepping it.
+    An implicit stage's G is read off the equation it was solved with,
+    -(a (phi_i - s) + k) / b, which is G(phi_i) up to the stage's residual
+    over a_ii (module docstring).  A stage whose guess already meets the
+    tolerance adds exactly 0.  So any state whose residual a_ii |F(phi_n)|
+    at every implicit stage (|F(phi_n)| for be, cn and modcn) is within the
+    Newton tolerance maps to itself, whether it has settled or only moves
+    slowly, and simulate stops stepping it.
     """
     grid, v0 = phi_n.grid, phi_n.values
     bits = v0.view(np.int64)
@@ -266,25 +268,25 @@ def step(kind: SchemeKind, phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | 
 
 def _walk(kind: SchemeKind, v0, p: ACParams, cfg: NewtonConfig | None, grid):
     """step's stage walk from v0, a node array on grid or, with grid None, a
-    float: (value, reports).  Each stage solves implicit_system(grid, ...)'s
-    equation.  Stage terms that overflow warn of nothing: Newton reports the
-    residual at its guess as not finite."""
+    float: (value, reports).  Stage terms that overflow warn of nothing:
+    Newton reports the residual at its guess as not finite."""
     lap = _no_lap if grid is None else laplacian_matrix(grid).__matmul__
     stages, b = _forward_stages(kind, p)
-    x, fs, reports = v0, [], []
-    for stage in stages:
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = stage(v0, fs, lap)
-        x, rep = newton_solve(*implicit_system(grid, p, *terms), x, cfg)
-        reports.append(rep)
-        if not rep.converged:
-            return x, tuple(reports)
-        if b is not None:
-            a, s, dt_aii = terms  # the stage equation a (x - s) = dt a_ii F(x)
-            fs.append(a * (x - s) / dt_aii)
-    if b is not None:
-        x = _weighted(v0, b, fs, p.dt)
-    return x, tuple(reports)
+    x, gs, reports = v0, [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # newton_solve ignores them too
+        for stage in stages:
+            a, s, b_ii, k, *_ = terms = stage(v0, gs, lap)
+            if b_ii == 0.0:
+                x = _explicit(*terms)
+                gs.append(_minus_force(lap(x), x, p))
+                continue
+            x, rep = newton_solve(*implicit_system(grid, p, *terms), x, cfg)
+            reports.append(rep)
+            if not rep.converged:
+                return x, tuple(reports)
+            if len(gs) + 1 < len(stages) or b is not None:  # a later stage or b reads its G
+                gs.append(-(a * (x - s) + k) / b_ii)
+    return (x if b is None else _weighted(v0, b, gs, p.dt)), tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -356,9 +358,9 @@ def _settled_sign(s: StepSummary, settle_tol: float) -> int:
 
 def _stage_failure(kind: SchemeKind, rep: StepReport) -> str:
     """'did not converge at stage i of s (message, residual r)' for a failed step."""
-    bad = rep.stage_reports[-1]
-    return (f"did not converge at stage {len(rep.stage_reports)} of "
-            f"{kind.tableau.stages if kind.tableau else 1} "
+    bad, tab = rep.stage_reports[-1], kind._rk
+    implicit = sum(row[i] != 0.0 for i, row in enumerate(tab.a)) if tab else 1
+    return (f"did not converge at stage {len(rep.stage_reports)} of {implicit} "
             f"({bad.message}, residual {bad.residual:.3g})")
 
 
@@ -425,26 +427,41 @@ def _selected_images(kind: SchemeKind, r: np.ndarray, p: ACParams):
     in the 1-D array r under one step (NaN where not finite), and picks[k] the
     index (ascending) of the root it takes at stage k.
 
-    One cubic per state and stage.  Where it has several real roots, the
-    stepper's Newton iterate picks the nearest; it starts from r, then from
-    the previous stage's iterate, or from its root where it had only one.
+    One cubic per state and implicit stage.  Where it has several real roots,
+    the stepper's Newton iterate picks the nearest; it starts from r, then
+    from the previous stage's iterate, or from its root where it had only
+    one.  An explicit stage has one root, its value.
     """
     stages, b = _forward_stages(kind, p)
-    start, fs, picks = r, [], []
+    start, gs, picks = r, [], []
     with np.errstate(all="ignore"):
         for stage in stages:
-            roots = _cubic_roots(*constant_cubic(p, *stage(r, fs, _no_lap)))[0]
-            several = np.flatnonzero(roots[:, 1] == roots[:, 1])  # a second real root
-            pick, guess, start = np.zeros(r.size, dtype=int), start[several], roots[:, 0].copy()
-            if several.size:
-                terms = stage(r[several], [f[several] for f in fs], _no_lap)
-                start[several] = _newton_each(*implicit_system(None, p, *terms), guess)[0]
-                pick[several] = _nearest(roots[several], start[several])
-            x = roots[np.arange(r.size), pick]
+            terms, pick = stage(r, gs, _no_lap), np.zeros(r.size, dtype=int)
+            if terms[2] == 0.0:
+                x = start = _explicit(*terms)
+            else:
+                roots = _cubic_roots(*constant_cubic(p, *terms))[0]
+                several = np.flatnonzero(roots[:, 1] == roots[:, 1])  # a second real root
+                guess, start = start[several], roots[:, 0].copy()
+                if several.size:
+                    terms = stage(r[several], [g[several] for g in gs], _no_lap)
+                    start[several] = _newton_each(*implicit_system(None, p, *terms), guess)[0]
+                    pick[several] = _nearest(roots[several], start[several])
+                x = roots[np.arange(r.size), pick]
             picks.append(pick)
-            if b is not None:
-                fs.append(ac_force(0.0, x, p))
-        return (x if b is None else _weighted(r, b, fs, p.dt)), picks
+            if len(picks) < len(stages) or b is not None:  # a later stage or b reads its G
+                gs.append(_minus_force(0.0, x, p))
+        return (x if b is None else _weighted(r, b, gs, p.dt)), picks
+
+
+def _stage_roots(p: ACParams, terms):
+    """A stage's constant solutions: its cubic's real roots, or its one value where b = 0."""
+    return _cubic_roots(*constant_cubic(p, *terms))[0] if terms[2] else (_explicit(*terms),)
+
+
+def _weighted(v0, weights, gs, dt: float):
+    """v0 - dt sum_j weights_j gs_j, added in order: phi_{n+1} from the stages' G."""
+    return sum((-dt * w * g for w, g in zip(weights, gs)), v0)
 
 
 def scalar_map(kind: SchemeKind, r: float, p: ACParams) -> list[tuple[float, bool]]:
@@ -459,13 +476,13 @@ def scalar_map(kind: SchemeKind, r: float, p: ACParams) -> list[tuple[float, boo
     r = float(r)
     stages, b = _forward_stages(kind, p)
     picks = tuple(int(k[0]) for k in _selected_images(kind, np.array([r]), p)[1])
-    chains = [((), (), r)]  # per chain: its root indices, stage forces and last stage value
+    chains = [((), (), r)]  # per chain: its root indices, stage G's and last stage value
     with np.errstate(all="ignore"):
         for stage in stages:
-            chains = [(path + (j,), fs + (ac_force(0.0, x, p),), x) for path, fs, _ in chains
-                      for j, x in enumerate(_cubic_roots(*constant_cubic(p, *stage(r, fs, _no_lap)))[0])]
-        images = [(x if b is None else _weighted(r, b, fs, p.dt), path == picks)
-                  for path, fs, x in chains]
+            chains = [(path + (j,), gs + (_minus_force(0.0, x, p),), x) for path, gs, _ in chains
+                      for j, x in enumerate(_stage_roots(p, stage(r, gs, _no_lap)))]
+        images = [(x if b is None else _weighted(r, b, gs, p.dt), path == picks)
+                  for path, gs, x in chains]
     images = sorted(pair for pair in images if pair[0] == pair[0])  # NaN images dropped
     if not np.isfinite([c for c, _ in images]).any():
         raise AnalysisError(f"r = {r!r} has no finite image: a stage cubic's coefficients "

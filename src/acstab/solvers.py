@@ -723,8 +723,9 @@ def _cubic_roots(a3, a2, a1, a0):
     With an array among them, returns (roots, sign) per entry: roots of
     shape (n, 3), each row ascending with NaN after its real roots, and sign
     the discriminant sign of CubicRoots; a row whose coefficients are not
-    finite, whose discriminant overflows, or whose Cardano square root rounds
-    to a negative argument is all NaN.  With floats only, roots is the
+    finite, whose discriminant overflows, whose p underflows to 0 in the
+    trigonometric form, or whose Cardano square root rounds to a negative
+    argument is all NaN.  With floats only, roots is the
     ascending tuple of real roots (empty or NaN for such a cubic) and sign a
     number.  Both run the same arithmetic, so every entry gets the bits it
     would get alone.
@@ -785,13 +786,13 @@ def real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> CubicRoots:
     _cubic_roots on floats, the same arithmetic that classify runs on whole
     arrays of constants.  Raises ConfigurationError when a3 == 0 and
     AnalysisError when a root is not finite: a coefficient is not finite,
-    the discriminant overflows, or rounding makes Cardano's square root
-    negative.
+    the discriminant overflows, p underflows to 0 in the trigonometric form,
+    or rounding makes Cardano's square root negative.
     """
     if a3 == 0.0:
         raise ConfigurationError("leading coefficient must be nonzero")
     roots, sign = _cubic_roots(float(a3), float(a2), float(a1), float(a0))
     if not (roots and all(map(math.isfinite, roots))):
         raise AnalysisError(f"cubic ({a3!r}, {a2!r}, {a1!r}, {a0!r}) has no finite closed-form "
-                            "roots: a coefficient is not finite, or the closed form overflows")
+                            "roots: a coefficient is not finite, or the closed form over- or underflows")
     return CubicRoots(roots, sign)

@@ -8,9 +8,9 @@ It crosses zero at
 
     eps^2 = -n'(c) / (D + sum_i (k_i pi)^2),
 
-where D = a / b: 1/dt for backward Euler, 2/dt for Crank-Nicolson, and
-1/(dt * a_ii) for a DIRK step, taken as its stiffest stage (a_ii the
-largest diagonal entry), a backward Euler step of length dt * a_ii.  The
+where D = a / b = 1/(dt * a_ii) for a Runge-Kutta step taken as its
+stiffest stage, a_ii the largest diagonal entry of its tableau: 1/dt for
+backward Euler, 2/dt for Crank-Nicolson.  MODCN's one stage has D = 2/dt.  The
 nonlinearity's slope n'(c) is 3c^2 - 1, so no crossing exists when
 1 - 3c^2 <= 0; for the modified Crank-Nicolson scheme (partner state c) it
 is 3c^2 >= 0, so that scheme never bifurcates.  The uniqueness thresholds
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError, _check_count
 from .fields import ACParams, ModeIndex, _eps_sq
-from .schemes import BE, CN, SchemeKind, _step_terms, mode_slope
+from .schemes import CN, SchemeKind, _step_terms, mode_slope
 
 __all__ = [
     "StabilityThreshold",
@@ -37,11 +37,10 @@ __all__ = [
 
 
 def _step_terms_at(kind: SchemeKind, p: ACParams, v0):
-    """implicit_system's terms of one step from v0; a DIRK step is taken as
-    its stiffest stage, a backward Euler step of length dt * max a_ii."""
-    if kind.tag != "dirk":
-        return _step_terms(kind, v0, 0.0, p)
-    return _step_terms(BE, v0, 0.0, ACParams(p.eps, p.dt * kind.tableau.max_diag))
+    """implicit_system's terms of one step from v0, taken as its stiffest
+    stage: modcn's one stage, or a tableau's with the largest a_ii (k = 0)."""
+    tab = kind._rk
+    return _step_terms(kind, v0, 0.0, p) if tab is None else (1.0 / p.dt, v0, tab.max_diag, 0.0)
 
 
 def bifurcation_epsilon_sq(kind: SchemeKind, c: float, dt: float, k: ModeIndex) -> float | None:
@@ -54,10 +53,10 @@ def bifurcation_epsilon_sq(kind: SchemeKind, c: float, dt: float, k: ModeIndex) 
     if not math.isfinite(c):
         raise ConfigurationError(f"c must be finite, got {c}")
     p = ACParams(1.0, dt)  # a and b of the step's terms do not depend on eps
-    a, _, b, _, partner = _step_terms_at(kind, p, c)
+    a, _, b, _, *partner = _step_terms_at(kind, p, c)
     # the slope a + b m + (b / eps^2) n'(c) vanishes at eps^2 = -n'(c) / (D + m)
     # with D = a / b; n'(c) is the slope of the step's n alone (a = 0, b = 1, eps = 1)
-    num = -mode_slope(p, 0.0, c, 1.0, 0.0, partner)(c)
+    num = -mode_slope(p, 0.0, c, 1.0, 0.0, *partner)(c)
     if num <= 0.0:
         return None
     return num / (a / b + k.laplace_eigenvalue)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from acstab import cli, schemes
 from acstab.errors import AnalysisError, ConfigurationError
-from acstab.fields import ACParams, ac_force
+from acstab.fields import ACParams
 from acstab.reference import RATIOS
 from acstab.robustness import classify_constant_initial, interval_sequence
 from acstab.schemes import (
@@ -50,26 +50,32 @@ def _reference_scalar_map(kind, r, p):
     (real_cubic_roots) per chain and stage: (c, selected) pairs ascending,
     images within MERGE_TOL of the first of their run merged into it.  The
     selected chain's Newton iterate (newton_solve), started from r and then
-    from the previous stage, picks the nearest root at each stage."""
+    from the previous stage, picks the nearest root at each stage.  An
+    explicit stage (b = 0) has one value, s - k / a; each stage passes
+    G(x) = n(x) / eps^2 on to the stages after it."""
     stages, b = _forward_stages(kind, p)
-    # (stage forces, last stage value, the Newton iterate on the selected chain or None)
+    # (stage G's, last stage value, the Newton iterate on the selected chain or None)
     chains = [((), r, r)]
     for stage in stages:
         grown = []
-        for fs, _, start in chains:
-            terms = stage(r, fs, lambda x: 0.0)
-            roots = real_cubic_roots(*constant_cubic(p, *terms)).real_roots
-            pick = -1
-            if start is not None:
-                start = newton_solve(*implicit_system(None, p, *terms), start)[0]
-                pick = min(range(len(roots)), key=lambda j: abs(roots[j] - start))
+        for gs, _, start in chains:
+            terms = stage(r, gs, lambda x: 0.0)
+            if terms[2] == 0.0:
+                roots, pick = (terms[1] - terms[3] / terms[0],), 0
+                start = None if start is None else roots[0]
+            else:
+                roots = real_cubic_roots(*constant_cubic(p, *terms)).real_roots
+                pick = -1
+                if start is not None:
+                    start = newton_solve(*implicit_system(None, p, *terms), start)[0]
+                    pick = min(range(len(roots)), key=lambda j: abs(roots[j] - start))
             for j, x in enumerate(roots):
-                grown.append((fs + (ac_force(0.0, x, p),) if b else fs, x,
+                grown.append((gs + ((1.0 / p.eps2) * (x * x * x - x),), x,
                               start if j == pick else None))
         chains = grown
     merged = []
-    for c, selected in sorted((_weighted(r, b, fs, p.dt) if b else x, start is not None)
-                              for fs, x, start in chains):
+    for c, selected in sorted((_weighted(r, b, gs, p.dt) if b else x, start is not None)
+                              for gs, x, start in chains):
         if merged and abs(c - merged[-1][0]) <= MERGE_TOL:
             merged[-1] = (merged[-1][0], merged[-1][1] or selected)
         else:

@@ -13,7 +13,7 @@ from acstab.fields import (
     GridSpec,
     ModeIndex,
     ScalarField,
-    ac_force,
+    _minus_force,
     apply_laplacian,
     center_value,
     constant_field,
@@ -145,7 +145,7 @@ def test_ac_rhs_zeros_exact():
     p = ACParams(eps=0.2, dt=0.1)
     for c in (-1.0, 0.0, 1.0):
         v = constant_field(g, c).values
-        assert np.all(ac_force(laplacian_matrix(g) @ v, v, p) == 0.0)
+        assert np.all(_minus_force(laplacian_matrix(g) @ v, v, p) == 0.0)
 
 
 def test_ac_rhs_odd():
@@ -154,8 +154,8 @@ def test_ac_rhs_odd():
     p = ACParams(eps=0.3, dt=0.1)
     u = rng.uniform(-2, 2, g.num_nodes)
     lap = laplacian_matrix(g)
-    neg = ac_force(lap @ -u, -u, p)
-    assert np.max(np.abs(neg + ac_force(lap @ u, u, p))) <= 1e-11
+    neg = _minus_force(lap @ -u, -u, p)
+    assert np.max(np.abs(neg + _minus_force(lap @ u, u, p))) <= 1e-11
 
 
 def test_mode_index_validation():
@@ -189,9 +189,11 @@ def test_butcher_tableau():
     assert [f.name for f in dataclasses.fields(ButcherTableau)] == ["a", "b"]
 
 
-def test_butcher_tableau_rejects_explicit_stages():
-    with pytest.raises(ConfigurationError):
-        ButcherTableau(a=((0.0, 0.0), (0.5, 0.5)), b=(0.5, 0.5))
+def test_butcher_tableau_needs_an_implicit_stage():
+    # an explicit stage (a_ii = 0) is accepted, as in the trapezoid rule
+    assert ButcherTableau(a=((0.0, 0.0), (0.5, 0.5)), b=(0.5, 0.5)).max_diag == 0.5
+    with pytest.raises(ConfigurationError, match="implicit stage"):
+        ButcherTableau(a=((0.0, 0.0), (0.5, 0.0)), b=(0.5, 0.5))
 
 
 @pytest.mark.parametrize("dim", (1, 2))

@@ -15,7 +15,7 @@ from acstab.fields import (
     ButcherTableau,
     ModeIndex,
     ScalarField,
-    ac_force,
+    _minus_force,
     eval_mode,
     field_mean,
     laplacian_matrix,
@@ -195,7 +195,8 @@ def test_preimage_backward_euler_explicit():
         c = rng.uniform(-3, 3)
         p = ACParams(rng.uniform(0.05, 1.0), rng.uniform(1e-3, 1.0))
         ps = preimage_constants(BE, c, p)
-        assert ps.roots == (c + p.dt * (c * c * c - c) / p.eps2,)
+        # the link's terms in r, (-1/dt, c, 0, G(c)), solved explicitly: r = c - G(c) / (-1/dt)
+        assert ps.roots == (c - (1.0 / p.eps2) * (c * c * c - c) / -(1.0 / p.dt),)
 
 
 def test_preimage_trapezoid_examples():
@@ -265,12 +266,12 @@ def _forward_sides(kind, c, chain, p):
     dt = p.dt
 
     def f(v):
-        return ac_force(0.0, v, p)
+        return -_minus_force(0.0, v, p)
 
     if kind.tag == "dirk":
         (a11, _), (a21, a22) = kind.tableau.a
         b1, b2 = kind.tableau.b
-        r, x1, x2 = chain
+        r, x1, x2 = (*chain, c)[:3]  # a stiffly accurate chain ends at phi_1: phi_2 is c
         return (
             ([x1, -dt * a11 * f(x1)], [r]),
             ([x2, -dt * a22 * f(x2)], [r, dt * a21 * f(x1)]),
@@ -364,7 +365,8 @@ def test_links_read_off_a_tableau_are_its_step(kind, c, eps, ratio, x, u):
     # where the forward step's cubes overflow: those chains are not mapped.
     p = ACParams(eps, robustness._ratio_dt(kind, ratio, eps))
     links = _backward_links(kind, p)
-    assert len(links) == kind.tableau.stages + 1
+    # the link from c is the identity, dropped, where b_s = a_ss
+    assert len(links) == kind.tableau.stages + (kind.tableau.b[-1] != kind.tableau.a[-1][-1])
     for fwd, bwd in links:
         in_x = implicit_system(None, p, *fwd(u))[0](x)
         in_u = implicit_system(None, p, *bwd(x, 0.0))[0](u)
@@ -616,12 +618,16 @@ def test_gain_matches_measured_response(kind):
     k=st.lists(st.integers(0, 4), min_size=1, max_size=2),
 )
 def test_dirk_chain_gains_are_the_stage_constant_gains(kind, eps, dt, c, k):
-    # the walk's first fwd and last bwd sides are explicit, so the stage
-    # constants stand in for c and r to the bit, as dirk_perturbation_gains does
+    # the walk's last bwd side is explicit, and so is its first fwd side but
+    # in a stiffly accurate tableau (whose link from c is the identity,
+    # dropped), so the stage constants stand in for r and c to the bit, as
+    # dirk_perturbation_gains does
     p, mode = ACParams(eps, dt), ModeIndex(tuple(map(float, k)))
+    head = c if kind.tableau.b == kind.tableau.a[-1] else None
     for chain in preimage_constants(kind, c, p).chains:
         got = perturbation_gain(kind, c, chain[0], mode, p)
-        want = robustness._chain_gains(kind, (chain[2], chain[2], chain[1], chain[1]), mode, p)
+        states = (chain[-1] if head is None else head, *reversed(chain[1:]), chain[1])
+        want = robustness._chain_gains(kind, states, mode, p)
         assert got.r == chain[0] and got.pole == want.pole
         assert [b.hex() for b in got.gain] == [b.hex() for b in want.gain]
         if kind is DIRK2:
@@ -742,15 +748,16 @@ def test_preimage_field_dirk():
 
 
 def test_preimage_field_sdirk2_round_trips():
-    # every constant branch at c = 0.5, its explicit identity link included
+    # every constant branch at c = 0.5; the link c -> phi_2 is the identity
+    # (the tableau is stiffly accurate) and is dropped, so a chain is (r, phi_1)
     grid = make_grid(1, 65)
     p = ACParams(0.1, 0.01)
     c = 0.5
     chains = preimage_constants(_SDIRK2, c, p).chains
-    assert len(chains) == 3 and all(chain[2] == c for chain in chains)
+    assert len(chains) == 3 and all(len(chain) == 2 for chain in chains)
     for chain in chains:
         g = perturbation_gain(_SDIRK2, c, chain[0], ModeIndex((1.0,)), p)
-        target, phi_n, rep = _mode_preimage(_SDIRK2, c, chain[0], g.gain[2], 1, p, grid, 0.1)
+        target, phi_n, rep = _mode_preimage(_SDIRK2, c, chain[0], g.gain[1], 1, p, grid, 0.1)
         assert rep.converged
         fwd, _ = step(_SDIRK2, phi_n, p)
         assert np.max(np.abs(fwd.values - target.values)) <= 1e-10
@@ -851,8 +858,9 @@ def test_preimage_field_2d_certified_runs_cg(monkeypatch):
 
 def test_preimage_field_2d_uncertified_runs_minres(monkeypatch):
     # the DIRK2 middle chain r = 0.2046 -> 0.2665 -> 0.4142 at c = 0.5: both
-    # backward stages have a + min(d) near -1.1, so MINRES solves them, with
-    # sparse LU only where it misses
+    # backward stages have a + min(d) near -1.1 / dt (each link is its
+    # equation divided by dt), so MINRES solves them, with sparse LU only
+    # where it misses
     grid = make_grid(2, 17)
     p = ACParams(0.1, 0.01)
     c = 0.5
@@ -876,7 +884,7 @@ def test_preimage_field_2d_uncertified_runs_minres(monkeypatch):
     for (_, bwd), x, u in zip(_backward_links(DIRK2, p), (c, c2), (c2, c1)):
         terms = bwd(np.full(grid.num_nodes, x), 0.0)
         op = implicit_system(grid, p, *terms)[1](np.full(grid.num_nodes, u))
-        assert not op.certified and op.a + op.d.min() == pytest.approx(-1.1, abs=0.15)
+        assert not op.certified and op.a + op.d.min() == pytest.approx(-1.1 / p.dt, abs=0.15 / p.dt)
     fwd, _ = step(DIRK2, phi_n, p)
     assert np.max(np.abs(fwd.values - target.values)) <= 1e-8
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from acstab import solvers
@@ -226,22 +226,24 @@ _SDIRK2 = SchemeKind("dirk", ButcherTableau(((_GAMMA, 0.0), (1.0 - _GAMMA, _GAMM
     st.lists(st.one_of(st.floats(-300.0, 300.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8),
 )
 def test_newton_each_entry_is_the_float_loop(kind, eps, dt, rs):
-    # each stage equation of a step from an array of constants, and each
-    # entry's alone as a float unknown, iterates exactly as the float loop
-    # does; a DIRK stage starts from the stage before it, as in step
+    # each implicit stage equation of a step from an array of constants, and
+    # each entry's alone as a float unknown, iterates exactly as the float
+    # loop does; a stage starts from the stage before it, as in step
     p = ACParams(eps, dt)
-    stages, b = _forward_stages(kind, p)
+    stages, _ = _forward_stages(kind, p)
     rs = np.array(rs)
-    guess, fs = rs, []
+    guess, gs = rs, []
     for stage in stages:
-        terms = stage(rs, fs, _no_lap)
-        x, rn = solvers._newton_each(*implicit_system(None, p, *terms), guess)
-        for j, r in enumerate(rs.tolist()):
-            one = implicit_system(None, p, *stage(r, [f[j] for f in fs], _no_lap))
-            _assert_float_loop(*one, float(guess[j]), x[j], rn[j])
-        if b is not None:  # a DIRK stage's force, as step reads it
-            a, s, dt_aii = terms
-            fs.append(a * (x - s) / dt_aii)
+        a, s, b, k, *_ = terms = stage(rs, gs, _no_lap)
+        if b == 0.0:  # cn's explicit first stage: no Newton loop, G evaluated
+            x = s - k / a
+            gs.append((1.0 / p.eps2) * (x * x * x - x))
+        else:
+            x, rn = solvers._newton_each(*implicit_system(None, p, *terms), guess)
+            for j, r in enumerate(rs.tolist()):
+                one = implicit_system(None, p, *stage(r, [g[j] for g in gs], _no_lap))
+                _assert_float_loop(*one, float(guess[j]), x[j], rn[j])
+            gs.append(-(a * (x - s) + k) / b)  # the stage's G, as step reads it
         guess = x
 
 
@@ -493,6 +495,8 @@ def _reference_cubic_roots(a3, a2, a1, a0):
     q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
     if sign > 0:
         m = 2.0 * math.sqrt(-p / 3.0)
+        if p * m == 0.0:  # p underflows to 0: the closed form has no finite roots
+            raise ValueError("p underflows to 0 in the trigonometric form")
         theta = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * m))))
         ts = [m * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3)]
     elif sign == 0:
@@ -523,8 +527,8 @@ def _reference_cubic_roots(a3, a2, a1, a0):
 def _assert_cubic_roots_match_reference(coeffs):
     """_cubic_roots on the arrays of coeffs, and real_cubic_roots on each row,
     give the reference's roots and sign to the bit.  Where the reference fails
-    (rounding makes Cardano's square root negative), the row is all NaN and
-    real_cubic_roots raises."""
+    (rounding makes Cardano's square root negative, or p underflows to 0 in
+    the trigonometric form), the row is all NaN and real_cubic_roots raises."""
     columns = [np.array(c) for c in zip(*coeffs)]
     roots, sign = solvers._cubic_roots(*columns)
     for row, got_roots, got_sign in zip(coeffs, roots, sign.tolist()):
@@ -561,6 +565,8 @@ def _three_roots(x, dx, dy):
     st.builds(_three_roots, st.floats(-5.0, 5.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
     st.builds(_three_roots, _coefficient, st.floats(-1.0, 1.0), st.floats(-1e-6, 1e-6)),
 ), min_size=1, max_size=12))
+# three roots near 1e-54: p = c - b^2 / 3 underflows to 0 in the trigonometric form
+@example(coeffs=[_three_roots(8.91425200838918e-55, 0.0, 0.0)])
 def test_cubic_roots_on_arrays_are_the_float_closed_form(coeffs):
     _assert_cubic_roots_match_reference(coeffs)
 
