@@ -440,7 +440,7 @@ def _preimage_field(args, kind, p, target: ScalarField, c: float, delta: float,
         print(f"continuation stalled at delta = {rep.delta}: {rep.message}", file=sys.stderr)
         code = 3
     if not fwd_rep.success:
-        print(f"forward check step {_stage_failure(kind, fwd_rep)}", file=sys.stderr)
+        print(f"forward check step {_stage_failure(kind, p, fwd_rep)}", file=sys.stderr)
         code = 3
     return code
 

@@ -36,7 +36,6 @@ __all__ = [
     "make_grid",
     "constant_field",
     "laplacian_matrix",
-    "apply_laplacian",
     "eval_mode",
     "trapezoid_weights",
     "field_mean",
@@ -188,8 +187,10 @@ class ModeIndex:
 class ButcherTableau:
     """Lower-triangular Runge-Kutta coefficients (a, b) with s stages.
 
-    A stage with a_ii = 0 is explicit; at least one stage must be implicit.
-    The Allen-Cahn equation is autonomous, so no stage reads the nodes c.
+    Only the first stage may be explicit (a_11 = 0, as in the trapezoid
+    rule): it is then phi_n itself.  Every later stage is implicit, and so is
+    a tableau's one stage.  The Allen-Cahn equation is autonomous, so no
+    stage reads the nodes c.
     """
 
     a: tuple[tuple[float, ...], ...]
@@ -208,6 +209,8 @@ class ButcherTableau:
                 raise ConfigurationError("a must be lower triangular")
         if all(a[i][i] == 0.0 for i in range(s)):
             raise ConfigurationError("some diagonal entry must be nonzero (an implicit stage)")
+        if any(a[i][i] == 0.0 for i in range(1, s)):
+            raise ConfigurationError("only the first stage may be explicit (a_ii = 0)")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -355,13 +358,6 @@ def dct1(arr: np.ndarray) -> np.ndarray:
     if out.ndim == 1:
         return _dct1_matrix(out.shape[0]) @ out
     return _dct1_matrix(out.shape[0]) @ out @ _dct1_matrix(out.shape[1]).T
-
-
-def apply_laplacian(u: ScalarField) -> ScalarField:
-    """The zero-flux Laplacian of a field: laplacian_matrix(u.grid) @ u.values,
-    the product the steps' residuals use.  Exactly 0 on constants; separable
-    eigenmodes come back with O(h^2)-accurate eigenvalues."""
-    return ScalarField(u.grid, laplacian_matrix(u.grid) @ u.values)
 
 
 def eval_mode(k: ModeIndex, grid: GridSpec) -> ScalarField:

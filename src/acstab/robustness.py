@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import AnalysisError, ConfigurationError, _check_count
 from .fields import ACParams, ModeIndex, ScalarField, _minus_force, field_mean, laplacian_matrix
-from .schemes import _SETTLE_TOL, DIRK2, MERGE_TOL, SchemeKind, _explicit
-from .schemes import _selected_images, _sign, _step_terms, constant_cubic, implicit_system, mode_slope
+from .schemes import _SETTLE_TOL, DIRK2, MERGE_TOL, SchemeKind, _forward_stages, _no_lap
+from .schemes import _selected_images, _sign, constant_cubic, implicit_system, mode_slope
 from .schemes import scalar_map  # unused here, kept for perfbench/layertrace.py, which patches it
 from .solvers import (
     CubicRoots,
@@ -89,6 +90,7 @@ class PreimageSet:
     chains: tuple[tuple[float, ...], ...]
 
 
+@lru_cache(maxsize=64)
 def _backward_links(kind: SchemeKind, p: ACParams):
     """One step read backward: links (fwd, bwd) from the result to the start.
 
@@ -102,8 +104,9 @@ def _backward_links(kind: SchemeKind, p: ACParams):
     phi_i - dt a_ii F(phi_i) = phi_{i-1} + dt (a_{i,i-1} - a_{i-1,i-1}) F(phi_{i-1}).
     """
     idt = 1.0 / p.dt
-    if kind.tag == "modcn":  # the explicit -u/eps^2 joins the shift
-        return ((lambda u: _step_terms(kind, u, 0.0, p),
+    if kind.tag == "modcn":  # forward its one stage; backward the explicit -u/eps^2 joins the shift
+        (stage,), _, _ = _forward_stages(kind, p)
+        return ((lambda u: stage(u, [], _no_lap),
                  lambda x, lap_x: (-idt - 1.0 / p.eps2, 0.0, 0.5, idt * x - 0.5 * lap_x, x)),)
     # rows i = 0 (r), 1..s (the stages), s + 1 (c): rows[i][j] = a_ij for 1-based j, a_i0 = 0
     tab = kind._rk
@@ -113,6 +116,12 @@ def _backward_links(kind: SchemeKind, p: ACParams):
             "tableau is not readable backward: it needs a_ij = a_(i-1)j for j < i - 1")
     pairs = ((rows[i][i], rows[i][i - 1] - rows[i - 1][i - 1]) for i in range(len(rows) - 1, 0, -1))
     return tuple(_rk_link(d, g, idt, p) for d, g in pairs if d or g)
+
+
+def _explicit(a, s, b, k=0.0, partner=None):
+    """u solving a (u - s) + k = 0: a link whose bwd terms have b = 0, as
+    backward Euler's one link and DIRK2's last."""
+    return s - k / a
 
 
 def _rk_link(d: float, g: float, idt: float, p: ACParams):

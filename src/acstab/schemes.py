@@ -27,13 +27,13 @@ only chooses (a, s, b, k, w).  On constants the equation is the cubic
 Laplacian eigenmode at a constant; every linearization in ``robustness`` and
 ``stability`` is built from it.
 
-Each scheme's step is read forward once, ``_forward_stages``.  ``step``
-walks its stages on fields, one Newton solve per implicit stage started
-from the previous stage, and reads each implicit stage's G = -F off the
-equation it just solved: evaluated afresh, Lap(phi_i) would scale the
-stage's Newton error by about dt a_ii 4 dim / h^2, so states whose stages
-are already solved would keep moving by roundoff.  An explicit stage's G is
-evaluated.
+Each scheme's step is read forward once, ``_forward_stages``: its implicit
+stages.  ``step`` walks them on fields, one Newton solve per stage started
+from the previous stage, and reads each stage's G = -F off the equation it
+just solved: evaluated afresh, Lap(phi_i) would scale the stage's Newton
+error by about dt a_ii 4 dim / h^2, so states whose stages are already
+solved would keep moving by roundoff.  Only a tableau's first stage may be
+explicit, and it is phi_n itself: its G(phi_n) is evaluated.
 
 Constant fields stay constant: Lap maps them to exactly 0, so each stage is
 ``implicit_system``'s equation without a grid, a cubic.  ``step`` walks a
@@ -47,6 +47,7 @@ stage values are closed-form roots, so they evaluate G(x) itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 
 import numpy as np
@@ -204,38 +205,33 @@ def constant_cubic(p: ACParams, a, s, b, k=0.0, partner=None) -> tuple[float, fl
     return 1.0, w, w * w + 2.0 * a / g, _cubes(w) + 2.0 * (k - a * s) / g
 
 
-def _step_terms(kind: SchemeKind, v0, lap_v0, p: ACParams):
-    """implicit_system's (a, s, b, k, partner) for a be, cn or modcn step from v0:
-    its last stage, after explicit ones at phi_n; lap_v0 = Lap(v0), 0.0 on constants."""
-    if kind.tableau and any(map(any, kind.tableau.a[:-1])):
-        raise ConfigurationError("a dirk step is a chain of stages; see _forward_stages")
-    *early, last = _forward_stages(kind, p)[0]
-    return last(v0, [_minus_force(lap_v0, v0, p)] * len(early), lambda x: lap_v0)
-
-
+@lru_cache(maxsize=64)
 def _forward_stages(kind: SchemeKind, p: ACParams):
-    """One step read forward: (stages, b).
+    """One step read forward: (stages, b, lead), its implicit stages in order.
 
-    stage(v0, gs, lap) gives implicit_system's terms in the next stage from
-    phi_n = v0 and gs = (G(phi_1), ...), G = -F, of the stages before it;
-    lap(x) is Lap(x): a matrix product on fields, 0.0 on constants.  Stage i
-    of a tableau has terms (1/dt, phi_n, a_ii, sum_{j<i} a_ij G_j): its
-    equation phi_i - phi_n = dt sum_{j<=i} a_ij F(phi_j) divided by dt, and
-    explicit where a_ii = 0.  b combines the stages into phi_{n+1} = phi_n -
-    dt sum_i b_i G_i; it is None where phi_{n+1} is the last stage (modcn's
-    one stage, and a stiffly accurate tableau: b its last row, as for be, cn).
+    lead(v0, lap) starts gs: [G(phi_n)] where a tableau's first stage is
+    explicit, as cn's (that stage is phi_1 = phi_n itself), and [] otherwise.
+    stage(v0, gs, lap) gives implicit_system's terms in the stage from phi_n
+    = v0 and gs = (G(phi_1), ...), G = -F, of the stages before it; lap(x)
+    is Lap(x): a matrix product on fields, 0.0 on constants.  Stage i of a
+    tableau has terms (1/dt, phi_n, a_ii, sum_{j<i} a_ij G_j): its equation
+    phi_i - phi_n = dt sum_{j<=i} a_ij F(phi_j) divided by dt.  b combines
+    the G's of all stages into phi_{n+1} = phi_n - dt sum_i b_i G_i; it is
+    None where phi_{n+1} is the last stage (modcn's one stage, and a stiffly
+    accurate tableau: b its last row, as for be, cn).
     """
     tab, idt = kind._rk, 1.0 / p.dt
     if kind.tag == "modcn":  # the expansive -v0/eps^2 stays explicit
-        return (lambda v0, gs, lap: (idt, v0, 0.5, -0.5 * lap(v0) - (1.0 / p.eps2) * v0, v0),), None
+        return ((lambda v0, gs, lap: (idt, v0, 0.5, -0.5 * lap(v0) - (1.0 / p.eps2) * v0, v0),),
+                None, _no_gs)
+    lead = _no_gs if tab.a[0][0] else lambda v0, lap: [_minus_force(lap(v0), v0, p)]
     stages = tuple(lambda v0, gs, lap, d=row[i], w=row[:i]: (idt, v0, d, sum(map(mul, w, gs), 0.0))
-                   for i, row in enumerate(tab.a))
-    return stages, (None if tab.b == tab.a[-1] else tab.b)
+                   for i, row in enumerate(tab.a) if row[i])
+    return stages, (None if tab.b == tab.a[-1] else tab.b), lead
 
 
-def _explicit(a, s, b, k=0.0, partner=None):
-    """x solving a (x - s) + k = 0: a stage or link whose terms have b = 0."""
-    return s - k / a
+def _no_gs(v0, lap) -> list:
+    return []
 
 
 def step(kind: SchemeKind, phi_n: ScalarField, p: ACParams, cfg: NewtonConfig | None = None):
@@ -271,20 +267,17 @@ def _walk(kind: SchemeKind, v0, p: ACParams, cfg: NewtonConfig | None, grid):
     float: (value, reports).  Stage terms that overflow warn of nothing:
     Newton reports the residual at its guess as not finite."""
     lap = _no_lap if grid is None else laplacian_matrix(grid).__matmul__
-    stages, b = _forward_stages(kind, p)
-    x, gs, reports = v0, [], []
+    stages, b, lead = _forward_stages(kind, p)
+    x, reports = v0, []
     with np.errstate(over="ignore", invalid="ignore"):  # newton_solve ignores them too
-        for stage in stages:
+        gs = lead(v0, lap)
+        for i, stage in enumerate(stages, 1):
             a, s, b_ii, k, *_ = terms = stage(v0, gs, lap)
-            if b_ii == 0.0:
-                x = _explicit(*terms)
-                gs.append(_minus_force(lap(x), x, p))
-                continue
             x, rep = newton_solve(*implicit_system(grid, p, *terms), x, cfg)
             reports.append(rep)
             if not rep.converged:
                 return x, tuple(reports)
-            if len(gs) + 1 < len(stages) or b is not None:  # a later stage or b reads its G
+            if i < len(stages) or b is not None:  # a later stage or b reads its G
                 gs.append(-(a * (x - s) + k) / b_ii)
     return (x if b is None else _weighted(v0, b, gs, p.dt)), tuple(reports)
 
@@ -356,10 +349,9 @@ def _settled_sign(s: StepSummary, settle_tol: float) -> int:
     return 0
 
 
-def _stage_failure(kind: SchemeKind, rep: StepReport) -> str:
+def _stage_failure(kind: SchemeKind, p: ACParams, rep: StepReport) -> str:
     """'did not converge at stage i of s (message, residual r)' for a failed step."""
-    bad, tab = rep.stage_reports[-1], kind._rk
-    implicit = sum(row[i] != 0.0 for i, row in enumerate(tab.a)) if tab else 1
+    bad, implicit = rep.stage_reports[-1], len(_forward_stages(kind, p)[0])
     return (f"did not converge at stage {len(rep.stage_reports)} of {implicit} "
             f"({bad.message}, residual {bad.residual:.3g})")
 
@@ -394,7 +386,7 @@ def simulate(
         u_new, rep = step(kind, u, p, cfg)
         if not rep.success:
             return Trajectory(tuple(summaries), bool(limit), settle_step, limit,
-                              failure=f"step {i} {_stage_failure(kind, rep)}")
+                              failure=f"step {i} {_stage_failure(kind, p, rep)}")
         u = u_new
         bits = u.values.tobytes()
         if bits in recent:  # copies of summaries already tested for settling
@@ -425,38 +417,32 @@ def _nearest(roots, x):
 def _selected_images(kind: SchemeKind, r: np.ndarray, p: ACParams):
     """(images, picks): the image the field stepper reaches from each constant
     in the 1-D array r under one step (NaN where not finite), and picks[k] the
-    index (ascending) of the root it takes at stage k.
+    index (ascending) of the root it takes at implicit stage k.
 
-    One cubic per state and implicit stage.  Where it has several real roots,
+    One cubic per state and implicit stage; an explicit first stage is r
+    itself, and only its G(r) enters.  Where a cubic has several real roots,
     the stepper's Newton iterate picks the nearest; it starts from r, then
     from the previous stage's iterate, or from its root where it had only
-    one.  An explicit stage has one root, its value.
+    one.
     """
-    stages, b = _forward_stages(kind, p)
-    start, gs, picks = r, [], []
+    stages, b, lead = _forward_stages(kind, p)
+    start, picks = r, []
     with np.errstate(all="ignore"):
+        gs = lead(r, _no_lap)
         for stage in stages:
             terms, pick = stage(r, gs, _no_lap), np.zeros(r.size, dtype=int)
-            if terms[2] == 0.0:
-                x = start = _explicit(*terms)
-            else:
-                roots = _cubic_roots(*constant_cubic(p, *terms))[0]
-                several = np.flatnonzero(roots[:, 1] == roots[:, 1])  # a second real root
-                guess, start = start[several], roots[:, 0].copy()
-                if several.size:
-                    terms = stage(r[several], [g[several] for g in gs], _no_lap)
-                    start[several] = _newton_each(*implicit_system(None, p, *terms), guess)[0]
-                    pick[several] = _nearest(roots[several], start[several])
-                x = roots[np.arange(r.size), pick]
+            roots = _cubic_roots(*constant_cubic(p, *terms))[0]
+            several = np.flatnonzero(roots[:, 1] == roots[:, 1])  # a second real root
+            guess, start = start[several], roots[:, 0].copy()
+            if several.size:
+                terms = stage(r[several], [g[several] for g in gs], _no_lap)
+                start[several] = _newton_each(*implicit_system(None, p, *terms), guess)[0]
+                pick[several] = _nearest(roots[several], start[several])
+            x = roots[np.arange(r.size), pick]
             picks.append(pick)
             if len(picks) < len(stages) or b is not None:  # a later stage or b reads its G
                 gs.append(_minus_force(0.0, x, p))
         return (x if b is None else _weighted(r, b, gs, p.dt)), picks
-
-
-def _stage_roots(p: ACParams, terms):
-    """A stage's constant solutions: its cubic's real roots, or its one value where b = 0."""
-    return _cubic_roots(*constant_cubic(p, *terms))[0] if terms[2] else (_explicit(*terms),)
 
 
 def _weighted(v0, weights, gs, dt: float):
@@ -474,13 +460,13 @@ def scalar_map(kind: SchemeKind, r: float, p: ACParams) -> list[tuple[float, boo
     AnalysisError when r has no finite image.
     """
     r = float(r)
-    stages, b = _forward_stages(kind, p)
+    stages, b, lead = _forward_stages(kind, p)
     picks = tuple(int(k[0]) for k in _selected_images(kind, np.array([r]), p)[1])
-    chains = [((), (), r)]  # per chain: its root indices, stage G's and last stage value
     with np.errstate(all="ignore"):
+        chains = [((), tuple(lead(r, _no_lap)), r)]  # per chain: root indices, stage G's, last value
         for stage in stages:
             chains = [(path + (j,), gs + (_minus_force(0.0, x, p),), x) for path, gs, _ in chains
-                      for j, x in enumerate(_stage_roots(p, stage(r, gs, _no_lap)))]
+                      for j, x in enumerate(_cubic_roots(*constant_cubic(p, *stage(r, gs, _no_lap)))[0])]
         images = [(x if b is None else _weighted(r, b, gs, p.dt), path == picks)
                   for path, gs, x in chains]
     images = sorted(pair for pair in images if pair[0] == pair[0])  # NaN images dropped

@@ -172,10 +172,10 @@ class ShiftedLaplacian:
     """The linear operator a I - b L + diag(d) on a grid, L = laplacian_matrix(grid).
 
     a and b are scalars and d holds one value per node.  Supports `op @ x`,
-    tosparse(), todense() and solve(rhs, rtol), each through L's numpy
-    product or coefficient rows.  SciPy loads only for tosparse() and
-    todense() (scipy.sparse), and in solve for a 1D system (scipy.linalg's
-    gtsv) or a 2D sparse LU fallback.
+    tosparse() and solve(rhs, rtol), each through L's numpy product or
+    coefficient rows.  SciPy loads only for tosparse() (scipy.sparse), and
+    in solve for a 1D system (scipy.linalg's gtsv) or a 2D sparse LU
+    fallback.
     """
 
     grid: GridSpec
@@ -196,9 +196,6 @@ class ShiftedLaplacian:
         import scipy.sparse as sp
 
         return (sp.diags(self.a + self.d) - self.b * laplacian_matrix(self.grid).tosparse()).tocsr()
-
-    def todense(self) -> np.ndarray:
-        return self.tosparse().toarray()
 
     def solve(self, rhs: np.ndarray, rtol: float = _LINEAR_RTOL) -> np.ndarray:
         """x with self @ x = rhs, by a method picked from the operator:

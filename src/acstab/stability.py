@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError, _check_count
 from .fields import ACParams, ModeIndex, _eps_sq
-from .schemes import CN, SchemeKind, _step_terms, mode_slope
+from .schemes import CN, SchemeKind, _forward_stages, _no_lap, mode_slope
 
 __all__ = [
     "StabilityThreshold",
@@ -38,9 +38,9 @@ __all__ = [
 
 def _step_terms_at(kind: SchemeKind, p: ACParams, v0):
     """implicit_system's terms of one step from v0, taken as its stiffest
-    stage: modcn's one stage, or a tableau's with the largest a_ii (k = 0)."""
-    tab = kind._rk
-    return _step_terms(kind, v0, 0.0, p) if tab is None else (1.0 / p.dt, v0, tab.max_diag, 0.0)
+    stage: the one with the largest a_ii (the first on ties), read with no
+    G's before it, so a tableau's has k = 0; modcn's one stage keeps its k."""
+    return max((stage(v0, [], _no_lap) for stage in _forward_stages(kind, p)[0]), key=lambda t: t[2])
 
 
 def bifurcation_epsilon_sq(kind: SchemeKind, c: float, dt: float, k: ModeIndex) -> float | None:

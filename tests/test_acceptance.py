@@ -23,7 +23,17 @@ from acstab.robustness import (
     preimage_constants,
     preimage_field,
 )
-from acstab.schemes import BE, CN, DIRK2, MODCN, _step_terms, implicit_system, scalar_map, simulate, step
+from acstab.schemes import (
+    BE,
+    CN,
+    DIRK2,
+    MODCN,
+    _forward_stages,
+    implicit_system,
+    scalar_map,
+    simulate,
+    step,
+)
 from acstab.solvers import HomotopyConfig, NewtonConfig, fd_jacobian, newton_solve
 from acstab.stability import stability_threshold
 
@@ -216,21 +226,22 @@ def test_criterion_10_property_bundle():
         p = ACParams(0.3, 0.05)
 
         # analytic vs finite-difference jacobians
+        lap = laplacian_matrix(grid).__matmul__
         for kind in (BE, CN, MODCN):
+            (stage,), _, lead = _forward_stages(kind, p)  # the one implicit stage
             for _ in range(20):
                 phi_n = ScalarField(grid, rng.uniform(-1.5, 1.5, grid.num_nodes))
                 u = rng.uniform(-1.5, 1.5, grid.num_nodes)
                 v0 = phi_n.values
-                residual, jacobian = implicit_system(
-                    grid, p, *_step_terms(kind, v0, laplacian_matrix(grid) @ v0, p))
-                J = np.asarray(jacobian(u).todense())
+                residual, jacobian = implicit_system(grid, p, *stage(v0, lead(v0, lap), lap))
+                J = jacobian(u).tosparse().toarray()
                 Jfd = fd_jacobian(residual, u)
                 assert np.max(np.abs(J - Jfd)) <= 1e-5 * max(1.0, np.max(np.abs(J)))
         for _ in range(20):
             known = rng.uniform(-1.5, 1.5, grid.num_nodes)
             u = rng.uniform(-1.5, 1.5, grid.num_nodes)
             residual, jacobian = implicit_system(grid, p, 1.0, known, 0.25 * p.dt)
-            J = np.asarray(jacobian(u).todense())
+            J = jacobian(u).tosparse().toarray()
             Jfd = fd_jacobian(residual, u)
             assert np.max(np.abs(J - Jfd)) <= 1e-5 * max(1.0, np.max(np.abs(J)))
 
@@ -252,9 +263,7 @@ def test_criterion_10_property_bundle():
         def eig_err(n):
             g = make_grid(1, n)
             v = eval_mode(mode, g)
-            from acstab.fields import apply_laplacian
-
-            return np.max(np.abs(apply_laplacian(v).values + lam * v.values))
+            return np.max(np.abs(laplacian_matrix(g) @ v.values + lam * v.values))
 
         ratio = eig_err(65) / eig_err(129)
         assert 3.5 <= ratio <= 4.5
@@ -296,8 +305,9 @@ def test_criterion_10_property_bundle():
         eps = 0.3
         pu = ACParams(eps, 0.5 * eps * eps)
         phi_n = ScalarField(g65, 0.1 + 0.3 * eval_mode(ModeIndex((1.0,)), g65).values)
-        v0 = phi_n.values
-        residual, jacobian = implicit_system(g65, pu, *_step_terms(BE, v0, laplacian_matrix(g65) @ v0, pu))
+        (stage,), _, _ = _forward_stages(BE, pu)  # be's one stage: no G's before it
+        lap65 = laplacian_matrix(g65).__matmul__
+        residual, jacobian = implicit_system(g65, pu, *stage(phi_n.values, [], lap65))
         sols = []
         for _ in range(100):
             guess = rng.uniform(-3, 3, g65.num_nodes)

@@ -852,7 +852,7 @@ def test_each_command_takes_exactly_the_flags_it_reads():
 _PUBLIC_NAMES = {
     "AnalysisError", "ConfigurationError",
     "ACParams", "ButcherTableau", "DIRK2_TABLEAU", "GridSpec", "ModeIndex", "ScalarField",
-    "apply_laplacian", "center_value", "constant_field", "eval_mode", "field_l2", "field_mean",
+    "center_value", "constant_field", "eval_mode", "field_l2", "field_mean",
     "laplacian_matrix", "make_grid", "trapezoid_weights",
     "CubicRoots", "HomotopyConfig", "NewtonConfig", "NewtonReport", "delta_schedule",
     "homotopy_path", "newton_solve", "real_cubic_roots",
@@ -868,7 +868,7 @@ _PUBLIC_NAMES = {
 
 
 def test_the_package_exports_exactly_its_public_names():
-    assert len(acstab.__all__) == len(set(acstab.__all__)) == 53
+    assert len(acstab.__all__) == len(set(acstab.__all__)) == 52
     assert set(acstab.__all__) == _PUBLIC_NAMES
     assert all(hasattr(acstab, name) for name in acstab.__all__)
 

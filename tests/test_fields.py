@@ -14,7 +14,6 @@ from acstab.fields import (
     ModeIndex,
     ScalarField,
     _minus_force,
-    apply_laplacian,
     center_value,
     constant_field,
     eval_mode,
@@ -70,7 +69,7 @@ def test_scalar_field_validation():
 def test_constant_laplacian_is_exactly_zero():
     for dim, n in [(1, 33), (2, 17)]:
         u = constant_field(make_grid(dim, n), 3.7)
-        assert np.all(apply_laplacian(u).values == 0.0)
+        assert np.all(laplacian_matrix(u.grid) @ u.values == 0.0)
 
 
 def test_laplacian_linearity():
@@ -78,8 +77,9 @@ def test_laplacian_linearity():
     g = make_grid(2, 13)
     u = ScalarField(g, rng.uniform(-2, 2, g.num_nodes))
     v = ScalarField(g, rng.uniform(-2, 2, g.num_nodes))
-    lhs = apply_laplacian(ScalarField(g, 1.5 * u.values - 0.25 * v.values)).values
-    rhs = 1.5 * apply_laplacian(u).values - 0.25 * apply_laplacian(v).values
+    lap = laplacian_matrix(g)
+    lhs = lap @ (1.5 * u.values - 0.25 * v.values)
+    rhs = 1.5 * (lap @ u.values) - 0.25 * (lap @ v.values)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -92,21 +92,21 @@ def test_neumann_weighted_sum_vanishes():
         g = make_grid(dim, n)
         u = ScalarField(g, rng.uniform(-3, 3, g.num_nodes))
         w = trapezoid_weights(g)
-        total = float(w @ apply_laplacian(u).values)
+        total = float(w @ (laplacian_matrix(g) @ u.values))
         assert abs(total) <= 1e-10 * np.max(np.abs(u.values)) * g.num_nodes
 
 
 def test_integer_mode_eigenvalue_1d():
     g = make_grid(1, 257)
     v = eval_mode(ModeIndex((1.0,)), g)
-    err = apply_laplacian(v).values + math.pi**2 * v.values
+    err = laplacian_matrix(g) @ v.values + math.pi**2 * v.values
     assert np.max(np.abs(err)) <= 1e-3
 
 
 def test_integer_mode_eigenvalue_2d():
     g = make_grid(2, 129)
     v = eval_mode(ModeIndex((1.0, 1.0)), g)
-    err = apply_laplacian(v).values + 2 * math.pi**2 * v.values
+    err = laplacian_matrix(g) @ v.values + 2 * math.pi**2 * v.values
     assert np.max(np.abs(err)) <= 5e-3
 
 
@@ -121,7 +121,7 @@ def test_mode_eigenvalue_h_halving(dim, k):
     def max_err(n):
         g = make_grid(dim, n)
         v = eval_mode(mode, g)
-        return np.max(np.abs(apply_laplacian(v).values + m * v.values))
+        return np.max(np.abs(laplacian_matrix(g) @ v.values + m * v.values))
 
     n0 = 33 if dim == 2 else 65
     coarse, fine = max_err(n0), max_err(2 * (n0 - 1) + 1)
@@ -136,7 +136,7 @@ def test_mode_is_exact_discrete_eigenvector():
         mode = ModeIndex(k)
         lam = sum(4.0 / g.h**2 * math.sin(ki * math.pi * g.h / 2) ** 2 for ki in k)
         v = eval_mode(mode, g)
-        resid = apply_laplacian(v).values + lam * v.values
+        resid = laplacian_matrix(g) @ v.values + lam * v.values
         assert np.max(np.abs(resid)) <= 1e-10 * lam
 
 
@@ -190,10 +190,13 @@ def test_butcher_tableau():
 
 
 def test_butcher_tableau_needs_an_implicit_stage():
-    # an explicit stage (a_ii = 0) is accepted, as in the trapezoid rule
+    # an explicit first stage (a_11 = 0) is accepted, as in the trapezoid rule
     assert ButcherTableau(a=((0.0, 0.0), (0.5, 0.5)), b=(0.5, 0.5)).max_diag == 0.5
     with pytest.raises(ConfigurationError, match="implicit stage"):
         ButcherTableau(a=((0.0, 0.0), (0.5, 0.0)), b=(0.5, 0.5))
+    # a later stage is never explicit: only a first stage is phi_n
+    with pytest.raises(ConfigurationError, match=r"^only the first stage may be explicit"):
+        ButcherTableau(a=((0.25, 0.0), (0.5, 0.0)), b=(0.5, 0.5))
 
 
 @pytest.mark.parametrize("dim", (1, 2))

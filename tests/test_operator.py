@@ -35,7 +35,7 @@ def _linf(v):
 def _symmetric_eigenvalues(op):
     """Eigenvalues of op, which is self-adjoint in the trapezoid inner product."""
     sw = np.sqrt(trapezoid_weights(op.grid))
-    s = sw[:, None] * op.todense() / sw[None, :]
+    s = sw[:, None] * op.tosparse().toarray() / sw[None, :]
     return np.linalg.eigvalsh(0.5 * (s + s.T))
 
 

@@ -890,7 +890,7 @@ def test_preimage_field_2d_uncertified_runs_minres(monkeypatch):
 
 
 def _fd_rel_error(residual, jacobian, u):
-    dense = np.asarray(jacobian(u).todense())
+    dense = jacobian(u).tosparse().toarray()
     return np.linalg.norm(dense - fd_jacobian(residual, u)) / np.linalg.norm(dense)
 
 

@@ -29,8 +29,9 @@ from acstab.schemes import (
     SchemeKind,
     StepReport,
     StepSummary,
+    _forward_stages,
+    _no_lap,
     _settled_sign,
-    _step_terms,
     constant_cubic,
     implicit_system,
     parse_scheme,
@@ -49,6 +50,9 @@ _DIRK_SKEW = SchemeKind("dirk", ButcherTableau(((0.3, 0.0), (0.5, 0.2)), (0.3, 0
 _GAMMA = 1.0 - math.sqrt(0.5)
 _SDIRK2 = SchemeKind("dirk", ButcherTableau(((_GAMMA, 0.0), (1.0 - _GAMMA, _GAMMA)),
                                             (1.0 - _GAMMA, _GAMMA)))
+# an EDIRK that is not stiffly accurate: its explicit first stage is phi_n,
+# and b_1 G(phi_n) enters the result, a combination no bundled scheme takes
+_EDIRK_SKEW = SchemeKind("dirk", ButcherTableau(((0.0, 0.0), (0.5, 0.5)), (0.3, 0.7)))
 # three stages that robustness reads backward: a31 = a21, b1 = a31, b2 = a32
 _DIRK3 = SchemeKind("dirk", ButcherTableau(((0.4, 0.0, 0.0), (0.3, 0.25, 0.0), (0.3, 0.35, 0.3)),
                                            (0.3, 0.35, 0.35)))
@@ -155,10 +159,11 @@ def test_step_jacobians_match_fd(kind):
     p = ACParams(0.3, 0.05)
     for _ in range(20):
         phi_n = ScalarField(g, rng.uniform(-2, 2, g.num_nodes))
-        v0 = phi_n.values
-        residual, jacobian = implicit_system(g, p, *_step_terms(kind, v0, laplacian_matrix(g) @ v0, p))
+        v0, lap = phi_n.values, laplacian_matrix(g).__matmul__
+        (stage,), _, lead = _forward_stages(kind, p)  # the one implicit stage
+        residual, jacobian = implicit_system(g, p, *stage(v0, lead(v0, lap), lap))
         u = rng.uniform(-2, 2, g.num_nodes)
-        dense = np.asarray(jacobian(u).todense())
+        dense = jacobian(u).tosparse().toarray()
         rel = np.linalg.norm(dense - fd_jacobian(residual, u)) / np.linalg.norm(dense)
         assert rel <= 1e-5
 
@@ -171,15 +176,9 @@ def test_dirk_stage_jacobian_matches_fd():
         known = rng.uniform(-2, 2, g.num_nodes)
         residual, jacobian = implicit_system(g, p, 1.0, known, 0.25 * p.dt)
         u = rng.uniform(-2, 2, g.num_nodes)
-        dense = np.asarray(jacobian(u).todense())
+        dense = jacobian(u).tosparse().toarray()
         rel = np.linalg.norm(dense - fd_jacobian(residual, u)) / np.linalg.norm(dense)
         assert rel <= 1e-5
-
-
-def test_step_system_rejects_dirk():
-    g = make_grid(1, 9)
-    with pytest.raises(ConfigurationError):
-        _step_terms(DIRK2, constant_field(g, 0.0).values, 0.0, ACParams(0.1, 0.01))
 
 
 @pytest.mark.parametrize("kind", ALL, ids=lambda k: k.label)
@@ -214,7 +213,8 @@ def test_scalar_map_lists_a_multiple_image_once():
     # at eps = 1, dt = 4 this r maps onto a double root of CN's cubic
     p = ACParams(1.0, 4.0)
     r = 1.2678079692621487
-    roots = real_cubic_roots(*constant_cubic(p, *_step_terms(CN, r, 0.0, p))).real_roots
+    (stage,), _, lead = _forward_stages(CN, p)
+    roots = real_cubic_roots(*constant_cubic(p, *stage(r, lead(r, _no_lap), _no_lap))).real_roots
     assert len(roots) == 3 and roots[2] - roots[1] <= 1e-8
     images = scalar_map(CN, r, p)
     assert [c for c, _ in images] == pytest.approx([roots[0], roots[1]], abs=1e-8)
@@ -322,7 +322,7 @@ def _step_with_stages(kind, phi, p):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from((DIRK2, _SDIRK2, _DIRK3)),
+    st.sampled_from((DIRK2, _SDIRK2, _DIRK3, _EDIRK_SKEW)),
     st.sampled_from((1, 2)),
     st.integers(3, 9),
     st.floats(0.2, 1.0),
@@ -330,23 +330,27 @@ def _step_with_stages(kind, phi, p):
     st.data(),
 )
 def test_dirk_step_combines_the_stage_forces(kind, dim, n, eps, frac, data):
-    # stage i's terms are (a, s, b, k) = (1/dt, phi_n, a_ii, sum_{j<i} a_ij G_j),
-    # its equation divided by dt, and step reads G = -F off it as
-    # -(a (phi_i - s) + k) / b: that is G(phi_i) up to the equation's residual
-    # r_i over b = a_ii.  So the result, phi_n - dt sum b_i G_i or (stiffly
-    # accurate, b the last row) the last stage, is phi_n + dt sum b_i F(phi_i)
-    # up to dt sum (b_i / a_ii) r_i, and the roundoff of adding up the terms of F
+    # implicit stage i's terms are (a, s, b, k) = (1/dt, phi_n, a_ii,
+    # sum_{j<i} a_ij G_j), its equation divided by dt, and step reads G = -F
+    # off it as -(a (phi_i - s) + k) / b: that is G(phi_i) up to the
+    # equation's residual r_i over b = a_ii.  An explicit first stage is phi_n,
+    # its G(phi_n) evaluated.  So the result, phi_n - dt sum b_i G_i or
+    # (stiffly accurate, b the last row) the last stage, is phi_n + dt sum b_i
+    # F(phi_i) up to dt sum (b_i / a_ii) r_i over the implicit stages, and the
+    # roundoff of adding up the terms of F
     tab = kind.tableau
     p = ACParams(eps, frac * eps * eps / tab.max_diag)  # one solution per stage
     g = make_grid(dim, n)
     v0 = np.array(data.draw(st.lists(
         st.floats(-1.5, 1.5), min_size=g.num_nodes, max_size=g.num_nodes)))
-    out, rep, stages = _step_with_stages(kind, ScalarField(g, v0), p)
+    out, rep, solved = _step_with_stages(kind, ScalarField(g, v0), p)
+    stages = [v0] * (tab.a[0][0] == 0.0) + solved  # no Newton loop solves an explicit stage
     assert rep.success and len(stages) == tab.stages
     lap = laplacian_matrix(g)
     want = v0 - sum(p.dt * b * _minus_force(lap @ x, x, p) for b, x in zip(tab.b, stages))
-    bound = p.dt * sum(abs(b / tab.a[i][i]) * r.residual
-                       for i, (b, r) in enumerate(zip(tab.b, rep.stage_reports)))
+    implicit = range(tab.stages - len(solved), tab.stages)
+    bound = p.dt * sum(abs(tab.b[i] / tab.a[i][i]) * r.residual
+                       for i, r in zip(implicit, rep.stage_reports, strict=True))
     # roundoff: 64 ulps of the largest term, |phi_n| or dt |b_i| (|Lap phi_i| + |n(phi_i)| / eps^2)
     terms = [np.abs(v0)] + [p.dt * abs(b) * (np.abs(lap @ x) + np.abs(x ** 3 - x) / p.eps2)
                             for b, x in zip(tab.b, stages)]
@@ -424,7 +428,7 @@ def test_dirk2_moves_a_slow_interface_as_be_does(eps):
 def _constant_steps(draw):
     """(kind, grid, r, p): |r| log-uniform in [1e-3, 1e3] of either sign, 1D or 2D
     grids of 3 to 65 nodes per axis, and dt below the scheme's uniqueness threshold."""
-    kind = draw(st.sampled_from(ALL + (_SDIRK2, _DIRK3)))
+    kind = draw(st.sampled_from(ALL + (_SDIRK2, _DIRK3, _EDIRK_SKEW)))
     g = make_grid(draw(st.sampled_from((1, 2))), draw(st.integers(3, 65)))
     r = draw(st.sampled_from((1.0, -1.0))) * 10.0 ** draw(st.floats(-3.0, 3.0))
     eps = draw(st.floats(0.1, 1.0))
@@ -435,17 +439,15 @@ def _constant_steps(draw):
 def _field_walk(kind, v0, g, p, cfg):
     """step's stage walk on the node array v0, as step solves a field that is not
     constant: implicit_system and newton_solve per implicit stage, each from
-    the stage before; an explicit stage's G = -F evaluated, an implicit one's
-    read off its equation.  (values, reports)."""
+    the stage before; an explicit first stage's G(phi_n) = -F(phi_n)
+    evaluated, an implicit one's read off its equation.  (values, reports)."""
     lap = laplacian_matrix(g)
-    stages, b = schemes._forward_stages(kind, p)
-    x, gs, reports = v0, [], []
+    stages, b, _ = _forward_stages(kind, p)
+    x, reports = v0, []
+    tab = kind._rk  # None for modcn
+    gs = [(1.0 / p.eps2) * (v0 * v0 * v0 - v0) - lap @ v0] if tab and tab.a[0][0] == 0.0 else []
     for stage in stages:
         a, s, b_ii, k, *_ = terms = stage(v0, gs, lap.__matmul__)
-        if b_ii == 0.0:
-            x = s - k / a
-            gs.append((1.0 / p.eps2) * (x * x * x - x) - lap @ x)
-            continue
         x, rep = newton_solve(*implicit_system(g, p, *terms), x, cfg)
         reports.append(rep)
         if not rep.converged:
@@ -456,12 +458,9 @@ def _field_walk(kind, v0, g, p, cfg):
 
 def _first_stage_scale(kind, r, p):
     """The largest term of the first implicit stage's equation at the constant r."""
-    gs = []
-    for stage in schemes._forward_stages(kind, p)[0]:
-        a, s, b, k, *_ = stage(r, gs, lambda x: 0.0)
-        if b:
-            return max(abs(a * r), abs(a * s), b / p.eps2 * abs(r) ** 3, abs(k))
-        gs.append((1.0 / p.eps2) * (r * r * r - r))  # cn's explicit first stage stays at r
+    stages, _, lead = _forward_stages(kind, p)
+    a, s, b, k, *_ = stages[0](r, lead(r, _no_lap), _no_lap)
+    return max(abs(a * r), abs(a * s), b / p.eps2 * abs(r) ** 3, abs(k))
 
 
 @settings(max_examples=200, deadline=None)

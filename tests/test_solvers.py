@@ -30,7 +30,6 @@ from acstab.schemes import (
     _forward_stages,
     _nearest,
     _no_lap,
-    _step_terms,
     constant_cubic,
     implicit_system,
     simulate,
@@ -122,10 +121,11 @@ def test_fd_jacobian_matches_analytic_be_residual():
     g = make_grid(1, 17)
     p = ACParams(eps=0.3, dt=0.01)
     phi_n = ScalarField(g, rng.uniform(-2, 2, g.num_nodes))
-    v0 = phi_n.values
-    residual, jacobian = implicit_system(g, p, *_step_terms(BE, v0, laplacian_matrix(g) @ v0, p))
+    (stage,), _, _ = _forward_stages(BE, p)  # be's one stage: no G's before it
+    lap = laplacian_matrix(g).__matmul__
+    residual, jacobian = implicit_system(g, p, *stage(phi_n.values, [], lap))
     u = rng.uniform(-2, 2, g.num_nodes)
-    dense = np.asarray(jacobian(u).todense())
+    dense = jacobian(u).tosparse().toarray()
     approx = fd_jacobian(residual, u)
     rel = np.linalg.norm(dense - approx) / np.linalg.norm(dense)
     assert rel <= 1e-5
@@ -216,11 +216,13 @@ _GAMMA = 1.0 - math.sqrt(0.5)
 # Alexander's two-stage SDIRK: b is the last row of a (stiffly accurate)
 _SDIRK2 = SchemeKind("dirk", ButcherTableau(((_GAMMA, 0.0), (1.0 - _GAMMA, _GAMMA)),
                                             (1.0 - _GAMMA, _GAMMA)))
+# an EDIRK that is not stiffly accurate: an explicit first stage, as cn's, and b apart
+_EDIRK_SKEW = SchemeKind("dirk", ButcherTableau(((0.0, 0.0), (0.5, 0.5)), (0.3, 0.7)))
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    st.sampled_from((BE, CN, MODCN, DIRK2, _SDIRK2)),
+    st.sampled_from((BE, CN, MODCN, DIRK2, _SDIRK2, _EDIRK_SKEW)),
     st.floats(0.05, 2.0),
     st.floats(1e-3, 10.0),
     st.lists(st.one_of(st.floats(-300.0, 300.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8),
@@ -228,22 +230,21 @@ _SDIRK2 = SchemeKind("dirk", ButcherTableau(((_GAMMA, 0.0), (1.0 - _GAMMA, _GAMM
 def test_newton_each_entry_is_the_float_loop(kind, eps, dt, rs):
     # each implicit stage equation of a step from an array of constants, and
     # each entry's alone as a float unknown, iterates exactly as the float
-    # loop does; a stage starts from the stage before it, as in step
+    # loop does; a stage starts from the stage before it, as in step, after
+    # an explicit first stage (cn's) that is phi_n, its G evaluated
     p = ACParams(eps, dt)
-    stages, _ = _forward_stages(kind, p)
-    rs = np.array(rs)
+    stages, _, _ = _forward_stages(kind, p)
+    rs, tab = np.array(rs), kind._rk  # tab None for modcn
     guess, gs = rs, []
+    if tab and tab.a[0][0] == 0.0:
+        gs.append((1.0 / p.eps2) * (rs * rs * rs - rs))
     for stage in stages:
         a, s, b, k, *_ = terms = stage(rs, gs, _no_lap)
-        if b == 0.0:  # cn's explicit first stage: no Newton loop, G evaluated
-            x = s - k / a
-            gs.append((1.0 / p.eps2) * (x * x * x - x))
-        else:
-            x, rn = solvers._newton_each(*implicit_system(None, p, *terms), guess)
-            for j, r in enumerate(rs.tolist()):
-                one = implicit_system(None, p, *stage(r, [g[j] for g in gs], _no_lap))
-                _assert_float_loop(*one, float(guess[j]), x[j], rn[j])
-            gs.append(-(a * (x - s) + k) / b)  # the stage's G, as step reads it
+        x, rn = solvers._newton_each(*implicit_system(None, p, *terms), guess)
+        for j, r in enumerate(rs.tolist()):
+            one = implicit_system(None, p, *stage(r, [g[j] for g in gs], _no_lap))
+            _assert_float_loop(*one, float(guess[j]), x[j], rn[j])
+        gs.append(-(a * (x - s) + k) / b)  # the stage's G, as step reads it
         guess = x
 
 
@@ -260,7 +261,8 @@ def test_the_float_loop_ends_as_the_reference(r, guess, ending):
     # every way the loop can end, each reached by be's stage equation at
     # eps = dt = 1, x - r + (x^3 - x) = 0, from the guess shown
     p = ACParams(1.0, 1.0)
-    one = implicit_system(None, p, *_step_terms(BE, r, 0.0, p))
+    (stage,), _, _ = _forward_stages(BE, p)
+    one = implicit_system(None, p, *stage(r, [], _no_lap))
     x, rn = solvers._newton_each(*one, np.array([guess]))
     _assert_float_loop(*one, guess, x[0], rn[0])
     assert newton_solve(*one, guess)[1].message == ending
@@ -825,7 +827,8 @@ def test_scalar_newton_picks_the_root_of_the_constant_field_solve(tag, eps, dt, 
         x_field, _ = newton_solve(*implicit_system(grid, p, *terms), np.full(3, r))
     else:
         kind = {"be": BE, "cn": CN, "modcn": MODCN}[tag]
-        terms = _step_terms(kind, r, 0.0, p)
+        (stage,), _, lead = _forward_stages(kind, p)  # the one implicit stage
+        terms = stage(r, lead(r, _no_lap), _no_lap)
         x_field = step(kind, constant_field(grid, r), p)[0].values
     x_scalar, _ = newton_solve(*implicit_system(None, p, *terms), r)
     roots = real_cubic_roots(*constant_cubic(p, *terms)).real_roots
